@@ -86,7 +86,6 @@ from .obstruction import (
     delta_star,
     e_star,
     obstruction_order,
-    oracle_consistency,
     projector,
     radial_approach_diagnostic,
 )

@@ -114,25 +114,11 @@ def parse_series(text: str) -> FourierSeries:
         f"--f must be 'cos', an inline JSON array, or a path: {text!r}")
 
 
-def _jsonable(obj):
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, np.generic):
-        return _jsonable(obj.item())
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(x) for x in obj.tolist()]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    return obj
-
-
 def _error_payload(exc: Exception) -> dict:
     err = {"type": type(exc).__name__, "message": str(exc)}
     diag = getattr(exc, "diagnostics", None)
     if diag:
-        err["diagnostics"] = _jsonable(diag)
+        err["diagnostics"] = diag
     hist = getattr(exc, "residual_history", None)
     if hist is not None and "diagnostics" not in err:
         err["residual_history"] = [float(r) for r in hist]
@@ -343,6 +329,9 @@ def cmd_sweep(args) -> int:
     workers = args.workers
     env = os.environ.get("KAMFORGE_WORKERS")
     if env:
+        if not (env.strip().isdecimal() and int(env) >= 1):
+            raise ValueError(
+                f"KAMFORGE_WORKERS must be an integer >= 1, got {env!r}")
         workers = int(env)
     eps_axis = None
     if args.eps_n is not None:
@@ -443,7 +432,7 @@ def cmd_crosscheck(args) -> int:
     methods = tuple(s.strip() for s in args.methods.split(",") if s.strip())
     result = run_crosscheck(f, rc.frequency(), rc.eps, methods=methods,
                             config=rc.solver_config(), n_taylor=args.orders)
-    jsonio.dump_path(_jsonable(result), args.out)
+    jsonio.dump_path(result, args.out)
     failed = False
     for name, m in result["methods"].items():
         status = m["status"]

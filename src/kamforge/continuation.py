@@ -28,9 +28,9 @@ from .errors import KamforgeError, NoConvergenceError
 from .fourier import (
     FourierSeries,
     compose_id_plus,
+    composition_jet,
     mean,
     pad_to,
-    product,
     sup_norm,
     truncate,
 )
@@ -140,62 +140,37 @@ def picard_solve(f: FourierSeries, freq: Frequency, eps,
 # Taylor orders at q = 0
 
 
-def taylor0_recursion(f: FourierSeries, eps, N_q: int = 40,
-                      cap: int = TAYLOR_ORDER_CAP) -> QTaylorData:
+def taylor0_recursion(f: FourierSeries, eps, N_q: int = 40) -> QTaylorData:
     """Orders u_1..u_Nq of the solution's expansion at q = 0.
 
-    u_1 = eps E^(1) f and, for n >= 2,
+    Expanding both sides of u = eps E_q(f(id + u)) in q gives
 
-        u_n = eps E^(n) f
-            + eps sum_{r>=1} sum_{n0=1}^{n-r} E^(n0)( f^(r)/r! * W_r[n-n0] )
+        u_n = eps sum_{n0=1}^{n} E^(n0) [f(id+u)]_{n-n0},   [f(id+u)]_0 = f,
 
-    where W_r[s] collects sum over ordered tuples n_1+..+n_r = s of
-    u_{n_1}..u_{n_r}.  The W table is memoized through the convolution
-    W_r[s] = sum_a W_{r-1}[a] * u_{s-a}, which keeps the combinatorics
-    polynomial; the order cap bounds the desk-scale budget.
+    where [f(id+u)]_s, the q^s coefficient of the composition, depends on
+    u_1..u_s only.  ``composition_jet`` supplies it one order at a time, so
+    the cost is polynomial in N_q; the order cap bounds the desk-scale
+    budget.
     """
     N_q = int(N_q)
     if N_q < 1:
         raise ValueError("need at least one order")
-    if N_q > cap:
-        raise ValueError(f"N_q = {N_q} exceeds the order cap {cap}")
+    if N_q > TAYLOR_ORDER_CAP:
+        raise ValueError(
+            f"N_q = {N_q} exceeds the order cap {TAYLOR_ORDER_CAP}")
     eps = complex(eps)
-
-    # f^(r)/r! has coefficients (2 pi i k)^r / r! — bounded by e^{2 pi |k|}
-    scaled = [f]
-    fact = 1.0
-    ks = np.arange(-f.N, f.N + 1)
-    base = 2j * np.pi * ks
-    cur = f.coeffs.copy()
-    for r in range(1, N_q):
-        cur = cur * base
-        fact *= r
-        scaled.append(FourierSeries(cur / fact))
-
-    u = {1: eps * e_n(f, 1)}
-    wmemo: dict = {}
-
-    def W(r: int, s: int) -> FourierSeries:
-        if r == 1:
-            return u[s]
-        key = (r, s)
-        got = wmemo.get(key)
-        if got is None:
-            acc = None
-            for a in range(r - 1, s):
-                term = product(W(r - 1, a), u[s - a])
-                acc = term if acc is None else acc + term
-            wmemo[key] = got = acc
-        return got
-
-    for n in range(2, N_q + 1):
-        total = eps * e_n(f, n)
-        for r in range(1, n):
-            for n0 in range(1, n - r + 1):
-                g = product(scaled[r], W(r, n - n0))
-                total = total + eps * e_n(g, n0)
-        u[n] = total
-    return QTaylorData([u[n] for n in range(1, N_q + 1)], eps, f)
+    jet = composition_jet(f.coeffs)
+    next(jet)                     # order 0 is f itself
+    comp = [f]                    # [f(id+u)]_s for s < n
+    orders: list = []
+    for n in range(1, N_q + 1):
+        if n > 1:
+            comp.append(FourierSeries(jet.send(orders[-1].coeffs)))
+        total = e_n(f, n)
+        for n0 in range(1, n):
+            total = total + e_n(comp[n - n0], n0)
+        orders.append(eps * total)
+    return QTaylorData(orders, eps, f)
 
 
 def taylor0_eval(data: QTaylorData, q, with_info: bool = False):

@@ -8,9 +8,12 @@ which converges on any horizontal strip |Im theta| <= r once the
 coefficients decay like exp(-2 pi r |k|).  All heavy operations (products,
 compositions, pointwise inverses) go through equispaced grids and the FFT;
 grids are oversampled by at least a factor of four relative to the joint
-cutoff and every truncation reports the magnitude of what it dropped.
+cutoff and every truncation reports the magnitude of what it dropped.  The
+one exception is ``composition_jet``, the order-by-order composition used by
+the formal series: it convolves raw coefficient arrays directly, in
+whatever complex dtype it is given.
 
-Double precision only.  Any exponent that would exceed ``EXP_CAP`` (the
+Series are double precision.  Any exponent that would exceed ``EXP_CAP`` (the
 IEEE-754 overflow threshold, with margin) raises ``OverflowRiskError``
 instead of silently producing infinities.
 """
@@ -226,10 +229,6 @@ def mean(phi: FourierSeries) -> complex:
     return phi.coeff(0)
 
 
-def coeff(phi: FourierSeries, k: int) -> complex:
-    return phi.coeff(k)
-
-
 def pad_to(phi: FourierSeries, N: int) -> FourierSeries:
     if N < phi.N:
         raise ValueError("pad_to cannot shrink; use truncate")
@@ -374,6 +373,52 @@ def compose_id_plus(f: FourierSeries, u: FourierSeries, cutoff: int | None = Non
     return FourierSeries(out), CompositionReport(tail, G)
 
 
+def _add_centered(acc: np.ndarray, a: np.ndarray) -> None:
+    """Add the centered coefficient vector *a* into the middle of *acc*."""
+    lo = (acc.size - a.size) // 2
+    acc[lo:lo + a.size] += a
+
+
+def composition_jet(f: np.ndarray):
+    """Orders of f(theta + u) when u is a power series in a parameter t.
+
+    A generator on raw centered coefficient arrays.  For
+    u = sum_{s>=1} t^s u_s, the first ``next()`` yields [f(theta+u)]_0 = f
+    and each ``send(u_s)``, for s = 1, 2, ..., yields [f(theta+u)]_s.
+    Mode k of f contributes f_k e_k E^(k) with E^(k) = exp(2 pi i k u),
+    whose orders follow the power-series exponential recurrence
+
+        E^(k)_0 = 1,    n E^(k)_n = 2 pi i k sum_{j=1}^{n} j u_j E^(k)_{n-j}.
+
+    Every product is a direct ``np.convolve``: no grid and no FFT, so a mode
+    that is zero by structure stays an exact zero.  The arithmetic runs in
+    the complex dtype of *f* (clongdouble included).  Order n costs n
+    convolutions per nonzero mode of f.
+    """
+    f = np.asarray(f)
+    K = (f.size - 1) // 2
+    two_pi_i = f.dtype.type(2j) * np.arccos(f.real.dtype.type(-1))
+    modes = [k for k in range(-K, K + 1) if k != 0 and f[k + K] != 0]
+    E = {k: [np.ones(1, dtype=f.dtype)] for k in modes}
+    ju: list = []        # j u_j for j = 1..n
+    half = [0]           # half-width of E^(k)_n, the same for every k
+    u = yield f
+    while True:
+        n = len(ju) + 1
+        ju.append(n * np.asarray(u))
+        hw = max((a.size - 1) // 2 + half[n - j] for j, a in enumerate(ju, 1))
+        half.append(hw)
+        out = np.zeros(2 * (hw + K) + 1, dtype=f.dtype)
+        for k in modes:
+            acc = np.zeros(2 * hw + 1, dtype=f.dtype)
+            for j in range(1, n + 1):
+                _add_centered(acc, np.convolve(ju[j - 1], E[k][n - j]))
+            acc *= two_pi_i * k / n
+            E[k].append(acc)
+            out[K + k:K + k + acc.size] += f[k + K] * acc
+        u = yield out
+
+
 # ---------------------------------------------------------------------------
 # pointwise inverse
 
@@ -385,7 +430,8 @@ def invert_pointwise(A: FourierSeries, floor: float = 1e-8,
     The output cutoff adapts: it is the smallest K whose discarded grid
     spectrum sits below 1e-13 relative to the largest coefficient (one grid
     refinement is attempted if the first grid cannot get there).  Raises
-    ``NearSingularError`` when min |A| on the grid is at or below *floor*.
+    ``NearSingularError`` when min |A| on the grid is at or below *floor*,
+    or when the cutoff the inverse needs exceeds ``HARD_CAP``.
     """
     G = next_fast_len(max(8 * (A.N + 1), 512))
     for attempt in range(2):
@@ -418,6 +464,11 @@ def invert_pointwise(A: FourierSeries, floor: float = 1e-8,
             G = next_fast_len(4 * G)
         else:
             K = Kmax
+    if K > HARD_CAP:
+        raise NearSingularError(
+            f"inverse needs cutoff {K} above the hard cap {HARD_CAP}",
+            {"cutoff": K, "hard_cap": HARD_CAP, "grid_min": gmin},
+        )
     ks = np.arange(-K, K + 1)
     return FourierSeries(c_full[ks % G])
 

@@ -34,7 +34,6 @@ import numpy as np
 from .errors import DivergenceError, NearSingularError, NoConvergenceError
 from .fourier import (
     DEFAULT_CUTOFF,
-    EXP_CAP,
     FourierSeries,
     clamp_small,
     compose_id_plus,
@@ -67,9 +66,9 @@ class SolverConfig:
     """Knobs of the Newton (and Picard) iterations.
 
     ``R0 > R`` are the strip parameters used only for the logged
-    strip-norm diagnostics; ``exp_cap`` mirrors the module-wide exponent
-    cap.  ``eps`` may be carried here or passed per call.  ``seed`` enables
-    warm starts (continuation in eps); the default seed is u = 0.
+    strip-norm diagnostics.  ``eps`` may be carried here or passed per call.
+    ``seed`` enables warm starts (continuation in eps); the default seed is
+    u = 0.
     """
 
     tol: float = 1e-12
@@ -78,7 +77,6 @@ class SolverConfig:
     eps: complex | None = None
     R0: float = 0.5
     R: float = 0.25
-    exp_cap: float = EXP_CAP
     divergence_factor: float = 10.0
     amin_floor: float = 1e-8
     clamp_rel: float = 1e-16

@@ -13,9 +13,11 @@ closed form,
     gamma_n = (-2 pi i K)^(n-1) A^n beta_n,
 
 with A the top coefficient of f and beta_n > 0 produced by a scalar
-recursion in the divisor values.  The engine here computes the g_n by
-exact multinomial convolution (no FFT, no grids) so that the comparison
-against the oracle is a genuine two-route consistency check.
+recursion in the divisor values.  The engine here computes the g_n with
+the same composition kernel as the Taylor orders at q = 0
+(``fourier.composition_jet``: direct convolution, no FFT, no grids), so
+that the comparison against the oracle is a genuine two-route consistency
+check.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import FourierSeries
+from .fourier import FourierSeries, composition_jet
 from .frequency import from_q
 from .kam import SolverConfig
 
@@ -37,7 +39,6 @@ __all__ = [
     "projector",
     "obstruction_order",
     "beta_gamma_oracle",
-    "oracle_consistency",
     "radial_approach_diagnostic",
 ]
 
@@ -155,24 +156,16 @@ class ObstructionReport:
         }
 
 
-def _centered_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    na, nb = (len(a) - 1) // 2, (len(b) - 1) // 2
-    n = max(na, nb)
-    out = np.zeros(2 * n + 1, dtype=np.result_type(a, b))
-    out[n - na:n + na + 1] += a
-    out[n - nb:n + nb + 1] += b
-    return out
-
-
 def obstruction_order(f: FourierSeries, rf: RationalFreq,
                       max_order: int | None = None,
                       threshold: float | None = None,
                       exactness: str = "float") -> ObstructionReport:
     """Run the formal construction at omega = p/m until it obstructs.
 
-    At each order the right-hand side g_n of delta_star u_n = g_n is built
-    by exact convolution from the scaled derivatives f^(r)/r! and the
-    memoized homogeneous blocks W_r[s]; the run stops at the first n where
+    The right-hand side of delta_star u_n = g_n is g_1 = f and, for n >= 2,
+    g_n = [f(id+u)]_{n-1}, the eps^(n-1) coefficient of the composition,
+    which ``composition_jet`` builds from u_1..u_{n-1} by exact
+    convolution; u_n = lam * g_n.  The run stops at the first n where
     ||Pi0 g_n|| exceeds the threshold (default 1e-10 times the largest
     coefficient magnitude accumulated so far).  Forcings whose only extreme
     mode is -K are reduced to the +K case by the reflection theta -> -theta
@@ -205,49 +198,16 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
         raise ValueError("max_order must be at least 1")
 
     _, lam = rf.tables(extended=(exactness == "extended"))
-    if exactness == "extended":
-        two_pi_i = np.clongdouble(2j) * np.arccos(np.longdouble(-1.0))
-    else:
-        two_pi_i = np.complex128(2j * math.pi)
-
-    # scaled[r] = f^(r)/r!  (divide by r at each step to fold in 1/r!)
-    ks_f = np.arange(-K, K + 1)
-    scaled = [f_arr]
-    cur = f_arr
-    for r in range(1, max_order):
-        cur = cur * (two_pi_i * ks_f) / r
-        scaled.append(cur)
-
-    u_orders: dict = {}
-    wmemo: dict = {}
-
-    def W(r: int, s: int) -> np.ndarray:
-        if r == 1:
-            return u_orders[s]
-        key = (r, s)
-        got = wmemo.get(key)
-        if got is None:
-            acc = None
-            for a in range(r - 1, s):
-                term = np.convolve(W(r - 1, a), u_orders[s - a])
-                acc = term if acc is None else _centered_add(acc, term)
-            wmemo[key] = got = acc
-        return got
-
+    jet = composition_jet(f_arr)
+    g = next(jet)                 # g_1 = f
     gammas_engine: list = []
     scale = 0.0
     n_star = None
     witness_arr = np.zeros(1, dtype=dtype)
     thr = threshold if threshold is not None else 0.0
-    n = 0
     for n in range(1, max_order + 1):
-        if n == 1:
-            g = f_arr
-        else:
-            g = None
-            for r in range(1, n):
-                term = np.convolve(scaled[r], W(r, n - 1))
-                g = term if g is None else _centered_add(g, term)
+        if n > 1:
+            g = jet.send(u)       # g_n = [f(id+u)]_{n-1}
         Ng = (len(g) - 1) // 2
         gammas_engine.append(complex(g[Ng + n * K]) if n * K <= Ng else 0.0j)
         scale = max(scale, float(np.max(np.abs(g))))
@@ -260,7 +220,7 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
         if wnorm > thr:
             n_star = n
             break
-        u_orders[n] = g * lam[np.mod(ks, rf.m)]
+        u = g * lam[np.mod(ks, rf.m)]
 
     betas, gammas_oracle, _ = beta_gamma_oracle(K, rf, len(gammas_engine), A)
     ref = max((abs(g) for g in gammas_oracle), default=0.0)
@@ -334,12 +294,6 @@ def beta_gamma_oracle(K: int, rf: RationalFreq, up_to: int,
         for n in range(1, up_to + 1)
     ]
     return betas, gammas, complex(A)
-
-
-def oracle_consistency(f: FourierSeries, rf: RationalFreq, up_to: int) -> float:
-    """Relative gap between engine and oracle gammas through the run."""
-    report = obstruction_order(f, rf, max_order=up_to)
-    return report.relative_gap
 
 
 def radial_approach_diagnostic(f: FourierSeries, p: int, m: int, eps,

@@ -136,6 +136,17 @@ def test_sweep_worker_env_override_and_determinism(tmp_path):
     assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
 
+def test_sweep_rejects_malformed_worker_env(tmp_path):
+    args = ["sweep", "--omega-min", "0.6", "--omega-max", "0.6",
+            "--omega-n", "1", "--f", "cos", "--modes", "16",
+            "--out", "w.jsonl"]
+    for bad in ("x", "0"):
+        r = run_cli(args, tmp_path, env_extra={"KAMFORGE_WORKERS": bad})
+        assert r.returncode == 2, r.stderr
+        assert "KAMFORGE_WORKERS" in r.stderr and repr(bad) in r.stderr
+    assert not (tmp_path / "w.jsonl").exists()
+
+
 def test_sweep_keeps_failed_points_inline(tmp_path):
     # a grid crossing omega = 1/2 on the real axis: the resonant point
     # fails inline, the rest converge, and the exit code stays 0

@@ -1,5 +1,6 @@
 """Truncated Fourier series: arithmetic, composition, inversion, clamping."""
 
+import math
 import pickle
 
 import numpy as np
@@ -7,9 +8,11 @@ import pytest
 
 from kamforge.errors import NearSingularError
 from kamforge.fourier import (
+    HARD_CAP,
     FourierSeries,
     clamp_small,
     compose_id_plus,
+    composition_jet,
     derivative,
     evaluate,
     grid_values,
@@ -182,6 +185,52 @@ def test_compose_general_matches_pointwise():
     assert rep_default.aliasing_tail > rep.aliasing_tail
 
 
+def jet_orders(f, us, dtype):
+    """[f(theta + u)]_0..[f(theta + u)]_len(us) for u = sum_s t^s us[s-1]."""
+    jet = composition_jet(np.asarray(f.coeffs, dtype=dtype))
+    out = [next(jet)]
+    out += [jet.send(np.asarray(u, dtype=dtype)) for u in us]
+    return out
+
+
+def centered(a, N):
+    pad = N - (a.size - 1) // 2
+    return np.pad(np.asarray(a, dtype=np.clongdouble), (pad, pad))
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
+def test_composition_jet_constant_shift(dtype):
+    # u = t c: [f(theta + t c)]_n = sum_k f_k (2 pi i k c)^n / n! e_k exactly
+    rng = np.random.default_rng(16)
+    f = random_series(rng, 4)
+    c = 0.13 - 0.05j
+    n_max = 12
+    orders = jet_orders(f, [[c]] + [[0.0]] * (n_max - 1), dtype)
+    ks = np.arange(-f.N, f.N + 1)
+    for n, got in enumerate(orders):
+        assert got.dtype == dtype
+        want = f.coeffs * (2j * np.pi * ks * c) ** n / math.factorial(n)
+        err = np.max(np.abs(centered(got, f.N) - want))
+        assert err <= 2e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
+def test_composition_jet_sums_to_grid_composition(dtype):
+    # sum_n t^n [f(theta + t u1)]_n against the grid route at small t
+    rng = np.random.default_rng(17)
+    f = random_series(rng, 3, decay=0.8)
+    u1 = random_series(rng, 2, decay=0.8)
+    t = 0.02
+    n_max = 24
+    orders = jet_orders(f, [u1.coeffs] + [[0.0]] * (n_max - 1), dtype)
+    N = (orders[-1].size - 1) // 2
+    total = sum(t ** n * centered(g, N) for n, g in enumerate(orders))
+    grid, rep = compose_id_plus(f, t * u1, cutoff=N)
+    assert rep.aliasing_tail < 1e-15
+    ref = centered(pad_to(grid, N).coeffs, N)
+    assert np.max(np.abs(total - ref)) < 1e-14 * np.max(np.abs(ref))
+
+
 def test_invert_pointwise_inverse():
     f = FourierSeries([0.5, 2.0, 0.5])  # 2 + cos, strictly positive
     inv = invert_pointwise(f)
@@ -195,6 +244,17 @@ def test_invert_pointwise_near_singular():
     f = FourierSeries([0.5, 1.0, 0.5])  # 1 + cos vanishes at theta = 1/2
     with pytest.raises(NearSingularError):
         invert_pointwise(f)
+
+
+def test_invert_pointwise_beyond_hard_cap_is_typed():
+    # an inverse that needs more than HARD_CAP modes is a near-singular
+    # operand, not a bare ValueError from the series constructor
+    A = pad_to(FourierSeries.constant(1.0) - 0.99999 * FourierSeries.cos(), 1100)
+    with pytest.raises(NearSingularError) as info:
+        invert_pointwise(A)
+    assert info.value.diagnostics["cutoff"] > HARD_CAP
+    assert info.value.diagnostics["hard_cap"] == HARD_CAP
+    assert info.value.diagnostics["grid_min"] > 0.0
 
 
 def test_clamp_small_drops_noise_tail():

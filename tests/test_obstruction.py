@@ -8,8 +8,8 @@ import pytest
 from kamforge.fourier import FourierSeries, sup_norm
 from kamforge.obstruction import (ObstructionReport, RationalFreq,
                                   beta_gamma_oracle, delta_star, e_star,
-                                  obstruction_order, oracle_consistency,
-                                  projector, radial_approach_diagnostic)
+                                  obstruction_order, projector,
+                                  radial_approach_diagnostic)
 
 
 def basis(k, amp=1.0):
@@ -179,11 +179,13 @@ def test_obstruction_validation():
 
 
 def test_oracle_consistency_small_gap():
-    assert oracle_consistency(FourierSeries.cos(), RationalFreq(1, 3), 3) < 1e-12
+    rep = obstruction_order(FourierSeries.cos(), RationalFreq(1, 3), max_order=3)
+    assert rep.relative_gap < 1e-12
     rng = np.random.default_rng(9)
     half = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) * 0.4
     coeffs = np.concatenate([np.conj(half[::-1]), [0.0], half])
-    assert oracle_consistency(FourierSeries(coeffs), RationalFreq(1, 4), 4) < 1e-12
+    rep = obstruction_order(FourierSeries(coeffs), RationalFreq(1, 4), max_order=4)
+    assert rep.relative_gap < 1e-12
 
 
 def test_report_json_dict():
