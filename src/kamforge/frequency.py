@@ -188,6 +188,10 @@ class DiophantineClass:
     sigma: float = field(init=False)
 
     def __post_init__(self):
+        for name in ("M", "tau"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
         if self.m_max < 2:
@@ -250,41 +254,76 @@ def dioph_real_margin(x: float, cls: DiophantineClass):
     return margin, worst
 
 
-def _merged_gap_union(M: float, tau: float, m_max: int):
-    """Union of all truncated gaps, as merged intervals on [0 - , 1 + ].
+def _prime_factor_sieve(n: int):
+    """Distinct prime factors of every m <= n, and Euler's phi(m)."""
+    factors = [[] for _ in range(n + 1)]
+    phi = list(range(n + 1))
+    for p in range(2, n + 1):
+        if factors[p]:        # composite: already hit by a smaller prime
+            continue
+        for k in range(p, n + 1, p):
+            factors[k].append(p)
+            phi[k] -= phi[k] // p
+    return factors, phi
 
-    Centers n/m are enumerated for n = 0..m-1 coprime to m, plus the
-    duplicate integer gap at 1, so the union covers one full period with
-    the wrap-around components split at 0 and 1.  The merge is a vectorized
-    event sweep: sorting the left and right endpoints independently is
-    legitimate for a union, and a component starts exactly where the number
-    of open intervals drops to zero.
+
+def _merged_gap_union(M: float, tau: float, m_max: int):
+    """Union of all truncated gaps, as merged intervals on [-1/M, 1 + 1/M].
+
+    The gaps are the open intervals (n/m - r_m, n/m + r_m) with
+    r_m = 1/(M m^(2+tau)), for 1 <= m <= m_max and 0 <= n < m coprime to
+    m, plus the duplicate integer gap at 1; the union covers one full
+    period, with the wrap-around component split at 0 and 1.
+
+    One sieve gives every m its distinct prime factors and phi(m), so the
+    endpoint arrays ``lo`` and ``hi`` are preallocated at exactly
+    2 + sum_{m>=2} phi(m) entries and filled per m: the numerators coprime
+    to m are 1..m-1 with the multiples of each prime p | m struck out, and
+    the endpoints are float64(n) / m -/+ r_m, written into their slices.
+
+    Sorting ``lo`` and ``hi`` independently is legitimate for a union.  A
+    component starts at lo[i] iff no interval is still open there,
+    #(hi < lo[i]) == i, and ends at hi[i] iff #(lo <= hi[i]) == i + 1.
+    With both arrays sorted each count is one adjacent compare: every
+    interval has lo_j < hi_j, so #(hi < lo[i]) <= #(lo < lo[i]) <= i, with
+    equality iff hi[i-1] < lo[i]; and #(lo <= hi[i]) >= #(hi <= hi[i])
+    >= i + 1, with equality iff lo[i+1] > hi[i].  Hence breaks between
+    components sit exactly where hi[i] < lo[i+1], which is the same event
+    sweep as counting open intervals, with no approximation.
 
     Returns ``(starts, ends, measure)`` with the measure already clipped to
     the circle.
     """
-    los, his = [], []
-    for m in range(1, m_max + 1):
+    factors, phi = _prime_factor_sieve(m_max)
+    size = 2 + sum(phi[2:])
+    lo = np.empty(size, dtype=np.float64)
+    hi = np.empty(size, dtype=np.float64)
+    r = 1.0 / M                                 # m = 1: gaps at 0 and 1
+    lo[:2] = (0.0 - r, 1.0 - r)
+    hi[:2] = (0.0 + r, 1.0 + r)
+    nums = np.arange(m_max, dtype=np.float64)
+    pos = 2
+    for m in range(2, m_max + 1):
         r = 1.0 / (M * float(m) ** (2.0 + tau))
-        if m == 1:
-            centers = np.array([0.0, 1.0])
-        else:
-            ns = np.arange(1, m, dtype=np.int64)
-            ns = ns[np.gcd(ns, m) == 1]
-            centers = ns.astype(np.float64) / m
-        los.append(centers - r)
-        his.append(centers + r)
-    lo = np.concatenate(los)
-    hi = np.concatenate(his)
-    del los, his
+        coprime = np.ones(m - 1, dtype=bool)   # numerators 1..m-1
+        for p in factors[m]:
+            coprime[p - 1::p] = False
+        # no named views: one would keep lo alive past its del below
+        seg = slice(pos, pos + phi[m])
+        np.compress(coprime, nums[1:m], out=lo[seg])
+        np.divide(lo[seg], m, out=lo[seg])     # the centers n/m
+        np.add(lo[seg], r, out=hi[seg])
+        np.subtract(lo[seg], r, out=lo[seg])
+        pos += phi[m]
     lo.sort()
     hi.sort()
-    idx = np.arange(lo.size, dtype=np.int64)
-    start_mask = (idx - np.searchsorted(hi, lo, side="left")) == 0
-    end_mask = (np.searchsorted(lo, hi, side="right") - (idx + 1)) == 0
-    starts = lo[start_mask]
-    ends = hi[end_mask]
-    del lo, hi, idx, start_mask, end_mask
+    # flags[1:-1] = brk; starts take flags[:-1], ends take flags[1:]
+    flags = np.ones(size + 1, dtype=bool)
+    np.less(hi[:-1], lo[1:], out=flags[1:-1])
+    starts = lo[flags[:-1]]
+    del lo
+    ends = hi[flags[1:]]
+    del hi, flags
     if starts.size < 2 or starts[0] >= 0 or ends[-1] <= 1:
         raise AssertionError("gap union lost its wrap components (bug)")
     measure = float(np.sum(ends - starts) + starts[0] - ends[-1] + 1.0)

@@ -222,7 +222,8 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
             break
         u = g * lam[np.mod(ks, rf.m)]
 
-    betas, gammas_oracle, _ = beta_gamma_oracle(K, rf, len(gammas_engine), A)
+    betas, gammas_oracle, _ = beta_gamma_oracle(
+        K, rf, len(gammas_engine), A, extended=(exactness == "extended"))
     ref = max((abs(g) for g in gammas_oracle), default=0.0)
     if ref > 0.0:
         relative_gap = max(
@@ -259,7 +260,7 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
 
 
 def beta_gamma_oracle(K: int, rf: RationalFreq, up_to: int,
-                      A: complex = 1.0 + 0.0j):
+                      A: complex = 1.0 + 0.0j, extended: bool = False):
     """Leading resonant coefficients from the scalar recursion.
 
     beta_1 = 1 and, with b_j = (-lam_{[jK]}) beta_j >= 0,
@@ -268,32 +269,41 @@ def beta_gamma_oracle(K: int, rf: RationalFreq, up_to: int,
 
     so every beta_n > 0 as long as K is not resonant.  The gammas attach
     the forcing data: gamma_n = (-2 pi i K)^(n-1) A^n beta_n.  Returns
-    ``(betas, gammas, A)``.
+    ``(betas, gammas, A)``.  With ``extended=True`` the recursion and the
+    gamma products run in long double on the long-double tables, matching
+    the engine's ``exactness="extended"``; the returned values are rounded
+    to Python floats and complexes either way.
     """
     up_to = int(up_to)
     if up_to < 1:
         raise ValueError("need at least one order")
-    _, lam = rf.tables()
-    betas = [1.0]
-    b = np.zeros(up_to + 1, dtype=np.float64)
-    b[1] = -lam[(1 * K) % rf.m] * betas[0]
+    _, lam = rf.tables(extended=extended)
+    if extended:
+        real, cplx = np.longdouble, np.clongdouble
+        pi = np.arccos(np.longdouble(-1.0))
+    else:
+        real, cplx = float, complex
+        pi = math.pi
+    beta = [real(1.0)]
+    b = np.zeros(up_to + 1, dtype=lam.dtype)
+    b[1] = -lam[(1 * K) % rf.m] * beta[0]
     for n in range(2, up_to + 1):
         B = b[:n]
         P = B.copy()
-        total = 0.0
-        fact = 1.0
+        total = real(0.0)
+        fact = real(1.0)
         for r in range(1, n):
             total += P[n - 1] / fact
             fact *= r + 1
             if r < n - 1:
                 P = np.convolve(P, B)[:n]
-        betas.append(float(total))
-        b[n] = -lam[(n * K) % rf.m] * betas[-1]
-    gammas = [
-        ((-2j * math.pi * K) ** (n - 1)) * (complex(A) ** n) * betas[n - 1]
-        for n in range(1, up_to + 1)
-    ]
-    return betas, gammas, complex(A)
+        beta.append(total)
+        b[n] = -lam[(n * K) % rf.m] * total
+    base = cplx(-2j) * pi * K
+    a = cplx(A)
+    gammas = [complex((base ** (n - 1)) * (a ** n) * beta[n - 1])
+              for n in range(1, up_to + 1)]
+    return [float(x) for x in beta], gammas, complex(A)
 
 
 def radial_approach_diagnostic(f: FourierSeries, p: int, m: int, eps,

@@ -177,6 +177,15 @@ def test_geometry_command(tmp_path):
     assert len(d["gaps"]) > 0 and len(d["boundary_samples"]) > 0
 
 
+def test_geometry_rejects_non_finite_M(tmp_path):
+    r = run_cli(["geometry", "--M", "inf", "--mmax", "10",
+                 "--out", "geo.json"], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ") and "M" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "geo.json").exists()
+
+
 def test_obstruction_command(tmp_path):
     r = run_cli(["obstruction", "--p", "1", "--m", "3", "--f", "cos",
                  "--out", "obs.json"], tmp_path)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import zeta
 
 from kamforge.errors import BoundViolationError
@@ -184,6 +186,68 @@ def test_admissibility_gate():
         DiophantineClass(6.0, -0.1, 100)
     c = DiophantineClass(5.3, 0.5, 100)   # just admissible
     assert c.sigma == 4.0 + 2.0 * 0.5
+
+
+@pytest.mark.parametrize("name", ["M", "tau"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_parameters_rejected(name, value):
+    params = {"M": 6.0, "tau": 0.5, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        DiophantineClass(params["M"], params["tau"], 100)
+
+
+def reference_gap_union(M, tau, m_max):
+    """Pure-Python union: gcd enumeration, sort by left end, running max."""
+    intervals = []
+    for m in range(1, m_max + 1):
+        r = 1.0 / (M * float(m) ** (2.0 + tau))
+        centers = [float(n) / m for n in range(m) if math.gcd(n, m) == 1]
+        if m == 1:
+            centers.append(1.0)
+        intervals += [(c - r, c + r) for c in centers]
+    intervals.sort()
+    starts, ends = [intervals[0][0]], [intervals[0][1]]
+    for lo, hi in intervals[1:]:
+        if lo <= ends[-1]:          # open gaps that touch or overlap merge
+            ends[-1] = max(ends[-1], hi)
+        else:
+            starts.append(lo)
+            ends.append(hi)
+    return np.array(starts), np.array(ends)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(M=st.floats(5.3, 20.0), tau=st.floats(0.1, 2.0),
+       m_max=st.integers(2, 80))
+def test_gap_union_matches_reference(M, tau, m_max):
+    assume(M > 2.0 * zeta(1.0 + tau))
+    starts, ends, measure = DiophantineClass(M, tau, m_max)._gaps()
+    ref_starts, ref_ends = reference_gap_union(M, tau, m_max)
+    assert starts.tobytes() == ref_starts.tobytes()
+    assert ends.tobytes() == ref_ends.tobytes()
+    assert np.all(ends[:-1] < starts[1:])
+    assert starts[0] < 0.0 and ends[-1] > 1.0
+    assert 0.0 < measure <= DiophantineClass(M, tau, m_max).measure_bound()
+
+
+def test_gap_union_overlap_heavy_against_reference():
+    # M = 5.3 sits just above 2 zeta(1.5): neighbouring gaps overlap a lot
+    starts, ends, _ = DiophantineClass(5.3, 0.5, 80)._gaps()
+    ref_starts, ref_ends = reference_gap_union(5.3, 0.5, 80)
+    assert starts.size < 2 + sum(1 for m in range(2, 81)
+                                 for n in range(1, m) if math.gcd(n, m) == 1)
+    assert starts.tobytes() == ref_starts.tobytes()
+    assert ends.tobytes() == ref_ends.tobytes()
+
+
+@pytest.mark.parametrize("m_max, components, measure_hex", [
+    (200, 6191, "0x1.20204883fef5bp-1"),
+    (2000, 556231, "0x1.24d61d5386181p-1"),
+])
+def test_gap_union_pinned(m_max, components, measure_hex):
+    starts, ends, measure = DiophantineClass(6.0, 0.5, m_max)._gaps()
+    assert (starts.size, ends.size) == (components, components)
+    assert measure.hex() == measure_hex
 
 
 def test_small_divisor_bound_certificate():

@@ -188,6 +188,29 @@ def test_oracle_consistency_small_gap():
     assert rep.relative_gap < 1e-12
 
 
+def test_extended_oracle_matches_extended_engine():
+    # the oracle runs in the engine's precision, so the gap measures the
+    # engine and not the oracle's own float64 round-off
+    rng = np.random.default_rng(3)
+    half = (rng.uniform(0.2, 1.0, 3) * np.exp(2j * np.pi * rng.random(3))
+            * np.exp(-0.4 * np.arange(1, 4)))
+    cubic = FourierSeries(np.concatenate([np.conj(half[::-1]), [0.0], half]))
+    for f in (FourierSeries.cos(), cubic):
+        for p, m in ((13, 34), (34, 89)):
+            rep = obstruction_order(f, RationalFreq(p, m), exactness="extended")
+            assert rep.relative_gap <= 1e-15, (p, m, rep.relative_gap)
+
+
+def test_extended_oracle_agrees_with_float_oracle():
+    rf = RationalFreq(5, 21)
+    b64, g64, _ = beta_gamma_oracle(2, rf, 12, A=0.3 - 0.2j)
+    bext, gext, _ = beta_gamma_oracle(2, rf, 12, A=0.3 - 0.2j, extended=True)
+    assert all(type(b) is float for b in bext)
+    assert all(type(g) is complex for g in gext)
+    assert all(abs(x - y) <= 1e-13 * abs(y) for x, y in zip(bext, b64))
+    assert all(abs(x - y) <= 1e-13 * abs(y) for x, y in zip(gext, g64))
+
+
 def test_report_json_dict():
     report = obstruction_order(FourierSeries.cos(), RationalFreq(1, 3))
     d = report.to_json_dict()
