@@ -27,6 +27,7 @@ import numpy as np
 from .errors import KamforgeError, NoConvergenceError
 from .fourier import (
     FourierSeries,
+    _add_centered,
     compose_id_plus,
     composition_jet,
     mean,
@@ -39,6 +40,8 @@ from .kam import SolveReport, SolverConfig, dynamical_residual, solve_curve
 from .operators import E_Q, apply, e_n
 
 TAYLOR_ORDER_CAP = 60
+PICARD_MAX_ITERS = 200    # Picard iteration budget
+PICARD_MARGIN = 0.05      # smallest | |q| - 1 | at which Picard runs
 
 
 @dataclass
@@ -83,30 +86,28 @@ def picard_solve(f: FourierSeries, freq: Frequency, eps,
     Returns ``(u, SolveReport)``; the report's residual history holds the
     successive sup-differences, and ``report.beta`` records the mean defect
     eps <f(id+u)> (an exact zero at the fixed point, so its size measures
-    truncation only).  Requires | |q| - 1 | >= the configured margin.
+    truncation only).  Requires | |q| - 1 | >= ``PICARD_MARGIN``; runs at
+    most ``PICARD_MAX_ITERS`` iterations.
     """
     config = config or SolverConfig()
     eps = complex(eps)
     modulus = math.exp(-freq.log_scale) if math.isfinite(freq.log_scale) else (
         0.0 if freq.log_scale > 0 else math.inf)
     gap = abs(modulus - 1.0) if math.isfinite(modulus) else 1.0
-    if gap < config.picard_margin:
+    if gap < PICARD_MARGIN:
         raise ValueError(
-            f"|q| = {modulus:.6g} is within {config.picard_margin} of the unit "
+            f"|q| = {modulus:.6g} is within {PICARD_MARGIN} of the unit "
             "circle; the Picard contraction is not certified there"
         )
-    lam = config.picard_damping
     u = FourierSeries.zero(0)
     history: list[float] = []
     tails: list[float] = []
     converged = False
     iters = 0
-    for it in range(config.picard_max_iters):
+    for it in range(PICARD_MAX_ITERS):
         comp, rep = compose_id_plus(f, u)
         tails.append(rep.aliasing_tail)
-        target = eps * apply(E_Q, comp, freq)
-        u_next = target if lam == 1.0 else (1.0 - lam) * u + lam * target
-        u_next, t_tail = truncate(u_next, config.cutoff)
+        u_next, t_tail = truncate(eps * apply(E_Q, comp, freq), config.cutoff)
         tails.append(t_tail)
         diff = sup_norm(u_next - u)
         history.append(diff)
@@ -118,9 +119,9 @@ def picard_solve(f: FourierSeries, freq: Frequency, eps,
     if not converged:
         raise NoConvergenceError(
             f"Picard did not contract below {config.tol:.1e} in "
-            f"{config.picard_max_iters} iterations",
+            f"{PICARD_MAX_ITERS} iterations",
             residual_history=history,
-            diagnostics={"q_modulus": modulus, "damping": lam},
+            diagnostics={"q_modulus": modulus, "damping": 1.0},
         )
     bcomp, _ = compose_id_plus(f, u)
     report = SolveReport(
@@ -131,7 +132,7 @@ def picard_solve(f: FourierSeries, freq: Frequency, eps,
         converged=True,
         method="picard",
         iterations=iters,
-        diagnostics={"q_modulus": modulus, "damping": lam},
+        diagnostics={"q_modulus": modulus, "damping": 1.0},
     )
     return u, report
 
@@ -166,10 +167,12 @@ def taylor0_recursion(f: FourierSeries, eps, N_q: int = 40) -> QTaylorData:
     for n in range(1, N_q + 1):
         if n > 1:
             comp.append(FourierSeries(jet.send(orders[-1].coeffs)))
-        total = e_n(f, n)
-        for n0 in range(1, n):
-            total = total + e_n(comp[n - n0], n0)
-        orders.append(eps * total)
+        pieces = [e_n(f, n).coeffs]
+        pieces += [e_n(comp[n - n0], n0).coeffs for n0 in range(1, n)]
+        total = np.zeros(max(p.size for p in pieces), dtype=np.complex128)
+        for p in pieces:
+            _add_centered(total, p)
+        orders.append(FourierSeries(total * eps))
     return QTaylorData(orders, eps, f)
 
 

@@ -32,6 +32,7 @@ DEFAULT_CUTOFF = 256
 HARD_CAP = 4096          # no series ever carries more than 2*HARD_CAP+1 modes
 EXP_CAP = 700.0          # |exponent| cap; exp(709.78) overflows a double
 GRID_FACTOR = 4          # minimal oversampling of composition grids
+AMIN_FLOOR = 1e-8        # smallest grid |A| that invert_pointwise accepts
 
 _TWO_PI = 2.0 * np.pi
 
@@ -423,24 +424,24 @@ def composition_jet(f: np.ndarray):
 # pointwise inverse
 
 
-def invert_pointwise(A: FourierSeries, floor: float = 1e-8,
-                     cutoff: int | None = None) -> FourierSeries:
+def invert_pointwise(A: FourierSeries) -> FourierSeries:
     """Series of 1/A(theta), built from an oversampled grid.
 
     The output cutoff adapts: it is the smallest K whose discarded grid
     spectrum sits below 1e-13 relative to the largest coefficient (one grid
     refinement is attempted if the first grid cannot get there).  Raises
-    ``NearSingularError`` when min |A| on the grid is at or below *floor*,
-    or when the cutoff the inverse needs exceeds ``HARD_CAP``.
+    ``NearSingularError`` when min |A| on the grid is at or below
+    ``AMIN_FLOOR``, or when the cutoff the inverse needs exceeds
+    ``HARD_CAP``.
     """
     G = next_fast_len(max(8 * (A.N + 1), 512))
     for attempt in range(2):
         vals = grid_values(A, G)
         gmin = float(np.min(np.abs(vals)))
-        if gmin <= floor:
+        if gmin <= AMIN_FLOOR:
             raise NearSingularError(
-                f"min |A| on grid = {gmin:.3e} at/below floor {floor:.1e}",
-                {"grid_min": gmin, "floor": floor},
+                f"min |A| on grid = {gmin:.3e} at/below floor {AMIN_FLOOR:.1e}",
+                {"grid_min": gmin, "floor": AMIN_FLOOR},
             )
         c_full = np.fft.fft(1.0 / vals) / G
         scale = float(np.max(np.abs(c_full)))
@@ -452,9 +453,6 @@ def invert_pointwise(A: FourierSeries, floor: float = 1e-8,
         # suffix[j] = largest coefficient at |k| >= j
         suffix = np.maximum.accumulate(level[::-1])[::-1]
         tol = 1e-13 * scale
-        if cutoff is not None:
-            K = min(cutoff, Kmax)
-            break
         ok = np.nonzero(suffix <= tol)[0]
         if ok.size and ok[0] <= Kmax + 1:
             K = max(int(ok[0]) - 1, 0) if ok[0] > 0 else 0

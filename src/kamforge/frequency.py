@@ -173,13 +173,14 @@ def _fold(x: float) -> float:
     return y
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiophantineClass:
     """Parameters (M, tau) of the gap family, truncated at m_max.
 
     Admissibility requires M > 2 zeta(1+tau) so the gaps cannot cover the
     circle.  ``sigma`` = 4 + 2 tau is the loss-of-regularity exponent that
-    the small-divisor bounds cost downstream.
+    the small-divisor bounds cost downstream.  Instances are frozen, so the
+    gap union each one caches always belongs to its parameters.
     """
 
     M: float = 6.0
@@ -201,8 +202,8 @@ class DiophantineClass:
             raise ValueError(
                 f"M = {self.M} not admissible: need M > 2 zeta(1+tau) = {bound:.6f}"
             )
-        self.sigma = 4.0 + 2.0 * self.tau
-        self._gap_cache = None
+        object.__setattr__(self, "sigma", 4.0 + 2.0 * self.tau)
+        object.__setattr__(self, "_gap_cache", None)
 
     # -- real margins ------------------------------------------------------
 
@@ -214,7 +215,8 @@ class DiophantineClass:
 
     def _gaps(self):
         if self._gap_cache is None:
-            self._gap_cache = _merged_gap_union(self.M, self.tau, self.m_max)
+            object.__setattr__(self, "_gap_cache",
+                               _merged_gap_union(self.M, self.tau, self.m_max))
         return self._gap_cache
 
 

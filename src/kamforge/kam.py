@@ -17,10 +17,13 @@ w = Gamma(alpha psi + mu0 alpha), and updates u <- u + A w.  The mean
 what makes the scheme well-posed without eliminating a parameter.
 
 Numerics: a fixed spectral cutoff with monitored aliasing tails replaces
-the proof's shrinking-strip schedule; the scheduled strip norms are logged
-as diagnostics only.  Smallness hypotheses are replaced by runtime checks
-(grid-min of |A A+|, a 10x residual-growth safeguard with small-divisor
-diagnostics).
+the proof's shrinking-strip schedule; the scheduled strip norms (half-widths
+``STRIP_R0 > STRIP_R``) are logged as diagnostics only.  Smallness
+hypotheses are replaced by runtime checks: the grid-min of |A A+| against
+``fourier.AMIN_FLOOR``, sup|u'| < 1 and sup|w| < 1 in each step, and a
+``DIVERGENCE_FACTOR`` (10x) residual-growth safeguard with small-divisor
+diagnostics.  Each iterate is truncated to the cutoff and coefficients below
+``CLAMP_REL`` times the largest are dropped.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import numpy as np
 from .errors import DivergenceError, NearSingularError, NoConvergenceError
 from .fourier import (
     DEFAULT_CUTOFF,
+    HARD_CAP,
     FourierSeries,
     clamp_small,
     compose_id_plus,
@@ -61,39 +65,38 @@ from .operators import (
 _TWO_PI = 2.0 * math.pi
 
 
+STRIP_R0 = 0.5            # strip schedule R_n = R + (R0 - R) 2^-(n+1),
+STRIP_R = 0.25            # logged only
+DIVERGENCE_FACTOR = 10.0  # largest tolerated one-iteration residual growth
+CLAMP_REL = 1e-16         # relative size below which coefficients are dropped
+
+
 @dataclass
 class SolverConfig:
     """Knobs of the Newton (and Picard) iterations.
 
-    ``R0 > R`` are the strip parameters used only for the logged
-    strip-norm diagnostics.  ``eps`` may be carried here or passed per call.
-    ``seed`` enables warm starts (continuation in eps); the default seed is
-    u = 0.
+    ``tol`` is the residual target, ``max_iters`` the Newton budget,
+    ``cutoff`` the Fourier mode cutoff (at most ``HARD_CAP``), and ``seed``
+    enables warm starts (continuation in eps); the default seed is u = 0.
+    The fixed numerical constants are module-level: ``STRIP_R0``,
+    ``STRIP_R``, ``DIVERGENCE_FACTOR`` and ``CLAMP_REL`` here,
+    ``fourier.AMIN_FLOOR``, and ``continuation.PICARD_MAX_ITERS`` and
+    ``continuation.PICARD_MARGIN``.
     """
 
     tol: float = 1e-12
     max_iters: int = 30
     cutoff: int = DEFAULT_CUTOFF
-    eps: complex | None = None
-    R0: float = 0.5
-    R: float = 0.25
-    divergence_factor: float = 10.0
-    amin_floor: float = 1e-8
-    clamp_rel: float = 1e-16
     seed: FourierSeries | None = None
-    picard_max_iters: int = 200
-    picard_margin: float = 0.05
-    picard_damping: float = 1.0
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if not 0 < self.R < self.R0:
-            raise ValueError("strip parameters must satisfy 0 < R < R0")
-        if self.clamp_rel < 0:
-            raise ValueError("clamp_rel must be nonnegative")
-        if not 0 < self.picard_damping <= 1:
-            raise ValueError("damping must lie in (0, 1]")
+        if not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not self.max_iters >= 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+        if not 1 <= self.cutoff <= HARD_CAP:
+            raise ValueError(
+                f"cutoff must lie in [1, {HARD_CAP}], got {self.cutoff}")
 
 
 @dataclass
@@ -193,20 +196,15 @@ class InvariantCurve:
 # the error functional and the linearized solve
 
 
-def _error_functional(u, f, freq, eps, cutoff=None):
-    comp, rep = compose_id_plus(f, u, cutoff=cutoff)
-    E = complex(eps) * comp - apply(DELTA, u, freq)
-    return E, rep.aliasing_tail
-
-
 def error_functional(u: FourierSeries, f: FourierSeries, freq: Frequency,
-                     eps, cutoff: int | None = None) -> FourierSeries:
+                     eps) -> FourierSeries:
     """E(u) = -delta u + eps f(id + u); zero exactly on invariant curves."""
-    return _error_functional(u, f, freq, eps, cutoff)[0]
+    comp, _ = compose_id_plus(f, u)
+    return complex(eps) * comp - apply(DELTA, u, freq)
 
 
-def linearized_solve(A: FourierSeries, E: FourierSeries, freq: Frequency,
-                     floor: float = 1e-8) -> FourierSeries:
+def linearized_solve(A: FourierSeries, E: FourierSeries,
+                     freq: Frequency) -> FourierSeries:
     """Solve A delta(A w) - (A w) delta A = A E - <A E> with <w> = 0.
 
     Quadrature construction: alpha = 1/(A A+), psi = Gamma-(A E),
@@ -214,7 +212,7 @@ def linearized_solve(A: FourierSeries, E: FourierSeries, freq: Frequency,
     of w vanishes exactly because Gamma kills mode zero.
     """
     Ap = apply(SHIFT_PLUS, A, freq)
-    alpha = invert_pointwise(product(A, Ap), floor=floor)
+    alpha = invert_pointwise(product(A, Ap))
     psi = apply(GAMMA_MINUS, product(A, E), freq)
     alpha_mean = mean(alpha)
     if abs(alpha_mean) < 1e-8:
@@ -228,41 +226,37 @@ def linearized_solve(A: FourierSeries, E: FourierSeries, freq: Frequency,
     return apply(GAMMA, chi, freq)
 
 
-def newton_step(u: FourierSeries, f: FourierSeries, freq: Frequency, eps):
+def newton_step(u: FourierSeries, comp: FourierSeries, f: FourierSeries,
+                freq: Frequency, eps, history=()) -> FourierSeries:
     """One modified Newton update u -> u + A w, A = 1 + u'.
 
-    Returns ``(u_next, step_report)`` with both residual sup-norms in the
-    report.  Raises ``DivergenceError`` when the residual grows more than
-    tenfold (safeguard; diagnostics carry the largest small divisor).
+    ``comp`` is the composition f(id + u), which the caller has already
+    formed for its residual check; the step forms E(u) = eps comp - delta u
+    from it and returns u + A w untruncated.  Raises ``DivergenceError``
+    when sup|u'| >= 1 (id + u stops being invertible) or when the
+    correction w reaches sup 1 (a small divisor has taken over; the
+    diagnostics carry the largest one).  ``history``, the residuals so
+    far, goes into the diagnostics.
     """
     du = derivative(u)
-    du_sup = sup_norm(du)
-    if du_sup >= 1.0:
+    if sup_norm(du) >= 1.0:
         raise DivergenceError(
-            f"grid-sup of u' is {du_sup:.3g} >= 1; id + u no longer invertible",
-            {"du_sup": du_sup},
+            "grid-sup of u' reached 1; leaving the perturbative regime",
+            {"residual_history": history},
         )
-    E, tail0 = _error_functional(u, f, freq, eps)
-    r0 = sup_norm(E)
     A = FourierSeries.constant(1.0) + du
+    E = eps * comp - apply(DELTA, u, freq)
     w = linearized_solve(A, E, freq)
-    u_next = u + product(A, w)
-    E1, tail1 = _error_functional(u_next, f, freq, eps)
-    r1 = sup_norm(E1)
-    report = {
-        "residual_before": r0,
-        "residual_after": r1,
-        "aliasing_tail": max(tail0, tail1),
-        "w_sup": sup_norm(w),
-    }
-    if r1 > 10.0 * r0 and r1 > 1e-13:
-        lam, k = max_divisor_magnitude(freq, max(u.N, f.N, 1))
+    w_sup = sup_norm(w)
+    if w_sup >= 1.0:
+        lam, k = max_divisor_magnitude(freq, max(w.N, f.N, 2))
         raise DivergenceError(
-            f"residual grew {r1 / max(r0, 1e-300):.2g}x in one step",
-            {"residual_before": r0, "residual_after": r1,
-             "max_divisor": lam, "max_divisor_k": k},
+            f"Newton correction has sup {w_sup:.3g} >= 1; "
+            "a small divisor has taken over",
+            {"residual_history": history, "max_divisor": lam,
+             "max_divisor_k": k},
         )
-    return u_next, report
+    return u + product(A, w)
 
 
 def _fit_slope(history) -> float:
@@ -283,9 +277,8 @@ def _fit_slope(history) -> float:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def _strip_log_entry(u, it, config):
-    kappa = config.R0 - config.R
-    Rn = config.R + kappa * 0.5 ** (it + 1)
+def _strip_log_entry(u, it):
+    Rn = STRIP_R + (STRIP_R0 - STRIP_R) * 0.5 ** (it + 1)
     try:
         bound = strip_norm_bound(u, Rn)
     except Exception:
@@ -306,7 +299,7 @@ def _fixed_point_defect(u, eqcomp, eps):
     return sup_norm((u - FourierSeries.constant(mean(u))) - eps * eqcomp)
 
 
-def solve_curve(f: FourierSeries, freq: Frequency, eps=None,
+def solve_curve(f: FourierSeries, freq: Frequency, eps,
                 config: SolverConfig | None = None,
                 dioph: DiophantineClass | None = None) -> InvariantCurve:
     """Newton iteration from u = 0 (or a warm seed), then normalization.
@@ -324,10 +317,6 @@ def solve_curve(f: FourierSeries, freq: Frequency, eps=None,
     maps solutions to solutions.
     """
     config = config or SolverConfig()
-    if eps is None:
-        eps = config.eps
-    if eps is None:
-        raise ValueError("eps must be given (argument or config.eps)")
     eps = complex(eps)
     diagnostics: dict = {"strip_log": []}
     if dioph is not None:
@@ -359,11 +348,11 @@ def solve_curve(f: FourierSeries, freq: Frequency, eps=None,
         eqcomp = apply(E_Q, comp, freq)
         r = _fixed_point_defect(u, eqcomp, eps)
         history.append(r)
-        diagnostics["strip_log"].append(_strip_log_entry(u, it, config))
+        diagnostics["strip_log"].append(_strip_log_entry(u, it))
         if r <= config.tol:
             converged = True
             break
-        if len(history) >= 2 and r > config.divergence_factor * history[-2]:
+        if len(history) >= 2 and r > DIVERGENCE_FACTOR * history[-2]:
             lam, k = max_divisor_magnitude(freq, max(config.cutoff, f.N))
             raise DivergenceError(
                 f"residual grew {r / history[-2]:.2g}x at iteration {it}",
@@ -372,28 +361,10 @@ def solve_curve(f: FourierSeries, freq: Frequency, eps=None,
             )
         if it == config.max_iters:
             break
-        du = derivative(u)
-        if sup_norm(du) >= 1.0:
-            raise DivergenceError(
-                "grid-sup of u' reached 1; leaving the perturbative regime",
-                {"residual_history": history},
-            )
-        A = FourierSeries.constant(1.0) + du
-        E = eps * comp - apply(DELTA, u, freq)
-        w = linearized_solve(A, E, freq, floor=config.amin_floor)
-        w_sup = sup_norm(w)
-        if w_sup >= 1.0:
-            lam, k = max_divisor_magnitude(freq, max(w.N, f.N, 2))
-            raise DivergenceError(
-                f"Newton correction has sup {w_sup:.3g} >= 1; "
-                "a small divisor has taken over",
-                {"residual_history": history, "max_divisor": lam,
-                 "max_divisor_k": k},
-            )
-        u_raw = u + product(A, w)
-        u, t_tail = truncate(u_raw, config.cutoff)
+        u, t_tail = truncate(newton_step(u, comp, f, freq, eps, history),
+                             config.cutoff)
         tails.append(t_tail)
-        u = clamp_small(u, config.clamp_rel)
+        u = clamp_small(u, CLAMP_REL)
 
     if not converged:
         lam, k = max_divisor_magnitude(freq, max(config.cutoff, f.N))
@@ -470,7 +441,7 @@ def mean_identity_residual(u: FourierSeries, f: FourierSeries,
     What it actually measures numerically is composition aliasing; a
     nonzero forcing mean shows up here as |eps <f>|.
     """
-    E, _ = _error_functional(u, f, freq, eps)
+    E = error_functional(u, f, freq, eps)
     A = FourierSeries.constant(1.0) + derivative(u)
     return abs(mean(product(A, E)))
 
@@ -485,8 +456,8 @@ def step_identity_residual(u: FourierSeries, h: FourierSeries,
     exact-zero identity up to composition aliasing.
     """
     eps = complex(eps)
-    E_u, _ = _error_functional(u, f, freq, eps)
-    E_uh, _ = _error_functional(u + h, f, freq, eps)
+    E_u = error_functional(u, f, freq, eps)
+    E_uh = error_functional(u + h, f, freq, eps)
     A = FourierSeries.constant(1.0) + derivative(u)
     h_over_A = product(h, invert_pointwise(A))
     first = product(h_over_A, derivative(E_u))

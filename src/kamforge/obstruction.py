@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import KamforgeError
 from .fourier import FourierSeries, composition_jet
 from .frequency import from_q
 from .kam import SolverConfig
@@ -313,10 +314,11 @@ def radial_approach_diagnostic(f: FourierSeries, p: int, m: int, eps,
 
     The climb in iteration counts as the radius approaches the resonant
     boundary point is a natural-boundary indicator; it is reported for
-    logging, not asserted against any threshold.
+    logging, not asserted against any threshold.  A radius where Picard
+    refuses or fails is recorded as not converged, with the reason as its
+    ``note``.
     """
     from .continuation import picard_solve
-    from .errors import NoConvergenceError
 
     out = []
     for r in radii:
@@ -328,7 +330,7 @@ def radial_approach_diagnostic(f: FourierSeries, p: int, m: int, eps,
             _, rep = picard_solve(f, freq, eps, config)
             entry["converged"] = True
             entry["iterations"] = rep.iterations
-        except (ValueError, NoConvergenceError) as exc:
+        except (ValueError, KamforgeError) as exc:
             entry["note"] = str(exc)
         out.append(entry)
     return out

@@ -196,6 +196,31 @@ def test_obstruction_command(tmp_path):
     assert d["relative_gap"] < 1e-12
 
 
+def test_obstruction_radial_overflow_still_writes_json(tmp_path):
+    r = run_cli(["obstruction", "--p", "1", "--m", "3", "--radial-eps", "50",
+                 "--out", "obs.json"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    d = json.loads((tmp_path / "obs.json").read_text())
+    assert len(d["radial_diagnostic"]) == 3
+    assert all(e["converged"] is False for e in d["radial_diagnostic"])
+
+
+@pytest.mark.parametrize("cmd,flag,value,field", [
+    ("solve", "--max-iters", "-1", "max_iters"),
+    ("solve", "--modes", "-3", "cutoff"),
+    ("sweep", "--max-iters", "-1", "max_iters"),
+    ("sweep", "--modes", "0", "cutoff"),
+])
+def test_invalid_solver_settings_exit_2(tmp_path, cmd, flag, value, field):
+    args = (["solve", "--omega", "0.3", "--out", "x.json"] if cmd == "solve"
+            else ["sweep", "--omega-min", "0.3", "--omega-max", "0.4",
+                  "--omega-n", "2", "--out", "x.jsonl"])
+    r = run_cli([*args, flag, value], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert field in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_taylor0_command_with_evaluation(tmp_path):
     r = run_cli(["taylor0", "--f", "cos", "--eps", "0.05", "--orders", "20",
                  "--q-re", "0.3", "--out", "t0.json"], tmp_path)

@@ -1,6 +1,7 @@
 """Frequency charts, small divisors, Diophantine geometry, sampled families."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -256,6 +257,18 @@ def test_small_divisor_bound_certificate():
     assert abs(rep["k_at_max"]) <= 100
     with pytest.raises(BoundViolationError):
         check_small_divisor_bound(from_omega(0.5), cls6(), k_max=10)
+
+
+def test_class_is_frozen():
+    # the gap union is cached per instance, so its parameters cannot move
+    c = DiophantineClass(6.0, 0.5, 50)
+    measure = c._gaps()[2]
+    for name, value in (("M", 12.0), ("M", float("nan")), ("tau", 1.0),
+                        ("m_max", 100)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(c, name, value)
+    assert c.M == 6.0
+    assert c._gaps()[2] == measure
 
 
 def test_set_geometry_export():

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from kamforge.errors import DivergenceError, NoConvergenceError
-from kamforge.fourier import FourierSeries, mean, sup_norm
+from kamforge.fourier import (HARD_CAP, FourierSeries, compose_id_plus, mean,
+                              sup_norm)
 from kamforge.frequency import DiophantineClass, from_omega, from_q
 from kamforge.kam import (InvariantCurve, SolverConfig, dynamical_residual,
                           error_functional, mean_identity_residual,
@@ -23,12 +24,16 @@ def test_first_newton_step_is_eps_Eq_f():
     f = FourierSeries.cos()
     freq = from_omega(GOLDEN)
     eps = 0.05
-    u1, report = newton_step(FourierSeries.zero(0), f, freq, eps)
+    u0 = FourierSeries.zero(0)
+    comp, _ = compose_id_plus(f, u0)
+    u1 = newton_step(u0, comp, f, freq, eps)
     expected = eps * apply(E_Q, f, freq)
     diff = sup_norm(u1 - expected)
     assert diff < 1e-16
-    assert report["residual_before"] == pytest.approx(abs(eps), rel=1e-12)
-    assert report["residual_after"] < report["residual_before"]
+    r0 = sup_norm(error_functional(u0, f, freq, eps))
+    r1 = sup_norm(error_functional(u1, f, freq, eps))
+    assert r0 == pytest.approx(abs(eps), rel=1e-12)
+    assert r1 < r0
 
 
 def test_golden_solve_converges_and_is_invariant():
@@ -98,14 +103,45 @@ def test_budget_exhaustion_raises_with_history():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(R0=0.25, R=0.5)
-    with pytest.raises(ValueError):
-        SolverConfig(clamp_rel=-1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(picard_damping=0.0)
-    with pytest.raises(ValueError):
-        solve_curve(FourierSeries.cos(), from_omega(GOLDEN))  # no eps anywhere
+
+
+@pytest.mark.parametrize("field,kwargs", [
+    ("max_iters", {"max_iters": -1}),
+    ("cutoff", {"cutoff": 0}),
+    ("cutoff", {"cutoff": -3}),
+    ("cutoff", {"cutoff": HARD_CAP + 1}),
+])
+def test_solver_config_rejects_budget_and_cutoff(field, kwargs):
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**kwargs)
+
+
+def test_solver_config_accepts_boundary_values():
+    SolverConfig(max_iters=0, cutoff=1)
+    SolverConfig(cutoff=HARD_CAP)
+
+
+def test_step_rejects_non_invertible_id_plus_u():
+    # sup|u'| = 2 pi 0.2 > 1: id + u is no longer a circle diffeomorphism
+    f = FourierSeries.cos()
+    u = FourierSeries.basis(1, 0.2)
+    comp, _ = compose_id_plus(f, u)
+    with pytest.raises(DivergenceError, match="grid-sup of u'"):
+        newton_step(u, comp, f, from_omega(GOLDEN), 0.05, [1.0])
+
+
+def test_correction_blowup_raises_with_divisor_diagnostics():
+    # with this forcing (mean 2, so no invariant curve exists) the second
+    # Newton correction reaches sup ~5e10; the step names the worst divisor
+    f = FourierSeries([1.0, 2.0, 3.0])
+    with pytest.warns(RuntimeWarning, match="forcing has mean"):
+        with pytest.raises(DivergenceError,
+                           match="Newton correction has sup") as exc_info:
+            solve_curve(f, from_omega(0.3), 0.05, SolverConfig())
+    diag = exc_info.value.diagnostics
+    assert list(diag) == ["residual_history", "max_divisor", "max_divisor_k"]
+    assert len(diag["residual_history"]) >= 1
+    assert diag["max_divisor"] > 1.0
 
 
 def test_membership_gate_warns_outside_class():

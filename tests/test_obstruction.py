@@ -231,3 +231,14 @@ def test_radial_iteration_counts_climb_toward_resonance():
     iters = [e["iterations"] for e in out]
     assert iters[0] < iters[-1]
     assert all(b >= a for a, b in zip(iters, iters[1:]))
+
+
+def test_radial_diagnostic_records_overflow_as_not_converged():
+    # at eps = 50 every radius overflows the composition exponent cap; the
+    # diagnostic records each radius instead of raising
+    out = radial_approach_diagnostic(FourierSeries.cos(), 1, 3, 50.0)
+    assert [e["radius"] for e in out] == [0.85, 0.90, 0.95]
+    for e in out:
+        assert e["converged"] is False
+        assert e["iterations"] is None
+        assert "exceeds cap" in e["note"]
