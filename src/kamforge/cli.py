@@ -24,7 +24,6 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,52 +50,7 @@ from .operators import NABLA_MINUS, apply
 
 
 # ---------------------------------------------------------------------------
-# run configuration
-
-
-@dataclass
-class RunConfig:
-    """One solve request.  Exactly one frequency form (omega or q) is allowed."""
-
-    omega: complex | None = None
-    q: complex | None = None
-    eps: complex = 0.05
-    method: str = "newton"
-    modes: int = 256
-    tol: float = 1e-12
-    max_iters: int = 30
-
-    def __post_init__(self):
-        if (self.omega is None) == (self.q is None):
-            raise ValueError(
-                "exactly one frequency form must be given: "
-                "--omega [--omega-im] or --q-re [--q-im]")
-        if self.method not in ("newton", "picard"):
-            raise ValueError("method must be 'newton' or 'picard'")
-
-    def frequency(self) -> Frequency:
-        if self.omega is not None:
-            return from_omega(self.omega)
-        return from_q(self.q)
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(cutoff=self.modes, tol=self.tol,
-                            max_iters=self.max_iters)
-
-
-def _series_from_list(entries) -> FourierSeries:
-    vals = []
-    for e in entries:
-        if isinstance(e, (int, float)):
-            vals.append(complex(e))
-        elif isinstance(e, list) and len(e) == 2:
-            vals.append(complex(e[0], e[1]))
-        else:
-            raise ValueError("series entries must be numbers or [re, im] pairs")
-    if len(vals) % 2 != 1:
-        raise ValueError(
-            "coefficient list must have odd length (modes k = -N..N)")
-    return FourierSeries(np.array(vals, dtype=np.complex128))
+# arguments
 
 
 def parse_series(text: str) -> FourierSeries:
@@ -107,11 +61,23 @@ def parse_series(text: str) -> FourierSeries:
         obj = jsonio.load_path(text)
         if isinstance(obj, dict):
             return FourierSeries.from_json_dict(obj)
-        return _series_from_list(obj)
-    if text.lstrip().startswith("["):
-        return _series_from_list(jsonio.loads(text))
-    raise ValueError(
-        f"--f must be 'cos', an inline JSON array, or a path: {text!r}")
+    elif text.lstrip().startswith("["):
+        obj = jsonio.loads(text)
+    else:
+        raise ValueError(
+            f"--f must be 'cos', an inline JSON array, or a path: {text!r}")
+    return FourierSeries(jsonio.to_complex(obj))
+
+
+def _frequency_from_args(args) -> Frequency:
+    """The one frequency form given: --omega [--omega-im] or --q-re [--q-im]."""
+    if (args.omega is None) == (args.q_re is None):
+        raise ValueError(
+            "exactly one frequency form must be given: "
+            "--omega [--omega-im] or --q-re [--q-im]")
+    if args.omega is not None:
+        return from_omega(complex(args.omega, args.omega_im))
+    return from_q(complex(args.q_re, args.q_im))
 
 
 def _error_payload(exc: Exception) -> dict:
@@ -123,20 +89,6 @@ def _error_payload(exc: Exception) -> dict:
     if hist is not None and "diagnostics" not in err:
         err["residual_history"] = [float(r) for r in hist]
     return {"error": err}
-
-
-def _runconfig_from_args(args) -> RunConfig:
-    omega = None
-    q = None
-    if args.omega is not None:
-        omega = complex(args.omega, args.omega_im)
-    if args.q_re is not None:
-        q = complex(args.q_re, args.q_im)
-    return RunConfig(
-        omega=omega, q=q,
-        eps=complex(args.eps, args.eps_im),
-        method=getattr(args, "method", "newton"),
-        modes=args.modes, tol=args.tol, max_iters=args.max_iters)
 
 
 # ---------------------------------------------------------------------------
@@ -163,15 +115,16 @@ def _write_csv(path: str, curve: InvariantCurve, grid_n: int) -> None:
 
 def cmd_solve(args) -> int:
     f = parse_series(args.f)
-    rc = _runconfig_from_args(args)
-    freq = rc.frequency()
+    freq = _frequency_from_args(args)
     dioph = None
     if args.M is not None:
         dioph = DiophantineClass(args.M, args.tau, args.mmax)
+    cfg = SolverConfig(cutoff=args.modes, tol=args.tol,
+                       max_iters=args.max_iters)
     t0 = time.perf_counter()
     try:
-        curve = _solve_with_method(f, freq, rc.eps, rc.solver_config(),
-                                   rc.method, dioph=dioph)
+        curve = _solve_with_method(f, freq, complex(args.eps, args.eps_im),
+                                   cfg, args.method, dioph=dioph)
     except KamforgeError as exc:
         payload = _error_payload(exc)
         jsonio.dump_path(payload, args.out)
@@ -208,10 +161,10 @@ def _sweep_point(task) -> dict:
     freq = from_omega(om)
     rec = {
         "index": idx,
-        "omega": [om.real, om.imag],
-        "q": [freq.q.real, freq.q.imag],
+        "omega": om,
+        "q": freq.q,
         "chart": freq.chart,
-        "eps": [eps.real, eps.imag],
+        "eps": eps,
     }
     cfg = SolverConfig(cutoff=modes, tol=tol, max_iters=max_iters)
     try:
@@ -222,15 +175,15 @@ def _sweep_point(task) -> dict:
             dyn = None
         rec["status"] = "converged"
         rec["iterations"] = curve.report.iterations
-        rec["residual"] = float(curve.report.residual_history[-1])
-        rec["beta"] = [curve.report.beta.real, curve.report.beta.imag]
+        rec["residual"] = curve.report.residual_history[-1]
+        rec["beta"] = curve.report.beta
         if dyn is not None:
             rec["dynamical_residual"] = dyn
-        rec["u"] = curve.u.to_json_dict()
+        rec["u"] = curve.u
     except (KamforgeError, ValueError) as exc:
         rec["status"] = "failed"
-        rec["error"] = {"type": type(exc).__name__, "message": str(exc)}
-    return rec
+        rec["error"] = _error_payload(exc)["error"]
+    return jsonio.encode(rec)
 
 
 def _family_from_records(records, shape) -> SampledFamily:
@@ -249,6 +202,7 @@ def _family_from_records(records, shape) -> SampledFamily:
         return SampledFamily(points=[], values=[], derivs=[])
     N = max(s.N for s in series.values())
     vecs = {i: pad_to(s, N).coeffs for i, s in series.items()}
+    omegas = jsonio.to_complex([rec["omega"] for rec in records])
 
     def lin(i, j, l):
         return (i * n_im + j) * n_eps + l
@@ -260,17 +214,14 @@ def _family_from_records(records, shape) -> SampledFamily:
                 k = lin(i, j, l)
                 if k not in vecs:
                     continue
-                om = complex(records[k]["omega"][0], records[k]["omega"][1])
-                fr = from_omega(om)
+                fr = from_omega(omegas[k])
                 points.append(fr)
                 values.append(vecs[k])
                 d = None
                 if i + 1 < n_re:
                     k2 = lin(i + 1, j, l)
                     if k2 in vecs:
-                        om2 = complex(records[k2]["omega"][0],
-                                      records[k2]["omega"][1])
-                        fr2 = from_omega(om2)
+                        fr2 = from_omega(omegas[k2])
                         dq = fr2.coord - fr.coord
                         if fr2.chart == fr.chart and dq != 0:
                             d = (vecs[k2] - vecs[k]) / dq
@@ -407,13 +358,13 @@ def cmd_taylor0(args) -> int:
     if args.q_re is not None:
         q = complex(args.q_re, args.q_im)
         u, info = taylor0_eval(data, q, with_info=True)
-        payload["eval"] = {
-            "q": [q.real, q.imag],
-            "u": u.to_json_dict(),
+        payload["eval"] = jsonio.encode({
+            "q": q,
+            "u": u,
             "last_term": info["last_term"],
             "term_norms": info["term_norms"],
             "root_test": info["root_test"],
-        }
+        })
         print(f"order-{args.orders} evaluation at q = {q}: "
               f"sup norm {sup_norm(u):.6e}, "
               f"last term {info['last_term']:.3e}")
@@ -428,10 +379,13 @@ def cmd_taylor0(args) -> int:
 
 def cmd_crosscheck(args) -> int:
     f = parse_series(args.f)
-    rc = _runconfig_from_args(args)
+    freq = _frequency_from_args(args)
+    cfg = SolverConfig(cutoff=args.modes, tol=args.tol,
+                       max_iters=args.max_iters)
     methods = tuple(s.strip() for s in args.methods.split(",") if s.strip())
-    result = run_crosscheck(f, rc.frequency(), rc.eps, methods=methods,
-                            config=rc.solver_config(), n_taylor=args.orders)
+    result = run_crosscheck(f, freq, complex(args.eps, args.eps_im),
+                            methods=methods, config=cfg,
+                            n_taylor=args.orders)
     jsonio.dump_path(result, args.out)
     failed = False
     for name, m in result["methods"].items():

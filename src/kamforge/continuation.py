@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jsonio
 from .errors import KamforgeError, NoConvergenceError
 from .fourier import (
     FourierSeries,
@@ -60,17 +61,17 @@ class QTaylorData:
         return self.orders[n - 1]
 
     def to_json_dict(self) -> dict:
-        return {
-            "eps": [complex(self.eps).real, complex(self.eps).imag],
-            "f_ref": self.f_ref.to_json_dict(),
-            "orders": [u.to_json_dict() for u in self.orders],
-        }
+        return jsonio.encode({
+            "eps": complex(self.eps),
+            "f_ref": self.f_ref,
+            "orders": self.orders,
+        })
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "QTaylorData":
         return cls(
             orders=[FourierSeries.from_json_dict(o) for o in d["orders"]],
-            eps=complex(d["eps"][0], d["eps"][1]),
+            eps=complex(jsonio.to_complex([d["eps"]])[0]),
             f_ref=FourierSeries.from_json_dict(d["f_ref"]),
         )
 

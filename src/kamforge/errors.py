@@ -7,17 +7,19 @@ of pattern-matching message strings.
 
 from __future__ import annotations
 
+from . import jsonio
+
 
 class KamforgeError(Exception):
     """Base class for all package-specific errors.
 
     Carries an optional ``diagnostics`` dict that the CLI serializes into
-    its error JSON.
+    its error JSON; it is stored JSON-native (complex values as [re, im]).
     """
 
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)
-        self.diagnostics = dict(diagnostics) if diagnostics else {}
+        self.diagnostics = jsonio.encode(dict(diagnostics or {}))
 
 
 class OverflowRiskError(KamforgeError):

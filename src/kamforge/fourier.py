@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import next_fast_len
 
+from . import jsonio
 from .errors import NearSingularError, OverflowRiskError
 
 DEFAULT_CUTOFF = 256
@@ -132,28 +133,14 @@ class FourierSeries:
         """cos(2 pi theta) = (e_1 + e_{-1}) / 2."""
         return cls(np.array([0.5, 0.0, 0.5], dtype=np.complex128))
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "FourierSeries":
-        """Build from a {mode: coefficient} mapping."""
-        if not d:
-            return cls.zero(0)
-        N = max(abs(int(k)) for k in d)
-        c = np.zeros(2 * N + 1, dtype=np.complex128)
-        for k, v in d.items():
-            c[int(k) + N] = v
-        return cls(c)
-
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "coeffs": [[float(c.real), float(c.imag)] for c in self.coeffs],
-        }
+        return {"N": self.N, "coeffs": jsonio.encode(self.coeffs)}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FourierSeries":
-        coeffs = np.array([complex(re, im) for re, im in d["coeffs"]])
+        coeffs = jsonio.to_complex(d["coeffs"])
         if coeffs.size != 2 * int(d["N"]) + 1:
             raise ValueError("coeff count does not match N")
         return cls(coeffs)
@@ -207,16 +194,6 @@ def grid_values(phi: FourierSeries, G: int) -> np.ndarray:
     ks = np.arange(-N, N + 1)
     X[ks % G] = phi.coeffs
     return np.fft.ifft(X) * G
-
-
-def _coeffs_from_grid(values: np.ndarray, K: int) -> np.ndarray:
-    """Modes -K..K of the trigonometric interpolant through *values*."""
-    G = values.size
-    if 2 * K + 1 > G:
-        raise ValueError("requested more modes than grid points")
-    c = np.fft.fft(values) / G
-    ks = np.arange(-K, K + 1)
-    return c[ks % G]
 
 
 def sup_norm(phi: FourierSeries) -> float:

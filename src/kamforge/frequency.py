@@ -26,6 +26,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import zeta as _zeta
 
+from . import jsonio
 from .errors import BoundViolationError, ResonanceError
 
 _TWO_PI = 2.0 * math.pi
@@ -54,14 +55,6 @@ class Frequency:
     def is_pole(self) -> bool:
         """True at the chart centers q = 0 and q = infinity."""
         return self.coord == 0
-
-    @property
-    def xi(self) -> complex:
-        if self.chart == "outer":
-            return self.coord
-        if self.coord == 0:
-            return complex(math.inf, 0.0)
-        return 1.0 / self.coord
 
 
 def from_omega(omega) -> Frequency:
@@ -124,14 +117,14 @@ def lambda_k(freq: Frequency, k: int) -> complex:
         d = w - 1.0
         if abs(d) < 1e-300:
             raise ResonanceError(
-                f"q^k - 1 vanished at k = {k}", {"k": k, "omega": [om.real, om.imag]}
+                f"q^k - 1 vanished at k = {k}", {"k": k, "omega": om}
             )
         return 1.0 / d
     w = cmath.exp(-2j * math.pi * k * om)
     d = 1.0 - w
     if abs(d) < 1e-300:
         raise ResonanceError(
-            f"q^k - 1 vanished at k = {k}", {"k": k, "omega": [om.real, om.imag]}
+            f"q^k - 1 vanished at k = {k}", {"k": k, "omega": om}
         )
     return w / d
 
@@ -156,7 +149,7 @@ def check_exp_dist_bound(z) -> bool:
     if lhs + 1e-15 < rhs:
         raise BoundViolationError(
             "exp-distance bound violated",
-            {"z": [zz.real, zz.imag], "lhs": lhs, "rhs": rhs},
+            {"z": zz, "lhs": lhs, "rhs": rhs},
         )
     return True
 
@@ -206,9 +199,6 @@ class DiophantineClass:
         object.__setattr__(self, "_gap_cache", None)
 
     # -- real margins ------------------------------------------------------
-
-    def gap_radius(self, m: int) -> float:
-        return 1.0 / (self.M * float(m) ** (2.0 + self.tau))
 
     def measure_bound(self) -> float:
         return 2.0 * float(_zeta(1.0 + self.tau)) / self.M
@@ -422,16 +412,15 @@ class SetGeometry:
     def to_json_dict(self) -> dict:
         lo = np.maximum(self.gap_lo, 0.0)
         hi = np.minimum(self.gap_hi, 1.0)
-        return {
-            "M": float(self.M),
-            "tau": float(self.tau),
-            "m_max": int(self.m_max),
+        return jsonio.encode({
+            "M": self.M,
+            "tau": self.tau,
+            "m_max": self.m_max,
             "first_untested_denominator": self.first_untested_denominator,
-            "total_gap_measure": float(self.total_gap_measure),
-            "gaps": [[float(a), float(b)] for a, b in zip(lo, hi)],
-            "boundary_samples": [[float(z.real), float(z.imag)]
-                                 for z in self.boundary_samples],
-        }
+            "total_gap_measure": self.total_gap_measure,
+            "gaps": np.stack((lo, hi), axis=-1),
+            "boundary_samples": self.boundary_samples,
+        })
 
 
 def export_set_geometry(cls: DiophantineClass, boundary_n: int = 512) -> SetGeometry:
@@ -475,34 +464,23 @@ class SampledFamily:
     derivs: list
 
     def to_json_dict(self) -> dict:
-        pts = []
-        for fr in self.points:
-            pts.append({
-                "omega": [fr.omega.real, fr.omega.imag],
-                "chart": fr.chart,
-                "coord": [fr.coord.real, fr.coord.imag],
-            })
         def vec(v):
             if v is None:
                 return None
-            return [[float(c.real), float(c.imag)] for c in np.atleast_1d(v)]
-        return {
-            "points": pts,
+            return np.atleast_1d(np.asarray(v, dtype=np.complex128))
+        return jsonio.encode({
+            "points": [{"omega": fr.omega, "chart": fr.chart, "coord": fr.coord}
+                       for fr in self.points],
             "values": [vec(v) for v in self.values],
             "derivs": [vec(v) for v in self.derivs],
-        }
+        })
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SampledFamily":
-        pts = []
-        for p in d["points"]:
-            om = complex(p["omega"][0], p["omega"][1])
-            pts.append(from_omega(om))
         def unvec(v):
-            if v is None:
-                return None
-            return np.array([complex(re, im) for re, im in v])
-        return cls(points=pts,
+            return None if v is None else jsonio.to_complex(v)
+        omegas = jsonio.to_complex([p["omega"] for p in d["points"]])
+        return cls(points=[from_omega(om) for om in omegas],
                    values=[unvec(v) for v in d["values"]],
                    derivs=[unvec(v) for v in d["derivs"]])
 

@@ -17,12 +17,10 @@ w = Gamma(alpha psi + mu0 alpha), and updates u <- u + A w.  The mean
 what makes the scheme well-posed without eliminating a parameter.
 
 Numerics: a fixed spectral cutoff with monitored aliasing tails replaces
-the proof's shrinking-strip schedule; the scheduled strip norms (half-widths
-``STRIP_R0 > STRIP_R``) are logged as diagnostics only.  Smallness
-hypotheses are replaced by runtime checks: the grid-min of |A A+| against
-``fourier.AMIN_FLOOR``, sup|u'| < 1 and sup|w| < 1 in each step, and a
-``DIVERGENCE_FACTOR`` (10x) residual-growth safeguard with small-divisor
-diagnostics.  Each iterate is truncated to the cutoff and coefficients below
+the proof's shrinking-strip schedule.  Smallness hypotheses are replaced by
+runtime checks: the grid-min of |A A+| against ``fourier.AMIN_FLOOR``,
+sup|u'| < 1 and sup|w| < 1 in each step, and a ``DIVERGENCE_FACTOR`` (10x)
+residual-growth safeguard with small-divisor diagnostics.  Each iterate is truncated to the cutoff and coefficients below
 ``CLAMP_REL`` times the largest are dropped.
 """
 
@@ -34,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import jsonio
 from .errors import DivergenceError, NearSingularError, NoConvergenceError
 from .fourier import (
     DEFAULT_CUTOFF,
@@ -46,11 +45,10 @@ from .fourier import (
     invert_pointwise,
     mean,
     product,
-    strip_norm_bound,
     sup_norm,
     truncate,
 )
-from .frequency import DiophantineClass, Frequency, in_KM
+from .frequency import DiophantineClass, Frequency, from_omega, in_KM
 from .operators import (
     DELTA,
     E_Q,
@@ -65,8 +63,6 @@ from .operators import (
 _TWO_PI = 2.0 * math.pi
 
 
-STRIP_R0 = 0.5            # strip schedule R_n = R + (R0 - R) 2^-(n+1),
-STRIP_R = 0.25            # logged only
 DIVERGENCE_FACTOR = 10.0  # largest tolerated one-iteration residual growth
 CLAMP_REL = 1e-16         # relative size below which coefficients are dropped
 
@@ -78,10 +74,9 @@ class SolverConfig:
     ``tol`` is the residual target, ``max_iters`` the Newton budget,
     ``cutoff`` the Fourier mode cutoff (at most ``HARD_CAP``), and ``seed``
     enables warm starts (continuation in eps); the default seed is u = 0.
-    The fixed numerical constants are module-level: ``STRIP_R0``,
-    ``STRIP_R``, ``DIVERGENCE_FACTOR`` and ``CLAMP_REL`` here,
-    ``fourier.AMIN_FLOOR``, and ``continuation.PICARD_MAX_ITERS`` and
-    ``continuation.PICARD_MARGIN``.
+    The fixed numerical constants are module-level: ``DIVERGENCE_FACTOR``
+    and ``CLAMP_REL`` here, ``fourier.AMIN_FLOOR``, and
+    ``continuation.PICARD_MAX_ITERS`` and ``continuation.PICARD_MARGIN``.
     """
 
     tol: float = 1e-12
@@ -111,16 +106,16 @@ class SolveReport:
     diagnostics: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
+        return jsonio.encode({
             "method": self.method,
             "converged": self.converged,
             "iterations": self.iterations,
-            "residual_history": [float(r) for r in self.residual_history],
-            "quadratic_fit_slope": float(self.quadratic_fit_slope),
-            "beta": [self.beta.real, self.beta.imag],
-            "aliasing_tail": float(self.aliasing_tail),
+            "residual_history": self.residual_history,
+            "quadratic_fit_slope": self.quadratic_fit_slope,
+            "beta": self.beta,
+            "aliasing_tail": self.aliasing_tail,
             "diagnostics": self.diagnostics,
-        }
+        })
 
 
 @dataclass
@@ -142,43 +137,32 @@ class InvariantCurve:
     def to_json_dict(self, dynamical: float | None = None) -> dict:
         d = {
             "frequency": {
-                "omega": [self.freq.omega.real, self.freq.omega.imag],
-                "q": [self.freq.q.real, self.freq.q.imag],
+                "omega": self.freq.omega,
+                "q": self.freq.q,
                 "chart": self.freq.chart,
                 "log_scale": self.freq.log_scale,
             },
-            "eps": [complex(self.eps).real, complex(self.eps).imag],
-            "u": self.u.to_json_dict(),
-            "v": self.v.to_json_dict(),
-            "f": self.f.to_json_dict(),
-            "report": self.report.to_json_dict(),
+            "eps": complex(self.eps),
+            "u": self.u,
+            "v": self.v,
+            "f": self.f,
+            "report": self.report,
         }
         if dynamical is not None:
-            d["dynamical_residual"] = float(dynamical)
-        return d
+            d["dynamical_residual"] = dynamical
+        return jsonio.encode(d)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "InvariantCurve":
-        from .frequency import from_omega
-
-        rep = SolveReport()
-        r = d.get("report", {})
-        rep.method = r.get("method", "newton")
-        rep.converged = bool(r.get("converged", False))
-        rep.iterations = int(r.get("iterations", 0))
-        rep.residual_history = [float(x) for x in r.get("residual_history", [])]
-        rep.quadratic_fit_slope = float(r.get("quadratic_fit_slope", math.nan))
-        b = r.get("beta", [0.0, 0.0])
-        rep.beta = complex(b[0], b[1])
-        rep.aliasing_tail = float(r.get("aliasing_tail", 0.0))
-        rep.diagnostics = r.get("diagnostics", {})
-        om = d["frequency"]["omega"]
+        report = dict(d["report"])
+        report["beta"] = complex(jsonio.to_complex([report["beta"]])[0])
+        omega, eps = jsonio.to_complex([d["frequency"]["omega"], d["eps"]])
         return cls(
             u=FourierSeries.from_json_dict(d["u"]),
             v=FourierSeries.from_json_dict(d["v"]),
-            freq=from_omega(complex(om[0], om[1])),
-            eps=complex(d["eps"][0], d["eps"][1]),
-            report=rep,
+            freq=from_omega(omega),
+            eps=complex(eps),
+            report=SolveReport(**report),
             f=FourierSeries.from_json_dict(d["f"]),
         )
 
@@ -218,7 +202,7 @@ def linearized_solve(A: FourierSeries, E: FourierSeries,
     if abs(alpha_mean) < 1e-8:
         raise NearSingularError(
             f"<alpha> = {abs(alpha_mean):.3e} too small for the mean correction",
-            {"alpha_mean": [alpha_mean.real, alpha_mean.imag]},
+            {"alpha_mean": alpha_mean},
         )
     ap = product(alpha, psi)
     mu0 = -mean(ap) / alpha_mean
@@ -277,15 +261,6 @@ def _fit_slope(history) -> float:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def _strip_log_entry(u, it):
-    Rn = STRIP_R + (STRIP_R0 - STRIP_R) * 0.5 ** (it + 1)
-    try:
-        bound = strip_norm_bound(u, Rn)
-    except Exception:
-        bound = None
-    return {"iter": it, "R_n": Rn, "strip_norm_bound": bound}
-
-
 def _fixed_point_defect(u, eqcomp, eps):
     """Sup-norm of (u - <u>) - eps E_q(f(id+u)), given E_q of the composition.
 
@@ -318,7 +293,7 @@ def solve_curve(f: FourierSeries, freq: Frequency, eps,
     """
     config = config or SolverConfig()
     eps = complex(eps)
-    diagnostics: dict = {"strip_log": []}
+    diagnostics: dict = {}
     if dioph is not None:
         member = in_KM(freq, dioph)
         diagnostics["in_KM"] = member
@@ -348,7 +323,6 @@ def solve_curve(f: FourierSeries, freq: Frequency, eps,
         eqcomp = apply(E_Q, comp, freq)
         r = _fixed_point_defect(u, eqcomp, eps)
         history.append(r)
-        diagnostics["strip_log"].append(_strip_log_entry(u, it))
         if r <= config.tol:
             converged = True
             break

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import jsonio
 from .errors import KamforgeError
 from .fourier import FourierSeries, composition_jet
 from .frequency import from_q
@@ -136,25 +137,25 @@ class ObstructionReport:
     gammas_oracle: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
+        return jsonio.encode({
             "p": self.p,
             "m": self.m,
             "K": self.K,
-            "A": [self.A.real, self.A.imag],
+            "A": self.A,
             "reflected": self.reflected,
             "exactness": self.exactness,
             "orders_computed": self.orders_computed,
             "n_star": self.n_star,
             "threshold": self.threshold,
             "witness_norm": self.witness_norm,
-            "obstruction_witness": self.obstruction_witness.to_json_dict(),
-            "gamma_engine": [self.gamma_engine.real, self.gamma_engine.imag],
-            "gamma_oracle": [self.gamma_oracle.real, self.gamma_oracle.imag],
+            "obstruction_witness": self.obstruction_witness,
+            "gamma_engine": self.gamma_engine,
+            "gamma_oracle": self.gamma_oracle,
             "relative_gap": self.relative_gap,
-            "betas": list(self.betas),
-            "gammas_engine": [[g.real, g.imag] for g in self.gammas_engine],
-            "gammas_oracle": [[g.real, g.imag] for g in self.gammas_oracle],
-        }
+            "betas": self.betas,
+            "gammas_engine": self.gammas_engine,
+            "gammas_oracle": self.gammas_oracle,
+        })
 
 
 def obstruction_order(f: FourierSeries, rf: RationalFreq,

@@ -104,6 +104,15 @@ def test_inline_coefficient_forcing(tmp_path):
     assert a["u"] == b["u"]
 
 
+@pytest.mark.parametrize("forcing", ["[[1, 2, 3]]", "[1, 2]"])
+def test_malformed_inline_forcing_exits_2(tmp_path, forcing):
+    r = run_cli(["solve", "--omega", str(GOLDEN), "--f", forcing,
+                 "--out", "bad.json"], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error:")
+    assert "Traceback" not in r.stderr
+
+
 def test_sweep_single_point_matches_solve(tmp_path):
     r = run_cli(["sweep", "--omega-min", str(GOLDEN), "--omega-max",
                  str(GOLDEN), "--omega-n", "1", "--eps", "0.05",
@@ -163,6 +172,21 @@ def test_sweep_keeps_failed_points_inline(tmp_path):
     failed = next(rec for rec in recs if rec["status"] == "failed")
     assert "error" in failed and "type" in failed["error"]
     assert [rec["index"] for rec in recs] == [0, 1]
+
+
+def test_sweep_failure_carries_the_solve_error_diagnostics(tmp_path):
+    # a resonant point records the same error object as solve's error JSON
+    from kamforge.cli import run_sweep
+    out = tmp_path / "res.jsonl"
+    summary = run_sweep(omega_re=(0.5, 0.5, 1), omega_im=(0.0, 0.0, 1),
+                        eps=0.05, f=kamforge.FourierSeries.cos(), modes=32,
+                        out_path=str(out))
+    assert summary["failed"] == 1
+    err = json.loads(out.read_text())["error"]
+    assert err["type"] == "DivergenceError"
+    assert {"max_divisor", "max_divisor_k", "residual_history"} <= set(
+        err["diagnostics"])
+    assert len(err["diagnostics"]["residual_history"]) >= 2
 
 
 def test_geometry_command(tmp_path):

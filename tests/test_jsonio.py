@@ -1,0 +1,93 @@
+"""The JSON codec: complex values as [re, im], JSON-native artifacts."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from kamforge import jsonio
+from kamforge.continuation import taylor0_recursion
+from kamforge.errors import ResonanceError
+from kamforge.fourier import FourierSeries
+from kamforge.frequency import (
+    DiophantineClass,
+    SampledFamily,
+    export_set_geometry,
+    from_omega,
+    from_q,
+    lambda_k,
+)
+from kamforge.kam import SolverConfig, solve_curve
+from kamforge.obstruction import RationalFreq, obstruction_order
+
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _artifacts():
+    curve = solve_curve(FourierSeries.cos(), from_omega(GOLDEN), 0.05,
+                        SolverConfig(cutoff=32))
+    family = SampledFamily(
+        points=[from_q(0.2 + 0.1j), from_q(0.3)],
+        values=[np.array([1.0 + 2.0j, -0.5j]), np.array([0.25, 1.0 + 0j])],
+        derivs=[np.array([0.5 - 1.0j, 2.0 + 0j]), None])
+    return {
+        "FourierSeries": curve.u,
+        "SolveReport": curve.report,
+        "InvariantCurve": curve,
+        "QTaylorData": taylor0_recursion(FourierSeries.cos(), 0.05 + 0.01j,
+                                         N_q=5),
+        "ObstructionReport": obstruction_order(FourierSeries.cos(),
+                                               RationalFreq(1, 3)),
+        "SetGeometry": export_set_geometry(DiophantineClass(6.0, 0.5, 50),
+                                           boundary_n=16),
+        "SampledFamily": family,
+    }
+
+
+def test_every_artifact_is_json_native():
+    # the stdlib encoder knows no complex or numpy values
+    for name, artifact in _artifacts().items():
+        d = artifact.to_json_dict()
+        assert json.loads(json.dumps(d)) == d, name
+
+
+def test_encode_complex_and_numpy_values():
+    raw = {"z": 1.5 - 2.0j, "zs": np.array([1j, -3.0]),
+           "x": np.float64(0.25), "n": np.int64(7), "b": np.bool_(True),
+           "pair": (np.complex128(-1j), None), "ld": np.clongdouble(0.5 + 1j)}
+    out = jsonio.encode(raw)
+    assert out == {"z": [1.5, -2.0], "zs": [[0.0, 1.0], [-3.0, 0.0]],
+                   "x": 0.25, "n": 7, "b": True, "pair": [[-0.0, -1.0], None],
+                   "ld": [0.5, 1.0]}
+    assert [type(v) for v in (out["x"], out["n"], out["b"])] == [float, int, bool]
+    json.dumps(out)
+
+
+def test_to_complex_round_trips_bit_for_bit():
+    tiny = 5e-324
+    entries = [-0.0, [-0.0, tiny], 3, [1, -0.0], tiny, [-tiny, -0.0], 0.5]
+    expect = np.array([0.0, 0.0, 3.0, 0.0, tiny, 0.0, 0.5]).astype(np.complex128)
+    expect.real[[0, 1, 3, 5]] = [-0.0, -0.0, 1.0, -tiny]
+    expect.imag[[1, 3, 5]] = [tiny, -0.0, -0.0]
+    got = jsonio.to_complex(entries)
+    assert got.dtype == np.complex128
+    assert got.tobytes() == expect.tobytes()
+    # encode then decode returns the same bits
+    assert jsonio.to_complex(jsonio.encode(expect)).tobytes() == expect.tobytes()
+    assert jsonio.to_complex([]).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [[[1, 2, 3]], [[1]], ["1"], [[1, "a"]],
+                                 [None], 5, {"N": 0}])
+def test_to_complex_rejects_malformed_entries(bad):
+    with pytest.raises(ValueError):
+        jsonio.to_complex(bad)
+
+
+def test_error_diagnostics_are_json_native():
+    with pytest.raises(ResonanceError) as info:
+        lambda_k(from_omega(0.0), 1)
+    diag = info.value.diagnostics
+    assert diag["omega"] == [0.0, 0.0]
+    json.dumps(diag)
