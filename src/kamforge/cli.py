@@ -10,8 +10,8 @@ taylor0      Taylor coefficients in q at q = 0, optional evaluation at a point
 crosscheck   run several methods at one point and report pairwise gaps
 verify       run the named invariant / acceptance check suites
 
-All numeric output goes through a writer that prints floats with 17
-significant digits, so artifacts round-trip exactly and sweeps are
+All JSON output goes through ``jsonio``, and JSON and CSV alike print
+floats as their ``repr``, so artifacts round-trip exactly and sweeps are
 byte-identical regardless of the worker count.  The environment variable
 ``KAMFORGE_WORKERS`` overrides the sweep worker count.
 """
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 import time
@@ -85,9 +86,6 @@ def _error_payload(exc: Exception) -> dict:
     diag = getattr(exc, "diagnostics", None)
     if diag:
         err["diagnostics"] = diag
-    hist = getattr(exc, "residual_history", None)
-    if hist is not None and "diagnostics" not in err:
-        err["residual_history"] = [float(r) for r in hist]
     return {"error": err}
 
 
@@ -109,8 +107,7 @@ def _write_csv(path: str, curve: InvariantCurve, grid_n: int) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["theta", "x_re", "x_im", "y_re", "y_im"])
-        for row in curve.csv_rows(grid_n):
-            w.writerow([jsonio.format_float(v) for v in row])
+        w.writerows(curve.csv_rows(grid_n))
 
 
 def cmd_solve(args) -> int:
@@ -141,8 +138,7 @@ def cmd_solve(args) -> int:
     rep = curve.report
     print(f"method={rep.method} converged={rep.converged} "
           f"iterations={rep.iterations} time={secs:.2f}s")
-    print(f"beta = {jsonio.format_float(rep.beta.real)} "
-          f"+ {jsonio.format_float(rep.beta.imag)}i")
+    print(f"beta = {rep.beta.real!r} + {rep.beta.imag!r}i")
     if dyn is not None:
         print(f"dynamical residual (1024-point grid) = {dyn:.6e}")
     jsonio.dump_path(curve.to_json_dict(dynamical=dyn), args.out)
@@ -424,10 +420,22 @@ def _add_freq_args(sp) -> None:
                     help="multiplier q, imaginary part")
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of the eps options: a float that is not NaN or inf."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number, got {text!r}")
+    return x
+
+
 def _add_eps_args(sp, default=0.05) -> None:
-    sp.add_argument("--eps", type=float, default=default,
+    sp.add_argument("--eps", type=_finite_float, default=default,
                     help="perturbation strength (real part)")
-    sp.add_argument("--eps-im", type=float, default=0.0,
+    sp.add_argument("--eps-im", type=_finite_float, default=0.0,
                     help="imaginary part of eps")
 
 
@@ -473,8 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--im-max", type=float, default=0.0)
     sp.add_argument("--im-n", type=int, default=1)
     _add_eps_args(sp)
-    sp.add_argument("--eps-min", type=float, default=None)
-    sp.add_argument("--eps-max", type=float, default=None)
+    sp.add_argument("--eps-min", type=_finite_float, default=None)
+    sp.add_argument("--eps-max", type=_finite_float, default=None)
     sp.add_argument("--eps-n", type=int, default=None,
                     help="sweep eps too, over (--eps-min, --eps-max)")
     sp.add_argument("--f", default="cos")
@@ -507,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--threshold", type=float, default=None)
     sp.add_argument("--exactness", choices=("float", "extended"),
                     default="float")
-    sp.add_argument("--radial-eps", type=float, default=None,
+    sp.add_argument("--radial-eps", type=_finite_float, default=None,
                     help="also probe q -> exp(2 pi i p/m) radially at this eps")
     sp.add_argument("--out", default="obstruction.json")
     sp.set_defaults(func=cmd_obstruction)

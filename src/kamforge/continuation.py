@@ -121,8 +121,7 @@ def picard_solve(f: FourierSeries, freq: Frequency, eps,
         raise NoConvergenceError(
             f"Picard did not contract below {config.tol:.1e} in "
             f"{PICARD_MAX_ITERS} iterations",
-            residual_history=history,
-            diagnostics={"q_modulus": modulus, "damping": 1.0},
+            {"q_modulus": modulus, "residual_history": history},
         )
     bcomp, _ = compose_id_plus(f, u)
     report = SolveReport(
@@ -133,7 +132,7 @@ def picard_solve(f: FourierSeries, freq: Frequency, eps,
         converged=True,
         method="picard",
         iterations=iters,
-        diagnostics={"q_modulus": modulus, "damping": 1.0},
+        diagnostics={"q_modulus": modulus},
     )
     return u, report
 

@@ -43,8 +43,4 @@ class DivergenceError(KamforgeError):
 
 
 class NoConvergenceError(KamforgeError):
-    """Iteration budget exhausted; carries the residual history."""
-
-    def __init__(self, message: str, residual_history=None, diagnostics=None):
-        super().__init__(message, diagnostics)
-        self.residual_history = list(residual_history or [])
+    """Iteration budget exhausted; the diagnostics hold the residual history."""

@@ -140,6 +140,9 @@ class FourierSeries:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FourierSeries":
+        for key in ("N", "coeffs"):
+            if key not in d:
+                raise ValueError(f"series JSON has no {key!r} key")
         coeffs = jsonio.to_complex(d["coeffs"])
         if coeffs.size != 2 * int(d["N"]) + 1:
             raise ValueError("coeff count does not match N")

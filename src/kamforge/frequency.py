@@ -59,6 +59,9 @@ class Frequency:
 
 def from_omega(omega) -> Frequency:
     om = complex(omega)
+    if cmath.isnan(om) or math.isinf(om.real):
+        raise ValueError(
+            f"omega must have no NaN part and a finite real part, got {om}")
     if math.isinf(om.imag):
         if om.imag > 0:
             return Frequency(complex(0.0, math.inf), 0j, "inner", math.inf, 0j)
@@ -79,6 +82,8 @@ def from_omega(omega) -> Frequency:
 
 def from_q(q) -> Frequency:
     qq = complex(q)
+    if cmath.isnan(qq):
+        raise ValueError(f"q must have no NaN part, got {qq}")
     if qq == 0:
         return from_omega(complex(0.0, math.inf))
     if math.isinf(abs(qq)):

@@ -1,10 +1,9 @@
 """The one JSON codec of kamforge: deterministic emission and complex values.
 
-All data artifacts (curve files, sweep lines, geometry exports) must be
-byte-identical across runs and worker counts, so floats are always printed
-with 17 significant digits (enough for exact double round-trip) through a
-single code path.  The stdlib encoder cannot override float formatting,
-hence this small recursive writer.  Parsing is plain ``json.loads``.
+Writing and parsing are the stdlib's ``json``.  A float prints as its
+``repr``, the shortest text that reads back to the same double (so -0.0
+stays ``-0.0`` and 1.0 stays a float), which makes every artifact
+round-trip exactly and byte-identical across runs and worker counts.
 
 This module is also the only place that knows the artifact format of a
 complex number, the pair ``[re, im]``: ``encode`` turns complex and numpy
@@ -15,17 +14,8 @@ back into a complex128 array, bit for bit.
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
-
-
-def format_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(float(x), ".17g")
 
 
 def encode(obj):
@@ -71,62 +61,19 @@ def to_complex(entries) -> np.ndarray:
     return arr.view(np.complex128).reshape(-1)
 
 
-def _write(obj, out: list, indent: int | None, level: int) -> None:
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(format_float(obj))
-    elif isinstance(obj, dict):
-        _write_items(list(obj.items()), "{", "}", out, indent, level, keyed=True)
-    elif isinstance(obj, (list, tuple)):
-        _write_items(list(obj), "[", "]", out, indent, level, keyed=False)
-    elif isinstance(obj, (complex, np.generic, np.ndarray)):
-        _write(encode(obj), out, indent, level)
-    else:
+def _encode_leaf(obj):
+    """``default`` hook of the stdlib encoder: complex and numpy leaves."""
+    out = encode(obj)
+    if out is obj:
         raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def _write_items(items, open_ch, close_ch, out, indent, level, keyed) -> None:
-    if not items:
-        out.append(open_ch + close_ch)
-        return
-    if indent:
-        pad = "\n" + " " * (indent * (level + 1))
-        closing = "\n" + " " * (indent * level)
-        colon = ": "
-    else:
-        pad = ""
-        closing = ""
-        colon = ":"
-    out.append(open_ch)
-    for i, it in enumerate(items):
-        if i:
-            out.append(",")
-        out.append(pad)
-        if keyed:
-            key, val = it
-            out.append(json.dumps(str(key)))
-            out.append(colon)
-            _write(val, out, indent, level + 1)
-        else:
-            _write(it, out, indent, level + 1)
-    out.append(closing)
-    out.append(close_ch)
+    return out
 
 
 def dumps(obj, indent: int | None = None) -> str:
-    """Serialize *obj* to a JSON string with 17-digit float formatting."""
-    out: list = []
-    _write(obj, out, indent, 0)
-    return "".join(out)
+    """Serialize *obj* to JSON; floats print as their exact ``repr``."""
+    seps = (",", ": ") if indent else (",", ":")
+    return json.dumps(obj, indent=indent or None, separators=seps,
+                      default=_encode_leaf)
 
 
 def dump_path(obj, path, indent: int | None = 2) -> None:

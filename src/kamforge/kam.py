@@ -284,12 +284,12 @@ def solve_curve(f: FourierSeries, freq: Frequency, eps,
     invariance error is (and stays honest off the unit circle, where the
     raw error routes round-off through exponentially large multipliers;
     on the circle the two differ by a factor at most ||delta|| <= 4).
-    Raises ``NoConvergenceError`` (carrying the residual history) when the
-    budget runs out — this is the expected failure mode near resonances,
-    where no analytic curve exists — and ``DivergenceError`` when a step
-    blows up, with the largest small divisor in the diagnostics.  The
-    converged u is shifted to exact zero mean by u(theta - u0) - u0, which
-    maps solutions to solutions.
+    Raises ``NoConvergenceError`` (the residual history in its diagnostics)
+    when the budget runs out — this is the expected failure mode near
+    resonances, where no analytic curve exists — and ``DivergenceError``
+    when a step blows up, with the largest small divisor in the
+    diagnostics.  The converged u is shifted to exact zero mean by
+    u(theta - u0) - u0, which maps solutions to solutions.
     """
     config = config or SolverConfig()
     eps = complex(eps)
@@ -345,9 +345,8 @@ def solve_curve(f: FourierSeries, freq: Frequency, eps,
         raise NoConvergenceError(
             f"no convergence to {config.tol:.1e} within {config.max_iters} "
             f"iterations (last residual {history[-1]:.3e})",
-            residual_history=history,
-            diagnostics={"max_divisor": lam, "max_divisor_k": k,
-                         "residual_history": history},
+            {"max_divisor": lam, "max_divisor_k": k,
+             "residual_history": history},
         )
 
     # normalization: u~(theta) = u(theta - u0) - u0 (exactly mean-killing)

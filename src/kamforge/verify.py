@@ -399,23 +399,32 @@ def check_sweep_determinism():
 # structural invariants (fast spot checks)
 
 
+def _same_bits(a, b) -> bool:
+    """Bit equality of complex values: unlike ==, it tells -0.0 from 0.0."""
+    return (np.asarray(a, dtype=np.complex128).tobytes()
+            == np.asarray(b, dtype=np.complex128).tobytes())
+
+
 def check_roundtrip():
     rng = np.random.default_rng(31337)
-    s = _random_series(rng, 17)
+    c = _random_series(rng, 17).coeffs.copy()
+    c[[0, 1, 2]] = [complex(-0.0, -0.0), complex(-0.0, 0.5),
+                    complex(0.25, -0.0)]
+    s = FourierSeries(c)
     s2 = FourierSeries.from_json_dict(
         jsonio.loads(jsonio.dumps(s.to_json_dict())))
-    series_ok = bool(np.array_equal(s.coeffs, s2.coeffs))
+    series_ok = _same_bits(s.coeffs, s2.coeffs)
     curve, dyn, _ = golden_benchmark_curve()
     c2 = InvariantCurve.from_json_dict(
         jsonio.loads(jsonio.dumps(curve.to_json_dict(dynamical=dyn))))
-    curve_ok = (np.array_equal(curve.u.coeffs, c2.u.coeffs)
-                and np.array_equal(curve.v.coeffs, c2.v.coeffs)
-                and np.array_equal(curve.f.coeffs, c2.f.coeffs)
-                and curve.eps == c2.eps
-                and curve.freq.omega == c2.freq.omega)
+    curve_ok = (_same_bits(curve.u.coeffs, c2.u.coeffs)
+                and _same_bits(curve.v.coeffs, c2.v.coeffs)
+                and _same_bits(curve.f.coeffs, c2.f.coeffs)
+                and _same_bits(curve.eps, c2.eps)
+                and _same_bits(curve.freq.omega, c2.freq.omega))
     ok = series_ok and curve_ok
-    return ok, (f"series round-trip coefficient-exact: {series_ok}; "
-                f"curve artifact round-trip exact: {curve_ok}")
+    return ok, (f"series with -0.0 parts round-trips bit-exact: {series_ok}; "
+                f"curve artifact round-trip bit-exact: {curve_ok}")
 
 
 def check_normalization_and_v():

@@ -8,9 +8,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kamforge
+from kamforge import cli, continuation, jsonio
+from kamforge.errors import NoConvergenceError
+from kamforge.fourier import FourierSeries
+from kamforge.frequency import from_q
+from kamforge.kam import SolverConfig
+from kamforge.obstruction import RationalFreq, obstruction_order
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -220,6 +227,20 @@ def test_obstruction_command(tmp_path):
     assert d["relative_gap"] < 1e-12
 
 
+def test_obstruction_artifact_keeps_the_sign_of_zero(tmp_path):
+    r = run_cli(["obstruction", "--p", "13", "--m", "34",
+                 "--exactness", "extended", "--out", "obs.json"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    d = json.loads((tmp_path / "obs.json").read_text())
+    written = jsonio.to_complex(d["gammas_oracle"])
+    rep = obstruction_order(FourierSeries.cos(), RationalFreq(13, 34),
+                            exactness="extended")
+    expect = np.asarray(rep.gammas_oracle, dtype=np.complex128)
+    assert written.tobytes() == expect.tobytes()
+    parts = np.concatenate([expect.real, expect.imag])
+    assert np.count_nonzero((parts == 0) & np.signbit(parts)) == 16
+
+
 def test_obstruction_radial_overflow_still_writes_json(tmp_path):
     r = run_cli(["obstruction", "--p", "1", "--m", "3", "--radial-eps", "50",
                  "--out", "obs.json"], tmp_path)
@@ -243,6 +264,51 @@ def test_invalid_solver_settings_exit_2(tmp_path, cmd, flag, value, field):
     assert r.returncode == 2, r.stderr
     assert field in r.stderr
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("content,key", [
+    ({}, "N"),
+    ({"coeffs": [0.5, 0, 0.5]}, "N"),
+    ({"N": 1}, "coeffs"),
+])
+def test_series_file_missing_a_key_exits_2(tmp_path, content, key):
+    (tmp_path / "f.json").write_text(json.dumps(content))
+    r = run_cli(["solve", "--omega", "0.3", "--f", "f.json",
+                 "--out", "x.json"], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ") and repr(key) in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("args,name", [
+    (["solve", "--omega", "nan"], "omega"),
+    (["solve", "--omega", "inf"], "omega"),
+    (["solve", "--omega", "0.3", "--omega-im", "nan"], "omega"),
+    (["solve", "--q-re", "nan"], "q must"),
+    (["solve", "--omega", "0.3", "--eps", "nan"], "--eps"),
+    (["solve", "--omega", "0.3", "--eps-im", "inf"], "--eps-im"),
+    (["sweep", "--omega-min", "0.3", "--omega-max", "0.4", "--omega-n", "2",
+      "--eps-n", "2", "--eps-min", "0", "--eps-max", "-inf"], "--eps-max"),
+    (["obstruction", "--p", "1", "--m", "3", "--radial-eps", "nan"],
+     "--radial-eps"),
+    (["crosscheck", "--q-re", "0.3", "--eps", "nan"], "--eps"),
+])
+def test_non_finite_frequency_or_eps_exits_2(tmp_path, args, name):
+    r = run_cli([*args, "--out", "x.json"], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "error: " in r.stderr and name in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_picard_budget_failure_keeps_its_history(monkeypatch):
+    monkeypatch.setattr(continuation, "PICARD_MAX_ITERS", 2)
+    with pytest.raises(NoConvergenceError) as info:
+        continuation.picard_solve(FourierSeries.cos(), from_q(0.3), 0.05,
+                                  SolverConfig(tol=1e-13))
+    diag = cli._error_payload(info.value)["error"]["diagnostics"]
+    assert list(diag) == ["q_modulus", "residual_history"]
+    assert len(diag["residual_history"]) == 2
 
 
 def test_taylor0_command_with_evaluation(tmp_path):

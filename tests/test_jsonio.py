@@ -91,3 +91,33 @@ def test_error_diagnostics_are_json_native():
     diag = info.value.diagnostics
     assert diag["omega"] == [0.0, 0.0]
     json.dumps(diag)
+
+
+@pytest.mark.parametrize("indent", [None, 2])
+def test_dumps_keeps_the_sign_of_zero(indent):
+    z = np.array([complex(-0.0, -0.0), complex(-0.0, 1.0),
+                  complex(0.5, -0.0), 0j])
+    text = jsonio.dumps({"z": z, "x": -0.0}, indent=indent)
+    back = jsonio.loads(text)
+    assert jsonio.to_complex(back["z"]).tobytes() == z.tobytes()
+    assert math.copysign(1.0, back["x"]) == -1.0
+
+
+def test_dumps_layout_and_float_text():
+    obj = {"a": [1.0, 2], "b": {}, "c": []}
+    assert jsonio.dumps(obj) == '{"a":[1.0,2],"b":{},"c":[]}'
+    assert jsonio.dumps(obj, indent=2) == (
+        '{\n  "a": [\n    1.0,\n    2\n  ],\n  "b": {},\n  "c": []\n}')
+    back = jsonio.loads(jsonio.dumps([1.0, np.float64(-3.0), 1e16]))
+    assert [type(v) for v in back] == [float, float, float]
+    assert jsonio.dumps([math.nan, math.inf, -math.inf]) == (
+        "[NaN,Infinity,-Infinity]")
+    x = 0.1 + 0.2
+    assert jsonio.dumps(x) == repr(x) and jsonio.loads(repr(x)) == x
+
+
+@pytest.mark.parametrize("bad", [object(), {1, 2}, np.array([object()])])
+def test_dumps_rejects_unencodable_objects_with_type_error(bad):
+    for indent in (None, 2):
+        with pytest.raises(TypeError):
+            jsonio.dumps({"x": [bad]}, indent=indent)

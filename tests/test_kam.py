@@ -89,7 +89,7 @@ def test_rational_frequency_diverges_with_divisor_diagnostics():
         assert "max_divisor" in err.diagnostics
         assert err.diagnostics["max_divisor"] > 1e6
     else:
-        assert len(err.residual_history) > 0
+        assert len(err.diagnostics["residual_history"]) > 0
 
 
 def test_budget_exhaustion_raises_with_history():
@@ -97,7 +97,7 @@ def test_budget_exhaustion_raises_with_history():
     with pytest.raises(NoConvergenceError) as exc_info:
         solve_curve(f, from_omega(GOLDEN), 0.05,
                     SolverConfig(cutoff=256, tol=1e-13, max_iters=1))
-    assert len(exc_info.value.residual_history) >= 1
+    assert len(exc_info.value.diagnostics["residual_history"]) >= 1
 
 
 def test_solver_config_validation():
