@@ -12,8 +12,7 @@ verify       run the named invariant / acceptance check suites
 
 All JSON output goes through ``jsonio``, and JSON and CSV alike print
 floats as their ``repr``, so artifacts round-trip exactly and sweeps are
-byte-identical regardless of the worker count.  The environment variable
-``KAMFORGE_WORKERS`` overrides the sweep worker count.
+byte-identical regardless of the worker count.
 """
 
 from __future__ import annotations
@@ -58,16 +57,17 @@ def parse_series(text: str) -> FourierSeries:
     """'cos', a JSON file holding a series, or an inline JSON array."""
     if text == "cos":
         return FourierSeries.cos()
-    if os.path.exists(text):
-        obj = jsonio.load_path(text)
-        if isinstance(obj, dict):
-            return FourierSeries.from_json_dict(obj)
-    elif text.lstrip().startswith("["):
-        obj = jsonio.loads(text)
-    else:
+    is_path = os.path.exists(text)
+    if not (is_path or text.lstrip().startswith("[")):
         raise ValueError(
             f"--f must be 'cos', an inline JSON array, or a path: {text!r}")
-    return FourierSeries(jsonio.to_complex(obj))
+    try:
+        obj = jsonio.load_path(text) if is_path else jsonio.loads(text)
+        if isinstance(obj, dict):
+            return FourierSeries.from_json_dict(obj)
+        return FourierSeries(jsonio.to_complex(obj))
+    except ValueError as exc:
+        raise ValueError(f"--f {text!r}: {exc}") from None
 
 
 def _frequency_from_args(args) -> Frequency:
@@ -253,6 +253,7 @@ def run_sweep(*, omega_re, omega_im, eps, f, modes=64, tol=1e-12,
                 tasks.append((idx, complex(a, b), e, f, modes, tol,
                               max_iters, method))
                 idx += 1
+    workers = min(workers, len(tasks))
     if workers <= 1:
         records = [_sweep_point(t) for t in tasks]
     else:
@@ -273,13 +274,6 @@ def run_sweep(*, omega_re, omega_im, eps, f, modes=64, tol=1e-12,
 
 def cmd_sweep(args) -> int:
     f = parse_series(args.f)
-    workers = args.workers
-    env = os.environ.get("KAMFORGE_WORKERS")
-    if env:
-        if not (env.strip().isdecimal() and int(env) >= 1):
-            raise ValueError(
-                f"KAMFORGE_WORKERS must be an integer >= 1, got {env!r}")
-        workers = int(env)
     eps_axis = None
     if args.eps_n is not None:
         if args.eps_min is None or args.eps_max is None:
@@ -290,7 +284,7 @@ def cmd_sweep(args) -> int:
         omega_im=(args.im_min, args.im_max, args.im_n),
         eps=complex(args.eps, args.eps_im), eps_axis=eps_axis, f=f,
         modes=args.modes, tol=args.tol, max_iters=args.max_iters,
-        workers=workers, out_path=args.out, family_path=args.family,
+        workers=args.workers, out_path=args.out, family_path=args.family,
         method=args.method)
     print(f"sweep: {summary['converged']}/{summary['total']} points "
           f"converged ({summary['workers']} workers)")
@@ -432,6 +426,13 @@ def _finite_float(text: str) -> float:
     return x
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the counts --workers and --grid-n: an integer >= 1."""
+    if not (text.strip().isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _add_eps_args(sp, default=0.05) -> None:
     sp.add_argument("--eps", type=_finite_float, default=default,
                     help="perturbation strength (real part)")
@@ -465,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default="curve.json")
     sp.add_argument("--csv", default=None,
                     help="CSV sample path (default: out with .csv)")
-    sp.add_argument("--grid-n", type=int, default=256,
+    sp.add_argument("--grid-n", type=_positive_int, default=256,
                     help="CSV sample count")
     sp.add_argument("--M", type=float, default=None,
                     help="check omega against this Diophantine class")
@@ -489,8 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", choices=("newton", "picard"),
                     default="newton")
     _add_solver_args(sp, modes=64)
-    sp.add_argument("--workers", type=int, default=1,
-                    help="process count (KAMFORGE_WORKERS overrides)")
+    sp.add_argument("--workers", type=_positive_int, default=1,
+                    help="process count (at most one per grid point)")
     sp.add_argument("--out", default="sweep.jsonl")
     sp.add_argument("--family", default=None,
                     help="also write the converged u-vectors as a sampled "

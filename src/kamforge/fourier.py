@@ -143,8 +143,11 @@ class FourierSeries:
         for key in ("N", "coeffs"):
             if key not in d:
                 raise ValueError(f"series JSON has no {key!r} key")
+        N = d["N"]
+        if type(N) is not int or N < 0:  # a bool is no count either
+            raise ValueError(f"series JSON 'N' must be an integer >= 0, got {N!r}")
         coeffs = jsonio.to_complex(d["coeffs"])
-        if coeffs.size != 2 * int(d["N"]) + 1:
+        if coeffs.size != 2 * N + 1:
             raise ValueError("coeff count does not match N")
         return cls(coeffs)
 
@@ -188,14 +191,14 @@ def evaluate(phi: FourierSeries, theta):
 def grid_values(phi: FourierSeries, G: int) -> np.ndarray:
     """Exact samples phi(j/G), j = 0..G-1, via the inverse FFT.
 
-    Requires G >= 2N+1 so no two retained modes alias.
+    Modes k and k + G agree on the grid, so the coefficients are folded
+    mod G first and the samples are exact for any G >= 1.
     """
-    N = phi.N
-    if G < 2 * N + 1:
-        raise ValueError("grid too coarse for the series cutoff")
+    c = phi.coeffs
+    slot = np.arange(-phi.N, phi.N + 1) % G
     X = np.zeros(G, dtype=np.complex128)
-    ks = np.arange(-N, N + 1)
-    X[ks % G] = phi.coeffs
+    X[slot[:G]] = c[:G]                # G consecutive modes: distinct slots
+    np.add.at(X, slot[G:], c[G:])
     return np.fft.ifft(X) * G
 
 

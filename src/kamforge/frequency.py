@@ -134,6 +134,27 @@ def lambda_k(freq: Frequency, k: int) -> complex:
     return w / d
 
 
+def lambda_table(freq: Frequency, N: int) -> np.ndarray:
+    """``lambda_k`` for k = -N..N in one pass, 0 at k = 0: the same branches,
+    pole values and ``ResonanceError`` (at the first vanishing k from -N)."""
+    ks = np.arange(-N, N + 1)
+    table = np.zeros(2 * N + 1, dtype=np.complex128)
+    if freq.is_pole:  # -1 on the side where q^k vanishes, 0 on the other
+        table[ks > 0 if freq.chart == "inner" else ks < 0] = -1.0
+        return table
+    om = freq.omega
+    direct = ks * om.imag >= 0
+    w = np.exp(np.where(direct, 2j * math.pi, -2j * math.pi) * ks * om)
+    d = np.where(direct, w - 1.0, 1.0 - w)
+    nz = ks != 0
+    vanished = nz & (np.abs(d) < 1e-300)
+    if vanished.any():
+        k = int(ks[np.argmax(vanished)])
+        raise ResonanceError(f"q^k - 1 vanished at k = {k}", {"k": k, "omega": om})
+    table[nz] = np.where(direct, 1.0, w)[nz] / d[nz]
+    return table
+
+
 def dist_to_integers(z) -> float:
     """Distance from a real or complex number to the integer lattice."""
     zz = complex(z)
@@ -375,16 +396,12 @@ def check_small_divisor_bound(freq: Frequency, cls: DiophantineClass,
     Returns a report with the worst ratio; raises ``BoundViolationError``
     when any ratio exceeds one (a bug, or a frequency outside the set).
     """
-    worst = 0.0
-    worst_k = 0
-    for k in range(1, k_max + 1):
-        for kk in (k, -k):
-            lam = lambda_k(freq, kk)
-            bound = math.sqrt(2.0) * cls.M * float(abs(kk)) ** (1.0 + cls.tau)
-            ratio = abs(lam) / bound
-            if ratio > worst:
-                worst = ratio
-                worst_k = kk
+    # in the order 1, -1, 2, -2, ... argmax resolves a tie of +-k to +k
+    ks = np.stack((np.arange(1, k_max + 1), -np.arange(1, k_max + 1)), 1).ravel()
+    bound = math.sqrt(2.0) * cls.M * np.abs(ks).astype(float) ** (1.0 + cls.tau)
+    ratios = np.abs(lambda_table(freq, k_max)[ks + k_max]) / bound
+    worst = float(np.max(ratios, initial=0.0))
+    worst_k = int(ks[np.argmax(ratios)]) if worst > 0.0 else 0
     report = {"k_max": k_max, "max_ratio": worst, "k_at_max": worst_k}
     if worst > 1.0:
         raise BoundViolationError(

@@ -42,6 +42,7 @@ from .fourier import (
     compose_id_plus,
     derivative,
     evaluate,
+    grid_values,
     invert_pointwise,
     mean,
     product,
@@ -169,11 +170,10 @@ class InvariantCurve:
     def csv_rows(self, grid_n: int = 256):
         """Curve samples: theta, re_x, im_x, re_y, im_y."""
         theta = np.arange(grid_n) / grid_n
-        x = theta + evaluate(self.u, theta)
-        y = self.freq.omega + evaluate(self.v, theta)
-        for j in range(grid_n):
-            yield (float(theta[j]), float(x[j].real), float(x[j].imag),
-                   float(y[j].real), float(y[j].imag))
+        x = theta + grid_values(self.u, grid_n)
+        y = self.freq.omega + grid_values(self.v, grid_n)
+        return zip(theta.tolist(), x.real.tolist(), x.imag.tolist(),
+                   y.real.tolist(), y.imag.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -385,22 +385,21 @@ def dynamical_residual(curve: InvariantCurve, grid_n: int = 1024) -> float:
     """Sup over a real grid of |gamma(theta+omega) - T_eps(gamma(theta))|.
 
     The x-component is compared modulo 1 (angles); f is evaluated through
-    its holomorphic extension when the curve is complex.
+    its holomorphic extension when the curve is complex.  u and v are FFT
+    grid samples (at theta + omega through SHIFT_PLUS); only f(x) is not.
     """
-    om = curve.freq.omega
+    freq = curve.freq
+    om = freq.omega
     if not math.isfinite(om.imag):
         raise ValueError("dynamical residual undefined at the chart poles")
     theta = np.arange(grid_n) / grid_n
-    u_t = evaluate(curve.u, theta)
-    v_t = evaluate(curve.v, theta)
-    x = theta + u_t
-    y = om + v_t
+    x = theta + grid_values(curve.u, grid_n)
+    y = om + grid_values(curve.v, grid_n)
     fx = evaluate(curve.f, x)
     x1 = x + y + complex(curve.eps) * fx
     y1 = y + complex(curve.eps) * fx
-    tw = theta + om
-    xw = tw + evaluate(curve.u, tw)
-    yw = om + evaluate(curve.v, tw)
+    xw = theta + om + grid_values(apply(SHIFT_PLUS, curve.u, freq), grid_n)
+    yw = om + grid_values(apply(SHIFT_PLUS, curve.v, freq), grid_n)
     dx = xw - x1
     dx = dx - np.round(dx.real)  # angle component modulo 1
     dy = yw - y1

@@ -12,12 +12,12 @@ operator in the first-difference calculus is a diagonal multiplier:
 
 gamma / gamma_minus / e_q annihilate the mean, which is exactly why the
 linearized KAM equation is solvable only up to a constant.  The divisor
-tables are evaluated branch-stably (see ``frequency.lambda_k``): the
+table comes from ``frequency.lambda_table``, which is branch-stable: the
 product q^k * lambda_k is never formed from separately overflowing
 factors; e_q is assembled as gamma * gamma_minus, both factors bounded.
 
-Tables are cached per (frequency, cutoff) and shared read-only, so
-concurrent solves at the same frequency reuse them.
+``multiplier_table`` is the one cache: a read-only vector per (frequency,
+cutoff, kind), built on a miss from one numpy pass over q^k or lambda_k.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import OverflowRiskError
 from .fourier import EXP_CAP, FourierSeries
-from .frequency import Frequency, lambda_k
+from .frequency import Frequency, lambda_table
 
 _TWO_PI = 2.0 * math.pi
 
@@ -57,59 +57,40 @@ GAMMA_MINUS = MultiplierKind.GAMMA_MINUS
 E_Q = MultiplierKind.E_Q
 
 
-@lru_cache(maxsize=512)
-def _shift_table(freq: Frequency, N: int, sign: int) -> np.ndarray:
-    """q^{sign*k} for k = -N..N, or OverflowRiskError if any would overflow."""
+def _shift_table(freq: Frequency, N: int) -> np.ndarray:
+    """q^k for k = -N..N, or OverflowRiskError if any would overflow."""
     if freq.is_pole:
         raise OverflowRiskError(
             "shift multipliers are undefined at the chart poles q = 0, infinity"
         )
     om = freq.omega
-    ks = sign * np.arange(-N, N + 1)
+    ks = np.arange(-N, N + 1)
     log_mag = -_TWO_PI * ks * om.imag
-    worst = float(np.max(log_mag)) if N > 0 else 0.0
+    worst = float(np.max(np.abs(log_mag)))
     if worst > EXP_CAP:
         raise OverflowRiskError(
             f"shift exponent 2*pi*k*Im(omega) = {worst:.4g} exceeds cap {EXP_CAP}",
             {"exponent": worst, "cap": EXP_CAP, "cutoff": N},
         )
-    table = np.exp(log_mag + 2j * math.pi * ks * om.real)
-    table.flags.writeable = False
-    return table
-
-
-@lru_cache(maxsize=512)
-def _gamma_table(freq: Frequency, N: int) -> np.ndarray:
-    table = np.zeros(2 * N + 1, dtype=np.complex128)
-    for k in range(-N, N + 1):
-        if k != 0:
-            table[k + N] = lambda_k(freq, k)
-    table.flags.writeable = False
-    return table
+    return np.exp(log_mag + 2j * math.pi * ks * om.real)
 
 
 @lru_cache(maxsize=512)
 def multiplier_table(freq: Frequency, N: int, kind: MultiplierKind) -> np.ndarray:
-    """The multiplier vector for modes k = -N..N (read-only, cached)."""
-    if kind is MultiplierKind.SHIFT_PLUS:
-        return _shift_table(freq, N, +1)
-    if kind is MultiplierKind.SHIFT_MINUS:
-        return _shift_table(freq, N, -1)
-    if kind is MultiplierKind.NABLA:
-        t = _shift_table(freq, N, +1) - 1.0
-    elif kind is MultiplierKind.NABLA_MINUS:
-        t = 1.0 - _shift_table(freq, N, -1)
-    elif kind is MultiplierKind.DELTA:
-        t = _shift_table(freq, N, +1) - 2.0 + _shift_table(freq, N, -1)
-    elif kind is MultiplierKind.GAMMA:
-        return _gamma_table(freq, N)
-    elif kind is MultiplierKind.GAMMA_MINUS:
-        # -lambda_{-k}: reverse the gamma table and negate
-        t = -_gamma_table(freq, N)[::-1].copy()
-    elif kind is MultiplierKind.E_Q:
-        t = _gamma_table(freq, N) * (-_gamma_table(freq, N)[::-1])
-    else:  # pragma: no cover
-        raise ValueError(f"unknown multiplier kind {kind}")
+    """The multiplier vector for modes k = -N..N (read-only, cached).
+
+    The q^{-k} and -lambda_{-k} vectors are the q^k and lambda_k tables
+    reversed (and negated).
+    """
+    if kind in (GAMMA, GAMMA_MINUS, E_Q):
+        gamma = lambda_table(freq, N)
+        minus = -gamma[::-1]
+        t = {GAMMA: gamma, GAMMA_MINUS: minus, E_Q: gamma * minus}[kind]
+    else:
+        plus = _shift_table(freq, N)
+        minus = plus[::-1]
+        t = {SHIFT_PLUS: plus, SHIFT_MINUS: minus, NABLA: plus - 1.0,
+             NABLA_MINUS: 1.0 - minus, DELTA: plus - 2.0 + minus}[kind]
     t.flags.writeable = False
     return t
 
@@ -133,8 +114,7 @@ def apply(kind: MultiplierKind, phi: FourierSeries, freq: Frequency) -> FourierS
 
 def max_divisor_magnitude(freq: Frequency, N: int):
     """Largest |lambda_k| over 0 < |k| <= N, with its k (divergence diagnostics)."""
-    table = _gamma_table(freq, N)
-    mags = np.abs(table)
+    mags = np.abs(lambda_table(freq, N))
     i = int(np.argmax(mags))
     return float(mags[i]), int(i - N)
 

@@ -29,7 +29,7 @@ from .errors import BoundViolationError
 from .fourier import (
     FourierSeries,
     compose_id_plus,
-    evaluate,
+    grid_values,
     mean,
     pad_to,
     product,
@@ -343,8 +343,7 @@ def check_symmetry():
     f = FourierSeries.cos()
     defect = conjugate_reflection_check(f, from_omega(0.5 + 0.5j), 0.05)
     curve, _, _ = golden_benchmark_curve()
-    theta = np.arange(512) / 512.0
-    vals = evaluate(curve.u, theta)
+    vals = grid_values(curve.u, 512)
     realness = float(np.max(np.abs(vals.imag)))
     ok = defect < 1e-10 and realness < 1e-12
     return ok, (f"conj-reflection defect at 1/2+-i/2: {defect:.2e} (<1e-10); "

@@ -27,20 +27,13 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 PACKAGE_ROOT = str(Path(kamforge.__file__).resolve().parents[1])
 
 
-def run_cli(args, cwd, env_extra=None):
-    """Run ``python -m kamforge`` in ``cwd`` on the kamforge under test.
-
-    ``KAMFORGE_WORKERS`` overrides ``--workers``, so one set in the caller's
-    shell is dropped; tests that want it pass it in ``env_extra``.
-    """
+def run_cli(args, cwd):
+    """Run ``python -m kamforge`` in ``cwd`` on the kamforge under test."""
     env = dict(os.environ)
-    env.pop("KAMFORGE_WORKERS", None)
     inherited = env.get("PYTHONPATH")
     entries = inherited.split(os.pathsep) if inherited else []
     env["PYTHONPATH"] = os.pathsep.join(
         [PACKAGE_ROOT, *(os.path.abspath(e) for e in entries)])
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "kamforge", *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
@@ -138,29 +131,53 @@ def test_sweep_single_point_matches_solve(tmp_path):
     assert rec["u"] == solved["u"]
 
 
-def test_sweep_worker_env_override_and_determinism(tmp_path):
+def test_sweep_is_byte_identical_across_worker_counts(tmp_path):
     args = ["sweep", "--omega-min", "0.58", "--omega-max", "0.62",
             "--omega-n", "2", "--im-min", "0.03", "--im-max", "0.03",
             "--im-n", "1", "--eps", "0.05", "--f", "cos", "--modes", "32"]
     a = run_cli(args + ["--out", "a.jsonl", "--workers", "1"], tmp_path)
     assert a.returncode == 0, a.stderr
     assert "(1 workers)" in a.stdout
-    b = run_cli(args + ["--out", "b.jsonl", "--workers", "1"], tmp_path,
-                env_extra={"KAMFORGE_WORKERS": "2"})
+    b = run_cli(args + ["--out", "b.jsonl", "--workers", "2"], tmp_path)
     assert b.returncode == 0, b.stderr
-    assert "2 workers" in b.stdout
+    assert "(2 workers)" in b.stdout
     assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
 
-def test_sweep_rejects_malformed_worker_env(tmp_path):
-    args = ["sweep", "--omega-min", "0.6", "--omega-max", "0.6",
-            "--omega-n", "1", "--f", "cos", "--modes", "16",
-            "--out", "w.jsonl"]
-    for bad in ("x", "0"):
-        r = run_cli(args, tmp_path, env_extra={"KAMFORGE_WORKERS": bad})
-        assert r.returncode == 2, r.stderr
-        assert "KAMFORGE_WORKERS" in r.stderr and repr(bad) in r.stderr
-    assert not (tmp_path / "w.jsonl").exists()
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    started: list = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("workers,n_points,started", [
+    (64, 3, [3]),
+    (2, 3, [2]),
+    (5, 1, []),
+])
+def test_sweep_starts_at_most_one_process_per_point(
+        tmp_path, monkeypatch, workers, n_points, started):
+    monkeypatch.setattr(_RecordingPool, "started", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    summary = cli.run_sweep(
+        omega_re=(0.6, 0.62, n_points), omega_im=(0.03, 0.03, 1), eps=0.05,
+        f=FourierSeries.cos(), modes=16, workers=workers,
+        out_path=str(tmp_path / "s.jsonl"))
+    assert _RecordingPool.started == started
+    assert summary["workers"] == min(workers, n_points)
+    assert summary["total"] == n_points
 
 
 def test_sweep_keeps_failed_points_inline(tmp_path):
@@ -255,6 +272,9 @@ def test_obstruction_radial_overflow_still_writes_json(tmp_path):
     ("solve", "--modes", "-3", "cutoff"),
     ("sweep", "--max-iters", "-1", "max_iters"),
     ("sweep", "--modes", "0", "cutoff"),
+    ("sweep", "--workers", "-4", "--workers"),
+    ("sweep", "--workers", "0", "--workers"),
+    ("solve", "--grid-n", "0", "--grid-n"),
 ])
 def test_invalid_solver_settings_exit_2(tmp_path, cmd, flag, value, field):
     args = (["solve", "--omega", "0.3", "--out", "x.json"] if cmd == "solve"
@@ -270,6 +290,8 @@ def test_invalid_solver_settings_exit_2(tmp_path, cmd, flag, value, field):
     ({}, "N"),
     ({"coeffs": [0.5, 0, 0.5]}, "N"),
     ({"N": 1}, "coeffs"),
+    ({"N": None, "coeffs": [0.5, 0, 0.5]}, "N"),
+    ({"N": 1.5, "coeffs": [0.5, 0, 0.5]}, "N"),
 ])
 def test_series_file_missing_a_key_exits_2(tmp_path, content, key):
     (tmp_path / "f.json").write_text(json.dumps(content))
@@ -292,6 +314,7 @@ def test_series_file_missing_a_key_exits_2(tmp_path, content, key):
     (["obstruction", "--p", "1", "--m", "3", "--radial-eps", "nan"],
      "--radial-eps"),
     (["crosscheck", "--q-re", "0.3", "--eps", "nan"], "--eps"),
+    (["solve", "--omega", "0.3", "--f", "[NaN, 0, 0.5]"], "--f"),
 ])
 def test_non_finite_frequency_or_eps_exits_2(tmp_path, args, name):
     r = run_cli([*args, "--out", "x.json"], tmp_path)

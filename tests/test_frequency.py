@@ -6,11 +6,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta
 
-from kamforge.errors import BoundViolationError
+from kamforge.errors import BoundViolationError, ResonanceError
 from kamforge.frequency import (
     DiophantineClass,
     SampledFamily,
@@ -26,6 +26,7 @@ from kamforge.frequency import (
     in_AMC,
     in_KM,
     lambda_k,
+    lambda_table,
     reflected,
 )
 
@@ -106,6 +107,43 @@ def test_lambda_overflow_free_high_in_band():
     assert abs(lambda_k(freq, -100)) < 1e-300
     with pytest.raises(ValueError):
         lambda_k(freq, 0)
+
+
+def scalar_lambda_row(freq, N):
+    """lambda_k for k = -N..N from the scalar reference, 0 at k = 0."""
+    return np.array([lambda_k(freq, k) if k else 0j for k in range(-N, N + 1)])
+
+
+def vanishes(freq, k):
+    try:
+        lambda_k(freq, k)
+    except ResonanceError:
+        return True
+    return False
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(re=st.floats(0.0, 1.0, exclude_max=True),
+       im=st.one_of(st.just(0.0), st.floats(-40.0, 40.0)),
+       N=st.integers(0, 200))
+@example(re=0.0, im=0.0, N=3)           # omega = 0: every divisor vanishes
+@example(re=0.3, im=math.inf, N=5)      # the pole q = 0
+@example(re=0.3, im=-math.inf, N=5)     # the pole q = infinity
+def test_lambda_table_matches_scalar_reference(re, im, N):
+    freq = from_omega(complex(re, im))
+    if any(vanishes(freq, k) for k in range(-N, N + 1) if k):
+        # the table names the first vanishing divisor in the order -N..N
+        first = next(k for k in range(-N, N + 1) if k and vanishes(freq, k))
+        with pytest.raises(ResonanceError, match=f"at k = {first}$"):
+            lambda_table(freq, N)
+        return
+    ref = scalar_lambda_row(freq, N)
+    table = lambda_table(freq, N)
+    assert table.shape == (2 * N + 1,)
+    assert table[N] == 0.0
+    if freq.is_pole:
+        assert table.tobytes() == ref.tobytes()
+    assert np.all(np.abs(table - ref) <= 4e-16 * np.abs(ref))
 
 
 def test_exp_dist_bound():
@@ -257,6 +295,25 @@ def test_small_divisor_bound_certificate():
     assert abs(rep["k_at_max"]) <= 100
     with pytest.raises(BoundViolationError):
         check_small_divisor_bound(from_omega(0.5), cls6(), k_max=10)
+
+
+def test_small_divisor_bound_resolves_a_tie_to_plus_k():
+    # on the real circle q^{-k} is the exact conjugate of q^k, so
+    # |lambda_k| and |lambda_{-k}| tie bit for bit at every k
+    freq = from_omega(GOLDEN)
+    rep = check_small_divisor_bound(freq, cls6(), k_max=100)
+    k = rep["k_at_max"]
+    assert k > 0
+    assert abs(lambda_k(freq, k)) == abs(lambda_k(freq, -k))
+    # the scalar scan, +k before -k, keeps the first of equal ratios
+    best, best_k = 0.0, 0
+    for kk in [s * j for j in range(1, 101) for s in (1, -1)]:
+        ratio = abs(lambda_k(freq, kk)) / (
+            math.sqrt(2.0) * 6.0 * float(abs(kk)) ** 1.5)
+        if ratio > best:
+            best, best_k = ratio, kk
+    assert k == best_k
+    assert rep["max_ratio"] == pytest.approx(best, rel=1e-15)
 
 
 def test_class_is_frozen():

@@ -13,7 +13,7 @@ from kamforge.frequency import DiophantineClass, from_omega, from_q
 from kamforge.kam import (InvariantCurve, SolverConfig, dynamical_residual,
                           error_functional, mean_identity_residual,
                           newton_step, solve_curve, step_identity_residual)
-from kamforge.operators import E_Q, apply
+from kamforge.operators import E_Q, NABLA_MINUS, apply
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -232,3 +232,44 @@ def test_csv_rows_shape_and_values():
                                          abs=1e-15)
     assert yr + 1j * yi == pytest.approx(
         GOLDEN + complex(evaluate(curve.v, 0.0)), abs=1e-15)
+
+
+def dense_residual(curve, grid_n):
+    """The dynamical residual with every series summed mode by mode."""
+    def at(phi, z):
+        ks = np.arange(-phi.N, phi.N + 1)
+        return np.exp(2j * np.pi * np.outer(z, ks)) @ phi.coeffs
+
+    om, eps = curve.freq.omega, complex(curve.eps)
+    theta = np.arange(grid_n) / grid_n
+    x = theta + at(curve.u, theta)
+    y = om + at(curve.v, theta)
+    fx = at(curve.f, x)
+    tw = theta + om
+    dx = tw + at(curve.u, tw) - (x + y + eps * fx)
+    dx = dx - np.round(dx.real)
+    dy = om + at(curve.v, tw) - (y + eps * fx)
+    return float(max(np.max(np.abs(dx)), np.max(np.abs(dy))))
+
+
+def test_dynamical_residual_matches_dense_formula():
+    solved = solve_curve(FourierSeries.cos(), from_omega(GOLDEN), 0.05,
+                         SolverConfig(cutoff=256))
+    # not a solution, complex, and u.N = 40 > grid_n / 2 = 32: the grid
+    # samples of u fold modes onto each other
+    rng = np.random.default_rng(8)
+
+    def series(N, decay):
+        ks = np.arange(-N, N + 1)
+        return FourierSeries(np.exp(-decay * np.abs(ks)) * 0.01 * (
+            rng.standard_normal(2 * N + 1) + 1j * rng.standard_normal(2 * N + 1)))
+
+    freq = from_omega(0.3 + 0.02j)
+    u = series(40, 0.3)
+    rough = InvariantCurve(u=u, v=apply(NABLA_MINUS, u, freq), freq=freq,
+                           eps=0.05 + 0.01j, report=solved.report,
+                           f=series(3, 0.5))
+    for curve, grid_n in ((solved, 1024), (rough, 64)):
+        fast = dynamical_residual(curve, grid_n)
+        assert fast == pytest.approx(dense_residual(curve, grid_n), abs=1e-15)
+    assert dynamical_residual(rough, 64) > 1e-3
