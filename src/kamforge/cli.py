@@ -29,7 +29,8 @@ import numpy as np
 
 from . import jsonio
 from .continuation import crosscheck as run_crosscheck
-from .continuation import picard_solve, taylor0_eval, taylor0_recursion
+from .continuation import (PICARD_MAX_ITERS, picard_solve, taylor0_eval,
+                           taylor0_recursion)
 from .errors import KamforgeError
 from .fourier import FourierSeries, pad_to, sup_norm
 from .frequency import (
@@ -433,8 +434,8 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _add_eps_args(sp, default=0.05) -> None:
-    sp.add_argument("--eps", type=_finite_float, default=default,
+def _add_eps_args(sp) -> None:
+    sp.add_argument("--eps", type=_finite_float, default=0.05,
                     help="perturbation strength (real part)")
     sp.add_argument("--eps-im", type=_finite_float, default=0.0,
                     help="imaginary part of eps")
@@ -444,7 +445,9 @@ def _add_solver_args(sp, modes=256) -> None:
     sp.add_argument("--modes", type=int, default=modes,
                     help="Fourier mode cutoff")
     sp.add_argument("--tol", type=float, default=1e-12)
-    sp.add_argument("--max-iters", type=int, default=30)
+    sp.add_argument("--max-iters", type=int, default=30,
+                    help="Newton iteration budget; --method picard always "
+                         f"runs up to {PICARD_MAX_ITERS} iterations")
 
 
 def build_parser() -> argparse.ArgumentParser:

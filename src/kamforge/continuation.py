@@ -87,15 +87,16 @@ def picard_solve(f: FourierSeries, freq: Frequency, eps,
     Returns ``(u, SolveReport)``; the report's residual history holds the
     successive sup-differences, and ``report.beta`` records the mean defect
     eps <f(id+u)> (an exact zero at the fixed point, so its size measures
-    truncation only).  Requires | |q| - 1 | >= ``PICARD_MARGIN``; runs at
-    most ``PICARD_MAX_ITERS`` iterations.
+    truncation only).  Requires | |q| - 1 | >= ``PICARD_MARGIN`` or a gap
+    ``math.isclose`` to it (|q| = 0.95 rounds to either side with its phase);
+    runs at most ``PICARD_MAX_ITERS`` iterations.
     """
     config = config or SolverConfig()
     eps = complex(eps)
     modulus = math.exp(-freq.log_scale) if math.isfinite(freq.log_scale) else (
         0.0 if freq.log_scale > 0 else math.inf)
     gap = abs(modulus - 1.0) if math.isfinite(modulus) else 1.0
-    if gap < PICARD_MARGIN:
+    if gap < PICARD_MARGIN and not math.isclose(gap, PICARD_MARGIN):
         raise ValueError(
             f"|q| = {modulus:.6g} is within {PICARD_MARGIN} of the unit "
             "circle; the Picard contraction is not certified there"

@@ -13,9 +13,11 @@ one exception is ``composition_jet``, the order-by-order composition used by
 the formal series: it convolves raw coefficient arrays directly, in
 whatever complex dtype it is given.
 
-Series are double precision.  Any exponent that would exceed ``EXP_CAP`` (the
-IEEE-754 overflow threshold, with margin) raises ``OverflowRiskError``
-instead of silently producing infinities.
+Series are double precision.  ``check_exponent`` is the one guard on every
+exp(2 pi i k z) with Im z != 0: an exponent above ``EXP_CAP`` (the IEEE-754
+overflow threshold, with margin) raises ``OverflowRiskError`` instead of
+silently producing infinities.  ``mode_phases`` is that vector at one point z,
+as the constant-shift composition and the shift multipliers q^k use it.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ HARD_CAP = 4096          # no series ever carries more than 2*HARD_CAP+1 modes
 EXP_CAP = 700.0          # |exponent| cap; exp(709.78) overflows a double
 GRID_FACTOR = 4          # minimal oversampling of composition grids
 AMIN_FLOOR = 1e-8        # smallest grid |A| that invert_pointwise accepts
+CLAMP_REL = 1e-16        # relative size below which clamp_small drops coefficients
 
 _TWO_PI = 2.0 * np.pi
 
@@ -161,7 +164,22 @@ class CompositionReport:
 
 
 # ---------------------------------------------------------------------------
-# point evaluation and exact grids
+# the exponent guard, point evaluation and exact grids
+
+
+def check_exponent(exponent: float, what: str, **diagnostics) -> None:
+    """Raise ``OverflowRiskError`` if *exponent* exceeds ``EXP_CAP``."""
+    if exponent > EXP_CAP:
+        raise OverflowRiskError(
+            f"{what} exponent {exponent:.3g} exceeds cap",
+            {"exponent": exponent, "cap": EXP_CAP, **diagnostics},
+        )
+
+
+def mode_phases(z: complex, N: int, what: str, **diagnostics) -> np.ndarray:
+    """exp(2 pi i k z) for k = -N..N, guarded on 2 pi N |Im z|."""
+    check_exponent(_TWO_PI * N * abs(z.imag), what, **diagnostics)
+    return np.exp(2j * np.pi * np.arange(-N, N + 1) * z)
 
 
 def evaluate(phi: FourierSeries, theta):
@@ -176,13 +194,8 @@ def evaluate(phi: FourierSeries, theta):
     scalar = th.ndim == 0
     th = np.atleast_1d(th)
     N = phi.N
-    if N > 0:
-        worst = _TWO_PI * N * float(np.max(np.abs(th.imag), initial=0.0))
-        if worst > EXP_CAP:
-            raise OverflowRiskError(
-                f"evaluation exponent 2*pi*N*|Im theta| = {worst:.3g} exceeds cap",
-                {"exponent": worst, "cap": EXP_CAP},
-            )
+    check_exponent(_TWO_PI * N * float(np.max(np.abs(th.imag), initial=0.0)),
+                   "evaluation")
     ks = np.arange(-N, N + 1)
     vals = np.exp(2j * np.pi * np.outer(th, ks)) @ phi.coeffs
     return complex(vals[0]) if scalar else vals
@@ -232,8 +245,8 @@ def truncate(phi: FourierSeries, N: int):
     return FourierSeries(phi.coeffs[lo:phi.coeffs.size - lo]), tail
 
 
-def clamp_small(phi: FourierSeries, rel: float = 1e-16) -> FourierSeries:
-    """Zero every coefficient below rel * max|coeffs| and trim the support.
+def clamp_small(phi: FourierSeries) -> FourierSeries:
+    """Zero every coefficient below CLAMP_REL * max|coeffs| and trim the support.
 
     Coefficients that far below the leading one are round-off, not signal;
     when the multiplier q sits off the unit circle the forward difference
@@ -241,13 +254,11 @@ def clamp_small(phi: FourierSeries, rel: float = 1e-16) -> FourierSeries:
     destroys an iteration even though it is harmless for |q| = 1.  Clamping
     to an exact zero keeps the amplification acting on genuine data only.
     """
-    if rel <= 0:
-        return phi
     c = phi.coeffs
     m = float(np.max(np.abs(c)))
     if m == 0.0:
         return FourierSeries.zero(0)
-    keep = np.abs(c) >= rel * m
+    keep = np.abs(c) >= CLAMP_REL * m
     if bool(keep.all()):
         return phi
     out = np.where(keep, c, 0.0)
@@ -304,56 +315,29 @@ def derivative(phi: FourierSeries, order: int = 1) -> FourierSeries:
 # composition with a perturbed identity
 
 
-def _compose_grid_size(joint: int) -> int:
-    return int(next_fast_len(max(GRID_FACTOR * (joint + 1), 8)))
-
-
-def compose_id_plus(f: FourierSeries, u: FourierSeries, cutoff: int | None = None):
+def compose_id_plus(f: FourierSeries, u: FourierSeries):
     """Compute f(theta + u(theta)) as a truncated series.
 
-    Returns (series, CompositionReport).  Two branches are exact:
-    a zero displacement returns f unchanged (bit for bit), and a constant
-    displacement c multiplies mode k by exp(2 pi i k c).  The general branch
-    samples on an oversampled grid and reports the largest coefficient it
-    discarded (the aliasing tail).
+    Returns (series, CompositionReport).  Two shortcuts are exact and sample
+    no grid (``grid_size`` 0): a zero displacement returns f itself, and a
+    constant displacement c multiplies mode k by exp(2 pi i k c).  Otherwise
+    ``evaluate`` (and its exponent guard) samples f(theta + u(theta)) on
+    G = next_fast_len(GRID_FACTOR (f.N + u.N + 1)) points; the modes |k| <=
+    min(f.N + u.N, HARD_CAP) are kept, the largest dropped is the tail.
     """
-    joint = f.N + u.N
-    G_virtual = _compose_grid_size(joint)
-
     if not np.any(u.coeffs):
-        return FourierSeries(f.coeffs), CompositionReport(0.0, G_virtual)
+        return f, CompositionReport(0.0, 0)
 
     if u.N == 0 or not np.any(np.delete(u.coeffs, u.N)):
-        c = u.coeff(0)
-        ks = np.arange(-f.N, f.N + 1)
-        worst = _TWO_PI * f.N * abs(c.imag)
-        if worst > EXP_CAP:
-            raise OverflowRiskError(
-                f"constant-shift exponent {worst:.3g} exceeds cap",
-                {"exponent": worst, "cap": EXP_CAP},
-            )
-        shifted = f.coeffs * np.exp(2j * np.pi * ks * c)
-        return FourierSeries(shifted), CompositionReport(0.0, G_virtual)
+        shifted = f.coeffs * mode_phases(u.coeff(0), f.N, "constant-shift")
+        return FourierSeries(shifted), CompositionReport(0.0, 0)
 
-    out_cutoff = min(HARD_CAP, joint) if cutoff is None else min(cutoff, HARD_CAP)
-    G = next_fast_len(max(GRID_FACTOR * (joint + 1), 2 * out_cutoff + 2, 8))
-    theta = np.arange(G) / G
-    z = theta + grid_values(u, G)
-    if f.N > 0:
-        worst = _TWO_PI * f.N * float(np.max(np.abs(z.imag)))
-        if worst > EXP_CAP:
-            raise OverflowRiskError(
-                f"composition exponent {worst:.3g} exceeds cap",
-                {"exponent": worst, "cap": EXP_CAP},
-            )
-    vals = evaluate(f, z)
-    c_full = np.fft.fft(vals) / G
-    keep = min(out_cutoff, (G - 1) // 2)
-    ks = np.arange(-keep, keep + 1)
-    out = c_full[ks % G]
-    drop_mask = np.ones(G, dtype=bool)
-    drop_mask[ks % G] = False
-    tail = float(np.max(np.abs(c_full[drop_mask]))) if drop_mask.any() else 0.0
+    K = min(f.N + u.N, HARD_CAP)
+    G = next_fast_len(GRID_FACTOR * (f.N + u.N + 1))
+    z = np.arange(G) / G + grid_values(u, G)
+    c = np.fft.fft(evaluate(f, z)) / G
+    tail = float(np.max(np.abs(c[K + 1:G - K])))
+    out = np.concatenate([c[G - K:], c[:K + 1]])
     return FourierSeries(out), CompositionReport(tail, G)
 
 
@@ -463,11 +447,7 @@ def strip_norm_bound(phi: FourierSeries, r: float) -> float:
     if r < 0:
         raise ValueError("strip half-width must be nonnegative")
     N = phi.N
-    if N > 0 and _TWO_PI * r * N > EXP_CAP:
-        raise OverflowRiskError(
-            f"strip exponent 2*pi*r*N = {_TWO_PI * r * N:.3g} exceeds cap",
-            {"exponent": _TWO_PI * r * N, "cap": EXP_CAP},
-        )
+    check_exponent(_TWO_PI * r * N, "strip")
     ks = np.abs(np.arange(-N, N + 1))
     total = float(np.sum(np.abs(phi.coeffs) * np.exp(_TWO_PI * r * ks)))
     if not np.isfinite(total):

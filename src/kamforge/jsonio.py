@@ -76,8 +76,8 @@ def dumps(obj, indent: int | None = None) -> str:
                       default=_encode_leaf)
 
 
-def dump_path(obj, path, indent: int | None = 2) -> None:
-    text = dumps(obj, indent=indent)
+def dump_path(obj, path) -> None:
+    text = dumps(obj, indent=2)
     with open(path, "w") as fh:
         fh.write(text)
         fh.write("\n")

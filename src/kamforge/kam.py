@@ -21,7 +21,7 @@ the proof's shrinking-strip schedule.  Smallness hypotheses are replaced by
 runtime checks: the grid-min of |A A+| against ``fourier.AMIN_FLOOR``,
 sup|u'| < 1 and sup|w| < 1 in each step, and a ``DIVERGENCE_FACTOR`` (10x)
 residual-growth safeguard with small-divisor diagnostics.  Each iterate is truncated to the cutoff and coefficients below
-``CLAMP_REL`` times the largest are dropped.
+``fourier.CLAMP_REL`` times the largest are dropped.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ _TWO_PI = 2.0 * math.pi
 
 
 DIVERGENCE_FACTOR = 10.0  # largest tolerated one-iteration residual growth
-CLAMP_REL = 1e-16         # relative size below which coefficients are dropped
 
 
 @dataclass
@@ -76,7 +75,7 @@ class SolverConfig:
     ``cutoff`` the Fourier mode cutoff (at most ``HARD_CAP``), and ``seed``
     enables warm starts (continuation in eps); the default seed is u = 0.
     The fixed numerical constants are module-level: ``DIVERGENCE_FACTOR``
-    and ``CLAMP_REL`` here, ``fourier.AMIN_FLOOR``, and
+    here, ``fourier.AMIN_FLOOR`` and ``fourier.CLAMP_REL``, and
     ``continuation.PICARD_MAX_ITERS`` and ``continuation.PICARD_MARGIN``.
     """
 
@@ -244,21 +243,19 @@ def newton_step(u: FourierSeries, comp: FourierSeries, f: FourierSeries,
 
 
 def _fit_slope(history) -> float:
-    """Least-squares slope of log r_{n+1} against log r_n, pre-floor pairs."""
-    xs, ys = [], []
-    for a, b in zip(history, history[1:]):
-        if a > 0 and b >= 1e-13:
-            xs.append(math.log10(a))
-            ys.append(math.log10(b))
-    if len(xs) < 2:
+    """Least-squares slope of log r_{n+1} against log r_n, pre-floor pairs.
+
+    The floor on r_{n+1} is 1e-13, or 1e-15 when that leaves under 2 pairs.
+    """
+    for floor in (1e-13, 1e-15):
         xs, ys = [], []
         for a, b in zip(history, history[1:]):
-            if a > 0 and b >= 1e-15:
+            if a > 0 and b >= floor:
                 xs.append(math.log10(a))
                 ys.append(math.log10(b))
-    if len(xs) < 2:
-        return math.nan
-    return float(np.polyfit(xs, ys, 1)[0])
+        if len(xs) >= 2:
+            return float(np.polyfit(xs, ys, 1)[0])
+    return math.nan
 
 
 def _fixed_point_defect(u, eqcomp, eps):
@@ -338,7 +335,7 @@ def solve_curve(f: FourierSeries, freq: Frequency, eps,
         u, t_tail = truncate(newton_step(u, comp, f, freq, eps, history),
                              config.cutoff)
         tails.append(t_tail)
-        u = clamp_small(u, CLAMP_REL)
+        u = clamp_small(u)
 
     if not converged:
         lam, k = max_divisor_magnitude(freq, max(config.cutoff, f.N))
@@ -419,12 +416,11 @@ def mean_identity_residual(u: FourierSeries, f: FourierSeries,
 
 
 def step_identity_residual(u: FourierSeries, h: FourierSeries,
-                           f: FourierSeries, freq: Frequency, eps,
-                           quad_nodes: int = 16) -> float:
+                           f: FourierSeries, freq: Frequency, eps) -> float:
     """Defect of the step-residual law E(u+h) = (h/A) E(u)' + Q(u, h).
 
     Q(u,h) = (int_0^1 eps f''(id+u+th) (1-t) dt) h^2, evaluated by
-    Gauss-Legendre quadrature with ``quad_nodes`` nodes.  The defect is an
+    Gauss-Legendre quadrature with 16 nodes.  The defect is an
     exact-zero identity up to composition aliasing.
     """
     eps = complex(eps)
@@ -434,7 +430,7 @@ def step_identity_residual(u: FourierSeries, h: FourierSeries,
     h_over_A = product(h, invert_pointwise(A))
     first = product(h_over_A, derivative(E_u))
     f2 = derivative(f, 2)
-    nodes, weights = np.polynomial.legendre.leggauss(quad_nodes)
+    nodes, weights = np.polynomial.legendre.leggauss(16)
     t = 0.5 * (nodes + 1.0)       # map to [0, 1]
     wts = 0.5 * weights
     acc = None

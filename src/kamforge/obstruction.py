@@ -31,7 +31,6 @@ from . import jsonio
 from .errors import KamforgeError
 from .fourier import FourierSeries, composition_jet
 from .frequency import from_q
-from .kam import SolverConfig
 
 __all__ = [
     "RationalFreq",
@@ -309,8 +308,7 @@ def beta_gamma_oracle(K: int, rf: RationalFreq, up_to: int,
 
 
 def radial_approach_diagnostic(f: FourierSeries, p: int, m: int, eps,
-                               radii=(0.85, 0.90, 0.95),
-                               config: SolverConfig | None = None) -> list:
+                               radii=(0.85, 0.90, 0.95)) -> list:
     """Picard iteration counts at q = r e^{2 pi i p/m} as r -> 1.
 
     The climb in iteration counts as the radius approaches the resonant
@@ -328,7 +326,7 @@ def radial_approach_diagnostic(f: FourierSeries, p: int, m: int, eps,
         freq = from_q(q)
         entry = {"radius": float(r), "converged": False, "iterations": None}
         try:
-            _, rep = picard_solve(f, freq, eps, config)
+            _, rep = picard_solve(f, freq, eps)
             entry["converged"] = True
             entry["iterations"] = rep.iterations
         except (ValueError, KamforgeError) as exc:

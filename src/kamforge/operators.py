@@ -22,17 +22,14 @@ cutoff, kind), built on a miss from one numpy pass over q^k or lambda_k.
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import OverflowRiskError
-from .fourier import EXP_CAP, FourierSeries
+from .fourier import FourierSeries, mode_phases
 from .frequency import Frequency, lambda_table
-
-_TWO_PI = 2.0 * math.pi
 
 
 class MultiplierKind(Enum):
@@ -63,16 +60,7 @@ def _shift_table(freq: Frequency, N: int) -> np.ndarray:
         raise OverflowRiskError(
             "shift multipliers are undefined at the chart poles q = 0, infinity"
         )
-    om = freq.omega
-    ks = np.arange(-N, N + 1)
-    log_mag = -_TWO_PI * ks * om.imag
-    worst = float(np.max(np.abs(log_mag)))
-    if worst > EXP_CAP:
-        raise OverflowRiskError(
-            f"shift exponent 2*pi*k*Im(omega) = {worst:.4g} exceeds cap {EXP_CAP}",
-            {"exponent": worst, "cap": EXP_CAP, "cutoff": N},
-        )
-    return np.exp(log_mag + 2j * math.pi * ks * om.real)
+    return mode_phases(freq.omega, N, "shift", cutoff=N)
 
 
 @lru_cache(maxsize=512)

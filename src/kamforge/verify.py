@@ -150,7 +150,8 @@ def check_three_method_agreement():
                 f"time={secs:.2f}s (<10s)")
 
 
-def check_identity_suites(n_instances: int = 20):
+def check_identity_suites():
+    n_instances = 20
     rng = np.random.default_rng(74210815)
     worst = {"factorization": 0.0, "zero_mean": 0.0,
              "eqF": 0.0, "multipliers": 0.0}
@@ -225,7 +226,8 @@ def check_identity_suites(n_instances: int = 20):
                 f"multipliers={worst['multipliers']:.2e} (<1e-13)")
 
 
-def check_divisor_bounds(n_samples: int = 10_000):
+def check_divisor_bounds():
+    n_samples = 10_000
     cls = DiophantineClass(6.0, 0.5, 2000)
     rng = np.random.default_rng(55101)
     from .frequency import _dist_many

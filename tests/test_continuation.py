@@ -42,6 +42,23 @@ def test_picard_refuses_near_unit_circle():
         picard_solve(f, from_omega(GOLDEN), 0.05)  # |q| = 1 exactly
 
 
+@pytest.mark.parametrize("r", [0.95, 1.05])
+def test_picard_runs_on_the_margin_at_every_phase(r):
+    # |q| = r reads as r, or one ulp to either side, depending on the phase;
+    # a gap that rounds to just below PICARD_MARGIN still counts as on it
+    f = FourierSeries.cos()
+    moduli = set()
+    for phase in (1.0, 2.0, 2 * math.pi / 7, 3.0):
+        freq = from_q(r * complex(math.cos(phase), math.sin(phase)))
+        moduli.add(math.exp(-freq.log_scale))
+        _, rep = picard_solve(f, freq, 0.05, SolverConfig(cutoff=32))
+        assert rep.converged
+    if r < 1.0:
+        assert max(moduli) > r     # the phase that used to be refused
+    with pytest.raises(ValueError, match="within 0.05 of the unit circle"):
+        picard_solve(f, from_q(r + (0.01 if r < 1.0 else -0.01)), 0.05)
+
+
 def test_taylor_orders_support_and_top_law():
     # u_n lives on modes |k| <= n and its extreme coefficients are exactly
     # eps * f_{+-n}

@@ -6,8 +6,9 @@ import pickle
 import numpy as np
 import pytest
 
-from kamforge.errors import NearSingularError
+from kamforge.errors import NearSingularError, OverflowRiskError
 from kamforge.fourier import (
+    EXP_CAP,
     HARD_CAP,
     FourierSeries,
     clamp_small,
@@ -24,6 +25,8 @@ from kamforge.fourier import (
     sup_norm,
     truncate,
 )
+from kamforge.frequency import from_omega
+from kamforge.operators import SHIFT_PLUS, multiplier_table
 
 TWO_PI = 2.0 * np.pi
 
@@ -154,10 +157,13 @@ def test_grid_values_match_evaluate():
 
 
 def test_compose_zero_displacement_is_identity():
-    f = FourierSeries.cos()
-    out, rep = compose_id_plus(f, FourierSeries.zero(0))
-    assert np.array_equal(out.coeffs, f.coeffs)
-    assert rep.aliasing_tail == 0.0
+    # f's bytes come back, -0.0 parts included, and no grid is sampled
+    f = FourierSeries(np.array([complex(0.5, -0.0), complex(-0.0, 0.0),
+                                complex(0.5, -0.0)]))
+    for u in (FourierSeries.zero(0), FourierSeries.zero(3)):
+        out, rep = compose_id_plus(f, u)
+        assert out.coeffs.tobytes() == f.coeffs.tobytes()
+        assert rep.aliasing_tail == 0.0 and rep.grid_size == 0
 
 
 def test_compose_constant_shift_phase_law():
@@ -172,18 +178,21 @@ def test_compose_constant_shift_phase_law():
 
 
 def test_compose_general_matches_pointwise():
-    # f(theta + u(theta)) sampled two ways: composed series vs direct values
+    # the composed series against a 1024-point FFT of f(theta + u(theta))
     rng = np.random.default_rng(15)
     f = random_series(rng, 6, decay=1.0)
     u = random_series(rng, 4, amp=0.005, decay=1.0)
-    comp, rep = compose_id_plus(f, u, cutoff=24)
-    theta = np.arange(128) / 128.0
-    direct = evaluate(f, theta + evaluate(u, theta))
-    assert np.max(np.abs(evaluate(comp, theta) - direct)) < 1e-12
-    assert rep.aliasing_tail < 1e-12
-    # the default cutoff truncates more and says so in the report
-    _, rep_default = compose_id_plus(f, u)
-    assert rep_default.aliasing_tail > rep.aliasing_tail
+    comp, rep = compose_id_plus(f, u)
+    K = f.N + u.N
+    assert comp.N == K and rep.grid_size >= 4 * (K + 1)
+    G = 1024
+    theta = np.arange(G) / G
+    ref = np.fft.fft(evaluate(f, theta + evaluate(u, theta))) / G
+    kept = ref[np.arange(-K, K + 1) % G]
+    assert np.max(np.abs(comp.coeffs - kept)) < 1e-14
+    # the reported tail is the largest coefficient the truncation dropped
+    dropped = float(np.max(np.abs(ref[K + 1:G - K])))
+    assert abs(rep.aliasing_tail - dropped) < 1e-14
 
 
 def jet_orders(f, us, dtype):
@@ -216,8 +225,8 @@ def test_composition_jet_constant_shift(dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
-def test_composition_jet_sums_to_grid_composition(dtype):
-    # sum_n t^n [f(theta + t u1)]_n against the grid route at small t
+def test_composition_jet_sums_to_evaluated_composition(dtype):
+    # sum_n t^n [f(theta + t u1)]_n against f evaluated at theta + t u1(theta)
     rng = np.random.default_rng(17)
     f = random_series(rng, 3, decay=0.8)
     u1 = random_series(rng, 2, decay=0.8)
@@ -226,10 +235,10 @@ def test_composition_jet_sums_to_grid_composition(dtype):
     orders = jet_orders(f, [u1.coeffs] + [[0.0]] * (n_max - 1), dtype)
     N = (orders[-1].size - 1) // 2
     total = sum(t ** n * centered(g, N) for n, g in enumerate(orders))
-    grid, rep = compose_id_plus(f, t * u1, cutoff=N)
-    assert rep.aliasing_tail < 1e-15
-    ref = centered(pad_to(grid, N).coeffs, N)
-    assert np.max(np.abs(total - ref)) < 1e-14 * np.max(np.abs(ref))
+    theta = np.arange(256) / 256.0
+    jet = evaluate(FourierSeries(total.astype(np.complex128)), theta)
+    ref = evaluate(f, theta + t * evaluate(u1, theta))
+    assert np.max(np.abs(jet - ref)) < 1e-14 * np.max(np.abs(ref))
 
 
 def test_invert_pointwise_inverse():
@@ -267,9 +276,6 @@ def test_clamp_small_drops_noise_tail():
     assert s.N == 1
     assert s.coeff(1) == 1.0
     assert s.coeff(15) == 0.0
-    # rel = 0 disables clamping
-    t = clamp_small(FourierSeries(c), rel=0.0)
-    assert t.coeff(15) == 1e-19
 
 
 def test_strip_norm_bound_values():
@@ -287,3 +293,28 @@ def test_json_roundtrip_exact():
     s = random_series(rng, 8)
     t = FourierSeries.from_json_dict(s.to_json_dict())
     assert np.array_equal(s.coeffs, t.coeffs)
+
+
+# every site that forms exp(2 pi i k z) off the real circle, as a function of
+# the height y of z on a 21-mode series: each exponent is 2 pi 10 y
+_ONES = FourierSeries(np.ones(21))
+GUARD_SITES = {
+    "evaluation": lambda y: evaluate(_ONES, 0.3 + 1j * y),
+    "constant-shift": lambda y: compose_id_plus(
+        _ONES, FourierSeries.constant(0.3 + 1j * y))[0].coeffs,
+    "strip": lambda y: strip_norm_bound(_ONES, y),
+    "shift": lambda y: multiplier_table(from_omega(complex(0.3, y)), 10,
+                                        SHIFT_PLUS),
+}
+
+
+@pytest.mark.parametrize("site", sorted(GUARD_SITES))
+def test_every_exponent_guard_shares_the_cap(site):
+    run = GUARD_SITES[site]
+    below = run((EXP_CAP - 0.5) / (TWO_PI * 10))
+    assert np.all(np.isfinite(below))
+    with pytest.raises(OverflowRiskError, match="exceeds cap") as info:
+        run((EXP_CAP + 0.5) / (TWO_PI * 10))
+    d = info.value.diagnostics
+    assert d["exponent"] > d["cap"] == EXP_CAP
+    assert str(info.value).startswith(f"{site} exponent ")
