@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonio
-from .errors import KamforgeError, NoConvergenceError
+from .errors import DivergenceError, KamforgeError, NoConvergenceError
 from .fourier import (
     FourierSeries,
     _add_centered,
@@ -37,7 +37,8 @@ from .fourier import (
     truncate,
 )
 from .frequency import Frequency, reflected
-from .kam import SolveReport, SolverConfig, dynamical_residual, solve_curve
+from .kam import (DIVERGENCE_FACTOR, SolveReport, SolverConfig,
+                  dynamical_residual, solve_curve)
 from .operators import E_Q, apply, e_n
 
 TAYLOR_ORDER_CAP = 60
@@ -89,7 +90,9 @@ def picard_solve(f: FourierSeries, freq: Frequency, eps,
     eps <f(id+u)> (an exact zero at the fixed point, so its size measures
     truncation only).  Requires | |q| - 1 | >= ``PICARD_MARGIN`` or a gap
     ``math.isclose`` to it (|q| = 0.95 rounds to either side with its phase);
-    runs at most ``PICARD_MAX_ITERS`` iterations.
+    runs at most ``PICARD_MAX_ITERS`` iterations, and raises
+    ``DivergenceError`` as soon as a sup-difference exceeds
+    ``kam.DIVERGENCE_FACTOR`` times the one before it.
     """
     config = config or SolverConfig()
     eps = complex(eps)
@@ -118,6 +121,12 @@ def picard_solve(f: FourierSeries, freq: Frequency, eps,
         if diff < config.tol:
             converged = True
             break
+        if len(history) >= 2 and diff > DIVERGENCE_FACTOR * history[-2]:
+            raise DivergenceError(
+                f"Picard sup-difference grew {diff / history[-2]:.2g}x at "
+                f"iteration {it}",
+                {"q_modulus": modulus, "residual_history": history},
+            )
     if not converged:
         raise NoConvergenceError(
             f"Picard did not contract below {config.tol:.1e} in "

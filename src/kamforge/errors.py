@@ -39,7 +39,7 @@ class BoundViolationError(KamforgeError):
 
 
 class DivergenceError(KamforgeError):
-    """Newton residual grew by more than the safeguard factor."""
+    """A Newton residual or Picard sup-difference grew past the safeguard."""
 
 
 class NoConvergenceError(KamforgeError):

@@ -13,15 +13,23 @@ one exception is ``composition_jet``, the order-by-order composition used by
 the formal series: it convolves raw coefficient arrays directly, in
 whatever complex dtype it is given.
 
+Point evaluation off the grid, ``evaluate``, forms no matrix of
+exp(2 pi i k z): it sums the modes k >= 1 and k <= -1 as polynomials in
+w = exp(2 pi i z) and 1/w by baby steps and giant steps (Horner in
+w^ceil(sqrt N)), in O(G sqrt N) memory for G points.
+
 Series are double precision.  ``check_exponent`` is the one guard on every
 exp(2 pi i k z) with Im z != 0: an exponent above ``EXP_CAP`` (the IEEE-754
 overflow threshold, with margin) raises ``OverflowRiskError`` instead of
-silently producing infinities.  ``mode_phases`` is that vector at one point z,
-as the constant-shift composition and the shift multipliers q^k use it.
+silently producing infinities.  ``evaluate`` applies it to 2 pi N max|Im z|,
+which bounds every intermediate of its sums.  ``mode_phases`` forms the
+vector exp(2 pi i k z), k = -N..N, at one point z, as the constant-shift
+composition and the shift multipliers q^k use it.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -182,8 +190,33 @@ def mode_phases(z: complex, N: int, what: str, **diagnostics) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(-N, N + 1) * z)
 
 
+def _power_sum(w: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_{k=1}^{n} c[k-1] w^k at every point w, for n = c.size >= 1.
+
+    Baby steps w^1..w^B (B = ceil(sqrt n)) come from one cumprod and meet
+    the coefficients, blocked B at a time, in one matmul; Horner in the
+    giant step w^B then sums the ceil(n/B) blocks.  No intermediate exceeds
+    sum|c| max(1, |w|)^n, and the memory is O(G sqrt n) for G points.
+    """
+    B = math.isqrt(c.size - 1) + 1
+    blocks = np.pad(c, (0, -c.size % B)).reshape(-1, B)
+    baby = np.cumprod(np.broadcast_to(w[:, None], (w.size, B)), axis=1)
+    partial = blocks @ baby.T
+    giant = baby[:, -1].copy()
+    acc = partial[-1]
+    for row in partial[-2::-1]:
+        acc = acc * giant + row
+    return acc
+
+
 def evaluate(phi: FourierSeries, theta):
     """Evaluate phi at real or complex angles (scalar or array).
+
+    The modes k >= 1 are summed as a polynomial in w = exp(2 pi i theta) and
+    the modes k <= -1 as one in 1/w, each by ``_power_sum``; splitting at
+    k = 0 keeps every intermediate within sum|c_k| exp(2 pi N |Im theta|),
+    whose exponent ``check_exponent`` guards.  An array of G angles costs
+    O(G sqrt N) memory; the result is 1-d for array input.
 
     Raises
     ------
@@ -192,12 +225,15 @@ def evaluate(phi: FourierSeries, theta):
     """
     th = np.asarray(theta, dtype=np.complex128)
     scalar = th.ndim == 0
-    th = np.atleast_1d(th)
+    th = th.ravel()
     N = phi.N
     check_exponent(_TWO_PI * N * float(np.max(np.abs(th.imag), initial=0.0)),
                    "evaluation")
-    ks = np.arange(-N, N + 1)
-    vals = np.exp(2j * np.pi * np.outer(th, ks)) @ phi.coeffs
+    c = phi.coeffs
+    vals = np.full(th.size, c[N])
+    if N:
+        vals += _power_sum(np.exp(2j * np.pi * th), c[N + 1:])
+        vals += _power_sum(np.exp(-2j * np.pi * th), c[N - 1::-1])
     return complex(vals[0]) if scalar else vals
 
 

@@ -10,9 +10,10 @@ from kamforge.continuation import (QTaylorData, conjugate_reflection_check,
                                    crosscheck, inverse_scattering,
                                    picard_solve, taylor0_eval,
                                    taylor0_recursion)
+from kamforge.errors import DivergenceError
 from kamforge.fourier import FourierSeries, mean, sup_norm
 from kamforge.frequency import from_omega, from_q
-from kamforge.kam import SolverConfig, solve_curve
+from kamforge.kam import DIVERGENCE_FACTOR, SolverConfig, solve_curve
 from kamforge.operators import NABLA_MINUS, apply
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -57,6 +58,21 @@ def test_picard_runs_on_the_margin_at_every_phase(r):
         assert max(moduli) > r     # the phase that used to be refused
     with pytest.raises(ValueError, match="within 0.05 of the unit circle"):
         picard_solve(f, from_q(r + (0.01 if r < 1.0 else -0.01)), 0.05)
+
+
+@pytest.mark.parametrize("q, steps", [(0.95, 14), (-1.05, 2)])
+def test_picard_stops_when_the_difference_grows(q, steps):
+    # at q = 0.95 the iterate used to grow until evaluate's exponent guard
+    # fired; at q = -1.05 it oscillated through the whole iteration budget
+    with pytest.raises(DivergenceError) as info:
+        picard_solve(FourierSeries.cos(), from_q(q), 0.05)
+    d = info.value.diagnostics
+    assert list(d) == ["q_modulus", "residual_history"]
+    assert d["q_modulus"] == pytest.approx(abs(q))
+    h = d["residual_history"]
+    assert len(h) == steps
+    assert h[-1] > DIVERGENCE_FACTOR * h[-2]
+    assert all(b <= DIVERGENCE_FACTOR * a for a, b in zip(h, h[1:-1]))
 
 
 def test_taylor_orders_support_and_top_law():

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +89,64 @@ def test_evaluate_matches_direct_sum():
     s = random_series(rng, 9)
     for theta in [0.0, 0.37, 1.91, 0.1 + 0.02j, -0.3 - 0.01j]:
         assert abs(evaluate(s, theta) - eval_direct(s, theta)) < 1e-12
+
+
+def eval_dense(phi, theta, dtype=np.complex128):
+    # the dense route: a G x (2N+1) matrix of exp(2 pi i k z), times c,
+    # formed 256 points at a time
+    two_pi = 2 * np.arccos(np.real(dtype(-1)))
+    ks = np.arange(-phi.N, phi.N + 1)
+    c = phi.coeffs.astype(dtype)
+    z = np.asarray(theta, dtype=dtype)
+    return np.concatenate([np.exp(1j * two_pi * np.outer(z[i:i + 256], ks)) @ c
+                           for i in range(0, z.size, 256)])
+
+
+@pytest.mark.parametrize("N", [0, 1, 9, 64, 3249])
+def test_evaluate_matches_the_dense_sum(N):
+    # a series analytic on |Im z| < 0.02, at real z and at |Im z| <= 0.01
+    rng = np.random.default_rng(N)
+    s = random_series(rng, N, decay=TWO_PI * 0.02)
+    theta = rng.uniform(-1.0, 2.0, 512) + 0j
+    theta[256:] += 1j * rng.uniform(-0.01, 0.01, 256)
+    dense = eval_dense(s, theta)
+    err = np.max(np.abs(evaluate(s, theta) - dense))
+    assert err <= 1e-13 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("height", [0.03, 0.1])
+@pytest.mark.parametrize("N", [9, 64, 1000])
+def test_evaluate_off_the_circle_is_as_accurate_as_the_dense_sum(N, height):
+    # flat coefficients, so the top modes dominate off the circle.  Both
+    # errors are taken against an extended-precision dense sum, pointwise
+    # relative to sum_k |c_k exp(2 pi i k z)|, the scale of the rounding of
+    # any summation order
+    rng = np.random.default_rng(N)
+    s = random_series(rng, N, decay=0.0)
+    theta = (rng.uniform(0.0, 1.0, 2048)
+             + 1j * rng.uniform(-height, height, 2048))
+    ref = eval_dense(s, theta, np.clongdouble)
+    ks = np.arange(-N, N + 1)
+    scale = np.exp(-TWO_PI * np.outer(theta.imag, ks)) @ np.abs(s.coeffs)
+
+    def err(vals):
+        return float(np.max(np.abs(vals - ref) / scale))
+
+    assert err(evaluate(s, theta)) <= 2.0 * err(eval_dense(s, theta))
+
+
+def test_evaluate_memory_stays_below_the_dense_matrix():
+    # the dense route would allocate 8192 x 4099 x 16 B = 537 MB here
+    rng = np.random.default_rng(22)
+    s = random_series(rng, 2049, decay=0.0)
+    theta = np.arange(8192) / 8192
+    tracemalloc.start()
+    try:
+        evaluate(s, theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def test_mean_is_zero_mode():
@@ -308,13 +367,19 @@ GUARD_SITES = {
 }
 
 
+# evaluation sums the modes k > 0 in w = exp(2 pi i z) and k < 0 in 1/w: a
+# height of either sign makes one of the two grow, and both stay finite
+GUARD_SIGNS = {"evaluation": (1.0, -1.0)}
+
+
 @pytest.mark.parametrize("site", sorted(GUARD_SITES))
 def test_every_exponent_guard_shares_the_cap(site):
     run = GUARD_SITES[site]
-    below = run((EXP_CAP - 0.5) / (TWO_PI * 10))
-    assert np.all(np.isfinite(below))
-    with pytest.raises(OverflowRiskError, match="exceeds cap") as info:
-        run((EXP_CAP + 0.5) / (TWO_PI * 10))
-    d = info.value.diagnostics
-    assert d["exponent"] > d["cap"] == EXP_CAP
-    assert str(info.value).startswith(f"{site} exponent ")
+    for sign in GUARD_SIGNS.get(site, (1.0,)):
+        below = run(sign * (EXP_CAP - 0.5) / (TWO_PI * 10))
+        assert np.all(np.isfinite(below))
+        with pytest.raises(OverflowRiskError, match="exceeds cap") as info:
+            run(sign * (EXP_CAP + 0.5) / (TWO_PI * 10))
+        d = info.value.diagnostics
+        assert d["exponent"] > d["cap"] == EXP_CAP
+        assert str(info.value).startswith(f"{site} exponent ")
