@@ -18,7 +18,6 @@ from .errors import (
     ResonanceError,
 )
 from .fourier import (
-    CompositionReport,
     FourierSeries,
     compose_id_plus,
     derivative,
@@ -26,7 +25,6 @@ from .fourier import (
     grid_values,
     invert_pointwise,
     mean,
-    pad_to,
     product,
     strip_norm_bound,
     sup_norm,
@@ -68,7 +66,6 @@ from .kam import (
     mean_identity_residual,
     newton_step,
     solve_curve,
-    step_identity_residual,
 )
 from .continuation import (
     QTaylorData,

@@ -32,7 +32,7 @@ from .continuation import crosscheck as run_crosscheck
 from .continuation import (PICARD_MAX_ITERS, picard_solve, taylor0_eval,
                            taylor0_recursion)
 from .errors import KamforgeError
-from .fourier import FourierSeries, pad_to, sup_norm
+from .fourier import FourierSeries, _widen, sup_norm
 from .frequency import (
     DiophantineClass,
     Frequency,
@@ -120,15 +120,8 @@ def cmd_solve(args) -> int:
     cfg = SolverConfig(cutoff=args.modes, tol=args.tol,
                        max_iters=args.max_iters)
     t0 = time.perf_counter()
-    try:
-        curve = _solve_with_method(f, freq, complex(args.eps, args.eps_im),
-                                   cfg, args.method, dioph=dioph)
-    except KamforgeError as exc:
-        payload = _error_payload(exc)
-        jsonio.dump_path(payload, args.out)
-        print(jsonio.dumps(payload))
-        print(f"solve failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    curve = _solve_with_method(f, freq, complex(args.eps, args.eps_im),
+                               cfg, args.method, dioph=dioph)
     secs = time.perf_counter() - t0
     try:
         dyn = dynamical_residual(curve, 1024)
@@ -198,7 +191,7 @@ def _family_from_records(records, shape) -> SampledFamily:
     if not series:
         return SampledFamily(points=[], values=[], derivs=[])
     N = max(s.N for s in series.values())
-    vecs = {i: pad_to(s, N).coeffs for i, s in series.items()}
+    vecs = {i: _widen(s.coeffs, N) for i, s in series.items()}
     omegas = jsonio.to_complex([rec["omega"] for rec in records])
 
     def lin(i, j, l):
@@ -554,10 +547,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Exit 2 with ``error:`` on bad input or an unusable path, and 1 on a
+    ``KamforgeError``, whose error JSON goes to stdout and, if it can, --out."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except KamforgeError as exc:
+        payload = _error_payload(exc)
+        print(jsonio.dumps(payload))
+        print(f"{args.command} failed: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        try:
+            jsonio.dump_path(payload, args.out)
+        except OSError as err:
+            print(f"error: {err}", file=sys.stderr)
+        return 1
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

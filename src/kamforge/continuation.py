@@ -25,14 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonio
-from .errors import DivergenceError, KamforgeError, NoConvergenceError
+from .errors import (DivergenceError, KamforgeError, NoConvergenceError,
+                     OverflowRiskError)
 from .fourier import (
     FourierSeries,
     _add_centered,
     compose_id_plus,
     composition_jet,
+    finite_scalar,
     mean,
-    pad_to,
     sup_norm,
     truncate,
 )
@@ -95,7 +96,7 @@ def picard_solve(f: FourierSeries, freq: Frequency, eps,
     ``kam.DIVERGENCE_FACTOR`` times the one before it.
     """
     config = config or SolverConfig()
-    eps = complex(eps)
+    eps = finite_scalar(eps, "eps")
     modulus = math.exp(-freq.log_scale) if math.isfinite(freq.log_scale) else (
         0.0 if freq.log_scale > 0 else math.inf)
     gap = abs(modulus - 1.0) if math.isfinite(modulus) else 1.0
@@ -161,7 +162,7 @@ def taylor0_recursion(f: FourierSeries, eps, N_q: int = 40) -> QTaylorData:
     where [f(id+u)]_s, the q^s coefficient of the composition, depends on
     u_1..u_s only.  ``composition_jet`` supplies it one order at a time, so
     the cost is polynomial in N_q; the order cap bounds the desk-scale
-    budget.
+    budget.  Raises ``OverflowRiskError`` when an order stops being finite.
     """
     N_q = int(N_q)
     if N_q < 1:
@@ -169,20 +170,23 @@ def taylor0_recursion(f: FourierSeries, eps, N_q: int = 40) -> QTaylorData:
     if N_q > TAYLOR_ORDER_CAP:
         raise ValueError(
             f"N_q = {N_q} exceeds the order cap {TAYLOR_ORDER_CAP}")
-    eps = complex(eps)
+    eps = finite_scalar(eps, "eps")
     jet = composition_jet(f.coeffs)
     next(jet)                     # order 0 is f itself
     comp = [f]                    # [f(id+u)]_s for s < n
     orders: list = []
     for n in range(1, N_q + 1):
         if n > 1:
-            comp.append(FourierSeries(jet.send(orders[-1].coeffs)))
+            comp.append(FourierSeries._of(jet.send(orders[-1].coeffs)))
         pieces = [e_n(f, n).coeffs]
         pieces += [e_n(comp[n - n0], n0).coeffs for n0 in range(1, n)]
         total = np.zeros(max(p.size for p in pieces), dtype=np.complex128)
         for p in pieces:
             _add_centered(total, p)
-        orders.append(FourierSeries(total * eps))
+        total *= eps
+        if not np.isfinite(total).all():
+            raise OverflowRiskError(f"Taylor order {n} overflowed", {"order": n})
+        orders.append(FourierSeries._of(total))
     return QTaylorData(orders, eps, f)
 
 
@@ -195,8 +199,9 @@ def taylor0_eval(data: QTaylorData, q, with_info: bool = False):
     |u_n|^(1/n) — reported without any threshold.
     """
     qq = complex(q)
-    if abs(qq) >= 1.0:
-        raise ValueError("Taylor data at q = 0 is only summable for |q| < 1")
+    if not abs(qq) < 1.0:  # refuses a NaN q too
+        raise ValueError(
+            f"Taylor data at q = 0 is only summable for |q| < 1, got q = {qq}")
     acc = FourierSeries.zero(0)
     qn = 1.0 + 0.0j
     term_norms = []
@@ -264,12 +269,13 @@ def crosscheck(f: FourierSeries, freq: Frequency, eps,
 
     Methods whose preconditions fail are recorded as skipped with a notice
     (Picard on the unit circle, Taylor-at-0 outside |q| < 1); solver errors
-    are recorded as failed.  Newton output is demeaned before comparison —
-    all methods then share the zero-mean normalization.  Returns a report
-    dict with per-method status and pairwise sup-norm differences.
+    are recorded as failed; a non-finite eps raises ``ValueError``.  Newton
+    output is demeaned before comparison — all methods then share the
+    zero-mean normalization.  Returns a report dict with per-method status
+    and pairwise sup-norm differences.
     """
     config = config or SolverConfig()
-    eps = complex(eps)
+    eps = finite_scalar(eps, "eps")
     status: dict = {}
     solutions: dict = {}
 
@@ -339,7 +345,6 @@ def conjugate_reflection_check(f: FourierSeries, freq: Frequency, eps,
                       RuntimeWarning, stacklevel=2)
     c1 = solve_curve(f, freq, eps, config)
     c2 = solve_curve(f, reflected(freq), eps, config)
-    N = max(c1.u.N, c2.u.N)
-    a = pad_to(c1.u, N).coeffs
-    b = pad_to(c2.u, N).coeffs
-    return float(np.max(np.abs(np.conj(a) - b[::-1])))
+    # mode k of pair is conj(u_{-k}(q)) - u'_k(1/conj(q))
+    pair = FourierSeries._of(np.conj(c1.u.coeffs[::-1])) - c2.u
+    return float(np.max(np.abs(pair.coeffs)))

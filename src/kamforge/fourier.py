@@ -18,6 +18,15 @@ exp(2 pi i k z): it sums the modes k >= 1 and k <= -1 as polynomials in
 w = exp(2 pi i z) and 1/w by baby steps and giant steps (Horner in
 w^ceil(sqrt N)), in O(G sqrt N) memory for G points.
 
+A series is validated once, where it enters: the constructor (behind
+``from_json_dict`` and the CLI's ``--f``) copies it and checks its shape,
+the hard cap and finiteness.  ``FourierSeries._of`` wraps a computed series
+with neither: each such site keeps the length odd and the cutoff within
+``HARD_CAP`` by construction, and its inputs are finite (scalars are checked
+in ``__mul__`` and by the solvers).  An overflow of finite data (huge
+coefficients, a shift phase near exp(EXP_CAP)) meets the finiteness check of
+``operators.apply``, which every solver iterate passes.
+
 Series are double precision.  ``check_exponent`` is the one guard on every
 exp(2 pi i k z) with Im z != 0: an exponent above ``EXP_CAP`` (the IEEE-754
 overflow threshold, with margin) raises ``OverflowRiskError`` instead of
@@ -29,6 +38,7 @@ composition and the shift multipliers q^k use it.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -97,10 +107,11 @@ class FourierSeries:
     def _binary(self, other, sign):
         if not isinstance(other, FourierSeries):
             return NotImplemented
-        N = max(self.N, other.N)
-        a = pad_to(self, N).coeffs
-        b = pad_to(other, N).coeffs
-        return FourierSeries(a + sign * b)
+        a, b = self.coeffs, other.coeffs
+        if a.size != b.size:
+            N = max(self.N, other.N)
+            a, b = _widen(a, N), _widen(b, N)
+        return FourierSeries._of(a + sign * b)
 
     def __add__(self, other):
         return self._binary(other, 1.0)
@@ -109,12 +120,12 @@ class FourierSeries:
         return self._binary(other, -1.0)
 
     def __neg__(self):
-        return FourierSeries(-self.coeffs)
+        return FourierSeries._of(-self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, FourierSeries):
             return product(self, other)
-        return FourierSeries(self.coeffs * complex(other))
+        return FourierSeries(self.coeffs * finite_scalar(other, "scalar factor"))
 
     __rmul__ = __mul__
 
@@ -122,6 +133,15 @@ class FourierSeries:
         return f"FourierSeries(N={self.N}, sup~{sup_norm(self):.3g})"
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def _of(cls, arr: np.ndarray) -> "FourierSeries":
+        """Wrap a computed complex128 vector of odd length, cutoff at most
+        ``HARD_CAP`` and finite values, without copy or check (read-only)."""
+        arr.flags.writeable = False
+        out = object.__new__(cls)
+        object.__setattr__(out, "coeffs", arr)
+        return out
 
     @classmethod
     def zero(cls, N: int = 0) -> "FourierSeries":
@@ -175,6 +195,22 @@ class CompositionReport:
 # the exponent guard, point evaluation and exact grids
 
 
+def finite_scalar(value, name: str) -> complex:
+    """*value* as a complex number, or ValueError naming *name* if not finite."""
+    z = complex(value)
+    if not cmath.isfinite(z):
+        raise ValueError(f"{name} must be finite, got {z}")
+    return z
+
+
+def _widen(c: np.ndarray, N: int) -> np.ndarray:
+    """Centered *c* assigned into zeros of cutoff N (assignment keeps -0.0)."""
+    out = np.zeros(2 * N + 1, dtype=np.complex128)
+    lo = N - (c.size - 1) // 2
+    out[lo:lo + c.size] = c
+    return out
+
+
 def check_exponent(exponent: float, what: str, **diagnostics) -> None:
     """Raise ``OverflowRiskError`` if *exponent* exceeds ``EXP_CAP``."""
     if exponent > EXP_CAP:
@@ -199,7 +235,8 @@ def _power_sum(w: np.ndarray, c: np.ndarray) -> np.ndarray:
     sum|c| max(1, |w|)^n, and the memory is O(G sqrt n) for G points.
     """
     B = math.isqrt(c.size - 1) + 1
-    blocks = np.pad(c, (0, -c.size % B)).reshape(-1, B)
+    blocks = np.zeros((-(-c.size // B), B), dtype=c.dtype)
+    blocks.reshape(-1)[:c.size] = c
     baby = np.cumprod(np.broadcast_to(w[:, None], (w.size, B)), axis=1)
     partial = blocks @ baby.T
     giant = baby[:, -1].copy()
@@ -262,23 +299,13 @@ def mean(phi: FourierSeries) -> complex:
     return phi.coeff(0)
 
 
-def pad_to(phi: FourierSeries, N: int) -> FourierSeries:
-    if N < phi.N:
-        raise ValueError("pad_to cannot shrink; use truncate")
-    if N == phi.N:
-        return phi
-    extra = N - phi.N
-    return FourierSeries(np.pad(phi.coeffs, (extra, extra)))
-
-
 def truncate(phi: FourierSeries, N: int):
     """Drop modes beyond |k| = N.  Returns (series, sup of dropped coeffs)."""
     if N >= phi.N:
         return phi, 0.0
-    lo = phi.N - N
-    dropped = np.concatenate([phi.coeffs[:lo], phi.coeffs[phi.coeffs.size - lo:]])
-    tail = float(np.max(np.abs(dropped))) if dropped.size else 0.0
-    return FourierSeries(phi.coeffs[lo:phi.coeffs.size - lo]), tail
+    lo, c = phi.N - N, phi.coeffs
+    tail = float(np.max(np.abs(np.concatenate([c[:lo], c[c.size - lo:]]))))
+    return FourierSeries._of(c[lo:c.size - lo]), tail
 
 
 def clamp_small(phi: FourierSeries) -> FourierSeries:
@@ -301,7 +328,7 @@ def clamp_small(phi: FourierSeries) -> FourierSeries:
     nz = np.nonzero(out)[0]
     N = phi.N
     reach = max(abs(int(nz.min()) - N), abs(int(nz.max()) - N))
-    return FourierSeries(out[N - reach:N + reach + 1])
+    return FourierSeries._of(out[N - reach:N + reach + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +362,7 @@ def product(a: FourierSeries, b: FourierSeries) -> FourierSeries:
             RuntimeWarning,
             stacklevel=2,
         )
-    return FourierSeries(raw)
+    return FourierSeries._of(raw)
 
 
 def derivative(phi: FourierSeries, order: int = 1) -> FourierSeries:
@@ -344,7 +371,7 @@ def derivative(phi: FourierSeries, order: int = 1) -> FourierSeries:
         raise ValueError("order must be nonnegative")
     ks = np.arange(-phi.N, phi.N + 1)
     mult = (2j * np.pi * ks) ** order
-    return FourierSeries(phi.coeffs * mult)
+    return FourierSeries._of(phi.coeffs * mult)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +393,7 @@ def compose_id_plus(f: FourierSeries, u: FourierSeries):
 
     if u.N == 0 or not np.any(np.delete(u.coeffs, u.N)):
         shifted = f.coeffs * mode_phases(u.coeff(0), f.N, "constant-shift")
-        return FourierSeries(shifted), CompositionReport(0.0, 0)
+        return FourierSeries._of(shifted), CompositionReport(0.0, 0)
 
     K = min(f.N + u.N, HARD_CAP)
     G = next_fast_len(GRID_FACTOR * (f.N + u.N + 1))
@@ -374,7 +401,7 @@ def compose_id_plus(f: FourierSeries, u: FourierSeries):
     c = np.fft.fft(evaluate(f, z)) / G
     tail = float(np.max(np.abs(c[K + 1:G - K])))
     out = np.concatenate([c[G - K:], c[:K + 1]])
-    return FourierSeries(out), CompositionReport(tail, G)
+    return FourierSeries._of(out), CompositionReport(tail, G)
 
 
 def _add_centered(acc: np.ndarray, a: np.ndarray) -> None:
@@ -471,7 +498,7 @@ def invert_pointwise(A: FourierSeries) -> FourierSeries:
             {"cutoff": K, "hard_cap": HARD_CAP, "grid_min": gmin},
         )
     ks = np.arange(-K, K + 1)
-    return FourierSeries(c_full[ks % G])
+    return FourierSeries._of(c_full[ks % G])
 
 
 # ---------------------------------------------------------------------------

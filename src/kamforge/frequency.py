@@ -30,6 +30,7 @@ from . import jsonio
 from .errors import BoundViolationError, ResonanceError
 
 _TWO_PI = 2.0 * math.pi
+RESONANCE_ULPS = 4.0  # |q^k - 1| < RESONANCE_ULPS 2 pi |k| 2^-52 counts as zero
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +100,14 @@ def reflected(freq: Frequency) -> Frequency:
     return from_omega(complex(om.real, -om.imag))
 
 
+def _resonance(k: int, om: complex) -> ResonanceError:
+    """q^k - 1 vanished: omega is the rational p/m = round(k Re omega) / k."""
+    r = Fraction(round(k * om.real), k)
+    return ResonanceError(f"q^k - 1 vanished at k = {k}: omega is {r} to working "
+                          "precision", {"k": k, "omega": om, "p": r.numerator,
+                                        "m": r.denominator})
+
+
 def lambda_k(freq: Frequency, k: int) -> complex:
     """The elementary divisor 1 / (q^k - 1), evaluated overflow-free.
 
@@ -108,7 +117,9 @@ def lambda_k(freq: Frequency, k: int) -> complex:
     -1 - lambda_{-k} would be exact algebra too, but it cancels
     catastrophically once |lambda_k| drops under the ulp of 1, and the
     forward multipliers q^k - 1 grow fast enough to surface that absolute
-    error; w / (1 - w) keeps full relative precision instead.)
+    error; w / (1 - w) keeps full relative precision instead.)  A divisor
+    within ``RESONANCE_ULPS`` round-offs of 2 pi k omega of zero raises
+    ``ResonanceError``: omega is then a rational p/m with m | k.
     """
     k = int(k)
     if k == 0:
@@ -117,26 +128,17 @@ def lambda_k(freq: Frequency, k: int) -> complex:
         at_zero = -1.0 + 0.0j if k > 0 else 0.0 + 0.0j
         return at_zero if freq.chart == "inner" else (-1.0 - at_zero)
     om = freq.omega
-    if k * om.imag >= 0:
-        w = cmath.exp(2j * math.pi * k * om)
-        d = w - 1.0
-        if abs(d) < 1e-300:
-            raise ResonanceError(
-                f"q^k - 1 vanished at k = {k}", {"k": k, "omega": om}
-            )
-        return 1.0 / d
-    w = cmath.exp(-2j * math.pi * k * om)
-    d = 1.0 - w
-    if abs(d) < 1e-300:
-        raise ResonanceError(
-            f"q^k - 1 vanished at k = {k}", {"k": k, "omega": om}
-        )
-    return w / d
+    direct = k * om.imag >= 0
+    w = cmath.exp((2j if direct else -2j) * math.pi * k * om)
+    d = w - 1.0 if direct else 1.0 - w
+    if abs(d) < RESONANCE_ULPS * _TWO_PI * abs(k) * 2.0 ** -52:
+        raise _resonance(k, om)
+    return 1.0 / d if direct else w / d
 
 
 def lambda_table(freq: Frequency, N: int) -> np.ndarray:
     """``lambda_k`` for k = -N..N in one pass, 0 at k = 0: the same branches,
-    pole values and ``ResonanceError`` (at the first vanishing k from -N)."""
+    pole values and ``ResonanceError`` (at the smallest vanishing |k| > 0)."""
     ks = np.arange(-N, N + 1)
     table = np.zeros(2 * N + 1, dtype=np.complex128)
     if freq.is_pole:  # -1 on the side where q^k vanishes, 0 on the other
@@ -147,10 +149,9 @@ def lambda_table(freq: Frequency, N: int) -> np.ndarray:
     w = np.exp(np.where(direct, 2j * math.pi, -2j * math.pi) * ks * om)
     d = np.where(direct, w - 1.0, 1.0 - w)
     nz = ks != 0
-    vanished = nz & (np.abs(d) < 1e-300)
+    vanished = nz & (np.abs(d) < RESONANCE_ULPS * _TWO_PI * np.abs(ks) * 2.0 ** -52)
     if vanished.any():
-        k = int(ks[np.argmax(vanished)])
-        raise ResonanceError(f"q^k - 1 vanished at k = {k}", {"k": k, "omega": om})
+        raise _resonance(int(np.min(np.abs(ks[vanished]))), om)
     table[nz] = np.where(direct, 1.0, w)[nz] / d[nz]
     return table
 

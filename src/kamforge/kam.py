@@ -18,10 +18,11 @@ what makes the scheme well-posed without eliminating a parameter.
 
 Numerics: a fixed spectral cutoff with monitored aliasing tails replaces
 the proof's shrinking-strip schedule.  Smallness hypotheses are replaced by
-runtime checks: the grid-min of |A A+| against ``fourier.AMIN_FLOOR``,
-sup|u'| < 1 and sup|w| < 1 in each step, and a ``DIVERGENCE_FACTOR`` (10x)
-residual-growth safeguard with small-divisor diagnostics.  Each iterate is truncated to the cutoff and coefficients below
-``fourier.CLAMP_REL`` times the largest are dropped.
+runtime checks: the grid-min of |A A+| against ``fourier.AMIN_FLOOR`` and
+|<alpha>| (refusing an A = 1 + u' that is not invertible), sup|w| < 1 in
+each step, and a ``DIVERGENCE_FACTOR`` (10x) residual-growth safeguard with
+small-divisor diagnostics.  Each iterate is truncated to the cutoff and
+coefficients below ``fourier.CLAMP_REL`` times the largest are dropped.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .fourier import (
     compose_id_plus,
     derivative,
     evaluate,
+    finite_scalar,
     grid_values,
     invert_pointwise,
     mean,
@@ -215,19 +217,12 @@ def newton_step(u: FourierSeries, comp: FourierSeries, f: FourierSeries,
 
     ``comp`` is the composition f(id + u), which the caller has already
     formed for its residual check; the step forms E(u) = eps comp - delta u
-    from it and returns u + A w untruncated.  Raises ``DivergenceError``
-    when sup|u'| >= 1 (id + u stops being invertible) or when the
-    correction w reaches sup 1 (a small divisor has taken over; the
-    diagnostics carry the largest one).  ``history``, the residuals so
-    far, goes into the diagnostics.
+    from it and returns u + A w untruncated.  ``linearized_solve`` refuses
+    only an A that is not invertible (``NearSingularError``), whatever
+    sup|u'| is.  Raises ``DivergenceError`` when w reaches sup 1 (a small
+    divisor has taken over; the diagnostics carry it and ``history``).
     """
-    du = derivative(u)
-    if sup_norm(du) >= 1.0:
-        raise DivergenceError(
-            "grid-sup of u' reached 1; leaving the perturbative regime",
-            {"residual_history": history},
-        )
-    A = FourierSeries.constant(1.0) + du
+    A = FourierSeries.constant(1.0) + derivative(u)
     E = eps * comp - apply(DELTA, u, freq)
     w = linearized_solve(A, E, freq)
     w_sup = sup_norm(w)
@@ -289,7 +284,7 @@ def solve_curve(f: FourierSeries, freq: Frequency, eps,
     u(theta - u0) - u0, which maps solutions to solutions.
     """
     config = config or SolverConfig()
-    eps = complex(eps)
+    eps = finite_scalar(eps, "eps")
     diagnostics: dict = {}
     if dioph is not None:
         member = in_KM(freq, dioph)
@@ -353,7 +348,7 @@ def solve_curve(f: FourierSeries, freq: Frequency, eps,
         u = shifted - FourierSeries.constant(u0)
         c = u.coeffs.copy()
         c[u.N] = 0.0  # analytically exact zero; strip the ~1e-17 roundoff
-        u = FourierSeries(c)
+        u = FourierSeries._of(c)
     comp_n, crep_n = compose_id_plus(f, u)
     tails.append(crep_n.aliasing_tail)
     diagnostics["post_normalization_residual"] = _fixed_point_defect(
@@ -414,30 +409,3 @@ def mean_identity_residual(u: FourierSeries, f: FourierSeries,
     A = FourierSeries.constant(1.0) + derivative(u)
     return abs(mean(product(A, E)))
 
-
-def step_identity_residual(u: FourierSeries, h: FourierSeries,
-                           f: FourierSeries, freq: Frequency, eps) -> float:
-    """Defect of the step-residual law E(u+h) = (h/A) E(u)' + Q(u, h).
-
-    Q(u,h) = (int_0^1 eps f''(id+u+th) (1-t) dt) h^2, evaluated by
-    Gauss-Legendre quadrature with 16 nodes.  The defect is an
-    exact-zero identity up to composition aliasing.
-    """
-    eps = complex(eps)
-    E_u = error_functional(u, f, freq, eps)
-    E_uh = error_functional(u + h, f, freq, eps)
-    A = FourierSeries.constant(1.0) + derivative(u)
-    h_over_A = product(h, invert_pointwise(A))
-    first = product(h_over_A, derivative(E_u))
-    f2 = derivative(f, 2)
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    t = 0.5 * (nodes + 1.0)       # map to [0, 1]
-    wts = 0.5 * weights
-    acc = None
-    for ti, wi in zip(t, wts):
-        comp, _ = compose_id_plus(f2, u + float(ti) * h)
-        term = (wi * (1.0 - ti)) * comp
-        acc = term if acc is None else acc + term
-    Q = eps * product(acc, product(h, h))
-    defect = E_uh - first - Q
-    return sup_norm(defect)

@@ -244,8 +244,7 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
         orders_computed=len(gammas_engine),
         n_star=n_star,
         threshold=float(thr),
-        obstruction_witness=FourierSeries(
-            np.asarray(witness_arr, dtype=np.complex128)),
+        obstruction_witness=FourierSeries(witness_arr),
         witness_norm=float(np.max(np.abs(witness_arr))),
         gamma_engine=gammas_engine[idx],
         gamma_oracle=gammas_oracle[idx],

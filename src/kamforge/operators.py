@@ -97,7 +97,7 @@ def apply(kind: MultiplierKind, phi: FourierSeries, freq: Frequency) -> FourierS
             f"{kind.value} produced non-finite coefficients",
             {"kind": kind.value, "cutoff": phi.N},
         )
-    return FourierSeries(out)
+    return FourierSeries._of(out)
 
 
 def max_divisor_magnitude(freq: Frequency, N: int):
@@ -123,4 +123,4 @@ def e_n(phi: FourierSeries, n: int) -> FourierSeries:
             d = n // m
             out[m + N_out] = d * phi.coeff(m)
             out[-m + N_out] = d * phi.coeff(-m)
-    return FourierSeries(out)
+    return FourierSeries._of(out)

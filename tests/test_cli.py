@@ -66,8 +66,33 @@ def test_solve_failure_emits_machine_readable_error(tmp_path):
     assert (tmp_path / "bad.json").exists(), r.stderr
     d = json.loads((tmp_path / "bad.json").read_text())
     assert "error" in d
-    assert d["error"]["type"] in ("DivergenceError", "NoConvergenceError")
-    assert "message" in d["error"]
+    assert d["error"]["type"] == "ResonanceError"
+    assert "omega is 1/2" in d["error"]["message"]
+    assert json.loads(r.stdout) == d
+
+
+def test_unwritable_out_or_unreadable_f_exits_2_without_traceback(tmp_path):
+    missing = tmp_path / "missing"
+    for args, path in (
+            (["solve", "--omega", repr(GOLDEN), "--out", str(missing / "s.json")],
+             missing / "s.json"),
+            (["geometry", "--M", "6", "--mmax", "50",
+              "--out", str(missing / "g.json")], missing / "g.json"),
+            (["solve", "--omega", repr(GOLDEN), "--f", str(tmp_path)], tmp_path)):
+        r = run_cli(args, tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("error: ") and str(path) in r.stderr
+        assert "Traceback" not in r.stderr
+
+
+def test_a_package_error_outside_solve_writes_the_error_json(tmp_path):
+    r = run_cli(["taylor0", "--eps", "1e300", "--orders", "5",
+                 "--out", "t.json"], tmp_path)
+    assert r.returncode == 1, r.stderr
+    assert "Traceback" not in r.stderr
+    d = json.loads((tmp_path / "t.json").read_text())
+    assert d["error"]["type"] == "OverflowRiskError"
+    assert d["error"]["diagnostics"] == {"order": 3}
 
 
 def test_exactly_one_frequency_form_is_enforced(tmp_path):
@@ -207,10 +232,8 @@ def test_sweep_failure_carries_the_solve_error_diagnostics(tmp_path):
                         out_path=str(out))
     assert summary["failed"] == 1
     err = json.loads(out.read_text())["error"]
-    assert err["type"] == "DivergenceError"
-    assert {"max_divisor", "max_divisor_k", "residual_history"} <= set(
-        err["diagnostics"])
-    assert len(err["diagnostics"]["residual_history"]) >= 2
+    assert err["type"] == "ResonanceError"
+    assert err["diagnostics"] == {"k": 2, "omega": [0.5, 0.0], "p": 1, "m": 2}
 
 
 def test_geometry_command(tmp_path):

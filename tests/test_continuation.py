@@ -10,7 +10,7 @@ from kamforge.continuation import (QTaylorData, conjugate_reflection_check,
                                    crosscheck, inverse_scattering,
                                    picard_solve, taylor0_eval,
                                    taylor0_recursion)
-from kamforge.errors import DivergenceError
+from kamforge.errors import DivergenceError, OverflowRiskError
 from kamforge.fourier import FourierSeries, mean, sup_norm
 from kamforge.frequency import from_omega, from_q
 from kamforge.kam import DIVERGENCE_FACTOR, SolverConfig, solve_curve
@@ -194,6 +194,31 @@ def test_crosscheck_skips_methods_off_their_domain():
     assert "note" in report["methods"]["picard"]
     assert report["methods"]["taylor0"]["status"] == "skipped"
     assert report["pairs"] == {}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_solver_entry_points_reject_a_non_finite_eps(bad):
+    f = FourierSeries.cos()
+    for call in (lambda: picard_solve(f, from_q(0.3), bad),
+                 lambda: taylor0_recursion(f, bad),
+                 lambda: crosscheck(f, from_q(0.3), bad)):
+        with pytest.raises(ValueError, match="eps must be finite"):
+            call()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.1, math.nan)])
+def test_taylor_eval_rejects_a_non_finite_q(bad):
+    data = taylor0_recursion(FourierSeries.cos(), 0.05, N_q=5)
+    with pytest.raises(ValueError, match="got q = "):
+        taylor0_eval(data, bad)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow
+def test_taylor_order_overflow_is_typed():
+    # with cos, u_2 is still linear in eps and u_3 ~ eps^2: eps 1e300
+    # overflows at order 3
+    with pytest.raises(OverflowRiskError, match="Taylor order 3 overflowed"):
+        taylor0_recursion(FourierSeries.cos(), 1e300, N_q=5)
 
 
 def test_conjugate_reflection_pairing():

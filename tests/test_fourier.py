@@ -20,14 +20,13 @@ from kamforge.fourier import (
     grid_values,
     invert_pointwise,
     mean,
-    pad_to,
     product,
     strip_norm_bound,
     sup_norm,
     truncate,
 )
 from kamforge.frequency import from_omega
-from kamforge.operators import SHIFT_PLUS, multiplier_table
+from kamforge.operators import SHIFT_PLUS, apply, multiplier_table
 
 TWO_PI = 2.0 * np.pi
 
@@ -194,7 +193,7 @@ def test_derivative_law():
 def test_pad_truncate_roundtrip():
     rng = np.random.default_rng(12)
     s = random_series(rng, 5)
-    padded = pad_to(s, 12)
+    padded = FourierSeries(np.pad(s.coeffs, (7, 7)))
     assert padded.N == 12
     back, tail = truncate(padded, 5)
     assert tail == 0.0
@@ -252,6 +251,53 @@ def test_compose_general_matches_pointwise():
     # the reported tail is the largest coefficient the truncation dropped
     dropped = float(np.max(np.abs(ref[K + 1:G - K])))
     assert abs(rep.aliasing_tail - dropped) < 1e-14
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("na,nb", [(3, 3), (1, 6), (7, 2), (0, 4)])
+def test_sum_and_difference_match_the_zero_padded_reference(na, nb, sign):
+    # the reference pads both operands with np.pad, as the aligned sum was
+    # once formed; -0.0 parts must come through bit for bit (at mode 0 both
+    # carry one, and -0.0 + -0.0 stays -0.0 only if neither became +0.0)
+    rng = np.random.default_rng(100 * na + nb)
+    ca = random_series(rng, na).coeffs.copy()
+    cb = random_series(rng, nb).coeffs.copy()
+    ca[0] = cb[-1] = complex(-0.0, 0.25)
+    ca[na] = cb[nb] = complex(-0.0, -0.0)
+    a, b = FourierSeries(ca), FourierSeries(cb)
+    N = max(na, nb)
+    want = (np.pad(ca, (N - na, N - na))
+            + sign * np.pad(cb, (N - nb, N - nb)))
+    got = a + b if sign > 0 else a - b
+    assert got.N == N
+    assert got.coeffs.tobytes() == want.tobytes()
+
+
+def test_computed_series_are_read_only():
+    rng = np.random.default_rng(101)
+    a = random_series(rng, 4)
+    u = random_series(rng, 3, amp=0.01)
+    results = [
+        product(a, a),
+        apply(SHIFT_PLUS, a, from_omega(0.3 + 0.1j)),
+        compose_id_plus(a, u)[0],
+        compose_id_plus(a, FourierSeries.constant(0.1))[0],
+        truncate(a, 2)[0],
+        invert_pointwise(FourierSeries.constant(2.0) + 0.1 * a),
+        a + u, a - u, -a, derivative(a), clamp_small(a),
+    ]
+    for s in results:
+        assert not s.coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            s.coeffs[0] = 1.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_scalar_factor_must_be_finite(bad):
+    with pytest.raises(ValueError, match="scalar factor must be finite"):
+        FourierSeries.cos() * bad
+    with pytest.raises(ValueError, match="scalar factor must be finite"):
+        bad * FourierSeries.cos()
 
 
 def jet_orders(f, us, dtype):
@@ -318,7 +364,9 @@ def test_invert_pointwise_near_singular():
 def test_invert_pointwise_beyond_hard_cap_is_typed():
     # an inverse that needs more than HARD_CAP modes is a near-singular
     # operand, not a bare ValueError from the series constructor
-    A = pad_to(FourierSeries.constant(1.0) - 0.99999 * FourierSeries.cos(), 1100)
+    A = FourierSeries(np.pad(
+        (FourierSeries.constant(1.0) - 0.99999 * FourierSeries.cos()).coeffs,
+        (1099, 1099)))
     with pytest.raises(NearSingularError) as info:
         invert_pointwise(A)
     assert info.value.diagnostics["cutoff"] > HARD_CAP

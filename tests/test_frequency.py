@@ -132,9 +132,9 @@ def vanishes(freq, k):
 def test_lambda_table_matches_scalar_reference(re, im, N):
     freq = from_omega(complex(re, im))
     if any(vanishes(freq, k) for k in range(-N, N + 1) if k):
-        # the table names the first vanishing divisor in the order -N..N
-        first = next(k for k in range(-N, N + 1) if k and vanishes(freq, k))
-        with pytest.raises(ResonanceError, match=f"at k = {first}$"):
+        # the table names the smallest vanishing |k|
+        first = min(k for k in range(1, N + 1) if vanishes(freq, k))
+        with pytest.raises(ResonanceError, match=f"at k = {first}:"):
             lambda_table(freq, N)
         return
     ref = scalar_lambda_row(freq, N)
@@ -143,6 +143,30 @@ def test_lambda_table_matches_scalar_reference(re, im, N):
     assert table[N] == 0.0
     if freq.is_pole:
         assert table.tobytes() == ref.tobytes()
+    assert np.all(np.abs(table - ref) <= 4e-16 * np.abs(ref))
+
+
+@pytest.mark.parametrize("omega,p,m", [(0.5, 1, 2), (1 / 3, 1, 3), (0.4, 2, 5),
+                                       (0.25, 1, 4)])
+def test_exact_rationals_are_resonant(omega, p, m):
+    # q^m - 1 is round-off there (|lambda| read 4e15-4e17 under a 1e-300 test)
+    freq = from_omega(omega)
+    with pytest.raises(ResonanceError, match=f"at k = {m}: omega is {p}/{m} ") as e:
+        lambda_table(freq, 200)
+    assert (e.value.diagnostics["k"], e.value.diagnostics["p"],
+            e.value.diagnostics["m"]) == (m, p, m)
+    for k in (m, -m, 7 * m):
+        with pytest.raises(ResonanceError, match=f"omega is {p}/{m} "):
+            lambda_k(freq, k)
+    lambda_k(freq, m + 1)  # a k that m does not divide is an ordinary divisor
+
+
+@pytest.mark.parametrize("omega", [0.5 + 1e-9, 0.5 - 1e-9, GOLDEN,
+                                   math.sqrt(2.0) - 1.0, 0.5 + 1e-3j])
+def test_near_rationals_keep_their_divisors(omega):
+    freq = from_omega(omega)
+    table = lambda_table(freq, 4096)
+    ref = scalar_lambda_row(freq, 4096)
     assert np.all(np.abs(table - ref) <= 4e-16 * np.abs(ref))
 
 
@@ -294,6 +318,8 @@ def test_small_divisor_bound_certificate():
     assert rep["max_ratio"] <= 1.0
     assert abs(rep["k_at_max"]) <= 100
     with pytest.raises(BoundViolationError):
+        check_small_divisor_bound(from_omega(0.5 + 1e-9), cls6(), k_max=10)
+    with pytest.raises(ResonanceError):
         check_small_divisor_bound(from_omega(0.5), cls6(), k_max=10)
 
 
