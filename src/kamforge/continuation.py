@@ -175,18 +175,21 @@ def taylor0_recursion(f: FourierSeries, eps, N_q: int = 40) -> QTaylorData:
     next(jet)                     # order 0 is f itself
     comp = [f]                    # [f(id+u)]_s for s < n
     orders: list = []
-    for n in range(1, N_q + 1):
-        if n > 1:
-            comp.append(FourierSeries._of(jet.send(orders[-1].coeffs)))
-        pieces = [e_n(f, n).coeffs]
-        pieces += [e_n(comp[n - n0], n0).coeffs for n0 in range(1, n)]
-        total = np.zeros(max(p.size for p in pieces), dtype=np.complex128)
-        for p in pieces:
-            _add_centered(total, p)
-        total *= eps
-        if not np.isfinite(total).all():
-            raise OverflowRiskError(f"Taylor order {n} overflowed", {"order": n})
-        orders.append(FourierSeries._of(total))
+    # an overflowing order surfaces as the typed error below, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, N_q + 1):
+            if n > 1:
+                comp.append(FourierSeries._of(jet.send(orders[-1].coeffs)))
+            pieces = [e_n(f, n).coeffs]
+            pieces += [e_n(comp[n - n0], n0).coeffs for n0 in range(1, n)]
+            total = np.zeros(max(p.size for p in pieces), dtype=np.complex128)
+            for p in pieces:
+                _add_centered(total, p)
+            total *= eps
+            if not np.isfinite(total).all():
+                raise OverflowRiskError(f"Taylor order {n} overflowed",
+                                        {"order": n})
+            orders.append(FourierSeries._of(total))
     return QTaylorData(orders, eps, f)
 
 

@@ -185,9 +185,17 @@ def check_exp_dist_bound(z) -> bool:
 # Diophantine classes
 
 
+def _finite_x(x) -> float:
+    """*x* as a float, or ValueError naming x if it is NaN or infinite."""
+    xf = float(x)
+    if not math.isfinite(xf):
+        raise ValueError(f"x must be finite, got {xf}")
+    return xf
+
+
 def _fold(x: float) -> float:
     """Reduce mod 1 and fold to [0, 1/2]; both maps are exact in binary."""
-    y = float(x) % 1.0
+    y = x % 1.0
     if y > 0.5:
         y = 1.0 - y
     return y
@@ -245,31 +253,32 @@ def dioph_real_margin(x: float, cls: DiophantineClass):
     representative of x in [0, 1/2].  Membership in the truncated real set
     is margin >= 1.  The minimum over all m is attained at a continued-
     fraction convergent denominator (best-approximation property), so only
-    convergents are scanned, in exact integer arithmetic.
+    convergents are scanned, in exact integer arithmetic without
+    ``Fraction``: on the pair y = num/den of ``y.as_integer_ratio()`` each
+    distance |q y - p| is |q num - p den| / den, one correctly rounded
+    int/int division.  Raises ``ValueError`` for NaN or infinite x.
     """
-    y = _fold(x)
-    fr = Fraction(y)
+    y = _fold(_finite_x(x))
+    y_num, y_den = y.as_integer_ratio()
     margin = math.inf
     worst = (0, 1)
-    num, den = fr.numerator, fr.denominator
+    num, den = y_num, y_den
     p_prev, q_prev, p_cur, q_cur = 0, 1, 1, 0  # convergents p/q, seeded before a0
-    a = num // den
-    rem = num - a * den
+    a, rem = divmod(num, den)
     while True:
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
         if q_cur > cls.m_max:
             break
-        dist = abs(q_cur * fr - p_cur)  # exact rational arithmetic
-        val = float(dist) * cls.M * float(q_cur) ** (1.0 + cls.tau)
+        dist = abs(q_cur * y_num - p_cur * y_den) / y_den
+        val = dist * cls.M * float(q_cur) ** (1.0 + cls.tau)
         if val < margin:
             margin = val
             worst = (p_cur, q_cur)
         if rem == 0:
             break
         num, den = den, rem
-        a = num // den
-        rem = num - a * den
+        a, rem = divmod(num, den)
     return margin, worst
 
 
@@ -352,34 +361,37 @@ def _merged_gap_union(M: float, tau: float, m_max: int):
 def dist_to_AMR(x: float, cls: DiophantineClass) -> float:
     """Distance (on the circle) from Re-coordinate x to the truncated real set.
 
-    Zero iff x lies outside every truncated gap.
+    Zero iff x lies outside every truncated gap.  One binary search in the
+    cached gap union, then scalar float arithmetic (``_gap_dist``, which
+    ``export_set_geometry`` shares).  Raises ``ValueError`` for NaN or
+    infinite x.
     """
-    return float(_dist_many(np.array([float(x)]), cls)[0])
-
-
-def _dist_many(xs: np.ndarray, cls: DiophantineClass) -> np.ndarray:
     starts, ends, _ = cls._gaps()
-    y = np.asarray(xs, dtype=np.float64) % 1.0
-    i = np.searchsorted(starts, y, side="right") - 1
-    inside = (i >= 0) & (y < ends[np.clip(i, 0, ends.size - 1)])
-    out = np.zeros_like(y)
-    if not np.any(inside):
-        return out
-    yi = y[inside]
-    ii = i[inside]
-    left = yi - starts[ii]
-    right = ends[ii] - yi
-    # components containing 0 and 1 are one circular gap; use the partner edge
-    first, last = 0, starts.size - 1
-    left = np.where(ii == first, yi - (starts[last] - 1.0), left)
-    right = np.where(ii == last, (ends[first] + 1.0) - yi, right)
-    out[inside] = np.minimum(left, right)
-    return out
+    return _gap_dist(_finite_x(x) % 1.0, starts, ends)
+
+
+def _gap_dist(y: float, starts: np.ndarray, ends: np.ndarray) -> float:
+    """Distance from y in [0, 1] to the complement of the merged components.
+
+    One binary search finds the last component starting at or before y
+    (there is one: ``starts[0] < 0``); y is inside it iff y < its end.
+    The components holding 0 and 1 are one circular gap, so each measures
+    to its partner's far edge.
+    """
+    i = int(starts.searchsorted(y, side="right")) - 1
+    last = starts.size - 1
+    if y >= ends[i]:
+        return 0.0
+    left = y - (float(starts[last]) - 1.0) if i == 0 else y - float(starts[i])
+    right = (float(ends[0]) + 1.0) - y if i == last else float(ends[i]) - y
+    return min(left, right)
 
 
 def in_AMC(omega, cls: DiophantineClass) -> bool:
     """Membership of omega in the complex extension of the truncated set."""
     om = complex(omega)
+    if math.isnan(om.imag):
+        raise ValueError(f"omega must have no NaN part, got {om}")
     return dist_to_AMR(om.real, cls) <= abs(om.imag)
 
 
@@ -455,7 +467,7 @@ def export_set_geometry(cls: DiophantineClass, boundary_n: int = 512) -> SetGeom
     """
     starts, ends, measure = cls._gaps()
     xs = (np.arange(boundary_n) + 0.5) / boundary_n
-    d = _dist_many(xs, cls)
+    d = np.array([_gap_dist(x, starts, ends) for x in xs.tolist()])
     upper = xs + 1j * d
     lower = xs[::-1] - 1j * d[::-1]
     return SetGeometry(

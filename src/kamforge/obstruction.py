@@ -22,13 +22,14 @@ check.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import jsonio
-from .errors import KamforgeError
+from .errors import KamforgeError, OverflowRiskError
 from .fourier import FourierSeries, composition_jet
 from .frequency import from_q
 
@@ -172,7 +173,9 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
     mode is -K are reduced to the +K case by the reflection theta -> -theta
     (the divisor spectrum is even in p, so the same tables apply); the
     report's ``reflected`` flag records this.  ``exactness="extended"``
-    runs the identical arithmetic in long-double precision.
+    runs the identical arithmetic in long-double precision.  Raises
+    ``OverflowRiskError`` naming the order when g_n, or the oracle's
+    gamma_n, stops being finite.
 
     Preconditions: f zero-mean and not identically zero.
     """
@@ -206,25 +209,30 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
     n_star = None
     witness_arr = np.zeros(1, dtype=dtype)
     thr = threshold if threshold is not None else 0.0
-    for n in range(1, max_order + 1):
-        if n > 1:
-            g = jet.send(u)       # g_n = [f(id+u)]_{n-1}
-        Ng = (len(g) - 1) // 2
-        gammas_engine.append(complex(g[Ng + n * K]) if n * K <= Ng else 0.0j)
-        scale = max(scale, float(np.max(np.abs(g))))
-        if threshold is None:
-            thr = 1e-10 * scale
-        ks = np.arange(-Ng, Ng + 1)
-        resonant = np.mod(ks, rf.m) == 0
-        witness_arr = np.where(resonant, g, dtype(0))
-        wnorm = float(np.max(np.abs(witness_arr)))
-        if wnorm > thr:
-            n_star = n
-            break
-        u = g * lam[np.mod(ks, rf.m)]
+    # an overflowing order surfaces as the typed error below, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, max_order + 1):
+            if n > 1:
+                g = jet.send(u)       # g_n = [f(id+u)]_{n-1}
+            if not np.isfinite(g).all():
+                raise OverflowRiskError(f"obstruction order {n} overflowed",
+                                        {"order": n})
+            Ng = (len(g) - 1) // 2
+            gammas_engine.append(complex(g[Ng + n * K]) if n * K <= Ng else 0.0j)
+            scale = max(scale, float(np.max(np.abs(g))))
+            if threshold is None:
+                thr = 1e-10 * scale
+            ks = np.arange(-Ng, Ng + 1)
+            resonant = np.mod(ks, rf.m) == 0
+            witness_arr = np.where(resonant, g, dtype(0))
+            wnorm = float(np.max(np.abs(witness_arr)))
+            if wnorm > thr:
+                n_star = n
+                break
+            u = g * lam[np.mod(ks, rf.m)]
 
-    betas, gammas_oracle, _ = beta_gamma_oracle(
-        K, rf, len(gammas_engine), A, extended=(exactness == "extended"))
+        betas, gammas_oracle, _ = beta_gamma_oracle(
+            K, rf, len(gammas_engine), A, extended=(exactness == "extended"))
     ref = max((abs(g) for g in gammas_oracle), default=0.0)
     if ref > 0.0:
         relative_gap = max(
@@ -272,7 +280,8 @@ def beta_gamma_oracle(K: int, rf: RationalFreq, up_to: int,
     ``(betas, gammas, A)``.  With ``extended=True`` the recursion and the
     gamma products run in long double on the long-double tables, matching
     the engine's ``exactness="extended"``; the returned values are rounded
-    to Python floats and complexes either way.
+    to Python floats and complexes either way.  Raises ``OverflowRiskError``
+    naming the first order whose gamma is not finite.
     """
     up_to = int(up_to)
     if up_to < 1:
@@ -301,8 +310,15 @@ def beta_gamma_oracle(K: int, rf: RationalFreq, up_to: int,
         b[n] = -lam[(n * K) % rf.m] * total
     base = cplx(-2j) * pi * K
     a = cplx(A)
-    gammas = [complex((base ** (n - 1)) * (a ** n) * beta[n - 1])
-              for n in range(1, up_to + 1)]
+    gammas = []
+    for n in range(1, up_to + 1):
+        try:
+            g = complex((base ** (n - 1)) * (a ** n) * beta[n - 1])
+        except OverflowError:  # Python's complex power raises, numpy's gives inf
+            g = complex(math.inf)
+        if not cmath.isfinite(g):
+            raise OverflowRiskError(f"oracle order {n} overflowed", {"order": n})
+        gammas.append(g)
     return [float(x) for x in beta], gammas, complex(A)
 
 

@@ -38,6 +38,7 @@ from .frequency import (
     DiophantineClass,
     check_exp_dist_bound,
     dioph_real_margin,
+    dist_to_AMR,
     from_omega,
     from_q,
     lambda_k,
@@ -229,14 +230,13 @@ def check_divisor_bounds():
     n_samples = 10_000
     cls = DiophantineClass(6.0, 0.5, 2000)
     rng = np.random.default_rng(55101)
-    from .frequency import _dist_many
 
     accepted = []
     while len(accepted) < n_samples:
         xs = rng.random(4 * n_samples)
         ys = rng.uniform(-0.35, 0.35, 4 * n_samples)
         ys[: n_samples // 10] = 0.0  # force a real-axis contingent
-        d = _dist_many(xs, cls)
+        d = np.array([dist_to_AMR(x, cls) for x in xs.tolist()])
         good = d <= np.abs(ys)
         accepted.extend(zip(xs[good], ys[good]))
     accepted = accepted[:n_samples]

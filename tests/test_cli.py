@@ -90,9 +90,22 @@ def test_a_package_error_outside_solve_writes_the_error_json(tmp_path):
                  "--out", "t.json"], tmp_path)
     assert r.returncode == 1, r.stderr
     assert "Traceback" not in r.stderr
+    assert "RuntimeWarning" not in r.stderr
     d = json.loads((tmp_path / "t.json").read_text())
     assert d["error"]["type"] == "OverflowRiskError"
     assert d["error"]["diagnostics"] == {"order": 3}
+
+
+def test_obstruction_overflow_exits_1_with_the_error_json(tmp_path):
+    (tmp_path / "big.json").write_text("[1e200, 0, 1e200]")
+    r = run_cli(["obstruction", "--p", "1", "--m", "7", "--f", "big.json"],
+                tmp_path)
+    assert r.returncode == 1, r.stderr
+    assert "Traceback" not in r.stderr
+    assert "RuntimeWarning" not in r.stderr
+    d = json.loads(r.stdout)
+    assert d["error"]["type"] == "OverflowRiskError"
+    assert d["error"]["diagnostics"] == {"order": 2}
 
 
 def test_exactly_one_frequency_form_is_enforced(tmp_path):

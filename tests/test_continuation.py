@@ -213,7 +213,7 @@ def test_taylor_eval_rejects_a_non_finite_q(bad):
         taylor0_eval(data, bad)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the typed error alone
 def test_taylor_order_overflow_is_typed():
     # with cos, u_2 is still linear in eps and u_3 ~ eps^2: eps 1e300
     # overflows at order 3

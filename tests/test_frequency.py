@@ -2,7 +2,9 @@
 
 import cmath
 import dataclasses
+import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta
 
+from kamforge import jsonio
 from kamforge.errors import BoundViolationError, ResonanceError
 from kamforge.frequency import (
     DiophantineClass,
@@ -366,6 +369,115 @@ def test_set_geometry_export():
     # boundary samples sit exactly on |Im| = dist(Re, set)
     for re, im in d["boundary_samples"][:10]:
         assert abs(abs(im) - dist_to_AMR(re, c)) < 1e-14
+
+
+def test_set_geometry_json_is_pinned():
+    # sha256 of the JSON from the vector gap-distance route the scalar one replaced
+    geo = export_set_geometry(DiophantineClass(6, 0.5, 300))
+    digest = hashlib.sha256(jsonio.dumps(geo.to_json_dict()).encode()).hexdigest()
+    assert digest == "f6b63e74b3d1152a46edd47ff4d72c8746b019db3080b7588be109c14a85b0e3"
+
+
+# -- membership queries against their exact references -----------------------
+
+
+def margin_fraction(x, cls):
+    """The convergent scan on ``Fraction`` arithmetic: the margin's reference."""
+    y = float(x) % 1.0
+    if y > 0.5:
+        y = 1.0 - y
+    fr = Fraction(y)
+    margin, worst = math.inf, (0, 1)
+    num, den = fr.numerator, fr.denominator
+    p_prev, q_prev, p_cur, q_cur = 0, 1, 1, 0
+    a, rem = divmod(num, den)
+    while True:
+        p_prev, p_cur = p_cur, a * p_cur + p_prev
+        q_prev, q_cur = q_cur, a * q_cur + q_prev
+        if q_cur > cls.m_max:
+            break
+        val = float(abs(q_cur * fr - p_cur)) * cls.M * float(q_cur) ** (1.0 + cls.tau)
+        if val < margin:
+            margin, worst = val, (p_cur, q_cur)
+        if rem == 0:
+            break
+        num, den = den, rem
+        a, rem = divmod(num, den)
+    return margin, worst
+
+
+def dist_many(xs, cls):
+    """Gap distances of many points at once: the scalar distance's reference."""
+    starts, ends, _ = cls._gaps()
+    y = np.asarray(xs, dtype=np.float64) % 1.0
+    i = np.searchsorted(starts, y, side="right") - 1
+    inside = (i >= 0) & (y < ends[np.clip(i, 0, ends.size - 1)])
+    out = np.zeros_like(y)
+    yi, ii = y[inside], i[inside]
+    first, last = 0, starts.size - 1
+    left = np.where(ii == first, yi - (starts[last] - 1.0), yi - starts[ii])
+    right = np.where(ii == last, (ends[first] + 1.0) - yi, ends[ii] - yi)
+    out[inside] = np.minimum(left, right)
+    return out
+
+
+CLS2000 = cls6(2000)  # its gap union is built on first use
+
+
+def assert_membership_matches_references(xs, ys):
+    cls = CLS2000
+    want_dist = dist_many(xs, cls)
+    for x, y, want in zip(xs, ys, want_dist.tolist()):
+        margin, worst = dioph_real_margin(x, cls)
+        want_margin, want_worst = margin_fraction(x, cls)
+        assert (margin.hex(), worst) == (want_margin.hex(), want_worst), x
+        assert dist_to_AMR(x, cls).hex() == want.hex(), x
+        assert in_AMC(complex(x, y), cls) == (want <= abs(y)), x
+
+
+def edge_points():
+    starts, ends, _ = CLS2000._gaps()
+    picks = np.random.default_rng(3).integers(1, starts.size - 1, 40)
+    return [0.0, -0.0, 0.5, 1.0 / 3.0, GOLDEN, 1.0 - 2.0 ** -53, 5e-324,
+            -5e-324, 1.0, -1e-20, 2.5, -7.75,
+            # the wrap components: [starts[0], ends[0]] holds 0 and
+            # [starts[-1], ends[-1]] holds 1
+            0.01, -0.01, 0.99, 1.01, float(ends[0]), float(starts[-1]),
+            float(starts[0]) + 1.0, float(ends[-1]) - 1.0,
+            *starts[picks].tolist(), *ends[picks].tolist()]
+
+
+def test_membership_bit_for_bit_against_references():
+    rng = np.random.default_rng(20260)
+    xs = [*edge_points(), *rng.random(20_000).tolist()]
+    ys = rng.uniform(-0.05, 0.05, len(xs)).tolist()
+    assert_membership_matches_references(xs, ys)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(x=st.floats(allow_nan=False, allow_infinity=False),
+       y=st.floats(-0.1, 0.1))
+@example(x=5e-324, y=0.0)
+@example(x=1.0 - 2.0 ** -53, y=1e-9)
+def test_membership_matches_references(x, y):
+    assert_membership_matches_references([x], [y])
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_non_finite_x_is_refused(x):
+    c = cls6(50)
+    with pytest.raises(ValueError, match="^x must be finite"):
+        dist_to_AMR(x, c)
+    with pytest.raises(ValueError, match="^x must be finite"):
+        in_AMC(complex(x, 0.01), c)
+    with pytest.raises(ValueError, match="^x must be finite"):
+        dioph_real_margin(x, c)
+
+
+def test_nan_imaginary_part_is_refused():
+    # 0.25 is outside every gap: a NaN height used to read as "not a member"
+    with pytest.raises(ValueError, match="^omega must have no NaN part"):
+        in_AMC(complex(0.25, math.nan), cls6(50))
 
 
 # -- sampled families ---------------------------------------------------------

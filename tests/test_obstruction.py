@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from kamforge.errors import OverflowRiskError
 from kamforge.fourier import FourierSeries, sup_norm
 from kamforge.obstruction import (ObstructionReport, RationalFreq,
                                   beta_gamma_oracle, delta_star, e_star,
@@ -209,6 +210,23 @@ def test_extended_oracle_agrees_with_float_oracle():
     assert all(type(g) is complex for g in gext)
     assert all(abs(x - y) <= 1e-13 * abs(y) for x, y in zip(bext, b64))
     assert all(abs(x - y) <= 1e-13 * abs(y) for x, y in zip(gext, g64))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_order_overflow_is_typed_without_warnings():
+    # A = 1e200: g_2 carries A^2, past the largest double
+    f = FourierSeries(np.array([1e200, 0.0, 1e200], dtype=complex))
+    with pytest.raises(OverflowRiskError,
+                       match="obstruction order 2 overflowed") as info:
+        obstruction_order(f, RationalFreq(1, 7))
+    assert info.value.diagnostics == {"order": 2}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_oracle_overflow_is_typed():
+    # gamma_2 = -2 pi i A^2 beta_2 and A^2 overflows
+    with pytest.raises(OverflowRiskError, match="oracle order 2 overflowed"):
+        beta_gamma_oracle(1, RationalFreq(1, 7), 3, A=1e200)
 
 
 def test_report_json_dict():
