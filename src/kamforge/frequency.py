@@ -301,13 +301,42 @@ def _merged_gap_union(M: float, tau: float, m_max: int):
     The gaps are the open intervals (n/m - r_m, n/m + r_m) with
     r_m = 1/(M m^(2+tau)), for 1 <= m <= m_max and 0 <= n < m coprime to
     m, plus the duplicate integer gap at 1; the union covers one full
-    period, with the wrap-around component split at 0 and 1.
+    period, with the wrap-around component split at 0 and 1.  Every
+    endpoint is float64(n) / m -/+ r_m.
 
-    One sieve gives every m its distinct prime factors and phi(m), so the
-    endpoint arrays ``lo`` and ``hi`` are preallocated at exactly
-    2 + sum_{m>=2} phi(m) entries and filled per m: the numerators coprime
-    to m are 1..m-1 with the multiples of each prime p | m struck out, and
-    the endpoints are float64(n) / m -/+ r_m, written into their slices.
+    A gap that lies inside a *container*, a gap of denominator m' <= M0,
+    is never stored (at M = 6, tau = 1/2, m_max = 10^4 that is about half
+    of the 30.4M gaps).  Row m keeps the numerators first..m-first, where
+    n < first puts (n/m - r_m, n/m + r_m) inside the m = 1 gap (-r_1, r_1)
+    and n > m - first inside (1 - r_1, 1 + r_1); of those it strikes the
+    integer range of n with
+
+        |n/m - p/m'| <= r_m' - r_m - MARGIN
+
+    for each container p/m' with 2 <= m' <= M0 (one vectorized pass over
+    all rows gives every range).  A range is struck only if it holds at
+    least ``PAYOFF`` numerators: a shorter one costs the row loop more than
+    its gaps cost the sort.  Ranges may overlap; the mask does not care.
+
+    Why the output is bit-identical to the union of all gaps: an endpoint
+    float64(n)/m -/+ r_m is two roundings of numbers below 2 away from
+    n/m -/+ r_m, so within 2^-51 of it, and so is a container's endpoint;
+    the bounds first, ceil(m (p/m' - t)) and floor(m (p/m' + t)) with
+    t = r_m' - r_m - MARGIN, come from float values within m 2^-50 of the
+    exact ones.  MARGIN = 2^-30 exceeds that 2^-50 (and the 2 * 2^-51 the
+    endpoints may move toward each other) by a factor 2^19, so every
+    dropped gap lies inside its container *as floats*: its left end is >=
+    the container's and its right end <=.  A dropped gap with m <= M0 lies
+    inside an m = 1 gap, which is always kept, and inclusion is transitive.
+    Dropping an interval that lies inside a kept one changes neither the
+    union nor which intervals touch, so each component keeps its smallest
+    left end and its largest right end, bit for bit.
+
+    One sieve gives every m its distinct prime factors and phi(m).  The
+    centers n/m go into ``lo``, allocated at the upper bound
+    2 + sum phi(m) and shrunk to the kept count before ``hi`` exists, so
+    memory and page faults scale with the kept gaps; a second pass over
+    the rows writes the endpoints.
 
     Sorting ``lo`` and ``hi`` independently is legitimate for a union.  A
     component starts at lo[i] iff no interval is still open there,
@@ -317,45 +346,84 @@ def _merged_gap_union(M: float, tau: float, m_max: int):
     equality iff hi[i-1] < lo[i]; and #(lo <= hi[i]) >= #(hi <= hi[i])
     >= i + 1, with equality iff lo[i+1] > hi[i].  Hence breaks between
     components sit exactly where hi[i] < lo[i+1], which is the same event
-    sweep as counting open intervals, with no approximation.
+    sweep as counting open intervals, with no approximation.  The starts
+    and ends are compacted into ``lo`` and ``hi`` themselves.
 
     Returns ``(starts, ends, measure)`` with the measure already clipped to
     the circle.
     """
+    M0 = 6               # containers: the gaps with denominators m' <= M0
+    MARGIN = 2.0 ** -30  # slack of the containment test, far above rounding
+    PAYOFF = 16          # shortest numerator range worth a strike
     factors, phi = _prime_factor_sieve(m_max)
-    size = 2 + sum(phi[2:])
-    lo = np.empty(size, dtype=np.float64)
-    hi = np.empty(size, dtype=np.float64)
-    r = 1.0 / M                                 # m = 1: gaps at 0 and 1
-    lo[:2] = (0.0 - r, 1.0 - r)
-    hi[:2] = (0.0 + r, 1.0 + r)
+    # r[m] = r_m for m >= 1
+    r = [0.0] + [1.0 / (M * float(m) ** (2.0 + tau)) for m in range(1, m_max + 1)]
+
+    ms = np.arange(2, m_max + 1)
+    rs = np.array(r[2:])
+    first = 1 + np.maximum(np.floor(ms * (r[1] - rs - MARGIN)), 0).astype(np.int64)
+    lows, highs = [], []   # containers' numerator ranges, offsets from first
+    for mc in range(2, min(M0, m_max) + 1):
+        t = r[mc] - rs - MARGIN
+        for p in range(1, mc):
+            if math.gcd(p, mc) == 1:
+                lows.append(np.maximum(np.ceil(ms * (p / mc - t)), first))
+                highs.append(np.minimum(np.floor(ms * (p / mc + t)), ms - first) + 1)
+    lows = (np.array(lows) - first).astype(np.int64).T.tolist()
+    highs = (np.array(highs) - first).astype(np.int64).T.tolist()
+
+    lo = np.empty(2 + sum(phi[2:]), dtype=np.float64)
+    lo[:2] = (0.0, 1.0)                          # m = 1: gaps at 0 and 1
+    segments = [(0, 2, r[1])]
     nums = np.arange(m_max, dtype=np.float64)
     pos = 2
-    for m in range(2, m_max + 1):
-        r = 1.0 / (M * float(m) ** (2.0 + tau))
-        coprime = np.ones(m - 1, dtype=bool)   # numerators 1..m-1
+    for m, f, row_lows, row_highs in zip(range(2, m_max + 1), first.tolist(),
+                                         lows, highs):
+        keep = np.ones(m + 1 - 2 * f, dtype=bool)  # numerators f..m-f
         for p in factors[m]:
-            coprime[p - 1::p] = False
-        # no named views: one would keep lo alive past its del below
-        seg = slice(pos, pos + phi[m])
-        np.compress(coprime, nums[1:m], out=lo[seg])
-        np.divide(lo[seg], m, out=lo[seg])     # the centers n/m
-        np.add(lo[seg], r, out=hi[seg])
-        np.subtract(lo[seg], r, out=lo[seg])
-        pos += phi[m]
+            keep[-f % p::p] = False
+        for a, b in zip(row_lows, row_highs):
+            if b - a >= PAYOFF:
+                keep[a:b] = False
+        centers = nums[f:m - f + 1][keep]
+        # no named views of lo: its resize below needs none alive
+        np.divide(centers, m, out=lo[pos:pos + centers.size])
+        segments.append((pos, pos + centers.size, r[m]))
+        pos += centers.size
+    lo.resize(pos, refcheck=False)
+    hi = np.empty(pos, dtype=np.float64)
+    for a, b, rm in segments:
+        np.add(lo[a:b], rm, out=hi[a:b])
+        np.subtract(lo[a:b], rm, out=lo[a:b])
     lo.sort()
     hi.sort()
     # flags[1:-1] = brk; starts take flags[:-1], ends take flags[1:]
-    flags = np.ones(size + 1, dtype=bool)
+    flags = np.ones(pos + 1, dtype=bool)
     np.less(hi[:-1], lo[1:], out=flags[1:-1])
-    starts = lo[flags[:-1]]
-    del lo
-    ends = hi[flags[1:]]
-    del hi, flags
+    starts = _compress_in_place(lo, flags[:-1])
+    ends = _compress_in_place(hi, flags[1:])
+    del flags
     if starts.size < 2 or starts[0] >= 0 or ends[-1] <= 1:
         raise AssertionError("gap union lost its wrap components (bug)")
     measure = float(np.sum(ends - starts) + starts[0] - ends[-1] + 1.0)
     return starts, ends, measure
+
+
+def _compress_in_place(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``a[keep]`` written over the front of *a*, which is then shrunk.
+
+    A forward copy chunk by chunk never overwrites an unread element (the
+    write position trails the read position), and only one chunk is ever
+    copied out.  *a* must own its data and have no views alive.
+    """
+    CHUNK = 1 << 17
+    n = 0
+    for i in range(0, a.size, CHUNK):
+        kept = a[i:i + CHUNK][keep[i:i + CHUNK]]
+        a[n:n + kept.size] = kept
+        n += kept.size
+    a.resize(n, refcheck=False)
+    return a
 
 
 def dist_to_AMR(x: float, cls: DiophantineClass) -> float:

@@ -280,8 +280,10 @@ def solve_curve(f: FourierSeries, freq: Frequency, eps,
     when the budget runs out — this is the expected failure mode near
     resonances, where no analytic curve exists — and ``DivergenceError``
     when a step blows up, with the largest small divisor in the
-    diagnostics.  The converged u is shifted to exact zero mean by
-    u(theta - u0) - u0, which maps solutions to solutions.
+    diagnostics.  A cold start (no ``config.seed``) takes at least one
+    Newton step before the defect may accept.  The converged u is shifted
+    to exact zero mean by u(theta - u0) - u0, which maps solutions to
+    solutions.
     """
     config = config or SolverConfig()
     eps = finite_scalar(eps, "eps")
@@ -305,7 +307,8 @@ def solve_curve(f: FourierSeries, freq: Frequency, eps,
             stacklevel=2,
         )
 
-    u = config.seed if config.seed is not None else FourierSeries.zero(0)
+    cold = config.seed is None
+    u = FourierSeries.zero(0) if cold else config.seed
     history: list[float] = []
     tails: list[float] = []
     converged = False
@@ -315,7 +318,9 @@ def solve_curve(f: FourierSeries, freq: Frequency, eps,
         eqcomp = apply(E_Q, comp, freq)
         r = _fixed_point_defect(u, eqcomp, eps)
         history.append(r)
-        if r <= config.tol:
+        # the zero seed's defect eps |E_q f| is O(eps |q|) off the circle,
+        # below tol far out, while v = (1 - q^{-k}) u needs the tiny modes
+        if r <= config.tol and (it > 0 or not cold):
             converged = True
             break
         if len(history) >= 2 and r > DIVERGENCE_FACTOR * history[-2]:

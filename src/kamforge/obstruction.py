@@ -275,7 +275,12 @@ def beta_gamma_oracle(K: int, rf: RationalFreq, up_to: int,
 
         beta_n = sum_{r=1}^{n-1} (1/r!) [x^{n-1}] (sum_j b_j x^j)^r,
 
-    so every beta_n > 0 as long as K is not resonant.  The gammas attach
+    so every beta_n > 0 as long as K is not resonant.  Since b_0 = 0 the
+    sum over r is [x^{n-1}] (exp(B) - 1) with B = sum_j b_j x^j, so
+    beta_n = E_{n-1} for the series E = exp(B), whose coefficients follow
+    from E' = B' E: E_0 = 1 and i E_i = sum_{j=1}^{i} j b_j E_{i-j}.  That
+    is one dot product per order, with no cancellation (b_j >= 0), in place
+    of the O(n^2) convolutions the powers B^r take.  The gammas attach
     the forcing data: gamma_n = (-2 pi i K)^(n-1) A^n beta_n.  Returns
     ``(betas, gammas, A)``.  With ``extended=True`` the recursion and the
     gamma products run in long double on the long-double tables, matching
@@ -288,26 +293,17 @@ def beta_gamma_oracle(K: int, rf: RationalFreq, up_to: int,
         raise ValueError("need at least one order")
     _, lam = rf.tables(extended=extended)
     if extended:
-        real, cplx = np.longdouble, np.clongdouble
+        cplx = np.clongdouble
         pi = np.arccos(np.longdouble(-1.0))
     else:
-        real, cplx = float, complex
+        cplx = complex
         pi = math.pi
-    beta = [real(1.0)]
-    b = np.zeros(up_to + 1, dtype=lam.dtype)
-    b[1] = -lam[(1 * K) % rf.m] * beta[0]
-    for n in range(2, up_to + 1):
-        B = b[:n]
-        P = B.copy()
-        total = real(0.0)
-        fact = real(1.0)
-        for r in range(1, n):
-            total += P[n - 1] / fact
-            fact *= r + 1
-            if r < n - 1:
-                P = np.convolve(P, B)[:n]
-        beta.append(total)
-        b[n] = -lam[(n * K) % rf.m] * total
+    beta = np.zeros(up_to, dtype=lam.dtype)     # beta[i] = beta_{i+1} = E_i
+    jb = np.zeros(up_to, dtype=lam.dtype)       # j b_j
+    beta[0] = 1.0
+    for i in range(1, up_to):
+        jb[i] = i * -lam[(i * K) % rf.m] * beta[i - 1]
+        beta[i] = np.dot(jb[1:i + 1], beta[i - 1::-1]) / i
     base = cplx(-2j) * pi * K
     a = cplx(A)
     gammas = []

@@ -22,13 +22,14 @@ cutoff, kind), built on a miss from one numpy pass over q^k or lambda_k.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import OverflowRiskError
-from .fourier import FourierSeries, mode_phases
+from .fourier import FourierSeries, check_exponent, mode_phases
 from .frequency import Frequency, lambda_table
 
 
@@ -55,8 +56,16 @@ E_Q = MultiplierKind.E_Q
 
 
 def _shift_table(freq: Frequency, N: int) -> np.ndarray:
-    """q^k for k = -N..N, or OverflowRiskError if any would overflow."""
+    """q^k for k = -N..N, or OverflowRiskError if any would overflow.
+
+    A finite omega reads as a pole once its chart coordinate underflows
+    (|Im omega| past about 119); there q^{+-1} already overflow, so the
+    exponent 2 pi |Im omega| is named against the cap.
+    """
     if freq.is_pole:
+        if math.isfinite(freq.omega.imag):
+            check_exponent(2.0 * math.pi * abs(freq.omega.imag), "shift",
+                           cutoff=N)
         raise OverflowRiskError(
             "shift multipliers are undefined at the chart poles q = 0, infinity"
         )

@@ -360,6 +360,33 @@ def test_non_finite_frequency_or_eps_exits_2(tmp_path, args, name):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("im", ["4", "-4", "60", "-60"])
+def test_solve_far_off_the_circle_steps_from_a_cold_start(tmp_path, im):
+    # the zero seed's defect is below tol there; accepting it printed
+    # converged=True iterations=0 with a dynamical residual of eps
+    r = run_cli(["solve", "--omega", "0.3", "--omega-im", im, "--eps", "0.01",
+                 "--out", "c.json"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    d = json.loads((tmp_path / "c.json").read_text())
+    assert d["report"]["iterations"] >= 1
+    assert d["dynamical_residual"] < 1e-10
+
+
+@pytest.mark.parametrize("im", ["115", "200", "-200"])
+def test_solve_past_the_exponent_cap_names_it(tmp_path, im):
+    r = run_cli(["solve", "--omega", "0.3", "--omega-im", im, "--eps", "0.01",
+                 "--out", "c.json"], tmp_path)
+    assert r.returncode == 1, r.stderr
+    err = json.loads(r.stdout)["error"]
+    assert err["type"] == "OverflowRiskError"
+    assert "shift exponent" in err["message"]
+    assert err["diagnostics"]["exponent"] == pytest.approx(
+        2.0 * math.pi * abs(float(im)))
+    assert err["diagnostics"]["cap"] == 700.0
+    assert "Traceback" not in r.stderr
+    assert json.loads((tmp_path / "c.json").read_text())["error"] == err
+
+
 def test_picard_budget_failure_keeps_its_history(monkeypatch):
     monkeypatch.setattr(continuation, "PICARD_MAX_ITERS", 2)
     with pytest.raises(NoConvergenceError) as info:

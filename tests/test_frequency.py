@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from kamforge import jsonio
 from kamforge.errors import BoundViolationError, ResonanceError
 from kamforge.frequency import (
     DiophantineClass,
+    _prime_factor_sieve,
     SampledFamily,
     c1hol_norm_estimate,
     check_exp_dist_bound,
@@ -282,9 +284,74 @@ def reference_gap_union(M, tau, m_max):
     return np.array(starts), np.array(ends)
 
 
+def unpruned_gap_union(M, tau, m_max):
+    """The union of every gap, none pruned: the build the pruned one replaced.
+
+    Endpoints float64(n)/m -/+ r_m of all 2 + sum phi(m) gaps, two sorts
+    and the adjacent-compare merge.
+    """
+    factors, phi = _prime_factor_sieve(m_max)
+    size = 2 + sum(phi[2:])
+    lo = np.empty(size, dtype=np.float64)
+    hi = np.empty(size, dtype=np.float64)
+    r = 1.0 / M
+    lo[:2] = (0.0 - r, 1.0 - r)
+    hi[:2] = (0.0 + r, 1.0 + r)
+    nums = np.arange(m_max, dtype=np.float64)
+    pos = 2
+    for m in range(2, m_max + 1):
+        r = 1.0 / (M * float(m) ** (2.0 + tau))
+        coprime = np.ones(m - 1, dtype=bool)
+        for p in factors[m]:
+            coprime[p - 1::p] = False
+        seg = slice(pos, pos + phi[m])
+        np.compress(coprime, nums[1:m], out=lo[seg])
+        np.divide(lo[seg], m, out=lo[seg])
+        np.add(lo[seg], r, out=hi[seg])
+        np.subtract(lo[seg], r, out=lo[seg])
+        pos += phi[m]
+    lo.sort()
+    hi.sort()
+    flags = np.ones(size + 1, dtype=bool)
+    np.less(hi[:-1], lo[1:], out=flags[1:-1])
+    starts = lo[flags[:-1]]
+    ends = hi[flags[1:]]
+    measure = float(np.sum(ends - starts) + starts[0] - ends[-1] + 1.0)
+    return starts, ends, measure
+
+
+@pytest.mark.parametrize("M, tau, m_max", [
+    (5.3, 0.5, 2000), (6.0, 0.5, 2000), (25.0, 0.1, 2000), (3.0, 2.0, 2000),
+    (60.0, 0.5, 2000),
+    (5.3, 0.5, 4000),   # every container 1/2 .. 5/6 strikes
+])
+def test_pruned_gap_union_is_bit_identical(M, tau, m_max):
+    # at m_max = 2000 the containers 1/2 and 1/3 strike (and 1/4 at M = 5.3
+    # and 6); at M = 60 only the m = 1 gaps prune
+    starts, ends, measure = DiophantineClass(M, tau, m_max)._gaps()
+    ref_starts, ref_ends, ref_measure = unpruned_gap_union(M, tau, m_max)
+    assert starts.tobytes() == ref_starts.tobytes()
+    assert ends.tobytes() == ref_ends.tobytes()
+    assert measure.hex() == ref_measure.hex()
+
+
+def test_gap_union_peak_memory():
+    # the unpruned build peaked at 25 MB: both endpoint arrays of all
+    # 1.2M gaps, then fresh copies of the starts and ends
+    cls = DiophantineClass(6.0, 0.5, 2000)
+    tracemalloc.start()
+    try:
+        cls._gaps()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 21e6
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(M=st.floats(5.3, 20.0), tau=st.floats(0.1, 2.0),
+@given(M=st.floats(5.3, 100.0), tau=st.floats(0.1, 2.0),
        m_max=st.integers(2, 80))
+@example(M=5.3, tau=0.5, m_max=400)     # the container 1/2 strikes too
 def test_gap_union_matches_reference(M, tau, m_max):
     assume(M > 2.0 * zeta(1.0 + tau))
     starts, ends, measure = DiophantineClass(M, tau, m_max)._gaps()

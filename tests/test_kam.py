@@ -193,6 +193,21 @@ def test_nonzero_mean_forcing_warns():
             pass
 
 
+@pytest.mark.parametrize("im", [4.0, -4.0, 60.0, -60.0])
+def test_cold_start_far_off_the_circle_takes_a_newton_step(im):
+    # at u = 0 the defect eps |E_q f| ~ eps |q| is below tol out there, but
+    # v = (1 - q^{-k}) u is O(eps): accepting the zero seed left a dynamical
+    # residual of eps = 1e-2
+    freq = from_omega(complex(0.3, im))
+    curve = solve_curve(FourierSeries.cos(), freq, 0.01)
+    assert curve.report.iterations >= 1
+    assert dynamical_residual(curve) < 1e-10
+    # a warm seed that already solves the equation is accepted as it is
+    warm = solve_curve(FourierSeries.cos(), freq, 0.01,
+                       SolverConfig(seed=curve.u))
+    assert warm.report.iterations == 0
+
+
 def test_warm_seed_converges_faster():
     f = FourierSeries.cos()
     freq = from_omega(GOLDEN)

@@ -79,6 +79,39 @@ def test_beta_gamma_hand_values():
     assert gammas2[1] == pytest.approx(-1j * math.pi / 8.0, abs=1e-14)
 
 
+def convolution_power_betas(K, rf, up_to, extended=False):
+    """beta_n = sum_{r=1}^{n-1} (1/r!) [x^{n-1}] B^r with B^r by convolution."""
+    _, lam = rf.tables(extended=extended)
+    real = np.longdouble if extended else float
+    beta = [real(1.0)]
+    b = np.zeros(up_to + 1, dtype=lam.dtype)
+    b[1] = -lam[K % rf.m]
+    for n in range(2, up_to + 1):
+        B = b[:n]
+        P = B.copy()
+        total = real(0.0)
+        fact = real(1.0)
+        for r in range(1, n):
+            total += P[n - 1] / fact
+            fact *= r + 1
+            if r < n - 1:
+                P = np.convolve(P, B)[:n]
+        beta.append(total)
+        b[n] = -lam[(n * K) % rf.m] * total
+    return [float(x) for x in beta]
+
+
+@pytest.mark.parametrize("K,p,m", [(1, 34, 89), (1, 13, 34), (2, 5, 21),
+                                   (3, 1, 7), (2, 1, 4)])
+@pytest.mark.parametrize("extended", [False, True])
+def test_oracle_matches_the_convolution_powers(K, p, m, extended):
+    rf = RationalFreq(p, m)
+    betas, _, _ = beta_gamma_oracle(K, rf, 60, extended=extended)
+    ref = convolution_power_betas(K, rf, 60, extended=extended)
+    assert all(b > 0 for b in betas)
+    assert all(abs(x - y) <= 4e-15 * y for x, y in zip(betas, ref))
+
+
 def test_cosine_obstructs_exactly_at_order_m():
     f = FourierSeries.cos()
     for p, m in ((1, 2), (1, 3), (2, 5), (1, 7)):

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from kamforge.fourier import FourierSeries, mean, sup_norm
+from kamforge.errors import OverflowRiskError
+from kamforge.fourier import EXP_CAP, FourierSeries, mean, sup_norm
 from kamforge.frequency import from_omega, from_q
 from kamforge.operators import (
     DELTA,
@@ -151,3 +152,21 @@ def test_apply_is_linear():
     out = apply(GAMMA, a + 2.0 * b, freq)
     expected = apply(GAMMA, a, freq) + 2.0 * apply(GAMMA, b, freq)
     assert sup_norm(out - expected) < 1e-13 * max(sup_norm(expected), 1.0)
+
+
+@pytest.mark.parametrize("im", [200.0, -200.0, 1e300])
+def test_shift_past_the_cap_names_the_exponent(im):
+    # the chart coordinate underflows to 0 there, yet omega is no pole:
+    # q^{+-1} overflow, and the error says so
+    freq = from_omega(complex(0.3, im))
+    assert freq.is_pole
+    with pytest.raises(OverflowRiskError, match="shift exponent .* exceeds cap") as e:
+        apply(SHIFT_PLUS, FourierSeries.cos(), freq)
+    assert e.value.diagnostics["exponent"] == 2.0 * math.pi * abs(im)
+    assert e.value.diagnostics["cap"] == EXP_CAP
+
+
+@pytest.mark.parametrize("im", [math.inf, -math.inf])
+def test_shift_at_the_poles_is_undefined(im):
+    with pytest.raises(OverflowRiskError, match="chart poles"):
+        apply(SHIFT_PLUS, FourierSeries.cos(), from_omega(complex(0.3, im)))
