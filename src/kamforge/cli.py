@@ -41,7 +41,8 @@ from .frequency import (
     from_omega,
     from_q,
 )
-from .kam import InvariantCurve, SolverConfig, dynamical_residual, solve_curve
+from .kam import (DIVERGENCE_FACTOR, InvariantCurve, SolverConfig,
+                  dynamical_residual, solve_curve)
 from .obstruction import (
     RationalFreq,
     obstruction_order,
@@ -123,18 +124,14 @@ def cmd_solve(args) -> int:
     curve = _solve_with_method(f, freq, complex(args.eps, args.eps_im),
                                cfg, args.method, dioph=dioph)
     secs = time.perf_counter() - t0
-    try:
-        dyn = dynamical_residual(curve, 1024)
-    except ValueError:
-        dyn = None
+    dyn = dynamical_residual(curve, 1024)
     for i, r in enumerate(curve.report.residual_history):
         print(f"iter {i:3d}  residual {r:.6e}")
     rep = curve.report
     print(f"method={rep.method} converged={rep.converged} "
           f"iterations={rep.iterations} time={secs:.2f}s")
     print(f"beta = {rep.beta.real!r} + {rep.beta.imag!r}i")
-    if dyn is not None:
-        print(f"dynamical residual (1024-point grid) = {dyn:.6e}")
+    print(f"dynamical residual (1024-point grid) = {dyn:.6e}")
     jsonio.dump_path(curve.to_json_dict(dynamical=dyn), args.out)
     csv_path = args.csv or os.path.splitext(args.out)[0] + ".csv"
     _write_csv(csv_path, curve, args.grid_n)
@@ -159,16 +156,12 @@ def _sweep_point(task) -> dict:
     cfg = SolverConfig(cutoff=modes, tol=tol, max_iters=max_iters)
     try:
         curve = _solve_with_method(f, freq, eps, cfg, method)
-        try:
-            dyn = dynamical_residual(curve, 512)
-        except ValueError:
-            dyn = None
+        dyn = dynamical_residual(curve, 512)
         rec["status"] = "converged"
         rec["iterations"] = curve.report.iterations
         rec["residual"] = curve.report.residual_history[-1]
         rec["beta"] = curve.report.beta
-        if dyn is not None:
-            rec["dynamical_residual"] = dyn
+        rec["dynamical_residual"] = dyn
         rec["u"] = curve.u
     except (KamforgeError, ValueError) as exc:
         rec["status"] = "failed"
@@ -421,7 +414,8 @@ def _finite_float(text: str) -> float:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of the counts --workers and --grid-n: an integer >= 1."""
+    """argparse type of every count option (--workers, --grid-n, the grid
+    sizes --omega-n, --im-n, --eps-n and --boundary-n): an integer >= 1."""
     if not (text.strip().isdecimal() and int(text) >= 1):
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return int(text)
@@ -440,7 +434,9 @@ def _add_solver_args(sp, modes=256) -> None:
     sp.add_argument("--tol", type=float, default=1e-12)
     sp.add_argument("--max-iters", type=int, default=30,
                     help="Newton iteration budget; --method picard always "
-                         f"runs up to {PICARD_MAX_ITERS} iterations")
+                         f"takes up to {PICARD_MAX_ITERS} steps, stopping "
+                         "early when the residual grows more than "
+                         f"{DIVERGENCE_FACTOR:g}x in one step")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -473,14 +469,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="grid of solves over frequency")
     sp.add_argument("--omega-min", type=float, required=True)
     sp.add_argument("--omega-max", type=float, required=True)
-    sp.add_argument("--omega-n", type=int, required=True)
+    sp.add_argument("--omega-n", type=_positive_int, required=True)
     sp.add_argument("--im-min", type=float, default=0.0)
     sp.add_argument("--im-max", type=float, default=0.0)
-    sp.add_argument("--im-n", type=int, default=1)
+    sp.add_argument("--im-n", type=_positive_int, default=1)
     _add_eps_args(sp)
     sp.add_argument("--eps-min", type=_finite_float, default=None)
     sp.add_argument("--eps-max", type=_finite_float, default=None)
-    sp.add_argument("--eps-n", type=int, default=None,
+    sp.add_argument("--eps-n", type=_positive_int, default=None,
                     help="sweep eps too, over (--eps-min, --eps-max)")
     sp.add_argument("--f", default="cos")
     sp.add_argument("--method", choices=("newton", "picard"),
@@ -499,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--M", type=float, required=True)
     sp.add_argument("--tau", type=float, default=0.5)
     sp.add_argument("--mmax", type=int, default=2000)
-    sp.add_argument("--boundary-n", type=int, default=512)
+    sp.add_argument("--boundary-n", type=_positive_int, default=512)
     sp.add_argument("--out", default="geometry.json")
     sp.set_defaults(func=cmd_geometry)
 

@@ -25,22 +25,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonio
-from .errors import (DivergenceError, KamforgeError, NoConvergenceError,
-                     OverflowRiskError)
+from .errors import KamforgeError, OverflowRiskError
 from .fourier import (
     FourierSeries,
     _add_centered,
-    compose_id_plus,
     composition_jet,
     finite_scalar,
-    mean,
     sup_norm,
-    truncate,
 )
 from .frequency import Frequency, reflected
-from .kam import (DIVERGENCE_FACTOR, SolveReport, SolverConfig,
-                  dynamical_residual, solve_curve)
-from .operators import E_Q, apply, e_n
+from .kam import SolverConfig, _iterate, dynamical_residual, solve_curve
+from .operators import e_n
 
 TAYLOR_ORDER_CAP = 60
 PICARD_MAX_ITERS = 200    # Picard iteration budget
@@ -86,14 +81,15 @@ def picard_solve(f: FourierSeries, freq: Frequency, eps,
                  config: SolverConfig | None = None):
     """Iterate u <- eps E_q(f(id + u)) to its fixed point.
 
-    Returns ``(u, SolveReport)``; the report's residual history holds the
-    successive sup-differences, and ``report.beta`` records the mean defect
-    eps <f(id+u)> (an exact zero at the fixed point, so its size measures
-    truncation only).  Requires | |q| - 1 | >= ``PICARD_MARGIN`` or a gap
-    ``math.isclose`` to it (|q| = 0.95 rounds to either side with its phase);
-    runs at most ``PICARD_MAX_ITERS`` iterations, and raises
-    ``DivergenceError`` as soon as a sup-difference exceeds
-    ``kam.DIVERGENCE_FACTOR`` times the one before it.
+    Runs ``kam._iterate`` with this map as the step, so it honours
+    ``config.seed``, records the gauge-fixed defect (for the zero-mean
+    iterates, the next sup-difference) and raises Newton's errors, with
+    ``q_modulus`` first in their diagnostics.  Returns ``(u, SolveReport)``
+    with u of zero mean; ``report.beta`` is the mean defect eps <f(id+u)>,
+    an exact zero at the fixed point, so its size measures truncation only.
+    Requires | |q| - 1 | >= ``PICARD_MARGIN`` or a gap ``math.isclose`` to
+    it (|q| = 0.95 rounds to either side with its phase), and takes at most
+    ``PICARD_MAX_ITERS`` steps.
     """
     config = config or SolverConfig()
     eps = finite_scalar(eps, "eps")
@@ -105,47 +101,10 @@ def picard_solve(f: FourierSeries, freq: Frequency, eps,
             f"|q| = {modulus:.6g} is within {PICARD_MARGIN} of the unit "
             "circle; the Picard contraction is not certified there"
         )
-    u = FourierSeries.zero(0)
-    history: list[float] = []
-    tails: list[float] = []
-    converged = False
-    iters = 0
-    for it in range(PICARD_MAX_ITERS):
-        comp, rep = compose_id_plus(f, u)
-        tails.append(rep.aliasing_tail)
-        u_next, t_tail = truncate(eps * apply(E_Q, comp, freq), config.cutoff)
-        tails.append(t_tail)
-        diff = sup_norm(u_next - u)
-        history.append(diff)
-        u = u_next
-        iters = it + 1
-        if diff < config.tol:
-            converged = True
-            break
-        if len(history) >= 2 and diff > DIVERGENCE_FACTOR * history[-2]:
-            raise DivergenceError(
-                f"Picard sup-difference grew {diff / history[-2]:.2g}x at "
-                f"iteration {it}",
-                {"q_modulus": modulus, "residual_history": history},
-            )
-    if not converged:
-        raise NoConvergenceError(
-            f"Picard did not contract below {config.tol:.1e} in "
-            f"{PICARD_MAX_ITERS} iterations",
-            {"q_modulus": modulus, "residual_history": history},
-        )
-    bcomp, _ = compose_id_plus(f, u)
-    report = SolveReport(
-        residual_history=history,
-        quadratic_fit_slope=math.nan,
-        beta=eps * mean(bcomp),
-        aliasing_tail=max(tails) if tails else 0.0,
-        converged=True,
-        method="picard",
-        iterations=iters,
-        diagnostics={"q_modulus": modulus},
-    )
-    return u, report
+    curve = _iterate(f, freq, eps, config,
+                     lambda u, comp, eqcomp, history: eps * eqcomp,
+                     PICARD_MAX_ITERS, "picard", {"q_modulus": modulus})
+    return curve.u, curve.report
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +218,11 @@ def inverse_scattering(data: QTaylorData) -> FourierSeries:
 # cross-method agreement
 
 
-def _demean(u: FourierSeries) -> FourierSeries:
-    return u - FourierSeries.constant(mean(u))
+CROSSCHECK_METHODS = ("newton", "picard", "taylor0")
 
 
 def crosscheck(f: FourierSeries, freq: Frequency, eps,
-               methods=("newton", "picard", "taylor0"),
+               methods=CROSSCHECK_METHODS,
                config: SolverConfig | None = None,
                n_taylor: int = 40,
                taylor_data: QTaylorData | None = None) -> dict:
@@ -272,13 +230,19 @@ def crosscheck(f: FourierSeries, freq: Frequency, eps,
 
     Methods whose preconditions fail are recorded as skipped with a notice
     (Picard on the unit circle, Taylor-at-0 outside |q| < 1); solver errors
-    are recorded as failed; a non-finite eps raises ``ValueError``.  Newton
-    output is demeaned before comparison — all methods then share the
-    zero-mean normalization.  Returns a report dict with per-method status
-    and pairwise sup-norm differences.
+    are recorded as failed.  A non-finite eps, an empty ``methods`` or a
+    name outside ``CROSSCHECK_METHODS`` raises ``ValueError`` before any
+    solve.  Every method returns a zero-mean u, so the solutions are
+    compared as they are.  Returns a report dict with per-method status and
+    pairwise sup-norm differences.
     """
     config = config or SolverConfig()
     eps = finite_scalar(eps, "eps")
+    unknown = [m for m in methods if m not in CROSSCHECK_METHODS]
+    if unknown or not methods:
+        what = f"unknown methods {unknown}" if unknown else "no methods given"
+        raise ValueError(
+            f"{what}; choose from {', '.join(CROSSCHECK_METHODS)}")
     status: dict = {}
     solutions: dict = {}
 
@@ -301,7 +265,7 @@ def crosscheck(f: FourierSeries, freq: Frequency, eps,
                     "iterations": rep.iterations,
                     "beta": abs(rep.beta),
                 }
-            elif name == "taylor0":
+            else:  # taylor0
                 if freq.chart != "inner" or abs(freq.coord) >= 1.0:
                     raise ValueError(
                         "taylor0 needs |q| < 1 (inner chart, off the circle)"
@@ -311,8 +275,6 @@ def crosscheck(f: FourierSeries, freq: Frequency, eps,
                     data = taylor0_recursion(f, eps, N_q=n_taylor)
                 solutions[name] = taylor0_eval(data, freq.coord)
                 status[name] = {"status": "ok", "orders": len(data.orders)}
-            else:
-                raise ValueError(f"unknown method {name!r}")
         except ValueError as exc:
             status[name] = {"status": "skipped", "note": str(exc)}
         except KamforgeError as exc:
@@ -322,9 +284,7 @@ def crosscheck(f: FourierSeries, freq: Frequency, eps,
     names = [n for n in methods if n in solutions]
     for i, a in enumerate(names):
         for b in names[i + 1:]:
-            ua = _demean(solutions[a])
-            ub = _demean(solutions[b])
-            pairs[f"{a}_vs_{b}"] = sup_norm(ua - ub)
+            pairs[f"{a}_vs_{b}"] = sup_norm(solutions[a] - solutions[b])
     return {"methods": status, "pairs": pairs}
 
 

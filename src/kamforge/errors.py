@@ -39,7 +39,7 @@ class BoundViolationError(KamforgeError):
 
 
 class DivergenceError(KamforgeError):
-    """A Newton residual or Picard sup-difference grew past the safeguard."""
+    """A solve residual or a Newton correction grew past the safeguard."""
 
 
 class NoConvergenceError(KamforgeError):

@@ -351,18 +351,15 @@ def product(a: FourierSeries, b: FourierSeries) -> FourierSeries:
     Above the hard cap the result is truncated (the analytic tail of any
     well-resolved operand sits far below double precision there).
     """
-    raw = _conv(a.coeffs, b.coeffs)
-    Nout = (raw.size - 1) // 2
-    if Nout > HARD_CAP:
-        lo = Nout - HARD_CAP
-        tail = float(np.max(np.abs(np.concatenate([raw[:lo], raw[raw.size - lo:]]))))
-        raw = raw[lo:raw.size - lo]
+    out = FourierSeries._of(_conv(a.coeffs, b.coeffs))
+    if out.N > HARD_CAP:
+        out, tail = truncate(out, HARD_CAP)
         warnings.warn(
             f"product cutoff hit hard cap {HARD_CAP}; dropped tail {tail:.3e}",
             RuntimeWarning,
             stacklevel=2,
         )
-    return FourierSeries._of(raw)
+    return out
 
 
 def derivative(phi: FourierSeries, order: int = 1) -> FourierSeries:
@@ -484,8 +481,8 @@ def invert_pointwise(A: FourierSeries) -> FourierSeries:
         suffix = np.maximum.accumulate(level[::-1])[::-1]
         tol = 1e-13 * scale
         ok = np.nonzero(suffix <= tol)[0]
-        if ok.size and ok[0] <= Kmax + 1:
-            K = max(int(ok[0]) - 1, 0) if ok[0] > 0 else 0
+        if ok.size:
+            K = max(int(ok[0]) - 1, 0)
             K = min(max(K, min(A.N, Kmax)), Kmax)
             break
         if attempt == 0:

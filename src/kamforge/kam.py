@@ -23,6 +23,9 @@ runtime checks: the grid-min of |A A+| against ``fourier.AMIN_FLOOR`` and
 each step, and a ``DIVERGENCE_FACTOR`` (10x) residual-growth safeguard with
 small-divisor diagnostics.  Each iterate is truncated to the cutoff and
 coefficients below ``fourier.CLAMP_REL`` times the largest are dropped.
+
+``continuation.picard_solve`` runs the same loop, ``_iterate``, with the
+Picard map u -> eps E_q f(id+u) as its step in place of Newton's.
 """
 
 from __future__ import annotations
@@ -71,11 +74,13 @@ DIVERGENCE_FACTOR = 10.0  # largest tolerated one-iteration residual growth
 
 @dataclass
 class SolverConfig:
-    """Knobs of the Newton (and Picard) iterations.
+    """Knobs of the Newton and Picard iterations.
 
-    ``tol`` is the residual target, ``max_iters`` the Newton budget,
+    ``tol`` is the target of the gauge-fixed defect both methods record,
+    ``max_iters`` the Newton budget (Picard's is ``PICARD_MAX_ITERS``),
     ``cutoff`` the Fourier mode cutoff (at most ``HARD_CAP``), and ``seed``
-    enables warm starts (continuation in eps); the default seed is u = 0.
+    enables warm starts of either method (continuation in eps); the default
+    seed is u = 0.
     The fixed numerical constants are module-level: ``DIVERGENCE_FACTOR``
     here, ``fourier.AMIN_FLOOR`` and ``fourier.CLAMP_REL``, and
     ``continuation.PICARD_MAX_ITERS`` and ``continuation.PICARD_MARGIN``.
@@ -269,21 +274,12 @@ def _fixed_point_defect(u, eqcomp, eps):
 def solve_curve(f: FourierSeries, freq: Frequency, eps,
                 config: SolverConfig | None = None,
                 dioph: DiophantineClass | None = None) -> InvariantCurve:
-    """Newton iteration from u = 0 (or a warm seed), then normalization.
+    """Newton iteration from u = 0 (or ``config.seed``), then normalization.
 
-    Convergence is monitored by the gauge-fixed fixed-point defect
-    ||(u - <u>) - eps E_q f(id+u)||, which is zero exactly when the
-    invariance error is (and stays honest off the unit circle, where the
-    raw error routes round-off through exponentially large multipliers;
-    on the circle the two differ by a factor at most ||delta|| <= 4).
-    Raises ``NoConvergenceError`` (the residual history in its diagnostics)
-    when the budget runs out — this is the expected failure mode near
-    resonances, where no analytic curve exists — and ``DivergenceError``
-    when a step blows up, with the largest small divisor in the
-    diagnostics.  A cold start (no ``config.seed``) takes at least one
-    Newton step before the defect may accept.  The converged u is shifted
-    to exact zero mean by u(theta - u0) - u0, which maps solutions to
-    solutions.
+    Warns when the forcing has a mean, and when omega lies outside a given
+    ``dioph`` class (``in_KM`` then opens the diagnostics).  The loop, its
+    stopping rule, its errors and the normalization are ``_iterate``'s,
+    with ``newton_step`` as the step and ``config.max_iters`` as the budget.
     """
     config = config or SolverConfig()
     eps = finite_scalar(eps, "eps")
@@ -307,12 +303,37 @@ def solve_curve(f: FourierSeries, freq: Frequency, eps,
             stacklevel=2,
         )
 
+    return _iterate(f, freq, eps, config,
+                    lambda u, comp, _, history: newton_step(
+                        u, comp, f, freq, eps, history),
+                    config.max_iters, "newton", diagnostics)
+
+
+def _iterate(f: FourierSeries, freq: Frequency, eps: complex,
+             config: SolverConfig, step, budget: int, method: str,
+             diagnostics: dict) -> InvariantCurve:
+    """The solve loop of every method: iterate, stop, normalize, report.
+
+    ``step(u, comp, eqcomp, history)`` is all a method brings: the next
+    iterate, untruncated, given comp = f(id + u) and eqcomp = E_q comp.
+    The loop stops when the gauge-fixed defect ||(u - <u>) - eps E_q comp||
+    reaches ``config.tol``.  It is zero exactly when the invariance error
+    is, and stays honest off the unit circle, where the raw error routes
+    round-off through exponentially large multipliers (on the circle the
+    two differ by a factor at most ||delta|| <= 4).  A cold start (no
+    ``config.seed``) takes at least one step before the defect may accept.
+    Raises ``DivergenceError`` when a defect grows ``DIVERGENCE_FACTOR``-fold
+    and ``NoConvergenceError`` after ``budget`` steps (the expected failure
+    near resonances, where no analytic curve exists); both carry the entry
+    ``diagnostics`` (which also open the report's), the residual history
+    and the largest small divisor.  The converged u is shifted to exact zero
+    mean by u(theta - u0) - u0, which maps solutions to solutions.
+    """
     cold = config.seed is None
     u = FourierSeries.zero(0) if cold else config.seed
     history: list[float] = []
     tails: list[float] = []
-    converged = False
-    for it in range(config.max_iters + 1):
+    for it in range(budget + 1):
         comp, crep = compose_id_plus(f, u)
         tails.append(crep.aliasing_tail)
         eqcomp = apply(E_Q, comp, freq)
@@ -321,30 +342,25 @@ def solve_curve(f: FourierSeries, freq: Frequency, eps,
         # the zero seed's defect eps |E_q f| is O(eps |q|) off the circle,
         # below tol far out, while v = (1 - q^{-k}) u needs the tiny modes
         if r <= config.tol and (it > 0 or not cold):
-            converged = True
             break
         if len(history) >= 2 and r > DIVERGENCE_FACTOR * history[-2]:
             lam, k = max_divisor_magnitude(freq, max(config.cutoff, f.N))
             raise DivergenceError(
                 f"residual grew {r / history[-2]:.2g}x at iteration {it}",
-                {"residual_history": history, "max_divisor": lam,
-                 "max_divisor_k": k},
+                {**diagnostics, "residual_history": history,
+                 "max_divisor": lam, "max_divisor_k": k},
             )
-        if it == config.max_iters:
-            break
-        u, t_tail = truncate(newton_step(u, comp, f, freq, eps, history),
-                             config.cutoff)
+        if it == budget:
+            lam, k = max_divisor_magnitude(freq, max(config.cutoff, f.N))
+            raise NoConvergenceError(
+                f"no convergence to {config.tol:.1e} within {budget} "
+                f"iterations (last residual {history[-1]:.3e})",
+                {**diagnostics, "max_divisor": lam, "max_divisor_k": k,
+                 "residual_history": history},
+            )
+        u, t_tail = truncate(step(u, comp, eqcomp, history), config.cutoff)
         tails.append(t_tail)
         u = clamp_small(u)
-
-    if not converged:
-        lam, k = max_divisor_magnitude(freq, max(config.cutoff, f.N))
-        raise NoConvergenceError(
-            f"no convergence to {config.tol:.1e} within {config.max_iters} "
-            f"iterations (last residual {history[-1]:.3e})",
-            {"max_divisor": lam, "max_divisor_k": k,
-             "residual_history": history},
-        )
 
     # normalization: u~(theta) = u(theta - u0) - u0 (exactly mean-killing)
     u0 = mean(u)
@@ -366,8 +382,8 @@ def solve_curve(f: FourierSeries, freq: Frequency, eps,
         quadratic_fit_slope=_fit_slope(history),
         beta=beta,
         aliasing_tail=max(tails),
-        converged=converged,
-        method="newton",
+        converged=True,
+        method=method,
         iterations=len(history) - 1,
         diagnostics=diagnostics,
     )

@@ -311,11 +311,19 @@ def test_obstruction_radial_overflow_still_writes_json(tmp_path):
     ("sweep", "--workers", "-4", "--workers"),
     ("sweep", "--workers", "0", "--workers"),
     ("solve", "--grid-n", "0", "--grid-n"),
+    ("sweep", "--omega-n", "0", "--omega-n"),
+    ("sweep", "--omega-n", "-1", "--omega-n"),
+    ("sweep", "--im-n", "0", "--im-n"),
+    ("sweep", "--eps-n", "0", "--eps-n"),
+    ("geometry", "--boundary-n", "-5", "--boundary-n"),
 ])
 def test_invalid_solver_settings_exit_2(tmp_path, cmd, flag, value, field):
-    args = (["solve", "--omega", "0.3", "--out", "x.json"] if cmd == "solve"
-            else ["sweep", "--omega-min", "0.3", "--omega-max", "0.4",
-                  "--omega-n", "2", "--out", "x.jsonl"])
+    args = {"solve": ["solve", "--omega", "0.3", "--out", "x.json"],
+            "sweep": ["sweep", "--omega-min", "0.3", "--omega-max", "0.4",
+                      "--omega-n", "2", "--eps-min", "0", "--eps-max", "0.1",
+                      "--out", "x.jsonl"],
+            "geometry": ["geometry", "--M", "6", "--mmax", "50",
+                         "--out", "x.json"]}[cmd]
     r = run_cli([*args, flag, value], tmp_path)
     assert r.returncode == 2, r.stderr
     assert field in r.stderr
@@ -393,8 +401,10 @@ def test_picard_budget_failure_keeps_its_history(monkeypatch):
         continuation.picard_solve(FourierSeries.cos(), from_q(0.3), 0.05,
                                   SolverConfig(tol=1e-13))
     diag = cli._error_payload(info.value)["error"]["diagnostics"]
-    assert list(diag) == ["q_modulus", "residual_history"]
-    assert len(diag["residual_history"]) == 2
+    assert list(diag) == ["q_modulus", "max_divisor", "max_divisor_k",
+                          "residual_history"]
+    # a budget of 2 steps records 3 defects, as Newton's max_iters does
+    assert len(diag["residual_history"]) == 3
 
 
 def test_taylor0_command_with_evaluation(tmp_path):
@@ -416,6 +426,32 @@ def test_crosscheck_command(tmp_path):
     assert d["methods"]["picard"]["status"] == "ok"
     assert d["methods"]["taylor0"]["status"] == "ok"
     assert d["pairs"]["newton_vs_picard"] < 1e-10
+
+
+@pytest.mark.parametrize("methods,named", [
+    ("newton,picrd", "'picrd'"),
+    ("", "no methods given"),
+])
+def test_crosscheck_unknown_or_no_methods_exit_2(tmp_path, methods, named):
+    r = run_cli(["crosscheck", "--q-re", "0.3", "--methods", methods,
+                 "--out", "cc.json"], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ") and named in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "cc.json").exists()
+
+
+def test_picard_at_the_chart_pole_exits_1_with_the_error_json(tmp_path):
+    # the curve's v = nabla_minus u needs the shift multipliers, which q = 0
+    # does not have: the solve ends in the typed error, not in a curve
+    r = run_cli(["solve", "--q-re", "0", "--method", "picard",
+                 "--out", "p.json"], tmp_path)
+    assert r.returncode == 1, r.stderr
+    assert "Traceback" not in r.stderr
+    err = json.loads(r.stdout)["error"]
+    assert err["type"] == "OverflowRiskError"
+    assert "chart poles" in err["message"]
+    assert json.loads((tmp_path / "p.json").read_text())["error"] == err
 
 
 def test_verify_invariants_suite(tmp_path):

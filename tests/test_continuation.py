@@ -6,11 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
+from kamforge import continuation
 from kamforge.continuation import (QTaylorData, conjugate_reflection_check,
                                    crosscheck, inverse_scattering,
                                    picard_solve, taylor0_eval,
                                    taylor0_recursion)
-from kamforge.errors import DivergenceError, OverflowRiskError
+from kamforge.errors import (DivergenceError, NearSingularError,
+                             OverflowRiskError)
 from kamforge.fourier import FourierSeries, mean, sup_norm
 from kamforge.frequency import from_omega, from_q
 from kamforge.kam import DIVERGENCE_FACTOR, SolverConfig, solve_curve
@@ -67,12 +69,49 @@ def test_picard_stops_when_the_difference_grows(q, steps):
     with pytest.raises(DivergenceError) as info:
         picard_solve(FourierSeries.cos(), from_q(q), 0.05)
     d = info.value.diagnostics
-    assert list(d) == ["q_modulus", "residual_history"]
+    assert list(d) == ["q_modulus", "residual_history", "max_divisor",
+                       "max_divisor_k"]
     assert d["q_modulus"] == pytest.approx(abs(q))
     h = d["residual_history"]
     assert len(h) == steps
     assert h[-1] > DIVERGENCE_FACTOR * h[-2]
     assert all(b <= DIVERGENCE_FACTOR * a for a, b in zip(h, h[1:-1]))
+
+
+# Newton's two refusals on the probe grid: at r = 0.9 an iterate's 1/(A A+)
+# needs more modes than the hard cap, at r = 1.1 the residual grows 10x
+PROBE_NEWTON_FAILURES = {(0.9, 0.5): NearSingularError,
+                         (1.1, 0.5): DivergenceError}
+
+
+@pytest.mark.parametrize("r", [0.5, 0.7, 0.8, 0.9, 1.1, 1.25, 1.5, 2.0])
+@pytest.mark.parametrize("phi", [0.5, 1.0, 2.0])
+def test_newton_and_picard_agree_on_the_probe_grid(r, phi):
+    # the two methods run one solve loop with different steps: Picard
+    # contracts at every probe, and wherever Newton converges too, both
+    # return the same zero-mean curve
+    f = FourierSeries.cos()
+    freq = from_q(r * complex(math.cos(phi), math.sin(phi)))
+    u_p, rep = picard_solve(f, freq, 0.05)
+    assert rep.converged and rep.method == "picard"
+    failure = PROBE_NEWTON_FAILURES.get((r, phi))
+    if failure is None:
+        assert sup_norm(solve_curve(f, freq, 0.05).u - u_p) < 1e-11
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # hard-cap products
+        with pytest.raises(failure):
+            solve_curve(f, freq, 0.05)
+
+
+def test_picard_warm_start_takes_fewer_steps():
+    f = FourierSeries.cos()
+    freq = from_q(0.3)
+    u_prev, _ = picard_solve(f, freq, 0.05)
+    u_cold, cold = picard_solve(f, freq, 0.051)
+    u_warm, warm = picard_solve(f, freq, 0.051, SolverConfig(seed=u_prev))
+    assert warm.iterations < cold.iterations
+    assert sup_norm(u_warm - u_cold) < 1e-12
 
 
 def test_taylor_orders_support_and_top_law():
@@ -194,6 +233,23 @@ def test_crosscheck_skips_methods_off_their_domain():
     assert "note" in report["methods"]["picard"]
     assert report["methods"]["taylor0"]["status"] == "skipped"
     assert report["pairs"] == {}
+
+
+@pytest.mark.parametrize("methods,named", [
+    (("newton", "picrd"), "'picrd'"),
+    (("taylor", "newton", "Picard"), "['taylor', 'Picard']"),
+    ((), "no methods given"),
+])
+def test_crosscheck_refuses_unknown_or_no_methods(monkeypatch, methods, named):
+    # a misspelt method is a usage error, not a method off its domain, so
+    # it is refused before anything is solved
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the methods were checked")
+
+    monkeypatch.setattr(continuation, "solve_curve", no_solve)
+    with pytest.raises(ValueError, match="choose from newton, picard") as info:
+        crosscheck(FourierSeries.cos(), from_q(0.3), 0.05, methods=methods)
+    assert named in str(info.value)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])

@@ -290,7 +290,7 @@ def test_radial_diagnostic_records_overflow_as_not_converged():
     # safeguard stops every radius before that.  Either way the diagnostic
     # records each radius instead of raising
     for eps, reason in ((2e4, "exceeds cap"),
-                        (50.0, "Picard sup-difference grew")):
+                        (50.0, "residual grew")):
         out = radial_approach_diagnostic(FourierSeries.cos(), 1, 3, eps)
         assert [e["radius"] for e in out] == [0.85, 0.90, 0.95]
         for e in out:
