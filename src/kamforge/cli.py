@@ -29,7 +29,7 @@ import numpy as np
 
 from . import jsonio
 from .continuation import crosscheck as run_crosscheck
-from .continuation import (PICARD_MAX_ITERS, picard_solve, taylor0_eval,
+from .continuation import (PICARD_MAX_ITERS, _picard_curve, taylor0_eval,
                            taylor0_recursion)
 from .errors import KamforgeError
 from .fourier import FourierSeries, _widen, sup_norm
@@ -48,7 +48,6 @@ from .obstruction import (
     obstruction_order,
     radial_approach_diagnostic,
 )
-from .operators import NABLA_MINUS, apply
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +97,7 @@ def _error_payload(exc: Exception) -> dict:
 def _solve_with_method(f, freq, eps, cfg: SolverConfig, method: str,
                        dioph=None) -> InvariantCurve:
     if method == "picard":
-        u, report = picard_solve(f, freq, eps, cfg)
-        v = apply(NABLA_MINUS, u, freq)
-        return InvariantCurve(u=u, v=v, freq=freq, eps=eps,
-                              report=report, f=f)
+        return _picard_curve(f, freq, eps, cfg)
     return solve_curve(f, freq, eps, cfg, dioph=dioph)
 
 

@@ -34,7 +34,8 @@ from .fourier import (
     sup_norm,
 )
 from .frequency import Frequency, reflected
-from .kam import SolverConfig, _iterate, dynamical_residual, solve_curve
+from .kam import (InvariantCurve, SolverConfig, _iterate, dynamical_residual,
+                  solve_curve)
 from .operators import e_n
 
 TAYLOR_ORDER_CAP = 60
@@ -91,6 +92,13 @@ def picard_solve(f: FourierSeries, freq: Frequency, eps,
     it (|q| = 0.95 rounds to either side with its phase), and takes at most
     ``PICARD_MAX_ITERS`` steps.
     """
+    curve = _picard_curve(f, freq, eps, config)
+    return curve.u, curve.report
+
+
+def _picard_curve(f: FourierSeries, freq: Frequency, eps,
+                  config: SolverConfig | None = None) -> InvariantCurve:
+    """``picard_solve``'s whole curve, v and the forcing included."""
     config = config or SolverConfig()
     eps = finite_scalar(eps, "eps")
     modulus = math.exp(-freq.log_scale) if math.isfinite(freq.log_scale) else (
@@ -101,10 +109,9 @@ def picard_solve(f: FourierSeries, freq: Frequency, eps,
             f"|q| = {modulus:.6g} is within {PICARD_MARGIN} of the unit "
             "circle; the Picard contraction is not certified there"
         )
-    curve = _iterate(f, freq, eps, config,
-                     lambda u, comp, eqcomp, history: eps * eqcomp,
-                     PICARD_MAX_ITERS, "picard", {"q_modulus": modulus})
-    return curve.u, curve.report
+    return _iterate(f, freq, eps, config,
+                    lambda u, comp, eqcomp, history: eps * eqcomp,
+                    PICARD_MAX_ITERS, "picard", {"q_modulus": modulus})
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +237,11 @@ def crosscheck(f: FourierSeries, freq: Frequency, eps,
 
     Methods whose preconditions fail are recorded as skipped with a notice
     (Picard on the unit circle, Taylor-at-0 outside |q| < 1); solver errors
-    are recorded as failed.  A non-finite eps, an empty ``methods`` or a
-    name outside ``CROSSCHECK_METHODS`` raises ``ValueError`` before any
-    solve.  Every method returns a zero-mean u, so the solutions are
-    compared as they are.  Returns a report dict with per-method status and
-    pairwise sup-norm differences.
+    are recorded as failed.  A non-finite eps, an empty ``methods``, a
+    name outside ``CROSSCHECK_METHODS`` or a repeated name raises
+    ``ValueError`` before any solve.  Every method returns a zero-mean u,
+    so the solutions are compared as they are.  Returns a report dict with
+    per-method status and pairwise sup-norm differences.
     """
     config = config or SolverConfig()
     eps = finite_scalar(eps, "eps")
@@ -243,6 +250,10 @@ def crosscheck(f: FourierSeries, freq: Frequency, eps,
         what = f"unknown methods {unknown}" if unknown else "no methods given"
         raise ValueError(
             f"{what}; choose from {', '.join(CROSSCHECK_METHODS)}")
+    repeated = [m for i, m in enumerate(methods) if m in methods[:i]]
+    if repeated:
+        raise ValueError(f"methods {repeated} given more than once; "
+                         "each method runs once")
     status: dict = {}
     solutions: dict = {}
 

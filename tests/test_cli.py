@@ -441,6 +441,16 @@ def test_crosscheck_unknown_or_no_methods_exit_2(tmp_path, methods, named):
     assert not (tmp_path / "cc.json").exists()
 
 
+def test_crosscheck_repeated_method_exits_2(tmp_path):
+    r = run_cli(["crosscheck", "--q-re", "0.3", "--methods", "newton,newton",
+                 "--out", "cc.json"], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ") and "['newton']" in r.stderr
+    assert "newton_vs_newton" not in r.stdout
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "cc.json").exists()
+
+
 def test_picard_at_the_chart_pole_exits_1_with_the_error_json(tmp_path):
     # the curve's v = nabla_minus u needs the shift multipliers, which q = 0
     # does not have: the solve ends in the typed error, not in a curve

@@ -252,6 +252,23 @@ def test_crosscheck_refuses_unknown_or_no_methods(monkeypatch, methods, named):
     assert named in str(info.value)
 
 
+@pytest.mark.parametrize("methods,named", [
+    (("newton", "newton"), "['newton']"),
+    (("picard", "newton", "taylor0", "picard", "taylor0"),
+     "['picard', 'taylor0']"),
+])
+def test_crosscheck_refuses_a_repeated_method(monkeypatch, methods, named):
+    # a method run twice would be compared with itself (a pair reading 0.0)
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the methods were checked")
+
+    monkeypatch.setattr(continuation, "solve_curve", no_solve)
+    monkeypatch.setattr(continuation, "_iterate", no_solve)
+    with pytest.raises(ValueError, match="more than once") as info:
+        crosscheck(FourierSeries.cos(), from_q(0.3), 0.05, methods=methods)
+    assert named in str(info.value)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
 def test_solver_entry_points_reject_a_non_finite_eps(bad):
     f = FourierSeries.cos()

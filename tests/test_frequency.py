@@ -17,6 +17,7 @@ from kamforge import jsonio
 from kamforge.errors import BoundViolationError, ResonanceError
 from kamforge.frequency import (
     DiophantineClass,
+    _difference_sum,
     _prime_factor_sieve,
     SampledFamily,
     c1hol_norm_estimate,
@@ -336,16 +337,35 @@ def test_pruned_gap_union_is_bit_identical(M, tau, m_max):
 
 
 def test_gap_union_peak_memory():
-    # the unpruned build peaked at 25 MB: both endpoint arrays of all
-    # 1.2M gaps, then fresh copies of the starts and ends
-    cls = DiophantineClass(6.0, 0.5, 2000)
-    tracemalloc.start()
-    try:
-        cls._gaps()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 21e6
+    # the unpruned build peaked at 25 MB at m_max = 2000: both endpoint
+    # arrays of all 1.2M gaps, then fresh copies of the starts and ends;
+    # the pruned one with a full-size break mask and ``ends - starts``
+    # peaked at 87 MB at m_max = 5000, where lo + hi of the kept gaps
+    # take 64 MB
+    for m_max, bound in ((2000, 21e6), (5000, 75e6)):
+        cls = DiophantineClass(6.0, 0.5, m_max)
+        tracemalloc.start()
+        try:
+            cls._gaps()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (m_max, peak)
+
+
+@pytest.mark.parametrize("n", [
+    (1 << 17) - 1, 1 << 17, (1 << 17) + 1,   # around the leaf size
+    10**6 + 7,
+    13_447_899,     # the components at (6, 0.5, 10^4)
+])
+def test_difference_sum_is_numpys_sum(n):
+    # the measure's chunked sum must follow numpy's own pairwise order: if
+    # numpy ever changes it, this fails before the pinned measures do
+    rng = np.random.default_rng(n)
+    a = rng.random(n)
+    b = rng.random(n)
+    b += a
+    assert _difference_sum(b, a).hex() == np.sum(b - a).hex()
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
