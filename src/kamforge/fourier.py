@@ -16,14 +16,16 @@ whatever complex dtype it is given.
 Point evaluation off the grid, ``evaluate``, forms no matrix of
 exp(2 pi i k z): it sums the modes k >= 1 and k <= -1 as polynomials in
 w = exp(2 pi i z) and 1/w by baby steps and giant steps (Horner in
-w^ceil(sqrt N)), in O(G sqrt N) memory for G points.
+w^ceil(sqrt N)), in O(G sqrt N) memory for G points; the baby steps are
+ceil(sqrt N) - 1 vector multiplies, one contiguous row per power.
 
 A series is validated once, where it enters: the constructor (behind
 ``from_json_dict`` and the CLI's ``--f``) copies it and checks its shape,
 the hard cap and finiteness.  ``FourierSeries._of`` wraps a computed series
 with neither: each such site keeps the length odd and the cutoff within
 ``HARD_CAP`` by construction, and its inputs are finite (scalars are checked
-in ``__mul__`` and by the solvers).  An overflow of finite data (huge
+in ``__mul__``, and the solvers' own scalings by eps and mu0 check that
+their products stay finite).  An overflow of finite data (huge
 coefficients, a shift phase near exp(EXP_CAP)) meets the finiteness check of
 ``operators.apply``, which every solver iterate passes.
 
@@ -229,17 +231,21 @@ def mode_phases(z: complex, N: int, what: str, **diagnostics) -> np.ndarray:
 def _power_sum(w: np.ndarray, c: np.ndarray) -> np.ndarray:
     """sum_{k=1}^{n} c[k-1] w^k at every point w, for n = c.size >= 1.
 
-    Baby steps w^1..w^B (B = ceil(sqrt n)) come from one cumprod and meet
-    the coefficients, blocked B at a time, in one matmul; Horner in the
-    giant step w^B then sums the ceil(n/B) blocks.  No intermediate exceeds
-    sum|c| max(1, |w|)^n, and the memory is O(G sqrt n) for G points.
+    Baby steps w^1..w^B (B = ceil(sqrt n)), one contiguous row each from
+    B - 1 vector multiplies, meet the coefficients, blocked B at a time, in
+    one matmul; Horner in the giant step w^B then sums the ceil(n/B)
+    blocks.  No intermediate exceeds sum|c| max(1, |w|)^n, and the memory
+    is O(G sqrt n) for G points.
     """
     B = math.isqrt(c.size - 1) + 1
     blocks = np.zeros((-(-c.size // B), B), dtype=c.dtype)
     blocks.reshape(-1)[:c.size] = c
-    baby = np.cumprod(np.broadcast_to(w[:, None], (w.size, B)), axis=1)
-    partial = blocks @ baby.T
-    giant = baby[:, -1].copy()
+    baby = np.empty((B, w.size), dtype=w.dtype)
+    baby[0] = w
+    for j in range(1, B):
+        np.multiply(baby[j - 1], w, out=baby[j])
+    partial = blocks @ baby
+    giant = baby[-1]
     acc = partial[-1]
     for row in partial[-2::-1]:
         acc = acc * giant + row
@@ -471,12 +477,14 @@ def invert_pointwise(A: FourierSeries) -> FourierSeries:
                 {"grid_min": gmin, "floor": AMIN_FLOOR},
             )
         c_full = np.fft.fft(1.0 / vals) / G
-        scale = float(np.max(np.abs(c_full)))
-        idx = np.arange(G)
-        abs_k = np.minimum(idx, G - idx)
+        mag = np.abs(c_full)
+        scale = float(np.max(mag))
         Kmax = (G - 1) // 2
+        # level[j] = largest coefficient at |k| = j: bins j and G - j, and
+        # level[Kmax + 1] the Nyquist bin G/2 of an even G (0 for an odd G)
         level = np.zeros(Kmax + 2)
-        np.maximum.at(level, np.minimum(abs_k, Kmax + 1), np.abs(c_full))
+        level[:G - Kmax] = mag[:G - Kmax]
+        np.maximum(level[1:Kmax + 1], mag[:G - Kmax - 1:-1], out=level[1:Kmax + 1])
         # suffix[j] = largest coefficient at |k| >= j
         suffix = np.maximum.accumulate(level[::-1])[::-1]
         tol = 1e-13 * scale

@@ -100,7 +100,7 @@ def reflected(freq: Frequency) -> Frequency:
     return from_omega(complex(om.real, -om.imag))
 
 
-def _resonance(k: int, om: complex) -> ResonanceError:
+def resonance_error(k: int, om: complex) -> ResonanceError:
     """q^k - 1 vanished: omega is the rational p/m = round(k Re omega) / k."""
     r = Fraction(round(k * om.real), k)
     return ResonanceError(f"q^k - 1 vanished at k = {k}: omega is {r} to working "
@@ -132,28 +132,37 @@ def lambda_k(freq: Frequency, k: int) -> complex:
     w = cmath.exp((2j if direct else -2j) * math.pi * k * om)
     d = w - 1.0 if direct else 1.0 - w
     if abs(d) < RESONANCE_ULPS * _TWO_PI * abs(k) * 2.0 ** -52:
-        raise _resonance(k, om)
+        raise resonance_error(k, om)
     return 1.0 / d if direct else w / d
 
 
 def lambda_table(freq: Frequency, N: int) -> np.ndarray:
     """``lambda_k`` for k = -N..N in one pass, 0 at k = 0: the same branches,
     pole values and ``ResonanceError`` (at the smallest vanishing |k| > 0)."""
+    table, k = lambda_pass(freq, N)
+    if k:
+        raise resonance_error(k, freq.omega)
+    return table
+
+
+def lambda_pass(freq: Frequency, N: int) -> tuple[np.ndarray, int]:
+    """``lambda_table`` without the refusal: the table, 0 wherever q^k - 1
+    vanished, and the smallest such |k| (0 if none)."""
     ks = np.arange(-N, N + 1)
     table = np.zeros(2 * N + 1, dtype=np.complex128)
     if freq.is_pole:  # -1 on the side where q^k vanishes, 0 on the other
         table[ks > 0 if freq.chart == "inner" else ks < 0] = -1.0
-        return table
+        return table, 0
     om = freq.omega
     direct = ks * om.imag >= 0
     w = np.exp(np.where(direct, 2j * math.pi, -2j * math.pi) * ks * om)
     d = np.where(direct, w - 1.0, 1.0 - w)
     nz = ks != 0
     vanished = nz & (np.abs(d) < RESONANCE_ULPS * _TWO_PI * np.abs(ks) * 2.0 ** -52)
-    if vanished.any():
-        raise _resonance(int(np.min(np.abs(ks[vanished]))), om)
-    table[nz] = np.where(direct, 1.0, w)[nz] / d[nz]
-    return table
+    k = int(np.min(np.abs(ks[vanished]))) if vanished.any() else 0
+    ok = nz & ~vanished
+    table[ok] = np.where(direct, 1.0, w)[ok] / d[ok]
+    return table, k
 
 
 def dist_to_integers(z) -> float:

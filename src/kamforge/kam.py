@@ -37,7 +37,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jsonio
-from .errors import DivergenceError, NearSingularError, NoConvergenceError
+from .errors import (
+    DivergenceError,
+    NearSingularError,
+    NoConvergenceError,
+    OverflowRiskError,
+)
 from .fourier import (
     DEFAULT_CUTOFF,
     HARD_CAP,
@@ -186,6 +191,20 @@ class InvariantCurve:
 # the error functional and the linearized solve
 
 
+def _scaled(c: complex, phi: FourierSeries, step: str) -> FourierSeries:
+    """c phi for a finite scalar c, wrapped without the constructor's copy.
+
+    Raises ``OverflowRiskError`` naming *step* when a coefficient overflows,
+    before numpy can warn about it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = phi.coeffs * c
+    if not np.isfinite(out).all():
+        raise OverflowRiskError(f"{step} overflowed",
+                                {"step": step, "scale": c})
+    return FourierSeries._of(out)
+
+
 def error_functional(u: FourierSeries, f: FourierSeries, freq: Frequency,
                      eps) -> FourierSeries:
     """E(u) = -delta u + eps f(id + u); zero exactly on invariant curves."""
@@ -212,7 +231,7 @@ def linearized_solve(A: FourierSeries, E: FourierSeries,
         )
     ap = product(alpha, psi)
     mu0 = -mean(ap) / alpha_mean
-    chi = ap + mu0 * alpha
+    chi = ap + _scaled(mu0, alpha, "mu0 alpha")
     return apply(GAMMA, chi, freq)
 
 
@@ -228,7 +247,7 @@ def newton_step(u: FourierSeries, comp: FourierSeries, f: FourierSeries,
     divisor has taken over; the diagnostics carry it and ``history``).
     """
     A = FourierSeries.constant(1.0) + derivative(u)
-    E = eps * comp - apply(DELTA, u, freq)
+    E = _scaled(eps, comp, "eps f(id + u)") - apply(DELTA, u, freq)
     w = linearized_solve(A, E, freq)
     w_sup = sup_norm(w)
     if w_sup >= 1.0:
@@ -268,7 +287,8 @@ def _fixed_point_defect(u, eqcomp, eps):
     |q|^{-|k|} off the unit circle and would amplify round-off into a fake
     divergence signal.
     """
-    return sup_norm((u - FourierSeries.constant(mean(u))) - eps * eqcomp)
+    return sup_norm((u - FourierSeries.constant(mean(u)))
+                    - _scaled(eps, eqcomp, "eps E_q f(id + u)"))
 
 
 def solve_curve(f: FourierSeries, freq: Frequency, eps,
@@ -294,8 +314,8 @@ def solve_curve(f: FourierSeries, freq: Frequency, eps,
                 RuntimeWarning,
                 stacklevel=2,
             )
-    fmean = abs(mean(f))
-    if fmean > 1e-13 * max(sup_norm(f), 1.0):
+    fmean = abs(mean(f))  # the scale max(sup|f|, 1) is >= 1: no FFT below 1e-13
+    if fmean > 1e-13 and fmean > 1e-13 * max(sup_norm(f), 1.0):
         warnings.warn(
             f"forcing has mean {fmean:.3e}; the invariance equation is "
             "obstructed at first order",

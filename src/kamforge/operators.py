@@ -12,12 +12,17 @@ operator in the first-difference calculus is a diagonal multiplier:
 
 gamma / gamma_minus / e_q annihilate the mean, which is exactly why the
 linearized KAM equation is solvable only up to a constant.  The divisor
-table comes from ``frequency.lambda_table``, which is branch-stable: the
+table comes from ``frequency.lambda_pass``, which is branch-stable: the
 product q^k * lambda_k is never formed from separately overflowing
 factors; e_q is assembled as gamma * gamma_minus, both factors bounded.
 
-``multiplier_table`` is the one cache: a read-only vector per (frequency,
-cutoff, kind), built on a miss from one numpy pass over q^k or lambda_k.
+Every table of a frequency is a slice of one set per frequency
+(``_FrequencyTables``), bit for bit the vector a build at the requested
+cutoff N gives, with the refusals at that N: the shift guard
+2 pi N |Im omega|, ``ResonanceError`` at the smallest vanishing k <= N, and
+the poles.  ``_frequency_tables`` keeps the sets of the last two
+frequencies and ``multiplier_table`` caches read-only copies of slices;
+both are functools caches, so clearing them empties every table.
 """
 
 from __future__ import annotations
@@ -29,8 +34,14 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import OverflowRiskError
-from .fourier import FourierSeries, check_exponent, mode_phases
-from .frequency import Frequency, lambda_table
+from .fourier import (
+    DEFAULT_CUTOFF,
+    EXP_CAP,
+    FourierSeries,
+    check_exponent,
+    mode_phases,
+)
+from .frequency import Frequency, lambda_pass, resonance_error
 
 
 class MultiplierKind(Enum):
@@ -54,9 +65,76 @@ GAMMA = MultiplierKind.GAMMA
 GAMMA_MINUS = MultiplierKind.GAMMA_MINUS
 E_Q = MultiplierKind.E_Q
 
+_TWO_PI = 2.0 * math.pi
+_SHIFT_KINDS = (SHIFT_PLUS, SHIFT_MINUS, NABLA, NABLA_MINUS, DELTA)
+_TABLE_FLOOR = 2 * DEFAULT_CUTOFF  # covers a solve at the default cutoff
 
-def _shift_table(freq: Frequency, N: int) -> np.ndarray:
-    """q^k for k = -N..N, or OverflowRiskError if any would overflow.
+
+class _FrequencyTables:
+    """One frequency's tables for |k| <= a width M per family.
+
+    The shift family is q^k from one ``mode_phases`` pass and the divisor
+    family lambda_k from one ``lambda_pass``, each at least
+    ``_TABLE_FLOOR`` wide; every kind is derived from its family's table
+    once per width.  A request past M rebuilds the family at max(N, 2M),
+    so a solve builds each family once or twice; the q^k width stops at
+    the shift guard's limit.
+    """
+
+    def __init__(self, freq: Frequency):
+        self.freq = freq
+        # keyed by family: True for the q^k kinds, False for the lambda_k ones
+        self.width: dict = {}   # M
+        self.kinds: dict = {}   # {kind: vector for k = -M..M}
+        self.vanished = 0       # smallest |k| <= M at which q^k - 1 vanished
+
+    def table(self, N: int, kind: MultiplierKind) -> np.ndarray:
+        """The kind's vector for k = -N..N, a view of its full-width table."""
+        shift = kind in _SHIFT_KINDS
+        if shift:
+            _refuse_shift(self.freq, N)
+        if N > self.width.get(shift, -1):
+            self._build(shift, N)
+        if not shift and 0 < self.vanished <= N:
+            raise resonance_error(self.vanished, self.freq.omega)
+        kinds = self.kinds[shift]
+        if kind not in kinds:
+            kinds[kind] = _derive(kinds, kind)
+        M = self.width[shift]
+        return kinds[kind][M - N:M + N + 1]
+
+    def _build(self, shift: bool, N: int) -> None:
+        M = max(N, 2 * self.width.get(shift, 0), _TABLE_FLOOR)
+        if shift:
+            a = abs(self.freq.omega.imag)
+            while M > N and _TWO_PI * M * a > EXP_CAP:  # stop at the guard
+                M = max(N, min(M - 1, int(EXP_CAP / (_TWO_PI * a))))
+            self.kinds[shift] = {SHIFT_PLUS: mode_phases(
+                self.freq.omega, M, "shift", cutoff=M)}
+        else:
+            gamma, self.vanished = lambda_pass(self.freq, M)
+            self.kinds[shift] = {GAMMA: gamma}
+        self.width[shift] = M
+
+
+def _derive(kinds: dict, kind: MultiplierKind) -> np.ndarray:
+    """A kind from its family's q^k or lambda_k table.
+
+    The q^{-k} and -lambda_{-k} vectors are those tables reversed (and
+    negated).
+    """
+    if kind in _SHIFT_KINDS:
+        plus = kinds[SHIFT_PLUS]
+        minus = plus[::-1]
+        return {SHIFT_MINUS: minus, NABLA: plus - 1.0,
+                NABLA_MINUS: 1.0 - minus, DELTA: plus - 2.0 + minus}[kind]
+    gamma = kinds[GAMMA]
+    minus = -gamma[::-1]
+    return {GAMMA_MINUS: minus, E_Q: gamma * minus}[kind]
+
+
+def _refuse_shift(freq: Frequency, N: int) -> None:
+    """OverflowRiskError if some q^k, |k| <= N, would overflow.
 
     A finite omega reads as a pole once its chart coordinate underflows
     (|Im omega| past about 119); there q^{+-1} already overflow, so the
@@ -64,30 +142,30 @@ def _shift_table(freq: Frequency, N: int) -> np.ndarray:
     """
     if freq.is_pole:
         if math.isfinite(freq.omega.imag):
-            check_exponent(2.0 * math.pi * abs(freq.omega.imag), "shift",
-                           cutoff=N)
+            check_exponent(_TWO_PI * abs(freq.omega.imag), "shift", cutoff=N)
         raise OverflowRiskError(
             "shift multipliers are undefined at the chart poles q = 0, infinity"
         )
-    return mode_phases(freq.omega, N, "shift", cutoff=N)
+    check_exponent(_TWO_PI * N * abs(freq.omega.imag), "shift", cutoff=N)
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=2)
+def _frequency_tables(freq: Frequency) -> _FrequencyTables:
+    """The tables of the last two frequencies: a solve, or a sweep point,
+    asks for one frequency's tables from its first iteration to its last."""
+    return _FrequencyTables(freq)
+
+
+@lru_cache(maxsize=64)
 def multiplier_table(freq: Frequency, N: int, kind: MultiplierKind) -> np.ndarray:
     """The multiplier vector for modes k = -N..N (read-only, cached).
 
-    The q^{-k} and -lambda_{-k} vectors are the q^k and lambda_k tables
-    reversed (and negated).
+    A copy of a slice of the frequency's tables, so that this cache pins no
+    frequency's full tables.  A miss costs a slice, so the cache holds about
+    two solves' worth of vectors (a solve of the wide sweep asks for at most
+    31 distinct (N, kind)), not the tables of earlier sweep points.
     """
-    if kind in (GAMMA, GAMMA_MINUS, E_Q):
-        gamma = lambda_table(freq, N)
-        minus = -gamma[::-1]
-        t = {GAMMA: gamma, GAMMA_MINUS: minus, E_Q: gamma * minus}[kind]
-    else:
-        plus = _shift_table(freq, N)
-        minus = plus[::-1]
-        t = {SHIFT_PLUS: plus, SHIFT_MINUS: minus, NABLA: plus - 1.0,
-             NABLA_MINUS: 1.0 - minus, DELTA: plus - 2.0 + minus}[kind]
+    t = _frequency_tables(freq).table(N, kind).copy()
     t.flags.writeable = False
     return t
 
@@ -111,7 +189,7 @@ def apply(kind: MultiplierKind, phi: FourierSeries, freq: Frequency) -> FourierS
 
 def max_divisor_magnitude(freq: Frequency, N: int):
     """Largest |lambda_k| over 0 < |k| <= N, with its k (divergence diagnostics)."""
-    mags = np.abs(lambda_table(freq, N))
+    mags = np.abs(_frequency_tables(freq).table(N, GAMMA))
     i = int(np.argmax(mags))
     return float(mags[i]), int(i - N)
 

@@ -108,6 +108,17 @@ def test_obstruction_overflow_exits_1_with_the_error_json(tmp_path):
     assert d["error"]["diagnostics"] == {"order": 2}
 
 
+def test_an_overflowing_solve_exits_1_with_the_error_json(tmp_path):
+    r = run_cli(["solve", "--omega", "0.3", "--eps", "10",
+                 "--f", "[1e308, 0, 1e308]", "--out", "x.json"], tmp_path)
+    assert r.returncode == 1, r.stderr
+    assert "Traceback" not in r.stderr
+    assert "RuntimeWarning" not in r.stderr
+    d = json.loads((tmp_path / "x.json").read_text())
+    assert d["error"]["type"] == "OverflowRiskError"
+    assert d["error"]["diagnostics"]["step"] == "eps E_q f(id + u)"
+
+
 def test_exactly_one_frequency_form_is_enforced(tmp_path):
     both = run_cli(["solve", "--omega", "0.6", "--q-re", "0.3",
                     "--eps", "0.05", "--f", "cos"], tmp_path)

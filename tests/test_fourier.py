@@ -134,6 +134,28 @@ def test_evaluate_off_the_circle_is_as_accurate_as_the_dense_sum(N, height):
     assert err(evaluate(s, theta)) <= 2.0 * err(eval_dense(s, theta))
 
 
+@pytest.mark.parametrize("N", [1, 16, 17, 50])
+def test_evaluate_matches_the_direct_sum_up_to_the_exponent_guard(N):
+    # n = N modes a side: 1, a perfect square (B = 4 divides 16) and two
+    # counts that leave the last block of B short (B = 5 and 8).  Points at
+    # real z and at heights up to the guard 2 pi N |Im z| = EXP_CAP, against
+    # an extended-precision direct sum, pointwise relative to the rounding
+    # scale of forming exp(2 pi i k z) at all: 2^-52 (1 + 2 pi N |z|) times
+    # sum_k |c_k exp(2 pi i k z)|
+    rng = np.random.default_rng(N)
+    s = FourierSeries(rng.standard_normal(2 * N + 1)
+                      + 1j * rng.standard_normal(2 * N + 1))
+    top = EXP_CAP / (TWO_PI * N) * (1.0 - 1e-9)
+    height = np.concatenate([np.zeros(64), rng.uniform(-top, top, 192),
+                             [top, -top]])
+    theta = rng.uniform(-1.0, 2.0, height.size) + 1j * height
+    ref = eval_dense(s, theta, np.clongdouble)
+    ks = np.arange(-N, N + 1)
+    size = np.exp(-TWO_PI * np.outer(theta.imag, ks)) @ np.abs(s.coeffs)
+    rounding = 2.0 ** -52 * (1.0 + TWO_PI * N * np.abs(theta)) * size
+    assert np.all(np.abs(evaluate(s, theta) - ref) <= 4.0 * rounding)
+
+
 def test_evaluate_memory_stays_below_the_dense_matrix():
     # the dense route would allocate 8192 x 4099 x 16 B = 537 MB here
     rng = np.random.default_rng(22)

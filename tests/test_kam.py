@@ -6,8 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
+from kamforge import kam
 from kamforge.errors import (DivergenceError, NearSingularError,
-                             NoConvergenceError, ResonanceError)
+                             NoConvergenceError, OverflowRiskError,
+                             ResonanceError)
 from kamforge.fourier import (HARD_CAP, FourierSeries, compose_id_plus,
                               derivative, mean, sup_norm)
 from kamforge.frequency import DiophantineClass, from_omega, from_q
@@ -145,6 +147,36 @@ def test_newton_solves_where_sup_of_u_prime_exceeds_one():
 def test_solve_curve_rejects_a_non_finite_eps(bad):
     with pytest.raises(ValueError, match="eps must be finite"):
         solve_curve(FourierSeries.cos(), from_omega(GOLDEN), bad)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the typed error alone
+def test_an_overflowing_defect_is_typed():
+    # E_q f is finite (|e_q| < 1 at 0.3), but eps E_q f passes DBL_MAX
+    f = FourierSeries([1e308, 0.0, 1e308])
+    with pytest.raises(OverflowRiskError,
+                       match=r"^eps E_q f\(id \+ u\) overflowed$") as e:
+        solve_curve(f, from_omega(0.3), 10.0)
+    assert e.value.diagnostics["step"] == "eps E_q f(id + u)"
+
+
+@pytest.mark.parametrize("offset,warns", [(0.0, False), (1e-14, False),
+                                          (1e-12, True)])
+def test_forcing_mean_warning_and_its_scale(monkeypatch, offset, warns):
+    # the mean is weighed against max(sup|f|, 1) >= 1, so sup|f| is only
+    # formed once |<f>| exceeds 1e-13
+    f = FourierSeries([0.5, offset, 0.5])
+    formed = []
+    real = kam.sup_norm
+    monkeypatch.setattr(kam, "sup_norm",
+                        lambda phi: formed.append(phi is f) or real(phi))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            solve_curve(f, from_omega(GOLDEN), 0.05, SolverConfig(max_iters=2))
+        except NoConvergenceError:
+            pass
+    assert any("forcing has mean" in str(w.message) for w in caught) == warns
+    assert any(formed) == (offset > 1e-13)
 
 
 def test_correction_blowup_raises_with_divisor_diagnostics():

@@ -1,13 +1,27 @@
 """Multiplier operators: exact identities and closed-form divisor values."""
 
+import gc
 import math
+import sys
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from kamforge.errors import OverflowRiskError
-from kamforge.fourier import EXP_CAP, FourierSeries, mean, sup_norm
-from kamforge.frequency import from_omega, from_q
+from kamforge import operators
+from kamforge.errors import KamforgeError, OverflowRiskError
+from kamforge.fourier import (
+    EXP_CAP,
+    FourierSeries,
+    check_exponent,
+    mean,
+    mode_phases,
+    sup_norm,
+)
+from kamforge.frequency import from_omega, from_q, lambda_table
+from kamforge.kam import SolverConfig, solve_curve
 from kamforge.operators import (
     DELTA,
     E_Q,
@@ -17,9 +31,11 @@ from kamforge.operators import (
     NABLA_MINUS,
     SHIFT_MINUS,
     SHIFT_PLUS,
+    MultiplierKind,
     apply,
     e_n,
     max_divisor_magnitude,
+    multiplier_table,
 )
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -170,3 +186,134 @@ def test_shift_past_the_cap_names_the_exponent(im):
 def test_shift_at_the_poles_is_undefined(im):
     with pytest.raises(OverflowRiskError, match="chart poles"):
         apply(SHIFT_PLUS, FourierSeries.cos(), from_omega(complex(0.3, im)))
+
+
+# ---------------------------------------------------------------------------
+# the per-frequency tables behind multiplier_table
+
+
+def fresh_table(freq, N, kind):
+    """One kind built from scratch at cutoff N, with the refusals at N."""
+    if kind in (GAMMA, GAMMA_MINUS, E_Q):
+        gamma = lambda_table(freq, N)
+        minus = -gamma[::-1]
+        return {GAMMA: gamma, GAMMA_MINUS: minus, E_Q: gamma * minus}[kind]
+    if freq.is_pole:
+        if math.isfinite(freq.omega.imag):
+            check_exponent(2.0 * math.pi * abs(freq.omega.imag), "shift",
+                           cutoff=N)
+        raise OverflowRiskError(
+            "shift multipliers are undefined at the chart poles q = 0, infinity")
+    plus = mode_phases(freq.omega, N, "shift", cutoff=N)
+    minus = plus[::-1]
+    return {SHIFT_PLUS: plus, SHIFT_MINUS: minus, NABLA: plus - 1.0,
+            NABLA_MINUS: 1.0 - minus, DELTA: plus - 2.0 + minus}[kind]
+
+
+def outcome(build, *args):
+    """The table's bytes, or the type and message of what it raised."""
+    try:
+        t = build(*args)
+    except KamforgeError as exc:
+        return type(exc), str(exc), exc.diagnostics
+    return t.dtype, t.shape, t.tobytes()
+
+
+def clear_kamforge_caches():
+    """Clear every functools cache in kamforge, module by module."""
+    for name, mod in list(sys.modules.items()):
+        if name == "kamforge" or name.startswith("kamforge."):
+            for value in vars(mod).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
+@st.composite
+def table_cases(draw):
+    """A frequency and the cutoffs to request at it, in some order."""
+    where = draw(st.sampled_from(["plain", "guard", "pole", "rational"]))
+    re = draw(st.floats(0.0, 1.0, exclude_max=True))
+    Ns = draw(st.lists(st.integers(0, 1300), min_size=1, max_size=6))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    if where == "plain":
+        im = sign * draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
+    elif where == "guard":  # Im omega puts the shift guard at cutoff Ng
+        Ng = draw(st.integers(1, 1200))
+        nudge = draw(st.sampled_from([1 - 1e-12, 1.0, 1 + 1e-12]))
+        im = sign * nudge * EXP_CAP / (2.0 * math.pi * Ng)
+        Ns += [Ng - 1, Ng, Ng + 1]
+    elif where == "pole":
+        im = sign * draw(st.sampled_from([math.inf, 200.0]))
+    else:
+        m = draw(st.integers(1, 12))
+        re, im = draw(st.integers(0, m - 1)) / m, 0.0
+        Ns += [m - 1, m]
+    order = draw(st.sampled_from(["up", "down", "shuffled"]))
+    Ns = {"up": sorted(Ns), "down": sorted(Ns, reverse=True),
+          "shuffled": draw(st.permutations(Ns))}[order]
+    kinds = draw(st.permutations(list(MultiplierKind)))
+    return from_omega(complex(re, im)), Ns, kinds
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(table_cases())
+@example((from_omega(0.5), [600, 1, 2, 1300], list(MultiplierKind)))
+@example((from_omega(0.3 + 0.1j), [0, 2000, 600, 4096], list(MultiplierKind)))
+@example((from_omega(complex(0.3, -math.inf)), [0, 5], list(MultiplierKind)))
+def test_tables_match_a_fresh_build_byte_for_byte(case):
+    freq, Ns, kinds = case
+    clear_kamforge_caches()
+    for N in Ns:
+        for kind in kinds:
+            assert outcome(multiplier_table, freq, N, kind) == outcome(
+                fresh_table, freq, N, kind), (N, kind)
+
+
+def test_cleared_caches_rebuild_the_tables(monkeypatch):
+    freq, f = from_omega(GOLDEN + 0.01j), FourierSeries.cos()
+    solve_curve(f, freq, 0.05)
+    clear_kamforge_caches()
+    assert multiplier_table.cache_info().currsize == 0
+    assert operators._frequency_tables.cache_info().currsize == 0
+    builds = []
+    real_pass = operators.lambda_pass
+
+    def counted(freq, N):
+        builds.append(N)
+        return real_pass(freq, N)
+
+    monkeypatch.setattr(operators, "lambda_pass", counted)
+    solve_curve(f, freq, 0.05)
+    floor = operators._TABLE_FLOOR
+    assert builds == [floor]  # once, at the first request
+    # past the width, the set grows to twice it, not to each new cutoff
+    for N in range(floor + 1, 2 * floor + 1, 97):
+        multiplier_table(freq, N, GAMMA)
+    assert builds == [floor, 2 * floor]
+
+
+def test_a_sweep_keeps_at_most_two_frequencies_tables(monkeypatch):
+    clear_kamforge_caches()
+    built = []  # (omega, weak reference to a q^k or lambda_k table)
+
+    def tracked(build, omega_of):
+        def run(*args, **kwargs):
+            out = build(*args, **kwargs)
+            table = out[0] if isinstance(out, tuple) else out
+            built.append((omega_of(args[0]), weakref.ref(table)))
+            return out
+        return run
+
+    monkeypatch.setattr(operators, "mode_phases",
+                        tracked(mode_phases, lambda z: z))
+    monkeypatch.setattr(operators, "lambda_pass",
+                        tracked(operators.lambda_pass, lambda fr: fr.omega))
+    f, config = FourierSeries.cos(), SolverConfig(cutoff=32)
+    for j in range(100):
+        omega = complex(0.3 + 0.002 * (j % 10), 0.01 + 0.001 * (j // 10))
+        solve_curve(f, from_omega(omega), 0.01, config)
+    gc.collect()
+    omegas = {om for om, _ in built}
+    alive = {om for om, ref in built if ref() is not None}
+    assert len(omegas) == 100
+    assert len(alive) <= 2
