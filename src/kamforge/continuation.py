@@ -28,7 +28,6 @@ from . import jsonio
 from .errors import KamforgeError, OverflowRiskError
 from .fourier import (
     FourierSeries,
-    _add_centered,
     composition_jet,
     finite_scalar,
     sup_norm,
@@ -36,7 +35,6 @@ from .fourier import (
 from .frequency import Frequency, reflected
 from .kam import (InvariantCurve, SolverConfig, _iterate, dynamical_residual,
                   solve_curve)
-from .operators import e_n
 
 TAYLOR_ORDER_CAP = 60
 PICARD_MAX_ITERS = 200    # Picard iteration budget
@@ -110,7 +108,7 @@ def _picard_curve(f: FourierSeries, freq: Frequency, eps,
             "circle; the Picard contraction is not certified there"
         )
     return _iterate(f, freq, eps, config,
-                    lambda u, comp, eqcomp, history: eps * eqcomp,
+                    lambda u, comp, target, history: target,
                     PICARD_MAX_ITERS, "picard", {"q_modulus": modulus})
 
 
@@ -128,7 +126,11 @@ def taylor0_recursion(f: FourierSeries, eps, N_q: int = 40) -> QTaylorData:
     where [f(id+u)]_s, the q^s coefficient of the composition, depends on
     u_1..u_s only.  ``composition_jet`` supplies it one order at a time, so
     the cost is polynomial in N_q; the order cap bounds the desk-scale
-    budget.  Raises ``OverflowRiskError`` when an order stops being finite.
+    budget.  E^(n0) keeps the modes +-m, m | n0, weighted by n0/m = s, so
+    u_n[+-m] = eps sum_{s m <= n} s [f(id+u)]_{n-s m}[+-m]: one gather per
+    mode, on the cutoff max_{n0} min(n0, N([f(id+u)]_{n-n0})) that the n
+    pieces E^(n0) give.  E^(n) breaks f's mode lattice, so the jet runs at
+    stride 1.  Raises ``OverflowRiskError`` when an order stops being finite.
     """
     N_q = int(N_q)
     if N_q < 1:
@@ -138,19 +140,22 @@ def taylor0_recursion(f: FourierSeries, eps, N_q: int = 40) -> QTaylorData:
             f"N_q = {N_q} exceeds the order cap {TAYLOR_ORDER_CAP}")
     eps = finite_scalar(eps, "eps")
     jet = composition_jet(f.coeffs)
-    next(jet)                     # order 0 is f itself
-    comp = [f]                    # [f(id+u)]_s for s < n
+    # low[s] holds modes -N_q..N_q of [f(id+u)]_s, cut[s] its cutoff
+    low = np.zeros((N_q, 2 * N_q + 1), dtype=np.complex128)
+    cut: list = []
     orders: list = []
     # an overflowing order surfaces as the typed error below, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, N_q + 1):
-            if n > 1:
-                comp.append(FourierSeries._of(jet.send(orders[-1].coeffs)))
-            pieces = [e_n(f, n).coeffs]
-            pieces += [e_n(comp[n - n0], n0).coeffs for n0 in range(1, n)]
-            total = np.zeros(max(p.size for p in pieces), dtype=np.complex128)
-            for p in pieces:
-                _add_centered(total, p)
+            comp = next(jet) if n == 1 else jet.send(orders[-1].coeffs)
+            cut.append((comp.size - 1) // 2)
+            w = min(cut[-1], N_q)
+            low[n - 1, N_q - w:N_q + w + 1] = comp[cut[-1] - w:cut[-1] + w + 1]
+            Nn = max(min(n0, cut[n - n0]) for n0 in range(1, n + 1))
+            total = np.zeros(2 * Nn + 1, dtype=np.complex128)
+            for m in range(1, Nn + 1):    # modes -m and m, rows n - s m
+                total[Nn - m:Nn + m + 1:2 * m] = np.arange(1, n // m + 1) @ (
+                    low[n - m::-m, N_q - m:N_q + m + 1:2 * m])
             total *= eps
             if not np.isfinite(total).all():
                 raise OverflowRiskError(f"Taylor order {n} overflowed",
@@ -162,25 +167,27 @@ def taylor0_recursion(f: FourierSeries, eps, N_q: int = 40) -> QTaylorData:
 def taylor0_eval(data: QTaylorData, q, with_info: bool = False):
     """Partial sum sum_n q^n u_n over the available orders.
 
-    Warns when the term magnitudes stop decaying (the partial sums are then
-    not Cauchy at this q).  With ``with_info=True`` also returns the term
-    norms, the last-term truncation indicator, and the root-test line
-    |u_n|^(1/n) — reported without any threshold.
+    The sum accumulates in one array at the widest cutoff; a term's norm is
+    |q^n| sup|u_n|, one ``sup_norm`` per order.  Warns when the term
+    magnitudes stop decaying (the partial sums are then not Cauchy at this
+    q).  With ``with_info=True`` also returns the term norms, the last-term
+    truncation indicator, and the root-test line |u_n|^(1/n) — reported
+    without any threshold.
     """
     qq = complex(q)
     if not abs(qq) < 1.0:  # refuses a NaN q too
         raise ValueError(
             f"Taylor data at q = 0 is only summable for |q| < 1, got q = {qq}")
-    acc = FourierSeries.zero(0)
+    N = max((un.N for un in data.orders), default=0)
+    acc = np.zeros(2 * N + 1, dtype=np.complex128)
     qn = 1.0 + 0.0j
     term_norms = []
     order_norms = []
-    for n, un in enumerate(data.orders, start=1):
+    for un in data.orders:
         qn = qn * qq
-        term = qn * un
-        acc = acc + term
-        term_norms.append(sup_norm(term))
+        acc[N - un.N:N + un.N + 1] += un.coeffs * qn
         order_norms.append(sup_norm(un))
+        term_norms.append(abs(qn) * order_norms[-1])
     last = term_norms[-1] if term_norms else 0.0
     scale = max(term_norms) if term_norms else 0.0
     if len(term_norms) >= 6 and scale > 0:
@@ -192,6 +199,7 @@ def taylor0_eval(data: QTaylorData, q, with_info: bool = False):
                 RuntimeWarning,
                 stacklevel=2,
             )
+    acc = FourierSeries._of(acc)
     if not with_info:
         return acc
     root_test = [nn ** (1.0 / n) if nn > 0 else 0.0

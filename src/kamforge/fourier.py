@@ -10,8 +10,11 @@ compositions, pointwise inverses) go through equispaced grids and the FFT;
 grids are oversampled by at least a factor of four relative to the joint
 cutoff and every truncation reports the magnitude of what it dropped.  The
 one exception is ``composition_jet``, the order-by-order composition used by
-the formal series: it convolves raw coefficient arrays directly, in
-whatever complex dtype it is given.
+the formal series.  It carries F = f(theta + u) through the identity
+(1 + u_theta) F_t = u_t F_theta, at two direct convolutions of raw
+coefficient arrays per pair of orders (n, j), on the stride-d lattice of
+f's modes (F_s stays on (s + 1) r + d Z when f lives on r + d Z and u_j on
+j r + d Z), in whatever complex dtype it is given.
 
 Point evaluation off the grid, ``evaluate``, forms no matrix of
 exp(2 pi i k z): it sums the modes k >= 1 and k <= -1 as polynomials in
@@ -407,50 +410,58 @@ def compose_id_plus(f: FourierSeries, u: FourierSeries):
     return FourierSeries._of(out), CompositionReport(tail, G)
 
 
-def _add_centered(acc: np.ndarray, a: np.ndarray) -> None:
-    """Add the centered coefficient vector *a* into the middle of *acc*."""
-    lo = (acc.size - a.size) // 2
-    acc[lo:lo + a.size] += a
+def composition_jet(f: np.ndarray, step: int = 1, center=0):
+    """Orders of F = f(theta + u) when u is a power series in a parameter t.
 
+    A generator on raw coefficient arrays: for u = sum_{s>=1} t^s u_s, the
+    first ``next()`` yields F_0 = f and each ``send(u_s)``, s = 1, 2, ...,
+    yields F_s, the t^s coefficient of F (the jet keeps it: do not write
+    it).  It carries F itself, through the t^(n-1) coefficient of
+    (1 + u_theta) F_t = u_t F_theta (Brent & Kung, J. ACM 25, 1978),
 
-def composition_jet(f: np.ndarray):
-    """Orders of f(theta + u) when u is a power series in a parameter t.
+        n F_n = sum_{j=1}^{n} j u_j * F'_{n-j} - sum_{j=1}^{n-1} (n-j) u_j' * F_{n-j},
 
-    A generator on raw centered coefficient arrays.  For
-    u = sum_{s>=1} t^s u_s, the first ``next()`` yields [f(theta+u)]_0 = f
-    and each ``send(u_s)``, for s = 1, 2, ..., yields [f(theta+u)]_s.
-    Mode k of f contributes f_k e_k E^(k) with E^(k) = exp(2 pi i k u),
-    whose orders follow the power-series exponential recurrence
+    * the convolution and ' the theta-derivative.  Modes k1 of u_j and k2 of
+    F_{n-j} enter with 2 pi i (j k2 - (n-j) k1) = 2 pi i (j k - n k1), k =
+    k1 + k2, so n F_n = 2 pi i (k sum_j (j u_j) * F_{n-j} - n sum_j (k u_j)
+    * F_{n-j}): three arrays kept an order, and two direct ``np.convolve``s
+    per (n, j), whatever f's mode count.  No grid and no FFT, so a
+    structural zero stays exact; the arithmetic runs in f's complex dtype
+    (clongdouble included).
 
-        E^(k)_0 = 1,    n E^(k)_n = 2 pi i k sum_{j=1}^{n} j u_j E^(k)_{n-j}.
-
-    Every product is a direct ``np.convolve``: no grid and no FFT, so a mode
-    that is zero by structure stays an exact zero.  The arithmetic runs in
-    the complex dtype of *f* (clongdouble included).  Order n costs n
-    convolutions per nonzero mode of f.
+    Entry i of f is mode center + step (i - (len(f) - 1)/2), and every
+    array of order s (u_s, and F_{s-1}) is centred on mode s center.  If f
+    lives on r + step Z and u_j on j r + step Z, each product above pairs a
+    mode of j r + step Z with one of (s - j + 1) r + step Z, so F_s lives on
+    (s + 1) r + step Z: a caller whose u_s act mode by mode on F_{s-1}
+    stores 1/step of each array.  The defaults give centred arrays
+    c_{-N}..c_N.
     """
     f = np.asarray(f)
-    K = (f.size - 1) // 2
     two_pi_i = f.dtype.type(2j) * np.arccos(f.real.dtype.type(-1))
-    modes = [k for k in range(-K, K + 1) if k != 0 and f[k + K] != 0]
-    E = {k: [np.ones(1, dtype=f.dtype)] for k in modes}
-    ju: list = []        # j u_j for j = 1..n
-    half = [0]           # half-width of E^(k)_n, the same for every k
+
+    def modes(size, s):       # of an array of order s
+        return s * center + step * (np.arange(size) - (size - 1) / 2)
+
+    ju, ku, F = [], [], [f]   # j u_j and k u_j for j = 1..n, F_s for s < n
     u = yield f
     while True:
         n = len(ju) + 1
-        ju.append(n * np.asarray(u))
-        hw = max((a.size - 1) // 2 + half[n - j] for j, a in enumerate(ju, 1))
-        half.append(hw)
-        out = np.zeros(2 * (hw + K) + 1, dtype=f.dtype)
-        for k in modes:
-            acc = np.zeros(2 * hw + 1, dtype=f.dtype)
-            for j in range(1, n + 1):
-                _add_centered(acc, np.convolve(ju[j - 1], E[k][n - j]))
-            acc *= two_pi_i * k / n
-            E[k].append(acc)
-            out[K + k:K + k + acc.size] += f[k + K] * acc
-        u = yield out
+        u = np.asarray(u)
+        ju.append(n * u)
+        ku.append(modes(u.size, n) * u)
+        size = max(a.size + c.size for a, c in zip(ju, reversed(F))) - 1
+        acc = np.zeros(size, dtype=f.dtype)     # sum (j u_j) * F_{n-j}
+        kcc = np.zeros(size, dtype=f.dtype)     # sum (k u_j) * F_{n-j}
+        for a, b, c in zip(ju, ku, reversed(F)):
+            lo = (size - a.size - c.size + 1) // 2
+            acc[lo:size - lo] += np.convolve(a, c)
+            kcc[lo:size - lo] += np.convolve(b, c)
+        acc *= modes(size, n + 1)
+        acc -= n * kcc
+        acc *= two_pi_i / n
+        F.append(acc)
+        u = yield acc
 
 
 # ---------------------------------------------------------------------------

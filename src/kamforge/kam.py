@@ -277,8 +277,8 @@ def _fit_slope(history) -> float:
     return math.nan
 
 
-def _fixed_point_defect(u, eqcomp, eps):
-    """Sup-norm of (u - <u>) - eps E_q(f(id+u)), given E_q of the composition.
+def _fixed_point_defect(u, target):
+    """Sup-norm of (u - <u>) - target, for target = eps E_q(f(id+u)).
 
     Because E_q delta = id - mean exactly, this vanishes precisely when the
     invariance error does (up to the mean gauge, which the normalization
@@ -287,8 +287,7 @@ def _fixed_point_defect(u, eqcomp, eps):
     |q|^{-|k|} off the unit circle and would amplify round-off into a fake
     divergence signal.
     """
-    return sup_norm((u - FourierSeries.constant(mean(u)))
-                    - _scaled(eps, eqcomp, "eps E_q f(id + u)"))
+    return sup_norm((u - FourierSeries.constant(mean(u))) - target)
 
 
 def solve_curve(f: FourierSeries, freq: Frequency, eps,
@@ -334,8 +333,9 @@ def _iterate(f: FourierSeries, freq: Frequency, eps: complex,
              diagnostics: dict) -> InvariantCurve:
     """The solve loop of every method: iterate, stop, normalize, report.
 
-    ``step(u, comp, eqcomp, history)`` is all a method brings: the next
-    iterate, untruncated, given comp = f(id + u) and eqcomp = E_q comp.
+    ``step(u, comp, target, history)`` is all a method brings: the next
+    iterate, untruncated, given comp = f(id + u) and target = eps E_q comp,
+    the product the defect has just formed and checked.
     The loop stops when the gauge-fixed defect ||(u - <u>) - eps E_q comp||
     reaches ``config.tol``.  It is zero exactly when the invariance error
     is, and stays honest off the unit circle, where the raw error routes
@@ -356,8 +356,8 @@ def _iterate(f: FourierSeries, freq: Frequency, eps: complex,
     for it in range(budget + 1):
         comp, crep = compose_id_plus(f, u)
         tails.append(crep.aliasing_tail)
-        eqcomp = apply(E_Q, comp, freq)
-        r = _fixed_point_defect(u, eqcomp, eps)
+        target = _scaled(eps, apply(E_Q, comp, freq), "eps E_q f(id + u)")
+        r = _fixed_point_defect(u, target)
         history.append(r)
         # the zero seed's defect eps |E_q f| is O(eps |q|) off the circle,
         # below tol far out, while v = (1 - q^{-k}) u needs the tiny modes
@@ -378,7 +378,7 @@ def _iterate(f: FourierSeries, freq: Frequency, eps: complex,
                 {**diagnostics, "max_divisor": lam, "max_divisor_k": k,
                  "residual_history": history},
             )
-        u, t_tail = truncate(step(u, comp, eqcomp, history), config.cutoff)
+        u, t_tail = truncate(step(u, comp, target, history), config.cutoff)
         tails.append(t_tail)
         u = clamp_small(u)
 
@@ -393,7 +393,7 @@ def _iterate(f: FourierSeries, freq: Frequency, eps: complex,
     comp_n, crep_n = compose_id_plus(f, u)
     tails.append(crep_n.aliasing_tail)
     diagnostics["post_normalization_residual"] = _fixed_point_defect(
-        u, apply(E_Q, comp_n, freq), eps)
+        u, _scaled(eps, apply(E_Q, comp_n, freq), "eps E_q f(id + u)"))
 
     v = apply(NABLA_MINUS, u, freq)
     beta = eps * mean(comp_n)

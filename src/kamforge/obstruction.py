@@ -15,9 +15,9 @@ closed form,
 with A the top coefficient of f and beta_n > 0 produced by a scalar
 recursion in the divisor values.  The engine here computes the g_n with
 the same composition kernel as the Taylor orders at q = 0
-(``fourier.composition_jet``: direct convolution, no FFT, no grids), so
-that the comparison against the oracle is a genuine two-route consistency
-check.
+(``fourier.composition_jet``: direct convolution, no FFT, no grids), on
+the lattice of f's modes; the oracle uses only K, A and the divisor
+tables, so the comparison is a genuine two-route consistency check.
 """
 
 from __future__ import annotations
@@ -167,7 +167,11 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
     The right-hand side of delta_star u_n = g_n is g_1 = f and, for n >= 2,
     g_n = [f(id+u)]_{n-1}, the eps^(n-1) coefficient of the composition,
     which ``composition_jet`` builds from u_1..u_{n-1} by exact
-    convolution; u_n = lam * g_n.  The run stops at the first n where
+    convolution; u_n = lam * g_n.  If f lives on lo + d Z (lo its lowest
+    mode, d the gcd of its mode differences) and u_j on j lo + d Z for
+    j < n, the jet puts g_n on n lo + d Z, and lam, acting mode by mode,
+    keeps u_n there: each is stored as its modes n lo..n K at stride d (half
+    of each array for ``cos``).  The run stops at the first n where
     ||Pi0 g_n|| exceeds the threshold (default 1e-10 times the largest
     coefficient magnitude accumulated so far).  Forcings whose only extreme
     mode is -K are reduced to the +K case by the reflection theta -> -theta
@@ -183,17 +187,18 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
         raise ValueError("exactness must be 'float' or 'extended'")
     if abs(f.coeff(0)) > 0.0:
         raise ValueError("forcing must have zero mean")
-    nz = np.nonzero(f.coeffs)[0]
-    if len(nz) == 0:
+    modes = np.nonzero(f.coeffs)[0] - f.N
+    if len(modes) == 0:
         raise ValueError("forcing is identically zero")
-    degree = int(max(abs(nz - f.N)))
-    reflected = f.coeff(degree) == 0
+    K = int(max(abs(modes)))
+    reflected = f.coeff(K) == 0
     dtype = np.clongdouble if exactness == "extended" else np.complex128
-    f_arr = np.asarray(f.coeffs[f.N - degree:f.N + degree + 1], dtype=dtype)
+    c = np.asarray(f.coeffs, dtype=dtype)
     if reflected:
-        f_arr = f_arr[::-1].copy()
-    K = degree
-    A = complex(f_arr[2 * K])
+        c, modes = c[::-1], -modes[::-1]
+    lo, d = int(modes[0]), int(np.gcd.reduce(np.diff(modes))) or 1
+    f_lat = c[f.N + lo:f.N + K + 1:d]    # f on its lattice: modes lo..K, stride d
+    A = complex(f_lat[-1])
 
     if max_order is None:
         max_order = rf.m
@@ -202,12 +207,11 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
         raise ValueError("max_order must be at least 1")
 
     _, lam = rf.tables(extended=(exactness == "extended"))
-    jet = composition_jet(f_arr)
+    jet = composition_jet(f_lat, step=d, center=(lo + K) / 2)
     g = next(jet)                 # g_1 = f
     gammas_engine: list = []
     scale = 0.0
     n_star = None
-    witness_arr = np.zeros(1, dtype=dtype)
     thr = threshold if threshold is not None else 0.0
     # an overflowing order surfaces as the typed error below, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -217,19 +221,17 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
             if not np.isfinite(g).all():
                 raise OverflowRiskError(f"obstruction order {n} overflowed",
                                         {"order": n})
-            Ng = (len(g) - 1) // 2
-            gammas_engine.append(complex(g[Ng + n * K]) if n * K <= Ng else 0.0j)
+            gammas_engine.append(complex(g[-1]))   # mode n K
             scale = max(scale, float(np.max(np.abs(g))))
             if threshold is None:
                 thr = 1e-10 * scale
-            ks = np.arange(-Ng, Ng + 1)
-            resonant = np.mod(ks, rf.m) == 0
-            witness_arr = np.where(resonant, g, dtype(0))
-            wnorm = float(np.max(np.abs(witness_arr)))
+            ks = n * lo + d * np.arange(g.size)    # g_n lives on n lo + d Z
+            witness = np.where(ks % rf.m == 0, g, dtype(0))
+            wnorm = float(np.max(np.abs(witness)))
             if wnorm > thr:
                 n_star = n
                 break
-            u = g * lam[np.mod(ks, rf.m)]
+            u = g * lam[ks % rf.m]
 
         betas, gammas_oracle, _ = beta_gamma_oracle(
             K, rf, len(gammas_engine), A, extended=(exactness == "extended"))
@@ -242,6 +244,8 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
         relative_gap = max((abs(g) for g in gammas_engine), default=0.0)
 
     idx = (n_star if n_star is not None else len(gammas_engine)) - 1
+    witness_full = np.zeros(2 * n * K + 1, dtype=dtype)   # modes -n K..n K
+    witness_full[ks + n * K] = witness
     return ObstructionReport(
         p=rf.p,
         m=rf.m,
@@ -252,8 +256,8 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
         orders_computed=len(gammas_engine),
         n_star=n_star,
         threshold=float(thr),
-        obstruction_witness=FourierSeries(witness_arr),
-        witness_norm=float(np.max(np.abs(witness_arr))),
+        obstruction_witness=FourierSeries(witness_full),
+        witness_norm=wnorm,
         gamma_engine=gammas_engine[idx],
         gamma_oracle=gammas_oracle[idx],
         relative_gap=float(relative_gap),

@@ -13,10 +13,10 @@ from kamforge.continuation import (QTaylorData, conjugate_reflection_check,
                                    taylor0_recursion)
 from kamforge.errors import (DivergenceError, NearSingularError,
                              OverflowRiskError)
-from kamforge.fourier import FourierSeries, mean, sup_norm
+from kamforge.fourier import FourierSeries, composition_jet, mean, sup_norm
 from kamforge.frequency import from_omega, from_q
 from kamforge.kam import DIVERGENCE_FACTOR, SolverConfig, solve_curve
-from kamforge.operators import NABLA_MINUS, apply
+from kamforge.operators import NABLA_MINUS, apply, e_n
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -133,6 +133,51 @@ def test_taylor_orders_support_and_top_law():
         fbot = f.coeff(-n) if n <= 4 else 0.0
         assert abs(un.coeff(n) - eps * ftop) < 1e-14
         assert abs(un.coeff(-n) - eps * fbot) < 1e-14
+
+
+def taylor_test_forcing(K):
+    """Zero-mean forcing on the modes 0 < |k| <= K."""
+    k = np.arange(-K, K + 1)
+    c = np.where(k != 0, 1 / (1 + np.abs(k)) + 0.3j * np.sign(k) / (1 + k * k), 0)
+    return FourierSeries(c)
+
+
+@pytest.mark.parametrize("K, N_q", [(1, 60), (3, 60), (5, 30)])
+def test_taylor_orders_are_the_sum_of_their_e_n_pieces(K, N_q):
+    # u_n = eps sum_{n0} E^(n0) [f(id+u)]_{n-n0}, assembled from e_n on the
+    # jet's own compositions, on the cutoff the n pieces give: [f(id+u)]_s
+    # has cutoff K + s, so u_n has min(n, (n + K) // 2), the cutoffs of the
+    # assembly that summed the pieces one series at a time
+    f = taylor_test_forcing(K)
+    eps = 0.05
+    data = taylor0_recursion(f, eps, N_q=N_q)
+    jet = composition_jet(f.coeffs)
+    comp = [FourierSeries._of(next(jet))]
+    for n in range(1, N_q + 1):
+        un = data.order(n)
+        assert un.N == min(n, (n + K) // 2)
+        ref = eps * sum((e_n(comp[n - n0], n0) for n0 in range(1, n + 1)),
+                        FourierSeries.zero(0))
+        assert ref.N == un.N
+        err = np.max(np.abs(un.coeffs - ref.coeffs))
+        assert err <= 4e-16 * np.max(np.abs(ref.coeffs))
+        comp.append(FourierSeries._of(jet.send(un.coeffs)))
+
+
+def test_taylor_eval_partial_sum_and_term_norms():
+    # the partial sum is the series sum of the terms q^n u_n, bit for bit,
+    # and each term norm is |q^n| sup|u_n|, the term's own sup to rounding
+    data = taylor0_recursion(taylor_test_forcing(3), 0.05, N_q=30)
+    q = 0.25 - 0.1j
+    u, info = taylor0_eval(data, q, with_info=True)
+    acc, qn = FourierSeries.zero(0), 1.0
+    for n, un in enumerate(data.orders, start=1):
+        qn = qn * q
+        acc = acc + qn * un
+        assert info["term_norms"][n - 1] == abs(qn) * info["order_norms"][n - 1]
+        assert info["term_norms"][n - 1] == pytest.approx(sup_norm(qn * un),
+                                                          rel=1e-13)
+    assert np.array_equal(u.coeffs, acc.coeffs)
 
 
 def test_taylor_eval_matches_picard_at_complex_q():

@@ -368,6 +368,73 @@ def test_composition_jet_sums_to_evaluated_composition(dtype):
     assert np.max(np.abs(jet - ref)) < 1e-14 * np.max(np.abs(ref))
 
 
+def on_modes(c, modes):
+    """Series with coefficient c[i] at mode modes[i], zero elsewhere."""
+    N = int(np.max(np.abs(modes)))
+    out = np.zeros(2 * N + 1, dtype=np.complex128)
+    out[np.asarray(modes) + N] = np.asarray(c, dtype=np.complex128)
+    return FourierSeries(out)
+
+
+# (step, center, modes of f, of u_1 and of u_2): a 16-mode forcing on the
+# full lattice, and forcings on r + d Z with u_s on s r + d Z, centred on
+# s * center: cos 2 pi theta + cos 6 pi theta (d = 2) and a one-sided d = 3
+# forcing.  Coefficients are drawn, except cos + cos 3 theta's own
+JET_CASES = {
+    "16 modes": (1, 0, np.arange(-16, 17), np.arange(-3, 4), np.arange(-2, 3)),
+    "cos + cos 3 theta": (2, 0, [-3, -1, 1, 3], [-1, 1], [-2, 0, 2]),
+    "one-sided d = 3": (3, 2.5, [1, 4], [1, 4], [2, 5, 8]),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
+@pytest.mark.parametrize("case", sorted(JET_CASES))
+def test_composition_jet_on_a_lattice_sums_to_evaluated_composition(case, dtype):
+    # sum_n t^n F_n, spread from the lattice onto the modes, against
+    # f evaluated at theta + t u_1(theta) + t^2 u_2(theta)
+    step, center, f_modes, u1_modes, u2_modes = JET_CASES[case]
+    rng = np.random.default_rng(len(f_modes))
+
+    def draw(modes, decay):
+        ks = np.abs(np.asarray(modes))
+        return np.exp(-decay * ks) * (rng.standard_normal(ks.size)
+                                      + 1j * rng.standard_normal(ks.size))
+
+    f = np.full(4, 0.5) if case == "cos + cos 3 theta" else draw(f_modes, 0.3)
+    u1, u2 = draw(u1_modes, 0.8), draw(u2_modes, 0.8)
+    t = 0.002 if case == "16 modes" else 0.02
+    jet = composition_jet(np.asarray(f, dtype=dtype), step, center)
+    orders = [next(jet)]
+    for s in range(1, 25):
+        u = u1 if s == 1 else u2 if s == 2 else np.zeros((u1, u2)[s % 2 == 0].size)
+        orders.append(jet.send(np.asarray(u, dtype=dtype)))
+    theta = np.arange(256) / 256.0
+    got = np.zeros(theta.size, dtype=np.complex128)
+    for n, F in enumerate(orders):
+        assert F.dtype == dtype
+        ks = (n + 1) * center + step * (np.arange(F.size) - (F.size - 1) / 2)
+        assert np.all(ks == np.round(ks))      # F_n sits on integer modes
+        got += t ** n * evaluate(on_modes(F.astype(np.complex128), ks.astype(int)),
+                                 theta)
+    z = (theta + t * evaluate(on_modes(u1, u1_modes), theta)
+         + t * t * evaluate(on_modes(u2, u2_modes), theta))
+    ref = evaluate(on_modes(f, f_modes), z)
+    assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
+
+
+def test_composition_jet_keeps_the_lattice_zeros_exact():
+    # cos on the full lattice: every F_n is zero on the modes of parity n
+    jet = composition_jet(FourierSeries.cos().coeffs)
+    F = next(jet)
+    for n in range(1, 12):
+        u = np.zeros(2 * n + 1, dtype=np.complex128)
+        u[::2] = 0.3 / n               # u_n on modes -n, -n + 2, ..., n
+        F = jet.send(u)
+        N = (F.size - 1) // 2
+        off = (np.arange(-N, N + 1) - (n + 1)) % 2 == 1
+        assert np.any(F[~off]) and not np.any(F[off])
+
+
 def test_invert_pointwise_inverse():
     f = FourierSeries([0.5, 2.0, 0.5])  # 2 + cos, strictly positive
     inv = invert_pointwise(f)

@@ -1,6 +1,7 @@
 """Formal construction at rational rotation numbers and its obstruction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,6 +198,174 @@ def test_extended_precision_agrees_with_float():
     assert rext.n_star == r64.n_star == 5
     assert abs(rext.gamma_engine - r64.gamma_engine) < 1e-13
     assert rext.relative_gap < 1e-12
+
+
+def degree3_forcing(seed):
+    """Zero-mean forcing on modes 0 < |k| <= 3, seeded magnitudes and phases."""
+    rng = np.random.default_rng(seed)
+    c = np.zeros(7, dtype=np.complex128)
+    for k in (-3, -2, -1, 1, 2, 3):
+        c[k + 3] = (rng.uniform(0.2, 1.0)
+                    * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+                    * np.exp(-0.4 * abs(k)))
+    return FourierSeries(c)
+
+
+# (n*, gamma_engine, witness at its modes +-m), as an engine that ran one
+# exponential series per mode of f on all modes recorded them
+OBSTRUCTION_PINS = {
+    "cos float 1/7": (7, (-2428.103507767427+0j), {
+        -7: (-2428.1035077674233+0j),
+        7: (-2428.103507767427+0j),
+    }),
+    "cos float 3/13": (13, (8643834.456066154+0j), {
+        -13: (8643834.456066122+0j),
+        13: (8643834.456066154+0j),
+    }),
+    "cos float 5/21": (21, (45343823424415.125+0j), {
+        -21: (45343823424415.28+0j),
+        21: (45343823424415.125+0j),
+    }),
+    "cos float 13/34": (34, -5.649918906493493e+21j, {
+        -34: 5.649918906493356e+21j,
+        34: -5.649918906493493e+21j,
+    }),
+    "cos float 21/55": (55, (-1.198514710688078e+38+0j), {
+        -55: (-1.1985147106879588e+38+0j),
+        55: (-1.198514710688078e+38+0j),
+    }),
+    "cos float 34/89": (89, (7.770691818382993e+64+0j), {
+        -89: (7.770691818381726e+64+0j),
+        89: (7.770691818382993e+64+0j),
+    }),
+    "cos extended 1/7": (7, (-2428.103507767429+0j), {
+        -7: (-2428.103507767429+0j),
+        7: (-2428.103507767429+0j),
+    }),
+    "cos extended 3/13": (13, (8643834.456066113+0j), {
+        -13: (8643834.456066113+0j),
+        13: (8643834.456066113+0j),
+    }),
+    "cos extended 5/21": (21, (45343823424415.78+0j), {
+        -21: (45343823424415.78+0j),
+        21: (45343823424415.78+0j),
+    }),
+    "cos extended 13/34": (34, -5.649918906493618e+21j, {
+        -34: 5.649918906493618e+21j,
+        34: -5.649918906493618e+21j,
+    }),
+    "cos extended 21/55": (55, (-1.1985147106882259e+38+0j), {
+        -55: (-1.198514710688226e+38+0j),
+        55: (-1.1985147106882259e+38+0j),
+    }),
+    "cos extended 34/89": (89, (7.770691818381932e+64+0j), {
+        -89: (7.770691818381932e+64+0j),
+        89: (7.770691818381932e+64+0j),
+    }),
+    "g float 1/7": (3, (-0.1647745168198245+0.27751565405401485j), {
+        -7: (4.059026059451517+0.39565241498849824j),
+        7: (-0.01686948050797407-2.8745266952727477j),
+    }),
+    "g float 3/13": (5, (-3.104261808634912+2.4989158683172485j), {
+        -13: (11.276005924349008+268.57622245090397j),
+        13: (22.168697163986728-81.27695971782931j),
+    }),
+    "g float 5/21": (7, (-10.478552077576982+3.479141440970542j), {
+        -21: (52.22929721928744-269.22879343781364j),
+        21: (-10.478552077576982+3.479141440970542j),
+    }),
+    "g float 13/34": (12, (-2598621.3293361766-1674610.14257429j), {
+        -34: (435905635908.86566+832484626030.6498j),
+        34: (9804550427.579264-1850783059.1689444j),
+    }),
+    "g float 21/55": (19, (2180017666032.7534-8471462501918.568j), {
+        -55: (3.186654045713071e+19+1.0630567517175988e+20j),
+        55: (2.303924302629253e+16+4.145337770671359e+16j),
+    }),
+    "g float 34/89": (32, (2.8860582056163742e+23+4.5237636111359475e+23j), {
+        -89: (2.8177297152573197e+41-4.4308895779620785e+42j),
+        89: (-5.391629448576638e+37+4.392010535324473e+36j),
+    }),
+    "g extended 1/7": (3, (-0.16477451681982463+0.2775156540540151j), {
+        -7: (4.059026059451518+0.3956524149884993j),
+        7: (-0.01686948050797408-2.874526695272749j),
+    }),
+    "g extended 3/13": (5, (-3.1042618086349054+2.4989158683172423j), {
+        -13: (11.276005924348969+268.57622245090306j),
+        13: (22.16869716398669-81.27695971782916j),
+    }),
+    "g extended 5/21": (7, (-10.478552077576994+3.479141440970546j), {
+        -21: (52.229297219287446-269.22879343781347j),
+        21: (-10.478552077576994+3.479141440970546j),
+    }),
+    "g extended 13/34": (12, (-2598621.329336241-1674610.1425743308j), {
+        -34: (435905635908.88525+832484626030.6874j),
+        34: (9804550427.57938-1850783059.1689668j),
+    }),
+    "g extended 21/55": (19, (2180017666033.2231-8471462501920.397j), {
+        -55: (3.1866540457130263e+19+1.0630567517175826e+20j),
+        55: (2.3039243026294024e+16+4.145337770671627e+16j),
+    }),
+    "g extended 34/89": (32, (2.8860582056175315e+23+4.5237636111377715e+23j), {
+        -89: (2.8177297152573583e+41-4.430889577962179e+42j),
+        89: (-5.391629448575859e+37+4.3920105353238263e+36j),
+    }),
+}
+
+
+@pytest.mark.parametrize("key", sorted(OBSTRUCTION_PINS))
+def test_obstruction_pins_at_the_workload_rationals(key):
+    forcing, exactness, pm = key.split()
+    p, m = map(int, pm.split("/"))
+    f = FourierSeries.cos() if forcing == "cos" else degree3_forcing(7)
+    rep = obstruction_order(f, RationalFreq(p, m), exactness=exactness)
+    n_star, gamma, witness = OBSTRUCTION_PINS[key]
+    assert rep.n_star == rep.orders_computed == n_star
+    assert abs(rep.gamma_engine - gamma) <= 1e-13 * abs(gamma)
+    w = rep.obstruction_witness
+    assert w.N == n_star * rep.K
+    nonzero = {k for k in range(-w.N, w.N + 1) if w.coeff(k) != 0}
+    assert nonzero <= set(witness) | {0}
+    for k, value in witness.items():
+        assert abs(w.coeff(k) - value) <= 1e-13 * abs(value)
+    # mode 0 of every g_n vanishes analytically (the mean of f(id + u) when
+    # delta u = eps f(id + u) holds at the lower orders); what it holds is
+    # round-off, up to 1.5e-9 of the witness in float
+    assert abs(w.coeff(0)) <= 1e-8 * rep.witness_norm
+    assert rep.relative_gap <= 1e-13
+
+
+def test_one_sided_lattice_forcing_and_its_reflection():
+    # modes 1 and 4 (lattice 1 + 3Z, one-sided) and its mirror image -1, -4
+    c = np.zeros(9, dtype=np.complex128)
+    c[4 + 1], c[4 + 4] = 0.7 - 0.2j, 0.4 + 0.1j
+    f = FourierSeries(c)
+    mirror = FourierSeries(c[::-1])
+    for p, m in ((1, 5), (3, 7), (2, 9)):
+        rep = obstruction_order(f, RationalFreq(p, m))
+        ref = obstruction_order(mirror, RationalFreq(p, m))
+        ext = obstruction_order(f, RationalFreq(p, m), exactness="extended")
+        assert not rep.reflected and ref.reflected
+        assert rep.n_star == ref.n_star == ext.n_star is not None
+        assert rep.relative_gap < 1e-12 and ext.relative_gap < 1e-12
+        assert abs(rep.gamma_engine - ref.gamma_engine) <= (
+            1e-15 * abs(rep.gamma_engine))
+        # the mirror's witness is reported in its reflected frame
+        w, v = rep.obstruction_witness.coeffs, ref.obstruction_witness.coeffs
+        assert np.max(np.abs(w - v)) <= 1e-14 * rep.witness_norm
+
+
+def test_obstruction_peak_memory():
+    # one exponential series per mode, on all modes, peaked at 0.44 MB here;
+    # F = f(id + u) on the odd/even lattice of cos keeps three arrays an order
+    obstruction_order(FourierSeries.cos(), RationalFreq(34, 89))
+    tracemalloc.start()
+    try:
+        obstruction_order(FourierSeries.cos(), RationalFreq(34, 89))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.33e6, peak
 
 
 def test_obstruction_validation():
