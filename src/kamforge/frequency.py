@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -348,9 +349,14 @@ def _merged_gap_union(M: float, tau: float, m_max: int):
     The centers n/m go into ``lo``, allocated at the upper bound
     2 + sum phi(m) (243 MB).  The lists are released and ``lo`` is shrunk
     to the kept count before ``hi`` exists, so memory and page faults
-    scale with the kept gaps; a second pass over the rows writes the
-    endpoints.  From then on nothing full-size is allocated beside ``lo``
-    and ``hi`` (254 MB, the peak): both sort in place,
+    scale with the kept gaps.  A pass over the rows fills ``hi`` with the
+    right ends first; then one worker thread sorts ``hi`` while the calling
+    thread shifts ``lo`` to the left ends and sorts it.  numpy sorts without
+    the GIL, so on two cores the sorts overlap; on one they share it, and
+    the result is the same, sorting being deterministic.  The worker is
+    joined, re-raising its exception, before anything resizes either
+    array.  From then on nothing full-size is allocated beside ``lo`` and
+    ``hi`` (254 MB, the peak): both sort in place,
     ``_merge_in_place`` compacts the components into them chunk by chunk,
     and ``_difference_sum`` sums ``ends - starts`` chunk by chunk.  The
     measure is still that of ``np.sum(ends - starts)`` bit for bit, 108 MB
@@ -415,9 +421,12 @@ def _merged_gap_union(M: float, tau: float, m_max: int):
     hi = np.empty(pos, dtype=np.float64)
     for a, b, rm in segments:
         np.add(lo[a:b], rm, out=hi[a:b])
-        np.subtract(lo[a:b], rm, out=lo[a:b])
-    lo.sort()
-    hi.sort()
+    with ThreadPoolExecutor(max_workers=1) as worker:   # numpy sorts without the GIL
+        hi_sorted = worker.submit(hi.sort)
+        for a, b, rm in segments:
+            np.subtract(lo[a:b], rm, out=lo[a:b])
+        lo.sort()
+        hi_sorted.result()       # re-raises the worker's exception
     starts, ends = _merge_in_place(lo, hi)
     if starts.size < 2 or starts[0] >= 0 or ends[-1] <= 1:
         raise AssertionError("gap union lost its wrap components (bug)")

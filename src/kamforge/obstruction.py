@@ -173,10 +173,16 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
     keeps u_n there: each is stored as its modes n lo..n K at stride d (half
     of each array for ``cos``).  The run stops at the first n where
     ||Pi0 g_n|| exceeds the threshold (default 1e-10 times the largest
-    coefficient magnitude accumulated so far).  Forcings whose only extreme
+    coefficient magnitude accumulated so far).  Mode 0 of g_n, the mean of
+    f(id+u), vanishes once the lower orders hold: it is never tested and
+    the witness holds it as an exact zero.  Forcings whose only extreme
     mode is -K are reduced to the +K case by the reflection theta -> -theta
     (the divisor spectrum is even in p, so the same tables apply); the
-    report's ``reflected`` flag records this.  ``exactness="extended"``
+    report's ``reflected`` flag records this.  The reflected forcing
+    f(-theta) at eps is the caller's problem at -eps, mirrored, so its
+    g_n are (-1)^(n+1) times the caller's, mirrored: the witness is mapped
+    back to the caller's modes by that rule, while ``A`` and the
+    ``gamma_*`` values stay in the reflected frame.  ``exactness="extended"``
     runs the identical arithmetic in long-double precision.  Raises
     ``OverflowRiskError`` naming the order when g_n, or the oracle's
     gamma_n, stops being finite.
@@ -226,8 +232,8 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
             if threshold is None:
                 thr = 1e-10 * scale
             ks = n * lo + d * np.arange(g.size)    # g_n lives on n lo + d Z
-            witness = np.where(ks % rf.m == 0, g, dtype(0))
-            wnorm = float(np.max(np.abs(witness)))
+            res = (ks % rf.m == 0) & (ks != 0)     # mode 0 vanishes analytically
+            wnorm = float(np.abs(g[res]).max(initial=0.0))
             if wnorm > thr:
                 n_star = n
                 break
@@ -244,8 +250,11 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
         relative_gap = max((abs(g) for g in gammas_engine), default=0.0)
 
     idx = (n_star if n_star is not None else len(gammas_engine)) - 1
-    witness_full = np.zeros(2 * n * K + 1, dtype=dtype)   # modes -n K..n K
-    witness_full[ks + n * K] = witness
+    witness = np.zeros(2 * n * K + 1, dtype=dtype)   # modes -n K..n K
+    if reflected:   # f(-theta) at eps is f at -eps, mirrored
+        witness[n * K - ks[res]] = g[res] if n % 2 else -g[res]
+    else:
+        witness[n * K + ks[res]] = g[res]
     return ObstructionReport(
         p=rf.p,
         m=rf.m,
@@ -256,7 +265,7 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
         orders_computed=len(gammas_engine),
         n_star=n_star,
         threshold=float(thr),
-        obstruction_witness=FourierSeries(witness_full),
+        obstruction_witness=FourierSeries(witness),
         witness_norm=wnorm,
         gamma_engine=gammas_engine[idx],
         gamma_oracle=gammas_oracle[idx],

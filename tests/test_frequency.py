@@ -4,7 +4,9 @@ import cmath
 import dataclasses
 import hashlib
 import math
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta
 
-from kamforge import jsonio
+from kamforge import frequency, jsonio
 from kamforge.errors import BoundViolationError, ResonanceError
 from kamforge.frequency import (
     DiophantineClass,
@@ -351,6 +353,31 @@ def test_gap_union_peak_memory():
         finally:
             tracemalloc.stop()
         assert peak < bound, (m_max, peak)
+
+
+def test_gap_union_sort_worker_reraises_and_is_joined(monkeypatch):
+    # hi sorts on a worker thread: its exception reaches the caller, and the
+    # thread is gone when _gaps() returns, normally or by raising
+    boom = RuntimeError("sort failed")
+    ran_on = []
+
+    class FailingSort(ThreadPoolExecutor):
+        def submit(self, fn):
+            def sort_then_fail():
+                fn()
+                ran_on.append(threading.current_thread())
+                raise boom
+            return super().submit(sort_then_fail)
+
+    before = threading.active_count()
+    assert DiophantineClass(6.0, 0.5, 200)._gaps()[0].size == 6191
+    assert threading.active_count() == before
+    monkeypatch.setattr(frequency, "ThreadPoolExecutor", FailingSort)
+    with pytest.raises(RuntimeError) as info:
+        DiophantineClass(6.0, 0.5, 200)._gaps()
+    assert info.value is boom
+    assert ran_on and ran_on[0] is not threading.current_thread()
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("n", [

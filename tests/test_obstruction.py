@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kamforge.errors import OverflowRiskError
-from kamforge.fourier import FourierSeries, sup_norm
+from kamforge.fourier import FourierSeries, composition_jet, sup_norm
 from kamforge.obstruction import (ObstructionReport, RationalFreq,
                                   beta_gamma_oracle, delta_star, e_star,
                                   obstruction_order, projector,
@@ -329,9 +329,8 @@ def test_obstruction_pins_at_the_workload_rationals(key):
     for k, value in witness.items():
         assert abs(w.coeff(k) - value) <= 1e-13 * abs(value)
     # mode 0 of every g_n vanishes analytically (the mean of f(id + u) when
-    # delta u = eps f(id + u) holds at the lower orders); what it holds is
-    # round-off, up to 1.5e-9 of the witness in float
-    assert abs(w.coeff(0)) <= 1e-8 * rep.witness_norm
+    # delta u = eps f(id + u) holds at the lower orders)
+    assert w.coeff(0) == 0
     assert rep.relative_gap <= 1e-13
 
 
@@ -350,9 +349,36 @@ def test_one_sided_lattice_forcing_and_its_reflection():
         assert rep.relative_gap < 1e-12 and ext.relative_gap < 1e-12
         assert abs(rep.gamma_engine - ref.gamma_engine) <= (
             1e-15 * abs(rep.gamma_engine))
-        # the mirror's witness is reported in its reflected frame
+        # the mirror's g_n are (-1)^(n+1) times f's, mirrored
         w, v = rep.obstruction_witness.coeffs, ref.obstruction_witness.coeffs
-        assert np.max(np.abs(w - v)) <= 1e-14 * rep.witness_norm
+        sign = (-1) ** (rep.n_star + 1)
+        assert np.max(np.abs(sign * w[::-1] - v)) <= 1e-14 * rep.witness_norm
+
+
+@pytest.mark.parametrize("exactness", ["float", "extended"])
+def test_reflected_witness_matches_a_direct_lattice_run(exactness):
+    # modes -4 and -1 (lattice -4 + 3Z): the engine runs on f(-theta) and
+    # maps the witness back; the jet runs on f's own lattice just as well
+    dtype = np.clongdouble if exactness == "extended" else np.complex128
+    c = np.zeros(9, dtype=dtype)
+    c[4 - 4], c[4 - 1] = 0.4 + 0.1j, 0.7 - 0.2j
+    for p, m in ((1, 5), (3, 7), (2, 9)):
+        rf = RationalFreq(p, m)
+        rep = obstruction_order(FourierSeries(c), rf, exactness=exactness)
+        assert rep.reflected
+        _, lam = rf.tables(extended=exactness == "extended")
+        jet = composition_jet(c[[0, 3]], step=3, center=-2.5)
+        g = next(jet)
+        for n in range(2, rep.n_star + 1):
+            g = jet.send(g * lam[(-4 * (n - 1) + 3 * np.arange(g.size)) % m])
+        ks = -4 * rep.n_star + 3 * np.arange(g.size)
+        res = (ks % m == 0) & (ks != 0)
+        direct = np.zeros(8 * rep.n_star + 1, dtype=dtype)
+        direct[4 * rep.n_star + ks[res]] = g[res]
+        w = rep.obstruction_witness.coeffs
+        assert np.max(np.abs(w - direct)) <= 1e-13 * rep.witness_norm
+        assert rep.witness_norm == pytest.approx(float(np.max(np.abs(g[res]))),
+                                                 rel=1e-13)
 
 
 def test_obstruction_peak_memory():
