@@ -26,7 +26,6 @@ from .fourier import (
     invert_pointwise,
     mean,
     product,
-    strip_norm_bound,
     sup_norm,
     truncate,
 )
@@ -65,6 +64,7 @@ from .kam import (
     linearized_solve,
     mean_identity_residual,
     newton_step,
+    omega_tangent,
     solve_curve,
 )
 from .continuation import (

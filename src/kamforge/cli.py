@@ -32,7 +32,7 @@ from .continuation import crosscheck as run_crosscheck
 from .continuation import (PICARD_MAX_ITERS, _picard_curve, taylor0_eval,
                            taylor0_recursion)
 from .errors import KamforgeError
-from .fourier import FourierSeries, _widen, sup_norm
+from .fourier import FourierSeries, _widen, sup_norm, truncate
 from .frequency import (
     DiophantineClass,
     Frequency,
@@ -42,7 +42,7 @@ from .frequency import (
     from_q,
 )
 from .kam import (DIVERGENCE_FACTOR, InvariantCurve, SolverConfig,
-                  dynamical_residual, solve_curve)
+                  dynamical_residual, omega_tangent, solve_curve)
 from .obstruction import (
     RationalFreq,
     obstruction_order,
@@ -165,47 +165,24 @@ def _sweep_point(task) -> dict:
     return jsonio.encode(rec)
 
 
-def _family_from_records(records, shape) -> SampledFamily:
-    """Converged u-vectors as a sampled family with forward q-derivatives.
-
-    Derivatives are one-sided finite differences along the Re(omega) axis
-    (within a fixed Im(omega) and eps); the last converged point of each
-    row, and points whose neighbor failed, carry None.
-    """
-    n_re, n_im, n_eps = shape
-    series = {}
-    for rec in records:
-        if rec["status"] == "converged":
-            series[rec["index"]] = FourierSeries.from_json_dict(rec["u"])
-    if not series:
-        return SampledFamily(points=[], values=[], derivs=[])
-    N = max(s.N for s in series.values())
-    vecs = {i: _widen(s.coeffs, N) for i, s in series.items()}
-    omegas = jsonio.to_complex([rec["omega"] for rec in records])
-
-    def lin(i, j, l):
-        return (i * n_im + j) * n_eps + l
-
-    points, values, derivs = [], [], []
-    for i in range(n_re):
-        for j in range(n_im):
-            for l in range(n_eps):
-                k = lin(i, j, l)
-                if k not in vecs:
-                    continue
-                fr = from_omega(omegas[k])
-                points.append(fr)
-                values.append(vecs[k])
-                d = None
-                if i + 1 < n_re:
-                    k2 = lin(i + 1, j, l)
-                    if k2 in vecs:
-                        fr2 = from_omega(omegas[k2])
-                        dq = fr2.coord - fr.coord
-                        if fr2.chart == fr.chart and dq != 0:
-                            d = (vecs[k2] - vecs[k]) / dq
-                derivs.append(d)
-    return SampledFamily(points=points, values=values, derivs=derivs)
+def _family_from_records(records) -> SampledFamily:
+    """Converged u-vectors at their common cutoff N, each with its chart
+    derivative: ``kam.omega_tangent`` cut to N over d coord/d omega, or None
+    where that solve raises a ``KamforgeError``."""
+    series = [(from_omega(jsonio.to_complex([rec["omega"]])[0]),
+               FourierSeries.from_json_dict(rec["u"]))
+              for rec in records if rec["status"] == "converged"]
+    N = max((s.N for _, s in series), default=0)
+    fam = SampledFamily(points=[fr for fr, _ in series], derivs=[],
+                        values=[_widen(s.coeffs, N) for _, s in series])
+    for fr, u in zip(fam.points, fam.values):
+        dcoord = (2j if fr.chart == "inner" else -2j) * math.pi * fr.coord
+        try:
+            h, _ = truncate(omega_tangent(FourierSeries._of(u), fr), N)
+            fam.derivs.append(h.coeffs / dcoord)
+        except KamforgeError:
+            fam.derivs.append(None)
+    return fam
 
 
 def run_sweep(*, omega_re, omega_im, eps, f, modes=64, tol=1e-12,
@@ -246,8 +223,7 @@ def run_sweep(*, omega_re, omega_im, eps, f, modes=64, tol=1e-12,
         for rec in records:
             fh.write(jsonio.dumps(rec) + "\n")
     if family_path is not None:
-        fam = _family_from_records(records,
-                                   (len(res), len(ims), len(eps_vals)))
+        fam = _family_from_records(records)
         jsonio.dump_path(fam.to_json_dict(), family_path)
     n_conv = sum(r["status"] == "converged" for r in records)
     return {"total": len(records), "converged": n_conv,
@@ -398,7 +374,7 @@ def _add_freq_args(sp) -> None:
 
 
 def _finite_float(text: str) -> float:
-    """argparse type of the eps options: a float that is not NaN or inf."""
+    """argparse type of the eps options and --threshold: a finite float."""
     try:
         x = float(text)
     except ValueError:
@@ -483,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default="sweep.jsonl")
     sp.add_argument("--family", default=None,
                     help="also write the converged u-vectors as a sampled "
-                         "family with finite-difference q-derivatives")
+                         "family with their exact chart derivatives")
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("geometry",
@@ -501,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--f", default="cos")
     sp.add_argument("--max-order", type=int, default=None)
-    sp.add_argument("--threshold", type=float, default=None)
+    sp.add_argument("--threshold", type=_finite_float, default=None)
     sp.add_argument("--exactness", choices=("float", "extended"),
                     default="float")
     sp.add_argument("--radial-eps", type=_finite_float, default=None,

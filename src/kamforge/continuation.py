@@ -246,7 +246,8 @@ def crosscheck(f: FourierSeries, freq: Frequency, eps,
     Methods whose preconditions fail are recorded as skipped with a notice
     (Picard on the unit circle, Taylor-at-0 outside |q| < 1); solver errors
     are recorded as failed.  A non-finite eps, an empty ``methods``, a
-    name outside ``CROSSCHECK_METHODS`` or a repeated name raises
+    name outside ``CROSSCHECK_METHODS``, a repeated name, or ``taylor0``
+    with ``n_taylor`` outside [1, ``TAYLOR_ORDER_CAP``] raises
     ``ValueError`` before any solve.  Every method returns a zero-mean u,
     so the solutions are compared as they are.  Returns a report dict with
     per-method status and pairwise sup-norm differences.
@@ -262,6 +263,9 @@ def crosscheck(f: FourierSeries, freq: Frequency, eps,
     if repeated:
         raise ValueError(f"methods {repeated} given more than once; "
                          "each method runs once")
+    if "taylor0" in methods and not 1 <= n_taylor <= TAYLOR_ORDER_CAP:
+        raise ValueError(f"n_taylor must lie in [1, {TAYLOR_ORDER_CAP}], "
+                         f"got {n_taylor}")
     status: dict = {}
     solutions: dict = {}
 

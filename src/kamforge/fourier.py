@@ -5,16 +5,15 @@ A series is stored as the coefficient vector (c_{-N}, ..., c_N) of
     phi(theta) = sum_{|k| <= N} c_k exp(2 pi i k theta),
 
 which converges on any horizontal strip |Im theta| <= r once the
-coefficients decay like exp(-2 pi r |k|).  All heavy operations (products,
-compositions, pointwise inverses) go through equispaced grids and the FFT;
-grids are oversampled by at least a factor of four relative to the joint
-cutoff and every truncation reports the magnitude of what it dropped.  The
-one exception is ``composition_jet``, the order-by-order composition used by
-the formal series.  It carries F = f(theta + u) through the identity
-(1 + u_theta) F_t = u_t F_theta, at two direct convolutions of raw
-coefficient arrays per pair of orders (n, j), on the stride-d lattice of
-f's modes (F_s stays on (s + 1) r + d Z when f lives on r + d Z and u_j on
-j r + d Z), in whatever complex dtype it is given.
+coefficients decay like exp(-2 pi r |k|).  Compositions and inverses go
+through grids and the FFT, oversampled at least fourfold, and every
+truncation reports what it dropped; products convolve directly up to 200k
+mode pairs and by FFT above.  ``composition_jet``, the order-by-order
+composition of the formal series, samples no grid: it carries F =
+f(theta + u) through (1 + u_theta) F_t = u_t F_theta, at two direct
+convolutions of raw coefficient arrays per pair of orders (n, j), on the
+stride-d lattice of f's modes (F_s stays on (s + 1) r + d Z when f lives on
+r + d Z and u_j on j r + d Z), in whatever complex dtype it is given.
 
 Point evaluation off the grid, ``evaluate``, forms no matrix of
 exp(2 pi i k z): it sums the modes k >= 1 and k <= -1 as polynomials in
@@ -371,13 +370,10 @@ def product(a: FourierSeries, b: FourierSeries) -> FourierSeries:
     return out
 
 
-def derivative(phi: FourierSeries, order: int = 1) -> FourierSeries:
-    """d^p/dtheta^p acting as multiplication by (2 pi i k)^p on mode k."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+def derivative(phi: FourierSeries) -> FourierSeries:
+    """d/dtheta acting as multiplication by 2 pi i k on mode k."""
     ks = np.arange(-phi.N, phi.N + 1)
-    mult = (2j * np.pi * ks) ** order
-    return FourierSeries._of(phi.coeffs * mult)
+    return FourierSeries._of(phi.coeffs * (2j * np.pi * ks))
 
 
 # ---------------------------------------------------------------------------
@@ -515,20 +511,3 @@ def invert_pointwise(A: FourierSeries) -> FourierSeries:
         )
     ks = np.arange(-K, K + 1)
     return FourierSeries._of(c_full[ks % G])
-
-
-# ---------------------------------------------------------------------------
-# analytic-norm bookkeeping
-
-
-def strip_norm_bound(phi: FourierSeries, r: float) -> float:
-    """Upper bound sum_k |c_k| exp(2 pi r |k|) for the sup on |Im theta| <= r."""
-    if r < 0:
-        raise ValueError("strip half-width must be nonnegative")
-    N = phi.N
-    check_exponent(_TWO_PI * r * N, "strip")
-    ks = np.abs(np.arange(-N, N + 1))
-    total = float(np.sum(np.abs(phi.coeffs) * np.exp(_TWO_PI * r * ks)))
-    if not np.isfinite(total):
-        raise OverflowRiskError("strip norm bound overflowed", {"r": r})
-    return total

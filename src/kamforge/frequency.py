@@ -621,8 +621,8 @@ class SampledFamily:
     """Values (and chart derivatives) of a quantity along frequency samples.
 
     ``values[i]`` is a complex vector attached to ``points[i]``; ``derivs[i]``
-    is its derivative with respect to the point's own chart coordinate, or
-    None when unavailable (e.g. an isolated sweep point).
+    is its derivative in the point's own chart coordinate, or None where a
+    sweep's tangent solve raised a ``KamforgeError``.
     """
 
     points: list

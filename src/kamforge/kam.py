@@ -65,6 +65,7 @@ from .operators import (
     E_Q,
     GAMMA,
     GAMMA_MINUS,
+    NABLA,
     NABLA_MINUS,
     SHIFT_PLUS,
     apply,
@@ -233,6 +234,21 @@ def linearized_solve(A: FourierSeries, E: FourierSeries,
     mu0 = -mean(ap) / alpha_mean
     chi = ap + _scaled(mu0, alpha, "mu0 alpha")
     return apply(GAMMA, chi, freq)
+
+
+def omega_tangent(u: FourierSeries, freq: Frequency) -> FourierSeries:
+    """The omega-derivative h of a converged zero-mean u, by one linear solve.
+
+    On a solution eps f'(id + u) = delta A / A, so h = A w with w =
+    ``linearized_solve(A, -(d_omega delta) u)`` (d_omega delta is 2 pi i k
+    (q^k - q^-k) on mode k).  A spans the kernel and <A> = 1: h = A w -
+    <A w> A has zero mean (de la Llave, González, Jorba & Villanueva,
+    Nonlinearity 18, 2005).
+    """
+    A = FourierSeries.constant(1.0) + derivative(u)
+    rhs = -derivative(apply(NABLA, u, freq) + apply(NABLA_MINUS, u, freq))
+    Aw = product(A, linearized_solve(A, rhs, freq))
+    return Aw - _scaled(mean(Aw), A, "<A w> A")
 
 
 def newton_step(u: FourierSeries, comp: FourierSeries, f: FourierSeries,

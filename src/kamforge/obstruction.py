@@ -187,10 +187,13 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
     ``OverflowRiskError`` naming the order when g_n, or the oracle's
     gamma_n, stops being finite.
 
-    Preconditions: f zero-mean and not identically zero.
+    Preconditions: f zero-mean and not identically zero, threshold finite >= 0.
     """
     if exactness not in ("float", "extended"):
         raise ValueError("exactness must be 'float' or 'extended'")
+    if threshold is not None and not 0.0 <= threshold < math.inf:
+        raise ValueError(
+            f"threshold must be finite and >= 0, got {threshold!r}")
     if abs(f.coeff(0)) > 0.0:
         raise ValueError("forcing must have zero mean")
     modes = np.nonzero(f.coeffs)[0] - f.N

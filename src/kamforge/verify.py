@@ -49,6 +49,7 @@ from .kam import (
     dynamical_residual,
     linearized_solve,
     mean_identity_residual,
+    omega_tangent,
     solve_curve,
 )
 from .obstruction import RationalFreq, delta_star, e_star, obstruction_order, projector
@@ -501,6 +502,25 @@ def check_history_positivity():
                 f"converged flag set: {ok}")
 
 
+def check_omega_tangent():
+    # cos has <A w> = 0 by symmetry; the lopsided forcing tests the gauge
+    cos = FourierSeries.cos()
+    lopsided = FourierSeries([0.15 * np.exp(0.7j), 0, 0.5, 0, 0.5, 0,
+                              0.15 * np.exp(-0.7j)])
+    cfg = SolverConfig(cutoff=256, tol=1e-14)
+    ratios = []
+    for f, om in ((cos, GOLDEN), (cos, GOLDEN + 0.01j), (cos, 0.6 - 0.04j),
+                  (lopsided, 0.6 - 0.04j)):
+        u = {d: solve_curve(f, from_omega(om + d), 0.1, cfg).u
+             for d in (0.0, 1e-4, -1e-4, 1e-5, -1e-5)}
+        h = omega_tangent(u[0.0], from_omega(om))
+        gap = [sup_norm(h - (u[d] - u[-d]) * (0.5 / d)) for d in (1e-4, 1e-5)]
+        ratios.append(gap[0] / gap[1])
+    ok = all(50.0 <= r <= 200.0 for r in ratios)
+    return ok, ("tangent vs central differences, gap(1e-4)/gap(1e-5) in "
+                f"[50, 200] at 4 points: {np.round(ratios, 1).tolist()}")
+
+
 # ---------------------------------------------------------------------------
 # registry and runner
 
@@ -528,6 +548,7 @@ INVARIANTS = [
     ("I06-resonant-forcing", check_resonant_forcing),
     ("I07-taylor-vs-picard", check_taylor_vs_picard),
     ("I08-history-positivity", check_history_positivity),
+    ("I09-omega-tangent", check_omega_tangent),
 ]
 
 

@@ -15,8 +15,8 @@ import kamforge
 from kamforge import cli, continuation, jsonio
 from kamforge.errors import NoConvergenceError
 from kamforge.fourier import FourierSeries
-from kamforge.frequency import from_q
-from kamforge.kam import SolverConfig
+from kamforge.frequency import SampledFamily, from_omega, from_q
+from kamforge.kam import SolverConfig, solve_curve
 from kamforge.obstruction import RationalFreq, obstruction_order
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -193,6 +193,33 @@ def test_sweep_is_byte_identical_across_worker_counts(tmp_path):
     assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
 
+@pytest.mark.parametrize("im_min,im_max,chart", [
+    ("0.02", "0.06", "inner"),      # the grid of check A11
+    ("-0.06", "-0.02", "outer"),
+])
+def test_sweep_family_carries_the_exact_chart_derivative(tmp_path, im_min,
+                                                         im_max, chart):
+    # every converged point gets d u / d coord from the omega-tangent; a
+    # central difference in omega over the chart's own step agrees to O(d^2)
+    r = run_cli(["sweep", "--omega-min", "0.58", "--omega-max", "0.62",
+                 "--omega-n", "3", "--im-min", im_min, "--im-max", im_max,
+                 "--im-n", "3", "--eps", "0.05", "--modes", "64",
+                 "--out", "s.jsonl", "--family", "fam.json"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    fam = SampledFamily.from_json_dict(jsonio.load_path(tmp_path / "fam.json"))
+    assert [fr.chart for fr in fam.points] == [chart] * 9
+    cfg, d = SolverConfig(cutoff=64, tol=1e-12), 1e-5
+    for fr, deriv in zip(fam.points, fam.derivs):
+        up, um = (solve_curve(FourierSeries.cos(), from_omega(fr.omega + s),
+                              0.05, cfg).u for s in (d, -d))
+        dc = from_omega(fr.omega + d).coord - from_omega(fr.omega - d).coord
+        central = (up - um).coeffs / dc
+        N = (deriv.size - 1) // 2
+        assert (central.size - 1) // 2 <= N
+        gap = (FourierSeries(deriv) - FourierSeries(central)).coeffs
+        assert np.max(np.abs(gap)) <= 1e-6 * np.max(np.abs(central))
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
 
@@ -327,9 +354,15 @@ def test_obstruction_radial_overflow_still_writes_json(tmp_path):
     ("sweep", "--im-n", "0", "--im-n"),
     ("sweep", "--eps-n", "0", "--eps-n"),
     ("geometry", "--boundary-n", "-5", "--boundary-n"),
+    ("obstruction", "--threshold", "-1", "threshold"),
+    ("crosscheck", "--orders", "0", "n_taylor"),
+    ("crosscheck", "--orders", "100", "n_taylor"),
 ])
 def test_invalid_solver_settings_exit_2(tmp_path, cmd, flag, value, field):
     args = {"solve": ["solve", "--omega", "0.3", "--out", "x.json"],
+            "obstruction": ["obstruction", "--p", "1", "--m", "3",
+                            "--out", "x.json"],
+            "crosscheck": ["crosscheck", "--q-re", "0.3", "--out", "x.json"],
             "sweep": ["sweep", "--omega-min", "0.3", "--omega-max", "0.4",
                       "--omega-n", "2", "--eps-min", "0", "--eps-max", "0.1",
                       "--out", "x.jsonl"],
@@ -337,7 +370,7 @@ def test_invalid_solver_settings_exit_2(tmp_path, cmd, flag, value, field):
                          "--out", "x.json"]}[cmd]
     r = run_cli([*args, flag, value], tmp_path)
     assert r.returncode == 2, r.stderr
-    assert field in r.stderr
+    assert "error: " in r.stderr and field in r.stderr
     assert "Traceback" not in r.stderr
 
 
@@ -370,6 +403,10 @@ def test_series_file_missing_a_key_exits_2(tmp_path, content, key):
      "--radial-eps"),
     (["crosscheck", "--q-re", "0.3", "--eps", "nan"], "--eps"),
     (["solve", "--omega", "0.3", "--f", "[NaN, 0, 0.5]"], "--f"),
+    (["obstruction", "--p", "1", "--m", "3", "--threshold", "nan"],
+     "--threshold"),
+    (["obstruction", "--p", "1", "--m", "3", "--threshold", "inf"],
+     "--threshold"),
 ])
 def test_non_finite_frequency_or_eps_exits_2(tmp_path, args, name):
     r = run_cli([*args, "--out", "x.json"], tmp_path)

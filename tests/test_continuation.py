@@ -314,6 +314,25 @@ def test_crosscheck_refuses_a_repeated_method(monkeypatch, methods, named):
     assert named in str(info.value)
 
 
+@pytest.mark.parametrize("n_taylor", [0, continuation.TAYLOR_ORDER_CAP + 1])
+def test_crosscheck_refuses_n_taylor_outside_the_order_cap(monkeypatch,
+                                                          n_taylor):
+    # a bad order count is a usage error, not taylor0 off its domain: it is
+    # refused before any solve, while a run without taylor0 never reads it
+    f, freq = FourierSeries.cos(), from_q(0.3)
+    ok = crosscheck(f, freq, 0.05, methods=("newton",), n_taylor=n_taylor)
+    assert ok["methods"]["newton"]["status"] == "ok"
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before n_taylor was checked")
+
+    for name in ("solve_curve", "_iterate", "taylor0_recursion"):
+        monkeypatch.setattr(continuation, name, no_solve)
+    with pytest.raises(ValueError, match=r"n_taylor must lie in \[1, 60\]"):
+        crosscheck(f, freq, 0.05, methods=("newton", "taylor0"),
+                   n_taylor=n_taylor)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
 def test_solver_entry_points_reject_a_non_finite_eps(bad):
     f = FourierSeries.cos()

@@ -21,7 +21,6 @@ from kamforge.fourier import (
     invert_pointwise,
     mean,
     product,
-    strip_norm_bound,
     sup_norm,
     truncate,
 )
@@ -474,16 +473,6 @@ def test_clamp_small_drops_noise_tail():
     assert s.coeff(15) == 0.0
 
 
-def test_strip_norm_bound_values():
-    # basis(1): sum |c_k| e^(2 pi r |k|) = e^(2 pi r)
-    b = FourierSeries.basis(1, 1.0)
-    r = 0.25
-    assert abs(strip_norm_bound(b, r) - np.exp(TWO_PI * r)) < 1e-12
-    assert strip_norm_bound(b, 0.0) == 1.0
-    with pytest.raises(ValueError):
-        strip_norm_bound(b, -0.1)
-
-
 def test_json_roundtrip_exact():
     rng = np.random.default_rng(16)
     s = random_series(rng, 8)
@@ -498,7 +487,6 @@ GUARD_SITES = {
     "evaluation": lambda y: evaluate(_ONES, 0.3 + 1j * y),
     "constant-shift": lambda y: compose_id_plus(
         _ONES, FourierSeries.constant(0.3 + 1j * y))[0].coeffs,
-    "strip": lambda y: strip_norm_bound(_ONES, y),
     "shift": lambda y: multiplier_table(from_omega(complex(0.3, y)), 10,
                                         SHIFT_PLUS),
 }

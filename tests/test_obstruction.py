@@ -407,6 +407,15 @@ def test_obstruction_validation():
         obstruction_order(f + FourierSeries.constant(0.1), rf)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_obstruction_refuses_a_threshold_that_is_nan_inf_or_negative(bad):
+    # nan compares false and would report no obstruction; -1 would report
+    # n* = 1 with a witness of norm 0
+    with pytest.raises(ValueError, match="threshold must be finite and >= 0"):
+        obstruction_order(FourierSeries.cos(), RationalFreq(1, 3),
+                          threshold=bad)
+
+
 def test_oracle_consistency_small_gap():
     rep = obstruction_order(FourierSeries.cos(), RationalFreq(1, 3), max_order=3)
     assert rep.relative_gap < 1e-12
