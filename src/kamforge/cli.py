@@ -280,7 +280,7 @@ def cmd_obstruction(args) -> int:
     rep = obstruction_order(f, rf, max_order=args.max_order,
                             threshold=args.threshold,
                             exactness=args.exactness)
-    payload = rep.to_json_dict()
+    payload = jsonio.encode(rep)
     if args.radial_eps is not None:
         payload["radial_diagnostic"] = radial_approach_diagnostic(
             f, args.p, args.m, args.radial_eps)
@@ -292,9 +292,8 @@ def cmd_obstruction(args) -> int:
         print(f"p/m = {rf.p}/{rf.m}: first obstructed order n* = {rep.n_star}")
         print(f"witness norm = {rep.witness_norm:.6e} "
               f"(threshold {rep.threshold:.3e})")
-        if rep.gamma_oracle is not None:
-            print(f"gamma(n*) engine vs oracle relative gap = "
-                  f"{rep.relative_gap:.3e}")
+        print(f"gamma(n*) engine vs oracle relative gap = "
+              f"{rep.relative_gap:.3e}")
     print(f"wrote {args.out}")
     return 0
 
@@ -303,7 +302,7 @@ def cmd_taylor0(args) -> int:
     f = parse_series(args.f)
     eps = complex(args.eps, args.eps_im)
     data = taylor0_recursion(f, eps, N_q=args.orders)
-    payload = {"data": data.to_json_dict()}
+    payload = {"data": jsonio.encode(data)}
     if args.q_re is not None:
         q = complex(args.q_re, args.q_im)
         u, info = taylor0_eval(data, q, with_info=True)

@@ -49,19 +49,12 @@ class QTaylorData:
     modes beyond |k| = n; coeff(u_n, +-n) = eps * coeff(f_ref, +-n).
     """
 
-    orders: list
     eps: complex
     f_ref: FourierSeries
+    orders: list
 
     def order(self, n: int) -> FourierSeries:
         return self.orders[n - 1]
-
-    def to_json_dict(self) -> dict:
-        return jsonio.encode({
-            "eps": complex(self.eps),
-            "f_ref": self.f_ref,
-            "orders": self.orders,
-        })
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "QTaylorData":
@@ -161,7 +154,7 @@ def taylor0_recursion(f: FourierSeries, eps, N_q: int = 40) -> QTaylorData:
                 raise OverflowRiskError(f"Taylor order {n} overflowed",
                                         {"order": n})
             orders.append(FourierSeries._of(total))
-    return QTaylorData(orders, eps, f)
+    return QTaylorData(eps=eps, f_ref=f, orders=orders)
 
 
 def taylor0_eval(data: QTaylorData, q, with_info: bool = False):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +32,7 @@ from .errors import BoundViolationError, ResonanceError
 
 _TWO_PI = 2.0 * math.pi
 RESONANCE_ULPS = 4.0  # |q^k - 1| < RESONANCE_ULPS 2 pi |k| 2^-52 counts as zero
+GAP_UNION_MAX_M = 10_000  # largest m_max whose gap union is built (~258 MB peak)
 
 
 # ---------------------------------------------------------------------------
@@ -216,15 +217,14 @@ class DiophantineClass:
     """Parameters (M, tau) of the gap family, truncated at m_max.
 
     Admissibility requires M > 2 zeta(1+tau) so the gaps cannot cover the
-    circle.  ``sigma`` = 4 + 2 tau is the loss-of-regularity exponent that
-    the small-divisor bounds cost downstream.  Instances are frozen, so the
-    gap union each one caches always belongs to its parameters.
+    circle.  Instances are frozen, so the gap union each one caches always
+    belongs to its parameters.  That union is built only up to
+    ``GAP_UNION_MAX_M``; ``dioph_real_margin`` needs none and takes any m_max.
     """
 
     M: float = 6.0
     tau: float = 0.5
     m_max: int = 2000
-    sigma: float = field(init=False)
 
     def __post_init__(self):
         for name in ("M", "tau"):
@@ -240,7 +240,6 @@ class DiophantineClass:
             raise ValueError(
                 f"M = {self.M} not admissible: need M > 2 zeta(1+tau) = {bound:.6f}"
             )
-        object.__setattr__(self, "sigma", 4.0 + 2.0 * self.tau)
         object.__setattr__(self, "_gap_cache", None)
 
     # -- real margins ------------------------------------------------------
@@ -250,6 +249,10 @@ class DiophantineClass:
 
     def _gaps(self):
         if self._gap_cache is None:
+            if self.m_max > GAP_UNION_MAX_M:
+                raise ValueError(
+                    f"m_max = {self.m_max} exceeds the gap-union cap "
+                    f"{GAP_UNION_MAX_M}")
             object.__setattr__(self, "_gap_cache",
                                _merged_gap_union(self.M, self.tau, self.m_max))
         return self._gap_cache

@@ -9,11 +9,17 @@ This module is also the only place that knows the artifact format of a
 complex number, the pair ``[re, im]``: ``encode`` turns complex and numpy
 values into JSON-native ones, and ``to_complex`` reads numbers and pairs
 back into a complex128 array, bit for bit.
+
+A result dataclass is its own artifact schema: ``encode`` writes it as
+``{field: encode(value)}`` in declaration order.  A class whose artifact is
+not its field list (a series, the curve, the geometry, a sampled family)
+writes a ``to_json_dict`` method, which wins.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -21,9 +27,10 @@ import numpy as np
 def encode(obj):
     """JSON-native copy of *obj*: complex -> [re, im], numpy -> Python.
 
-    Recurses through dicts, lists and tuples.  An artifact object (one with
-    a ``to_json_dict`` method) encodes as that method's result; other values
-    pass unchanged.
+    Recurses through dicts, lists and tuples.  An object with a
+    ``to_json_dict`` method encodes as that method's result, any other
+    dataclass instance as its fields in declaration order; other values pass
+    unchanged.
     """
     if isinstance(obj, (complex, np.complexfloating)):
         return [float(obj.real), float(obj.imag)]
@@ -41,6 +48,8 @@ def encode(obj):
         return obj.item()
     if hasattr(obj, "to_json_dict"):
         return obj.to_json_dict()
+    if is_dataclass(obj):
+        return {f.name: encode(getattr(obj, f.name)) for f in fields(obj)}
     return obj
 
 

@@ -109,26 +109,14 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
+    method: str = "newton"
+    converged: bool = False
+    iterations: int = 0
     residual_history: list = field(default_factory=list)
     quadratic_fit_slope: float = math.nan
     beta: complex = 0j
     aliasing_tail: float = 0.0
-    converged: bool = False
-    method: str = "newton"
-    iterations: int = 0
     diagnostics: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return jsonio.encode({
-            "method": self.method,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "residual_history": self.residual_history,
-            "quadratic_fit_slope": self.quadratic_fit_slope,
-            "beta": self.beta,
-            "aliasing_tail": self.aliasing_tail,
-            "diagnostics": self.diagnostics,
-        })
 
 
 @dataclass
@@ -361,14 +349,18 @@ def _iterate(f: FourierSeries, freq: Frequency, eps: complex,
     Raises ``DivergenceError`` when a defect grows ``DIVERGENCE_FACTOR``-fold
     and ``NoConvergenceError`` after ``budget`` steps (the expected failure
     near resonances, where no analytic curve exists); both carry the entry
-    ``diagnostics`` (which also open the report's), the residual history
-    and the largest small divisor.  The converged u is shifted to exact zero
-    mean by u(theta - u0) - u0, which maps solutions to solutions.
+    ``diagnostics`` (which also open the report's), the residual history,
+    the largest small divisor and ``truncation_tail``, the largest
+    coefficient the last truncation to ``config.cutoff`` dropped: a defect
+    that plateaus near that tail is limited by the cutoff, not by the
+    divisors.  The converged u is shifted to exact zero mean by
+    u(theta - u0) - u0, which maps solutions to solutions.
     """
     cold = config.seed is None
     u = FourierSeries.zero(0) if cold else config.seed
     history: list[float] = []
     tails: list[float] = []
+    t_tail = 0.0
     for it in range(budget + 1):
         comp, crep = compose_id_plus(f, u)
         tails.append(crep.aliasing_tail)
@@ -384,7 +376,8 @@ def _iterate(f: FourierSeries, freq: Frequency, eps: complex,
             raise DivergenceError(
                 f"residual grew {r / history[-2]:.2g}x at iteration {it}",
                 {**diagnostics, "residual_history": history,
-                 "max_divisor": lam, "max_divisor_k": k},
+                 "max_divisor": lam, "max_divisor_k": k,
+                 "truncation_tail": t_tail},
             )
         if it == budget:
             lam, k = max_divisor_magnitude(freq, max(config.cutoff, f.N))
@@ -392,7 +385,7 @@ def _iterate(f: FourierSeries, freq: Frequency, eps: complex,
                 f"no convergence to {config.tol:.1e} within {budget} "
                 f"iterations (last residual {history[-1]:.3e})",
                 {**diagnostics, "max_divisor": lam, "max_divisor_k": k,
-                 "residual_history": history},
+                 "residual_history": history, "truncation_tail": t_tail},
             )
         u, t_tail = truncate(step(u, comp, target, history), config.cutoff)
         tails.append(t_tail)

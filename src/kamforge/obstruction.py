@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import jsonio
 from .errors import KamforgeError, OverflowRiskError
 from .fourier import FourierSeries, composition_jet
 from .frequency import from_q
@@ -127,35 +126,14 @@ class ObstructionReport:
     orders_computed: int
     n_star: int | None
     threshold: float
-    obstruction_witness: FourierSeries
     witness_norm: float
+    obstruction_witness: FourierSeries
     gamma_engine: complex
     gamma_oracle: complex
     relative_gap: float
     betas: list = field(default_factory=list)
     gammas_engine: list = field(default_factory=list)
     gammas_oracle: list = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return jsonio.encode({
-            "p": self.p,
-            "m": self.m,
-            "K": self.K,
-            "A": self.A,
-            "reflected": self.reflected,
-            "exactness": self.exactness,
-            "orders_computed": self.orders_computed,
-            "n_star": self.n_star,
-            "threshold": self.threshold,
-            "witness_norm": self.witness_norm,
-            "obstruction_witness": self.obstruction_witness,
-            "gamma_engine": self.gamma_engine,
-            "gamma_oracle": self.gamma_oracle,
-            "relative_gap": self.relative_gap,
-            "betas": self.betas,
-            "gammas_engine": self.gammas_engine,
-            "gammas_oracle": self.gammas_oracle,
-        })
 
 
 def obstruction_order(f: FourierSeries, rf: RationalFreq,
@@ -242,7 +220,7 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
                 break
             u = g * lam[ks % rf.m]
 
-        betas, gammas_oracle, _ = beta_gamma_oracle(
+        betas, gammas_oracle = beta_gamma_oracle(
             K, rf, len(gammas_engine), A, extended=(exactness == "extended"))
     ref = max((abs(g) for g in gammas_oracle), default=0.0)
     if ref > 0.0:
@@ -298,7 +276,7 @@ def beta_gamma_oracle(K: int, rf: RationalFreq, up_to: int,
     is one dot product per order, with no cancellation (b_j >= 0), in place
     of the O(n^2) convolutions the powers B^r take.  The gammas attach
     the forcing data: gamma_n = (-2 pi i K)^(n-1) A^n beta_n.  Returns
-    ``(betas, gammas, A)``.  With ``extended=True`` the recursion and the
+    ``(betas, gammas)``.  With ``extended=True`` the recursion and the
     gamma products run in long double on the long-double tables, matching
     the engine's ``exactness="extended"``; the returned values are rounded
     to Python floats and complexes either way.  Raises ``OverflowRiskError``
@@ -331,7 +309,7 @@ def beta_gamma_oracle(K: int, rf: RationalFreq, up_to: int,
         if not cmath.isfinite(g):
             raise OverflowRiskError(f"oracle order {n} overflowed", {"order": n})
         gammas.append(g)
-    return [float(x) for x in beta], gammas, complex(A)
+    return [float(x) for x in beta], gammas
 
 
 def radial_approach_diagnostic(f: FourierSeries, p: int, m: int, eps,

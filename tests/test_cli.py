@@ -374,6 +374,16 @@ def test_invalid_solver_settings_exit_2(tmp_path, cmd, flag, value, field):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("cmd", [["geometry"], ["solve", "--omega", "0.3"]])
+def test_a_gap_union_past_its_cap_exits_2(tmp_path, cmd):
+    r = run_cli([*cmd, "--M", "6", "--mmax", "10001", "--out", "x.json"],
+                tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ") and "m_max = 10001" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "x.json").exists()
+
+
 @pytest.mark.parametrize("content,key", [
     ({}, "N"),
     ({"coeffs": [0.5, 0, 0.5]}, "N"),
@@ -450,7 +460,7 @@ def test_picard_budget_failure_keeps_its_history(monkeypatch):
                                   SolverConfig(tol=1e-13))
     diag = cli._error_payload(info.value)["error"]["diagnostics"]
     assert list(diag) == ["q_modulus", "max_divisor", "max_divisor_k",
-                          "residual_history"]
+                          "residual_history", "truncation_tail"]
     # a budget of 2 steps records 3 defects, as Newton's max_iters does
     assert len(diag["residual_history"]) == 3
 

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kamforge import continuation
+from kamforge import continuation, jsonio
 from kamforge.continuation import (QTaylorData, conjugate_reflection_check,
                                    crosscheck, inverse_scattering,
                                    picard_solve, taylor0_eval,
@@ -70,7 +70,7 @@ def test_picard_stops_when_the_difference_grows(q, steps):
         picard_solve(FourierSeries.cos(), from_q(q), 0.05)
     d = info.value.diagnostics
     assert list(d) == ["q_modulus", "residual_history", "max_divisor",
-                       "max_divisor_k"]
+                       "max_divisor_k", "truncation_tail"]
     assert d["q_modulus"] == pytest.approx(abs(q))
     h = d["residual_history"]
     assert len(h) == steps
@@ -231,7 +231,7 @@ def test_inverse_scattering_recovers_forcing():
 def test_taylor_data_json_roundtrip():
     f = FourierSeries.cos()
     data = taylor0_recursion(f, 0.05 + 0.01j, N_q=5)
-    back = QTaylorData.from_json_dict(data.to_json_dict())
+    back = QTaylorData.from_json_dict(jsonio.encode(data))
     assert back.eps == data.eps
     assert sup_norm(back.f_ref - data.f_ref) == 0.0
     assert len(back.orders) == 5

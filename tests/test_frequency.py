@@ -256,7 +256,7 @@ def test_admissibility_gate():
     with pytest.raises(ValueError):
         DiophantineClass(6.0, -0.1, 100)
     c = DiophantineClass(5.3, 0.5, 100)   # just admissible
-    assert c.sigma == 4.0 + 2.0 * 0.5
+    assert c.measure_bound() < 1.0
 
 
 @pytest.mark.parametrize("name", ["M", "tau"])
@@ -353,6 +353,23 @@ def test_gap_union_peak_memory():
         finally:
             tracemalloc.stop()
         assert peak < bound, (m_max, peak)
+
+
+def test_gap_union_refuses_m_max_past_its_cap(monkeypatch):
+    # 2 + sum phi(m) doubles at m_max = 10^5 would be 24 GB: the refusal
+    # comes before the sieve, so nothing is allocated
+    def no_sieve(n):
+        raise AssertionError("the sieve ran")
+
+    monkeypatch.setattr(frequency, "_prime_factor_sieve", no_sieve)
+    cls = DiophantineClass(6.0, 0.5, frequency.GAP_UNION_MAX_M + 1)
+    with pytest.raises(ValueError,
+                       match="m_max = 10001 exceeds the gap-union cap 10000"):
+        cls._gaps()
+    with pytest.raises(ValueError, match="10001"):
+        in_KM(from_omega(0.3 + 0.01j), cls)
+    # the convergent scan needs no union and takes any m_max
+    assert dioph_real_margin(GOLDEN, DiophantineClass(6.0, 0.5, 10**9))[0] > 1
 
 
 def test_gap_union_sort_worker_reraises_and_is_joined(monkeypatch):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -48,8 +49,50 @@ def _artifacts():
 def test_every_artifact_is_json_native():
     # the stdlib encoder knows no complex or numpy values
     for name, artifact in _artifacts().items():
-        d = artifact.to_json_dict()
+        d = jsonio.encode(artifact)
         assert json.loads(json.dumps(d)) == d, name
+
+
+# Each artifact's top-level keys, in the order its files print them.  The
+# reports' keys are their dataclass fields, so reordering a field fails here.
+ARTIFACT_KEYS = {
+    "FourierSeries": ["N", "coeffs"],
+    "SolveReport": ["method", "converged", "iterations", "residual_history",
+                    "quadratic_fit_slope", "beta", "aliasing_tail",
+                    "diagnostics"],
+    "QTaylorData": ["eps", "f_ref", "orders"],
+    "ObstructionReport": ["p", "m", "K", "A", "reflected", "exactness",
+                          "orders_computed", "n_star", "threshold",
+                          "witness_norm", "obstruction_witness",
+                          "gamma_engine", "gamma_oracle", "relative_gap",
+                          "betas", "gammas_engine", "gammas_oracle"],
+    "InvariantCurve": ["frequency", "eps", "u", "v", "f", "report"],
+    "SetGeometry": ["M", "tau", "m_max", "first_untested_denominator",
+                    "total_gap_measure", "gaps", "boundary_samples"],
+    "SampledFamily": ["points", "values", "derivs"],
+}
+
+
+def test_every_artifact_keeps_its_key_order():
+    artifacts = _artifacts()
+    assert set(artifacts) == set(ARTIFACT_KEYS)
+    for name, artifact in artifacts.items():
+        assert list(jsonio.encode(artifact)) == ARTIFACT_KEYS[name], name
+
+
+def test_encode_writes_a_dataclass_by_its_fields_in_order():
+    @dataclass
+    class Result:
+        z: complex
+        xs: np.ndarray
+        inner: "Result | None" = None
+
+    obj = Result(1j, np.array([0.5, -1.0]), Result(-2.0 + 0j, np.zeros(0)))
+    out = jsonio.encode(obj)
+    assert out == {"z": [0.0, 1.0], "xs": [0.5, -1.0],
+                   "inner": {"z": [-2.0, 0.0], "xs": [], "inner": None}}
+    assert list(out) == ["z", "xs", "inner"]
+    assert jsonio.dumps(obj) == jsonio.dumps(out)
 
 
 def test_encode_complex_and_numpy_values():

@@ -100,6 +100,21 @@ def test_budget_exhaustion_raises_with_history():
     assert len(exc_info.value.diagnostics["residual_history"]) >= 1
 
 
+def test_a_cutoff_plateau_reports_the_truncation_tail():
+    # a forcing without cos's symmetry: at cutoff 256 the defect sits at
+    # 3.6e-9 while each step drops a coefficient of 1e-10 past the cutoff;
+    # at 512 the same solve converges
+    a = 0.15 * complex(math.cos(0.7), math.sin(0.7))
+    f = FourierSeries([a, 0, 0.5, 0, 0.5, 0, a.conjugate()])
+    with pytest.raises(NoConvergenceError) as exc_info:
+        solve_curve(f, from_omega(GOLDEN), 0.05, SolverConfig(cutoff=256))
+    diag = exc_info.value.diagnostics
+    assert 1e-11 < diag["truncation_tail"] < 1e-9
+    assert diag["residual_history"][-1] > 1e-9
+    curve = solve_curve(f, from_omega(GOLDEN), 0.05, SolverConfig(cutoff=512))
+    assert dynamical_residual(curve, 2048) < 1e-13
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol=0.0)

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kamforge import jsonio
 from kamforge.errors import OverflowRiskError
 from kamforge.fourier import FourierSeries, composition_jet, sup_norm
 from kamforge.obstruction import (ObstructionReport, RationalFreq,
@@ -69,13 +70,13 @@ def test_divisor_operator_kernel_and_partial_inverse():
 def test_beta_gamma_hand_values():
     # K = 1, m = 3, A = 1/2 (a cosine forcing):
     # betas 1, 1/3, 1/6; gamma_2 = -i pi/6, gamma_3 = -pi^2/12
-    betas, gammas, A = beta_gamma_oracle(1, RationalFreq(1, 3), 3, A=0.5)
+    betas, gammas = beta_gamma_oracle(1, RationalFreq(1, 3), 3, A=0.5)
     assert betas == pytest.approx([1.0, 1.0 / 3.0, 1.0 / 6.0], abs=1e-15)
     assert gammas[0] == pytest.approx(0.5, abs=1e-15)
     assert gammas[1] == pytest.approx(-1j * math.pi / 6.0, abs=1e-14)
     assert gammas[2] == pytest.approx(-math.pi ** 2 / 12.0, abs=1e-13)
     # K = 1, m = 2: beta_2 = 1/4, gamma_2 = -i pi/8
-    betas2, gammas2, _ = beta_gamma_oracle(1, RationalFreq(1, 2), 2, A=0.5)
+    betas2, gammas2 = beta_gamma_oracle(1, RationalFreq(1, 2), 2, A=0.5)
     assert betas2 == pytest.approx([1.0, 0.25], abs=1e-15)
     assert gammas2[1] == pytest.approx(-1j * math.pi / 8.0, abs=1e-14)
 
@@ -107,7 +108,7 @@ def convolution_power_betas(K, rf, up_to, extended=False):
 @pytest.mark.parametrize("extended", [False, True])
 def test_oracle_matches_the_convolution_powers(K, p, m, extended):
     rf = RationalFreq(p, m)
-    betas, _, _ = beta_gamma_oracle(K, rf, 60, extended=extended)
+    betas, _ = beta_gamma_oracle(K, rf, 60, extended=extended)
     ref = convolution_power_betas(K, rf, 60, extended=extended)
     assert all(b > 0 for b in betas)
     assert all(abs(x - y) <= 4e-15 * y for x, y in zip(betas, ref))
@@ -441,8 +442,8 @@ def test_extended_oracle_matches_extended_engine():
 
 def test_extended_oracle_agrees_with_float_oracle():
     rf = RationalFreq(5, 21)
-    b64, g64, _ = beta_gamma_oracle(2, rf, 12, A=0.3 - 0.2j)
-    bext, gext, _ = beta_gamma_oracle(2, rf, 12, A=0.3 - 0.2j, extended=True)
+    b64, g64 = beta_gamma_oracle(2, rf, 12, A=0.3 - 0.2j)
+    bext, gext = beta_gamma_oracle(2, rf, 12, A=0.3 - 0.2j, extended=True)
     assert all(type(b) is float for b in bext)
     assert all(type(g) is complex for g in gext)
     assert all(abs(x - y) <= 1e-13 * abs(y) for x, y in zip(bext, b64))
@@ -468,7 +469,7 @@ def test_oracle_overflow_is_typed():
 
 def test_report_json_dict():
     report = obstruction_order(FourierSeries.cos(), RationalFreq(1, 3))
-    d = report.to_json_dict()
+    d = jsonio.encode(report)
     assert d["p"] == 1 and d["m"] == 3
     assert d["n_star"] == 3
     assert isinstance(d["gamma_engine"], list) and len(d["gamma_engine"]) == 2
