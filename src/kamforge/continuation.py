@@ -76,7 +76,7 @@ def picard_solve(f: FourierSeries, freq: Frequency, eps,
     Runs ``kam._iterate`` with this map as the step, so it honours
     ``config.seed``, records the gauge-fixed defect (for the zero-mean
     iterates, the next sup-difference) and raises Newton's errors, with
-    ``q_modulus`` first in their diagnostics.  Returns ``(u, SolveReport)``
+    ``q_modulus`` as their entry diagnostics.  Returns ``(u, SolveReport)``
     with u of zero mean; ``report.beta`` is the mean defect eps <f(id+u)>,
     an exact zero at the fixed point, so its size measures truncation only.
     Requires | |q| - 1 | >= ``PICARD_MARGIN`` or a gap ``math.isclose`` to
@@ -101,7 +101,7 @@ def _picard_curve(f: FourierSeries, freq: Frequency, eps,
             "circle; the Picard contraction is not certified there"
         )
     return _iterate(f, freq, eps, config,
-                    lambda u, comp, target, history: target,
+                    lambda u, comp, target: target,
                     PICARD_MAX_ITERS, "picard", {"q_modulus": modulus})
 
 
@@ -238,12 +238,12 @@ def crosscheck(f: FourierSeries, freq: Frequency, eps,
 
     Methods whose preconditions fail are recorded as skipped with a notice
     (Picard on the unit circle, Taylor-at-0 outside |q| < 1); solver errors
-    are recorded as failed.  A non-finite eps, an empty ``methods``, a
-    name outside ``CROSSCHECK_METHODS``, a repeated name, or ``taylor0``
-    with ``n_taylor`` outside [1, ``TAYLOR_ORDER_CAP``] raises
-    ``ValueError`` before any solve.  Every method returns a zero-mean u,
-    so the solutions are compared as they are.  Returns a report dict with
-    per-method status and pairwise sup-norm differences.
+    are recorded as failed, with their diagnostics.  A non-finite eps, an
+    empty ``methods``, a name outside ``CROSSCHECK_METHODS``, a repeated
+    name, or ``taylor0`` with ``n_taylor`` outside [1, ``TAYLOR_ORDER_CAP``]
+    raises ``ValueError`` before any solve.  Every method returns a
+    zero-mean u, so the solutions are compared as they are.  Returns a
+    report dict with per-method status and pairwise sup-norm differences.
     """
     config = config or SolverConfig()
     eps = finite_scalar(eps, "eps")
@@ -294,7 +294,8 @@ def crosscheck(f: FourierSeries, freq: Frequency, eps,
         except ValueError as exc:
             status[name] = {"status": "skipped", "note": str(exc)}
         except KamforgeError as exc:
-            status[name] = {"status": "failed", "note": str(exc)}
+            status[name] = {"status": "failed", "note": str(exc),
+                            "diagnostics": exc.diagnostics}
 
     pairs: dict = {}
     names = [n for n in methods if n in solutions]

@@ -20,12 +20,12 @@ Numerics: a fixed spectral cutoff with monitored aliasing tails replaces
 the proof's shrinking-strip schedule.  Smallness hypotheses are replaced by
 runtime checks: the grid-min of |A A+| against ``fourier.AMIN_FLOOR`` and
 |<alpha>| (refusing an A = 1 + u' that is not invertible), sup|w| < 1 in
-each step, and a ``DIVERGENCE_FACTOR`` (10x) residual-growth safeguard with
-small-divisor diagnostics.  Each iterate is truncated to the cutoff and
-coefficients below ``fourier.CLAMP_REL`` times the largest are dropped.
+each step, and a ``DIVERGENCE_FACTOR`` (10x) residual-growth safeguard.
+Each iterate is truncated to the cutoff and coefficients below
+``fourier.CLAMP_REL`` times the largest are dropped.
 
 ``continuation.picard_solve`` runs the same loop, ``_iterate``, with the
-Picard map u -> eps E_q f(id+u) as its step in place of Newton's.
+Picard step u -> eps E_q f(id+u); the loop writes every failure's record.
 """
 
 from __future__ import annotations
@@ -39,9 +39,11 @@ import numpy as np
 from . import jsonio
 from .errors import (
     DivergenceError,
+    KamforgeError,
     NearSingularError,
     NoConvergenceError,
     OverflowRiskError,
+    ResonanceError,
 )
 from .fourier import (
     DEFAULT_CUTOFF,
@@ -98,13 +100,15 @@ class SolverConfig:
     seed: FourierSeries | None = None
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if not self.max_iters >= 0:
-            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        if not 1 <= self.cutoff <= HARD_CAP:
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        # counts are ints, as a series' N is: a bool or a float is refused
+        if not (type(self.max_iters) is int and self.max_iters >= 0):
             raise ValueError(
-                f"cutoff must lie in [1, {HARD_CAP}], got {self.cutoff}")
+                f"max_iters must be an int >= 0, got {self.max_iters!r}")
+        if not (type(self.cutoff) is int and 1 <= self.cutoff <= HARD_CAP):
+            raise ValueError(f"cutoff must be an int in [1, {HARD_CAP}], "
+                             f"got {self.cutoff!r}")
 
 
 @dataclass
@@ -239,29 +243,23 @@ def omega_tangent(u: FourierSeries, freq: Frequency) -> FourierSeries:
     return Aw - _scaled(mean(Aw), A, "<A w> A")
 
 
-def newton_step(u: FourierSeries, comp: FourierSeries, f: FourierSeries,
-                freq: Frequency, eps, history=()) -> FourierSeries:
+def newton_step(u: FourierSeries, comp: FourierSeries, freq: Frequency,
+                eps) -> FourierSeries:
     """One modified Newton update u -> u + A w, A = 1 + u'.
 
     ``comp`` is the composition f(id + u), which the caller has already
     formed for its residual check; the step forms E(u) = eps comp - delta u
     from it and returns u + A w untruncated.  ``linearized_solve`` refuses
     only an A that is not invertible (``NearSingularError``), whatever
-    sup|u'| is.  Raises ``DivergenceError`` when w reaches sup 1 (a small
-    divisor has taken over; the diagnostics carry it and ``history``).
+    sup|u'| is.  Raises a bare ``DivergenceError`` when w reaches sup 1 (a
+    small divisor has taken over); ``_iterate`` adds the failure record.
     """
     A = FourierSeries.constant(1.0) + derivative(u)
     E = _scaled(eps, comp, "eps f(id + u)") - apply(DELTA, u, freq)
     w = linearized_solve(A, E, freq)
-    w_sup = sup_norm(w)
-    if w_sup >= 1.0:
-        lam, k = max_divisor_magnitude(freq, max(w.N, f.N, 2))
-        raise DivergenceError(
-            f"Newton correction has sup {w_sup:.3g} >= 1; "
-            "a small divisor has taken over",
-            {"residual_history": history, "max_divisor": lam,
-             "max_divisor_k": k},
-        )
+    if (w_sup := sup_norm(w)) >= 1.0:
+        raise DivergenceError(f"Newton correction has sup {w_sup:.3g} >= 1; "
+                              "a small divisor has taken over")
     return u + product(A, w)
 
 
@@ -327,8 +325,7 @@ def solve_curve(f: FourierSeries, freq: Frequency, eps,
         )
 
     return _iterate(f, freq, eps, config,
-                    lambda u, comp, _, history: newton_step(
-                        u, comp, f, freq, eps, history),
+                    lambda u, comp, _: newton_step(u, comp, freq, eps),
                     config.max_iters, "newton", diagnostics)
 
 
@@ -337,9 +334,9 @@ def _iterate(f: FourierSeries, freq: Frequency, eps: complex,
              diagnostics: dict) -> InvariantCurve:
     """The solve loop of every method: iterate, stop, normalize, report.
 
-    ``step(u, comp, target, history)`` is all a method brings: the next
-    iterate, untruncated, given comp = f(id + u) and target = eps E_q comp,
-    the product the defect has just formed and checked.
+    ``step(u, comp, target)`` is all a method brings: the next iterate,
+    untruncated, given comp = f(id + u) and target = eps E_q comp, the
+    product the defect has just formed and checked.
     The loop stops when the gauge-fixed defect ||(u - <u>) - eps E_q comp||
     reaches ``config.tol``.  It is zero exactly when the invariance error
     is, and stays honest off the unit circle, where the raw error routes
@@ -348,11 +345,13 @@ def _iterate(f: FourierSeries, freq: Frequency, eps: complex,
     ``config.seed``) takes at least one step before the defect may accept.
     Raises ``DivergenceError`` when a defect grows ``DIVERGENCE_FACTOR``-fold
     and ``NoConvergenceError`` after ``budget`` steps (the expected failure
-    near resonances, where no analytic curve exists); both carry the entry
-    ``diagnostics`` (which also open the report's), the residual history,
-    the largest small divisor and ``truncation_tail``, the largest
-    coefficient the last truncation to ``config.cutoff`` dropped: a defect
-    that plateaus near that tail is limited by the cutoff, not by the
+    near resonances, where no analytic curve exists).  Any ``KamforgeError``
+    of the loop, normalization or v gains, after its own diagnostics, the
+    entry ``diagnostics`` (which also open the report's), ``residual_history``,
+    ``max_divisor`` and ``max_divisor_k`` (the largest |lambda_k| up to
+    max(cutoff, f.N); inf at a resonance's k) and ``truncation_tail``, the
+    largest coefficient the last truncation to ``config.cutoff`` dropped: a
+    defect that plateaus near that tail is limited by the cutoff, not by the
     divisors.  The converged u is shifted to exact zero mean by
     u(theta - u0) - u0, which maps solutions to solutions.
     """
@@ -361,61 +360,59 @@ def _iterate(f: FourierSeries, freq: Frequency, eps: complex,
     history: list[float] = []
     tails: list[float] = []
     t_tail = 0.0
-    for it in range(budget + 1):
-        comp, crep = compose_id_plus(f, u)
-        tails.append(crep.aliasing_tail)
-        target = _scaled(eps, apply(E_Q, comp, freq), "eps E_q f(id + u)")
-        r = _fixed_point_defect(u, target)
-        history.append(r)
-        # the zero seed's defect eps |E_q f| is O(eps |q|) off the circle,
-        # below tol far out, while v = (1 - q^{-k}) u needs the tiny modes
-        if r <= config.tol and (it > 0 or not cold):
-            break
-        if len(history) >= 2 and r > DIVERGENCE_FACTOR * history[-2]:
-            lam, k = max_divisor_magnitude(freq, max(config.cutoff, f.N))
-            raise DivergenceError(
-                f"residual grew {r / history[-2]:.2g}x at iteration {it}",
-                {**diagnostics, "residual_history": history,
-                 "max_divisor": lam, "max_divisor_k": k,
-                 "truncation_tail": t_tail},
-            )
-        if it == budget:
-            lam, k = max_divisor_magnitude(freq, max(config.cutoff, f.N))
-            raise NoConvergenceError(
-                f"no convergence to {config.tol:.1e} within {budget} "
-                f"iterations (last residual {history[-1]:.3e})",
-                {**diagnostics, "max_divisor": lam, "max_divisor_k": k,
-                 "residual_history": history, "truncation_tail": t_tail},
-            )
-        u, t_tail = truncate(step(u, comp, target, history), config.cutoff)
-        tails.append(t_tail)
-        u = clamp_small(u)
+    try:
+        for it in range(budget + 1):
+            comp, crep = compose_id_plus(f, u)
+            tails.append(crep.aliasing_tail)
+            target = _scaled(eps, apply(E_Q, comp, freq), "eps E_q f(id + u)")
+            r = _fixed_point_defect(u, target)
+            history.append(r)
+            # the zero seed's defect eps |E_q f| is O(eps |q|) off the circle,
+            # below tol far out, while v = (1 - q^{-k}) u needs the tiny modes
+            if r <= config.tol and (it > 0 or not cold):
+                break
+            if len(history) >= 2 and r > DIVERGENCE_FACTOR * history[-2]:
+                raise DivergenceError(
+                    f"residual grew {r / history[-2]:.2g}x at iteration {it}")
+            if it == budget:
+                raise NoConvergenceError(
+                    f"no convergence to {config.tol:.1e} within {budget} "
+                    f"iterations (last residual {history[-1]:.3e})")
+            u, t_tail = truncate(step(u, comp, target), config.cutoff)
+            tails.append(t_tail)
+            u = clamp_small(u)
 
-    # normalization: u~(theta) = u(theta - u0) - u0 (exactly mean-killing)
-    u0 = mean(u)
-    if u0 != 0:
-        shifted, _ = compose_id_plus(u, FourierSeries.constant(-u0))
-        u = shifted - FourierSeries.constant(u0)
-        c = u.coeffs.copy()
-        c[u.N] = 0.0  # analytically exact zero; strip the ~1e-17 roundoff
-        u = FourierSeries._of(c)
-    comp_n, crep_n = compose_id_plus(f, u)
-    tails.append(crep_n.aliasing_tail)
-    diagnostics["post_normalization_residual"] = _fixed_point_defect(
-        u, _scaled(eps, apply(E_Q, comp_n, freq), "eps E_q f(id + u)"))
+        # normalization: u~(theta) = u(theta - u0) - u0 (exactly mean-killing)
+        u0 = mean(u)
+        if u0 != 0:
+            shifted, _ = compose_id_plus(u, FourierSeries.constant(-u0))
+            u = shifted - FourierSeries.constant(u0)
+            c = u.coeffs.copy()
+            c[u.N] = 0.0  # analytically exact zero; strip the ~1e-17 roundoff
+            u = FourierSeries._of(c)
+        comp_n, crep_n = compose_id_plus(f, u)
+        tails.append(crep_n.aliasing_tail)
+        post = _fixed_point_defect(u, _scaled(eps, apply(E_Q, comp_n, freq),
+                                              "eps E_q f(id + u)"))
+        v = apply(NABLA_MINUS, u, freq)
+    except KamforgeError as exc:
+        res = exc if isinstance(exc, ResonanceError) else None
+        try:
+            lam, k = max_divisor_magnitude(freq, max(config.cutoff, f.N))
+        except ResonanceError as caught:
+            res = caught
+        if res is not None:  # its table cannot be read: inf at the vanished k
+            lam, k = math.inf, res.diagnostics["k"]
+        exc.diagnostics.update(jsonio.encode({
+            **diagnostics, "residual_history": history, "max_divisor": lam,
+            "max_divisor_k": k, "truncation_tail": t_tail}))
+        raise
 
-    v = apply(NABLA_MINUS, u, freq)
-    beta = eps * mean(comp_n)
     report = SolveReport(
-        residual_history=history,
-        quadratic_fit_slope=_fit_slope(history),
-        beta=beta,
-        aliasing_tail=max(tails),
-        converged=True,
-        method=method,
-        iterations=len(history) - 1,
-        diagnostics=diagnostics,
-    )
+        method=method, converged=True, iterations=len(history) - 1,
+        residual_history=history, quadratic_fit_slope=_fit_slope(history),
+        beta=eps * mean(comp_n), aliasing_tail=max(tails),
+        diagnostics={**diagnostics, "post_normalization_residual": post})
     return InvariantCurve(u=u, v=v, freq=freq, eps=eps, report=report, f=f)
 
 
@@ -434,6 +431,8 @@ def dynamical_residual(curve: InvariantCurve, grid_n: int = 1024) -> float:
     om = freq.omega
     if not math.isfinite(om.imag):
         raise ValueError("dynamical residual undefined at the chart poles")
+    if not (type(grid_n) is int and grid_n >= 1):
+        raise ValueError(f"grid_n must be an int >= 1, got {grid_n!r}")
     theta = np.arange(grid_n) / grid_n
     x = theta + grid_values(curve.u, grid_n)
     y = om + grid_values(curve.v, grid_n)

@@ -284,7 +284,13 @@ def test_sweep_failure_carries_the_solve_error_diagnostics(tmp_path):
     assert summary["failed"] == 1
     err = json.loads(out.read_text())["error"]
     assert err["type"] == "ResonanceError"
-    assert err["diagnostics"] == {"k": 2, "omega": [0.5, 0.0], "p": 1, "m": 2}
+    diag = err["diagnostics"]
+    assert list(diag) == ["k", "omega", "p", "m", "residual_history",
+                          "max_divisor", "max_divisor_k", "truncation_tail"]
+    assert {key: diag[key] for key in ("k", "omega", "p", "m")} == {
+        "k": 2, "omega": [0.5, 0.0], "p": 1, "m": 2}
+    # the divisor table cannot be read past q^2 - 1 = 0
+    assert (diag["max_divisor"], diag["max_divisor_k"]) == (math.inf, 2)
 
 
 def test_geometry_command(tmp_path):
@@ -357,6 +363,9 @@ def test_obstruction_radial_overflow_still_writes_json(tmp_path):
     ("obstruction", "--threshold", "-1", "threshold"),
     ("crosscheck", "--orders", "0", "n_taylor"),
     ("crosscheck", "--orders", "100", "n_taylor"),
+    ("solve", "--tol", "inf", "tol"),
+    ("sweep", "--tol", "inf", "tol"),
+    ("crosscheck", "--tol", "nan", "tol"),
 ])
 def test_invalid_solver_settings_exit_2(tmp_path, cmd, flag, value, field):
     args = {"solve": ["solve", "--omega", "0.3", "--out", "x.json"],
@@ -459,10 +468,23 @@ def test_picard_budget_failure_keeps_its_history(monkeypatch):
         continuation.picard_solve(FourierSeries.cos(), from_q(0.3), 0.05,
                                   SolverConfig(tol=1e-13))
     diag = cli._error_payload(info.value)["error"]["diagnostics"]
-    assert list(diag) == ["q_modulus", "max_divisor", "max_divisor_k",
-                          "residual_history", "truncation_tail"]
+    assert list(diag) == ["q_modulus", "residual_history", "max_divisor",
+                          "max_divisor_k", "truncation_tail"]
     # a budget of 2 steps records 3 defects, as Newton's max_iters does
     assert len(diag["residual_history"]) == 3
+
+
+def test_a_failed_solve_writes_its_residual_history(tmp_path):
+    # q = 0.9 e^{0.5i}: a cold Newton iterate's 1/(A A+) needs more modes
+    # than the hard cap; the error JSON still holds the defects before it
+    r = run_cli(["solve", "--q-re", "0.789824305701336", "--q-im",
+                 "0.431482984743783", "--out", "c.json"], tmp_path)
+    assert r.returncode == 1, r.stderr
+    err = json.loads((tmp_path / "c.json").read_text())["error"]
+    assert err == json.loads(r.stdout)["error"]
+    assert err["type"] == "NearSingularError"
+    assert len(err["diagnostics"]["residual_history"]) >= 1
+    assert "Traceback" not in r.stderr
 
 
 def test_taylor0_command_with_evaluation(tmp_path):

@@ -280,6 +280,22 @@ def test_crosscheck_skips_methods_off_their_domain():
     assert report["pairs"] == {}
 
 
+def test_crosscheck_keeps_the_record_of_a_failed_method():
+    # at the chart pole q = 0 both solvers fail; each status keeps the
+    # error's diagnostics beside its note, and taylor0 still runs
+    report = crosscheck(FourierSeries.cos(), from_q(0.0), 0.05)
+    for name, entry in (("newton", []), ("picard", ["q_modulus"])):
+        status = report["methods"][name]
+        assert list(status) == ["status", "note", "diagnostics"]
+        assert status["status"] == "failed"
+        assert "chart poles" in status["note"]
+        assert list(status["diagnostics"]) == entry + [
+            "residual_history", "max_divisor", "max_divisor_k",
+            "truncation_tail"]
+    assert report["methods"]["taylor0"]["status"] == "ok"
+    assert report["pairs"] == {}
+
+
 @pytest.mark.parametrize("methods,named", [
     (("newton", "picrd"), "'picrd'"),
     (("taylor", "newton", "Picard"), "['taylor', 'Picard']"),

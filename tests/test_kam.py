@@ -29,7 +29,7 @@ def test_first_newton_step_is_eps_Eq_f():
     eps = 0.05
     u0 = FourierSeries.zero(0)
     comp, _ = compose_id_plus(f, u0)
-    u1 = newton_step(u0, comp, f, freq, eps)
+    u1 = newton_step(u0, comp, freq, eps)
     expected = eps * apply(E_Q, f, freq)
     diff = sup_norm(u1 - expected)
     assert diff < 1e-16
@@ -120,11 +120,23 @@ def test_solver_config_validation():
         SolverConfig(tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-12])
+def test_solver_config_refuses_a_tol_that_is_not_finite_and_positive(tol):
+    # at tol = inf every solve "converged" after one step
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        SolverConfig(tol=tol)
+
+
 @pytest.mark.parametrize("field,kwargs", [
     ("max_iters", {"max_iters": -1}),
     ("cutoff", {"cutoff": 0}),
     ("cutoff", {"cutoff": -3}),
     ("cutoff", {"cutoff": HARD_CAP + 1}),
+    ("max_iters", {"max_iters": 2.5}),
+    ("max_iters", {"max_iters": True}),
+    ("cutoff", {"cutoff": 100.5}),
+    ("cutoff", {"cutoff": 64.0}),
+    ("cutoff", {"cutoff": True}),
 ])
 def test_solver_config_rejects_budget_and_cutoff(field, kwargs):
     with pytest.raises(ValueError, match=field):
@@ -143,7 +155,7 @@ def test_step_rejects_non_invertible_id_plus_u():
     u = FourierSeries.basis(1, 0.2)
     comp, _ = compose_id_plus(f, u)
     with pytest.raises(NearSingularError, match="<alpha>"):
-        newton_step(u, comp, f, from_omega(GOLDEN), 0.05, [1.0])
+        newton_step(u, comp, from_omega(GOLDEN), 0.05)
 
 
 def test_newton_solves_where_sup_of_u_prime_exceeds_one():
@@ -196,17 +208,105 @@ def test_forcing_mean_warning_and_its_scale(monkeypatch, offset, warns):
 
 def test_correction_blowup_raises_with_divisor_diagnostics():
     # with this forcing (mean 2, so no invariant curve exists) the second
-    # Newton correction reaches sup ~5e2; the step names the worst divisor,
-    # at k = -10 next to 3/10 (at 0.3 itself q^10 - 1 vanishes: resonance)
+    # Newton correction reaches sup ~5e2; the loop's record names the worst
+    # divisor, at k = -10 next to 3/10 (at 0.3 itself q^10 - 1 vanishes)
     f = FourierSeries([1.0, 2.0, 3.0])
     with pytest.warns(RuntimeWarning, match="forcing has mean"):
         with pytest.raises(DivergenceError,
                            match="Newton correction has sup") as exc_info:
             solve_curve(f, from_omega(0.3 + 1e-9), 0.05, SolverConfig())
     diag = exc_info.value.diagnostics
-    assert list(diag) == ["residual_history", "max_divisor", "max_divisor_k"]
+    assert list(diag) == ["residual_history", "max_divisor", "max_divisor_k",
+                          "truncation_tail"]
     assert len(diag["residual_history"]) >= 1
     assert diag["max_divisor"] > 1.0
+
+
+TRAILING_RECORD = ["residual_history", "max_divisor", "max_divisor_k",
+                   "truncation_tail"]
+NEAR_SINGULAR_KEYS = ["cutoff", "hard_cap", "grid_min"]
+RESONANCE_KEYS = ["k", "omega", "p", "m"]
+
+
+def _phase_probe(r):
+    return from_q(r * complex(math.cos(0.5), math.sin(0.5)))
+
+
+def _newton(freq, eps=0.05, **kwargs):
+    return lambda monkeypatch: solve_curve(FourierSeries.cos(), freq, eps,
+                                           **kwargs)
+
+
+def _picard(freq, budget=None):
+    def run(monkeypatch):
+        from kamforge import continuation
+        if budget is not None:
+            monkeypatch.setattr(continuation, "PICARD_MAX_ITERS", budget)
+        return continuation.picard_solve(FourierSeries.cos(), freq, 0.05,
+                                         SolverConfig(tol=1e-13))
+    return run
+
+
+# (solve, error, keys ahead of the record, failed after the loop, the k at
+# which max_divisor reads inf or None)
+SOLVE_FAILURES = [
+    pytest.param(_newton(_phase_probe(0.9)), NearSingularError,
+                 NEAR_SINGULAR_KEYS, False, None, id="newton-r0.9"),
+    pytest.param(_newton(_phase_probe(0.95)), DivergenceError, [], False,
+                 None, id="newton-r0.95"),
+    pytest.param(_newton(_phase_probe(1.05)), NearSingularError,
+                 NEAR_SINGULAR_KEYS, False, None, id="newton-r1.05"),
+    pytest.param(_newton(_phase_probe(1.1)), DivergenceError, [], False,
+                 None, id="newton-r1.1"),
+    pytest.param(_newton(from_omega(0.5)), ResonanceError, RESONANCE_KEYS,
+                 False, 2, id="resonance-1/2"),
+    # q^5 - 1 vanishes past the cutoff 4, where the divisor table still reads
+    pytest.param(_newton(from_omega(0.2), config=SolverConfig(cutoff=4)),
+                 ResonanceError, RESONANCE_KEYS, False, 5,
+                 id="resonance-past-the-cutoff"),
+    # the budget runs out first; the table at the cutoff meets q^2 - 1 = 0
+    pytest.param(_newton(from_omega(0.5), config=SolverConfig(max_iters=0),
+                         dioph=DiophantineClass(M=6.0, tau=0.5, m_max=200)),
+                 NoConvergenceError, ["in_KM"], False, 2,
+                 id="budget-0-at-1/2"),
+    pytest.param(_newton(from_omega(complex(0.3, 115.0)), eps=0.01),
+                 OverflowRiskError, ["exponent", "cap", "cutoff"], True, None,
+                 id="im-omega-115"),
+    pytest.param(_newton(from_q(0.0)), OverflowRiskError, [], False, None,
+                 id="newton-q0"),
+    pytest.param(_picard(from_q(0.0)), OverflowRiskError, ["q_modulus"],
+                 True, None, id="picard-q0"),
+    pytest.param(_picard(from_q(0.95)), DivergenceError, ["q_modulus"],
+                 False, None, id="picard-q0.95"),
+    pytest.param(_picard(from_q(0.3), budget=2), NoConvergenceError,
+                 ["q_modulus"], False, None, id="picard-budget-2"),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("solve,error,leading,after_loop,inf_at",
+                         SOLVE_FAILURES)
+def test_every_solve_failure_ends_with_the_one_record(
+        monkeypatch, solve, error, leading, after_loop, inf_at):
+    # whatever raises inside the loop, the normalization or v, the error
+    # leaves with its own keys, then the entry diagnostics, then the record
+    defects = []
+    real = kam._fixed_point_defect
+    monkeypatch.setattr(kam, "_fixed_point_defect",
+                        lambda u, t: defects.append(real(u, t)) or defects[-1])
+    with pytest.raises(error) as info:
+        solve(monkeypatch)
+    diag = info.value.diagnostics
+    assert list(diag) == leading + TRAILING_RECORD
+    # every defect the loop recorded; a failure after the loop has also
+    # formed the post-normalization defect, which is no iteration's
+    assert diag["residual_history"] == defects[:len(defects) - after_loop]
+    assert len(diag["residual_history"]) >= 1
+    if inf_at is None:
+        assert 0.0 < diag["max_divisor"] < math.inf
+    else:
+        assert (diag["max_divisor"], diag["max_divisor_k"]) == (math.inf,
+                                                                inf_at)
 
 
 def test_membership_gate_warns_outside_class():
@@ -320,6 +420,15 @@ def dense_residual(curve, grid_n):
     dx = dx - np.round(dx.real)
     dy = om + at(curve.v, tw) - (y + eps * fx)
     return float(max(np.max(np.abs(dx)), np.max(np.abs(dy))))
+
+
+@pytest.mark.parametrize("grid_n", [0, -4, 2.5, 64.0, True])
+def test_dynamical_residual_refuses_a_grid_that_is_no_count(grid_n):
+    # grid_n = 0 ended in an IndexError
+    curve = solve_curve(FourierSeries.cos(), from_q(0.3), 0.05,
+                        SolverConfig(cutoff=32))
+    with pytest.raises(ValueError, match="grid_n must be an int >= 1"):
+        dynamical_residual(curve, grid_n)
 
 
 def test_dynamical_residual_matches_dense_formula():
