@@ -16,10 +16,10 @@ stride-d lattice of f's modes (F_s stays on (s + 1) r + d Z when f lives on
 r + d Z and u_j on j r + d Z), in whatever complex dtype it is given.
 
 Point evaluation off the grid, ``evaluate``, forms no matrix of
-exp(2 pi i k z): it sums the modes k >= 1 and k <= -1 as polynomials in
-w = exp(2 pi i z) and 1/w by baby steps and giant steps (Horner in
-w^ceil(sqrt N)), in O(G sqrt N) memory for G points; the baby steps are
-ceil(sqrt N) - 1 vector multiplies, one contiguous row per power.
+exp(2 pi i k z): from one w = exp(2 pi i z) a point it sums the modes
+k >= 1 and k <= -1 as polynomials in w and 1/w by baby and giant steps
+(Horner in w^ceil(sqrt N)), in O(G sqrt N) memory for G points; the baby
+steps are ceil(sqrt N) - 1 vector multiplies, one row per power.
 
 A series is validated once, where it enters: the constructor (behind
 ``from_json_dict`` and the CLI's ``--f``) copies it and checks its shape,
@@ -257,10 +257,10 @@ def _power_sum(w: np.ndarray, c: np.ndarray) -> np.ndarray:
 def evaluate(phi: FourierSeries, theta):
     """Evaluate phi at real or complex angles (scalar or array).
 
-    The modes k >= 1 are summed as a polynomial in w = exp(2 pi i theta) and
-    the modes k <= -1 as one in 1/w, each by ``_power_sum``; splitting at
-    k = 0 keeps every intermediate within sum|c_k| exp(2 pi N |Im theta|),
-    whose exponent ``check_exponent`` guards.  An array of G angles costs
+    From one w = exp(2 pi i theta) a point, ``_power_sum`` sums the modes
+    k >= 1 as a polynomial in w and k <= -1 as one in 1/w; splitting at k = 0
+    keeps every intermediate within sum|c_k| exp(2 pi N |Im theta|), whose
+    exponent ``check_exponent`` guards.  An array of G angles costs
     O(G sqrt N) memory; the result is 1-d for array input.
 
     Raises
@@ -272,13 +272,14 @@ def evaluate(phi: FourierSeries, theta):
     scalar = th.ndim == 0
     th = th.ravel()
     N = phi.N
-    check_exponent(_TWO_PI * N * float(np.max(np.abs(th.imag), initial=0.0)),
+    check_exponent(_TWO_PI * N * float(np.abs(th.imag).max(initial=0.0)),
                    "evaluation")
     c = phi.coeffs
     vals = np.full(th.size, c[N])
     if N:
-        vals += _power_sum(np.exp(2j * np.pi * th), c[N + 1:])
-        vals += _power_sum(np.exp(-2j * np.pi * th), c[N - 1::-1])
+        w = np.exp(2j * np.pi * th)
+        vals += _power_sum(w, c[N + 1:])
+        vals += _power_sum(np.reciprocal(w), c[N - 1::-1])
     return complex(vals[0]) if scalar else vals
 
 
@@ -286,14 +287,15 @@ def grid_values(phi: FourierSeries, G: int) -> np.ndarray:
     """Exact samples phi(j/G), j = 0..G-1, via the inverse FFT.
 
     Modes k and k + G agree on the grid, so the coefficients are folded
-    mod G first and the samples are exact for any G >= 1.
+    mod G by whole-period slices, and the samples are exact for any G >= 1.
     """
     c = phi.coeffs
-    slot = np.arange(-phi.N, phi.N + 1) % G
-    X = np.zeros(G, dtype=np.complex128)
-    X[slot[:G]] = c[:G]                # G consecutive modes: distinct slots
-    np.add.at(X, slot[G:], c[G:])
-    return np.fft.ifft(X) * G
+    X = np.zeros(G, dtype=np.complex128)    # X[j] holds mode j - N mod G
+    X[:min(c.size, G)] = c[:G]
+    for lo in range(G, c.size, G):          # whole periods, in mode order
+        X[:min(c.size - lo, G)] += c[lo:lo + G]
+    s = phi.N % G
+    return np.fft.ifft(np.concatenate([X[s:], X[:s]])) * G
 
 
 def sup_norm(phi: FourierSeries) -> float:
@@ -393,7 +395,7 @@ def compose_id_plus(f: FourierSeries, u: FourierSeries):
     if not np.any(u.coeffs):
         return f, CompositionReport(0.0, 0)
 
-    if u.N == 0 or not np.any(np.delete(u.coeffs, u.N)):
+    if not (u.coeffs[:u.N].any() or u.coeffs[u.N + 1:].any()):
         shifted = f.coeffs * mode_phases(u.coeff(0), f.N, "constant-shift")
         return FourierSeries._of(shifted), CompositionReport(0.0, 0)
 
@@ -467,15 +469,17 @@ def composition_jet(f: np.ndarray, step: int = 1, center=0):
 def invert_pointwise(A: FourierSeries) -> FourierSeries:
     """Series of 1/A(theta), built from an oversampled grid.
 
-    The output cutoff adapts: it is the smallest K whose discarded grid
-    spectrum sits below 1e-13 relative to the largest coefficient (one grid
-    refinement is attempted if the first grid cannot get there).  Raises
+    The first grid is the fourfold next_fast_len(max(GRID_FACTOR (A.N + 1),
+    512)).  The output cutoff adapts, above or below A.N: it is the smallest
+    K whose discarded grid spectrum sits below 1e-13 relative to the largest
+    coefficient (one 4x refinement is attempted if the first grid cannot get
+    there).  Raises
     ``NearSingularError`` when min |A| on the grid is at or below
     ``AMIN_FLOOR``, or when the cutoff the inverse needs exceeds
     ``HARD_CAP``.
     """
-    G = next_fast_len(max(8 * (A.N + 1), 512))
-    for attempt in range(2):
+    G0 = next_fast_len(max(GRID_FACTOR * (A.N + 1), 512))
+    for G in (G0, next_fast_len(4 * G0)):
         vals = grid_values(A, G)
         gmin = float(np.min(np.abs(vals)))
         if gmin <= AMIN_FLOOR:
@@ -485,29 +489,21 @@ def invert_pointwise(A: FourierSeries) -> FourierSeries:
             )
         c_full = np.fft.fft(1.0 / vals) / G
         mag = np.abs(c_full)
-        scale = float(np.max(mag))
         Kmax = (G - 1) // 2
         # level[j] = largest coefficient at |k| = j: bins j and G - j, and
         # level[Kmax + 1] the Nyquist bin G/2 of an even G (0 for an odd G)
         level = np.zeros(Kmax + 2)
         level[:G - Kmax] = mag[:G - Kmax]
         np.maximum(level[1:Kmax + 1], mag[:G - Kmax - 1:-1], out=level[1:Kmax + 1])
-        # suffix[j] = largest coefficient at |k| >= j
+        # suffix[j] = largest coefficient at |k| >= j, suffix[0] the largest
         suffix = np.maximum.accumulate(level[::-1])[::-1]
-        tol = 1e-13 * scale
-        ok = np.nonzero(suffix <= tol)[0]
+        ok = np.nonzero(suffix <= 1e-13 * suffix[0])[0]
+        K = max(int(ok[0]) - 1, 0) if ok.size else Kmax
         if ok.size:
-            K = max(int(ok[0]) - 1, 0)
-            K = min(max(K, min(A.N, Kmax)), Kmax)
             break
-        if attempt == 0:
-            G = next_fast_len(4 * G)
-        else:
-            K = Kmax
     if K > HARD_CAP:
         raise NearSingularError(
             f"inverse needs cutoff {K} above the hard cap {HARD_CAP}",
             {"cutoff": K, "hard_cap": HARD_CAP, "grid_min": gmin},
         )
-    ks = np.arange(-K, K + 1)
-    return FourierSeries._of(c_full[ks % G])
+    return FourierSeries._of(np.concatenate([c_full[G - K:], c_full[:K + 1]]))

@@ -72,6 +72,7 @@ from .operators import (
     SHIFT_PLUS,
     apply,
     max_divisor_magnitude,
+    refuse_shift,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -252,12 +253,13 @@ def newton_step(u: FourierSeries, comp: FourierSeries, freq: Frequency,
     from it and returns u + A w untruncated.  ``linearized_solve`` refuses
     only an A that is not invertible (``NearSingularError``), whatever
     sup|u'| is.  Raises a bare ``DivergenceError`` when w reaches sup 1 (a
-    small divisor has taken over); ``_iterate`` adds the failure record.
+    small divisor has taken over; the grid sup is formed only once sum|w_k|,
+    its bound, reaches 1); ``_iterate`` adds the failure record.
     """
     A = FourierSeries.constant(1.0) + derivative(u)
     E = _scaled(eps, comp, "eps f(id + u)") - apply(DELTA, u, freq)
     w = linearized_solve(A, E, freq)
-    if (w_sup := sup_norm(w)) >= 1.0:
+    if np.abs(w.coeffs).sum() >= 1.0 and (w_sup := sup_norm(w)) >= 1.0:
         raise DivergenceError(f"Newton correction has sup {w_sup:.3g} >= 1; "
                               "a small divisor has taken over")
     return u + product(A, w)
@@ -342,7 +344,8 @@ def _iterate(f: FourierSeries, freq: Frequency, eps: complex,
     is, and stays honest off the unit circle, where the raw error routes
     round-off through exponentially large multipliers (on the circle the
     two differ by a factor at most ||delta|| <= 4).  A cold start (no
-    ``config.seed``) takes at least one step before the defect may accept.
+    ``config.seed``) takes at least one step before the defect may accept,
+    and a chart pole, with no shift multipliers, is refused before any step.
     Raises ``DivergenceError`` when a defect grows ``DIVERGENCE_FACTOR``-fold
     and ``NoConvergenceError`` after ``budget`` steps (the expected failure
     near resonances, where no analytic curve exists).  Any ``KamforgeError``
@@ -361,6 +364,7 @@ def _iterate(f: FourierSeries, freq: Frequency, eps: complex,
     tails: list[float] = []
     t_tail = 0.0
     try:
+        refuse_shift(freq, 0)  # a chart pole, before the first composition
         for it in range(budget + 1):
             comp, crep = compose_id_plus(f, u)
             tails.append(crep.aliasing_tail)

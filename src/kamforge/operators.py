@@ -92,7 +92,7 @@ class _FrequencyTables:
         """The kind's vector for k = -N..N, a view of its full-width table."""
         shift = kind in _SHIFT_KINDS
         if shift:
-            _refuse_shift(self.freq, N)
+            refuse_shift(self.freq, N)
         if N > self.width.get(shift, -1):
             self._build(shift, N)
         if not shift and 0 < self.vanished <= N:
@@ -133,7 +133,7 @@ def _derive(kinds: dict, kind: MultiplierKind) -> np.ndarray:
     return {GAMMA_MINUS: minus, E_Q: gamma * minus}[kind]
 
 
-def _refuse_shift(freq: Frequency, N: int) -> None:
+def refuse_shift(freq: Frequency, N: int) -> None:
     """OverflowRiskError if some q^k, |k| <= N, would overflow.
 
     A finite omega reads as a pole once its chart coordinate underflows
@@ -179,7 +179,7 @@ def apply(kind: MultiplierKind, phi: FourierSeries, freq: Frequency) -> FourierS
     """
     table = multiplier_table(freq, phi.N, kind)
     out = phi.coeffs * table
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise OverflowRiskError(
             f"{kind.value} produced non-finite coefficients",
             {"kind": kind.value, "cutoff": phi.N},

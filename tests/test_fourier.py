@@ -155,6 +155,22 @@ def test_evaluate_matches_the_direct_sum_up_to_the_exponent_guard(N):
     assert np.all(np.abs(evaluate(s, theta) - ref) <= 4.0 * rounding)
 
 
+@pytest.mark.parametrize("N", [1, 9, 64])
+def test_evaluate_stays_finite_and_dense_accurate_up_to_exponent_699(N):
+    # one exponential w a point: the negative modes run on 1/w, whose N-th
+    # power reaches e^699 at the top height; the error bound is the one of
+    # test_evaluate_matches_the_dense_sum, on each side of the circle
+    rng = np.random.default_rng(N)
+    s = random_series(rng, N)
+    top = 699.0 / (TWO_PI * N)
+    for sign in (1.0, -1.0):
+        theta = rng.uniform(-1.0, 2.0, 256) + 1j * sign * top * np.concatenate(
+            [[1.0], rng.uniform(0.0, 1.0, 255)])
+        vals, dense = evaluate(s, theta), eval_dense(s, theta)
+        assert np.all(np.isfinite(vals))
+        assert np.max(np.abs(vals - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
 def test_evaluate_memory_stays_below_the_dense_matrix():
     # the dense route would allocate 8192 x 4099 x 16 B = 537 MB here
     rng = np.random.default_rng(22)
@@ -223,6 +239,34 @@ def test_pad_truncate_roundtrip():
     assert small.N == 2
     assert tail2 == float(np.max(np.abs(
         np.concatenate([s.coeffs[:3], s.coeffs[-3:]]))))
+
+
+def grid_values_by_index(phi, G):
+    # the index-array fold: slot k mod G for every mode, np.add.at for the
+    # modes past the first G
+    c = phi.coeffs
+    slot = np.arange(-phi.N, phi.N + 1) % G
+    X = np.zeros(G, dtype=np.complex128)
+    X[slot[:G]] = c[:G]
+    np.add.at(X, slot[G:], c[G:])
+    return np.fft.ifft(X) * G
+
+
+@pytest.mark.parametrize("N,G", [(7, 5), (7, 3), (7, 16), (7, 15), (0, 4),
+                                 (160, 648), (160, 321), (160, 100)])
+@pytest.mark.parametrize("zeros", ["none", "some negative", "all negative"])
+def test_grid_values_match_the_index_fold_bit_for_bit(N, G, zeros):
+    # compared as raw bits, so the sign of every zero counts too
+    rng = np.random.default_rng(N + G)
+    c = rng.standard_normal(2 * N + 1) + 1j * rng.standard_normal(2 * N + 1)
+    if zeros == "some negative":
+        c[::2] = complex(-0.0, 0.0)
+        c[1::3] = complex(0.0, -0.0)
+    elif zeros == "all negative":
+        c[:] = complex(-0.0, -0.0)
+    phi = FourierSeries(c)
+    assert np.array_equal(grid_values(phi, G).view(np.int64),
+                          grid_values_by_index(phi, G).view(np.int64))
 
 
 def test_grid_values_match_evaluate():
@@ -443,6 +487,33 @@ def test_invert_pointwise_inverse():
     assert np.max(np.abs(evaluate(one, theta) - 1.0)) < 1e-12
 
 
+def test_invert_pointwise_keeps_the_cutoff_its_tail_rule_gives():
+    # A = 1/(2 + cos) carries over 20 modes (the last ones round-off), but
+    # its inverse is 2 + cos: the tail rule keeps K = 1, below A.N
+    A = invert_pointwise(FourierSeries([0.5, 2.0, 0.5]))
+    assert A.N > 20
+    inv = invert_pointwise(A)
+    assert inv.N == 1
+    assert np.max(np.abs(inv.coeffs - [0.5, 2.0, 0.5])) < 1e-13
+
+
+def test_invert_pointwise_refines_when_the_first_grid_misses_the_tail(
+        monkeypatch):
+    # 1/(1 - 0.9973 cos) decays like 0.93^|k|: its 1e-13 tail lies past the
+    # first grid's 255 modes and inside the refined grid's 1023
+    from kamforge import fourier
+    grids = []
+    real = fourier.grid_values
+    monkeypatch.setattr(fourier, "grid_values",
+                        lambda phi, G: grids.append(G) or real(phi, G))
+    A = FourierSeries([-0.9973 / 2, 1.0, -0.9973 / 2])
+    inv = invert_pointwise(A)
+    assert grids == [512, 2048]
+    assert 255 < inv.N < 1023
+    theta = np.arange(64) / 64.0
+    assert np.max(np.abs(evaluate(product(A, inv), theta) - 1.0)) < 1e-11
+
+
 def test_invert_pointwise_near_singular():
     f = FourierSeries([0.5, 1.0, 0.5])  # 1 + cos vanishes at theta = 1/2
     with pytest.raises(NearSingularError):
@@ -460,6 +531,25 @@ def test_invert_pointwise_beyond_hard_cap_is_typed():
     assert info.value.diagnostics["cutoff"] > HARD_CAP
     assert info.value.diagnostics["hard_cap"] == HARD_CAP
     assert info.value.diagnostics["grid_min"] > 0.0
+
+
+@pytest.mark.parametrize("pad", [1099, 4000])
+def test_invert_pointwise_meets_the_hard_cap_on_either_grid(pad, monkeypatch):
+    # the inverse of 1 - 0.9999 cos needs over 6000 modes (its 1e-13 tail
+    # meets the round-off of 1/A): past the first grid's 2204 at pad 1099,
+    # seen after the refinement, and within the first grid's 8018 at 4000
+    from kamforge import fourier
+    grids = []
+    real = fourier.grid_values
+    monkeypatch.setattr(fourier, "grid_values",
+                        lambda phi, G: grids.append(G) or real(phi, G))
+    A = FourierSeries(np.pad(
+        (FourierSeries.constant(1.0) - 0.9999 * FourierSeries.cos()).coeffs,
+        (pad, pad)))
+    with pytest.raises(NearSingularError, match="above the hard cap") as info:
+        invert_pointwise(A)
+    assert HARD_CAP < info.value.diagnostics["cutoff"] < (grids[-1] - 1) // 2
+    assert len(grids) == (2 if pad == 1099 else 1)
 
 
 def test_clamp_small_drops_noise_tail():

@@ -158,6 +158,33 @@ def test_step_rejects_non_invertible_id_plus_u():
         newton_step(u, comp, from_omega(GOLDEN), 0.05)
 
 
+# w = scale (1 + z + z^2 +- z^3) on modes 0..3: sum |w_k| is 4 scale, sup|w|
+# 2.66 scale with the minus sign (Rudin-Shapiro) and 4 scale with the plus
+@pytest.mark.parametrize("top,scale,sups_formed,diverges", [
+    pytest.param(-1.0, 0.2, 0, False, id="sum-0.8"),
+    pytest.param(-1.0, 0.3, 1, False, id="sum-1.2-sup-0.8"),
+    pytest.param(1.0, 0.3, 1, True, id="sup-1.2"),
+])
+def test_newton_step_forms_the_sup_of_w_once_sum_w_reaches_one(
+        monkeypatch, top, scale, sups_formed, diverges):
+    freq, u = from_omega(GOLDEN), FourierSeries.basis(1, 0.01)
+    comp, _ = compose_id_plus(FourierSeries.cos(), u)
+    w = FourierSeries(scale * np.array([0, 0, 0, 1, 1, 1, top]))
+    sups = []
+    monkeypatch.setattr(kam, "linearized_solve", lambda A, E, fr: w)
+    monkeypatch.setattr(kam, "sup_norm",
+                        lambda phi: sups.append(sup_norm(phi)) or sups[-1])
+    if diverges:
+        with pytest.raises(DivergenceError, match=r"^Newton correction has "
+                           r"sup 1\.2 >= 1; a small divisor has taken over$"):
+            newton_step(u, comp, freq, 0.05)
+    else:
+        A = FourierSeries.constant(1.0) + derivative(u)
+        out = newton_step(u, comp, freq, 0.05)
+        assert np.array_equal(out.coeffs, (u + kam.product(A, w)).coeffs)
+    assert len(sups) == sups_formed
+
+
 def test_newton_solves_where_sup_of_u_prime_exceeds_one():
     # at q = 0.8 e^{0.5 i} Picard's solution has sup|u'| > 1, but min|1 + u'|
     # stays near 0.43: A is invertible and Newton must agree with Picard
@@ -272,10 +299,6 @@ SOLVE_FAILURES = [
     pytest.param(_newton(from_omega(complex(0.3, 115.0)), eps=0.01),
                  OverflowRiskError, ["exponent", "cap", "cutoff"], True, None,
                  id="im-omega-115"),
-    pytest.param(_newton(from_q(0.0)), OverflowRiskError, [], False, None,
-                 id="newton-q0"),
-    pytest.param(_picard(from_q(0.0)), OverflowRiskError, ["q_modulus"],
-                 True, None, id="picard-q0"),
     pytest.param(_picard(from_q(0.95)), DivergenceError, ["q_modulus"],
                  False, None, id="picard-q0.95"),
     pytest.param(_picard(from_q(0.3), budget=2), NoConvergenceError,
@@ -307,6 +330,30 @@ def test_every_solve_failure_ends_with_the_one_record(
     else:
         assert (diag["max_divisor"], diag["max_divisor_k"]) == (math.inf,
                                                                 inf_at)
+
+
+@pytest.mark.parametrize("solve,message,leading", [
+    pytest.param(_newton(from_q(0.0)), "chart poles", [], id="newton-q0"),
+    pytest.param(_picard(from_q(0.0)), "chart poles", ["q_modulus"],
+                 id="picard-q0"),
+    # past |Im omega| ~ 119 a finite omega reads as the pole q = 0
+    pytest.param(_newton(from_omega(complex(0.3, 120.0))), "shift exponent",
+                 ["exponent", "cap", "cutoff"], id="newton-im-omega-120"),
+])
+def test_a_solve_at_the_chart_pole_fails_before_its_first_defect(
+        monkeypatch, solve, message, leading):
+    # no shift multipliers exist there, so the loop refuses the pole before
+    # it composes: the record holds no defect, where it once held a fake 0.0
+    defects = []
+    real = kam._fixed_point_defect
+    monkeypatch.setattr(kam, "_fixed_point_defect",
+                        lambda u, t: defects.append(real(u, t)) or defects[-1])
+    with pytest.raises(OverflowRiskError, match=message) as info:
+        solve(monkeypatch)
+    diag = info.value.diagnostics
+    assert list(diag) == leading + TRAILING_RECORD
+    assert diag["residual_history"] == [] == defects
+    assert 0.0 < diag["max_divisor"] < math.inf
 
 
 def test_membership_gate_warns_outside_class():
