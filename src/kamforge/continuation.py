@@ -92,8 +92,10 @@ def _picard_curve(f: FourierSeries, freq: Frequency, eps,
     """``picard_solve``'s whole curve, v and the forcing included."""
     config = config or SolverConfig()
     eps = finite_scalar(eps, "eps")
-    modulus = math.exp(-freq.log_scale) if math.isfinite(freq.log_scale) else (
-        0.0 if freq.log_scale > 0 else math.inf)
+    try:
+        modulus = math.exp(-freq.log_scale)
+    except OverflowError:   # past the double range: the shift tables refuse it
+        modulus = math.inf
     gap = abs(modulus - 1.0) if math.isfinite(modulus) else 1.0
     if gap < PICARD_MARGIN and not math.isclose(gap, PICARD_MARGIN):
         raise ValueError(

@@ -10,10 +10,13 @@ through grids and the FFT, oversampled at least fourfold, and every
 truncation reports what it dropped; products convolve directly up to 200k
 mode pairs and by FFT above.  ``composition_jet``, the order-by-order
 composition of the formal series, samples no grid: it carries F =
-f(theta + u) through (1 + u_theta) F_t = u_t F_theta, at two direct
-convolutions of raw coefficient arrays per pair of orders (n, j), on the
-stride-d lattice of f's modes (F_s stays on (s + 1) r + d Z when f lives on
-r + d Z and u_j on j r + d Z), in whatever complex dtype it is given.
+f(theta + u) through (1 + u_theta) F_t = u_t F_theta on raw coefficient
+arrays, on the stride-d lattice of f's modes (F_s stays on (s + 1) r + d Z
+when f lives on r + d Z and u_j on j r + d Z), in whatever complex dtype it
+is given.  Its sum over the pairs of orders (n, j) is exact either way: for
+an f of lattice span 1 or 2 a few matrix products per order on
+lattice-aligned rows, folded along anti-diagonals; for a wider f two direct
+convolutions per pair.
 
 Point evaluation off the grid, ``evaluate``, forms no matrix of
 exp(2 pi i k z): from one w = exp(2 pi i z) a point it sums the modes
@@ -59,6 +62,7 @@ EXP_CAP = 700.0          # |exponent| cap; exp(709.78) overflows a double
 GRID_FACTOR = 4          # minimal oversampling of composition grids
 AMIN_FLOOR = 1e-8        # smallest grid |A| that invert_pointwise accepts
 CLAMP_REL = 1e-16        # relative size below which clamp_small drops coefficients
+INVERSE_TAIL_MAX = 1e-8  # largest tail an unresolved inverse may keep (half the digits)
 
 _TWO_PI = 2.0 * np.pi
 
@@ -422,44 +426,231 @@ def composition_jet(f: np.ndarray, step: int = 1, center=0):
     * the convolution and ' the theta-derivative.  Modes k1 of u_j and k2 of
     F_{n-j} enter with 2 pi i (j k2 - (n-j) k1) = 2 pi i (j k - n k1), k =
     k1 + k2, so n F_n = 2 pi i (k sum_j (j u_j) * F_{n-j} - n sum_j (k u_j)
-    * F_{n-j}): three arrays kept an order, and two direct ``np.convolve``s
-    per (n, j), whatever f's mode count.  No grid and no FFT, so a
-    structural zero stays exact; the arithmetic runs in f's complex dtype
-    (clongdouble included).
+    * F_{n-j}).  No grid and no FFT, so a structural zero stays exact (a
+    padding zero only ever adds 0 x terms); the arithmetic runs in f's
+    complex dtype (clongdouble included), on one of two paths that give the
+    same orders to round-off:
+
+    - stacked: u_j and F_s sit in blocks of ``_JET_ROWS`` orders, aligned
+      to the lattice, and the sums over j are matrix products folded along
+      anti-diagonals (``_StackedSums``);
+    - pairs: two ``np.convolve``s per (n, j) (``_PairSums``).
+
+    ``_takes_stacked_path`` chooses from f alone: the stacked path for a
+    complex128 f of lattice span len(f) - 1 <= 2, where it measured 0.45 to
+    0.68 of the pairs path's time, and the pairs path otherwise.
 
     Entry i of f is mode center + step (i - (len(f) - 1)/2), and every
-    array of order s (u_s, and F_{s-1}) is centred on mode s center.  If f
-    lives on r + step Z and u_j on j r + step Z, each product above pairs a
-    mode of j r + step Z with one of (s - j + 1) r + step Z, so F_s lives on
+    array of order s (u_s, and F_{s-1}) is centred on mode s center.  Order
+    s has the window of modes s lo .. s hi at stride ``step`` (lo and hi
+    f's extreme modes), and u_s must lie inside it.  If f lives on r +
+    step Z and u_j on j r + step Z, each product above pairs a mode of
+    j r + step Z with one of (s - j + 1) r + step Z, so F_s lives on
     (s + 1) r + step Z: a caller whose u_s act mode by mode on F_{s-1}
     stores 1/step of each array.  The defaults give centred arrays
-    c_{-N}..c_N.
+    c_{-N}..c_N.  F_n has the length max_j (len(u_j) + len(F_{n-j})) - 1.
     """
     f = np.asarray(f)
     two_pi_i = f.dtype.type(2j) * np.arccos(f.real.dtype.type(-1))
-
-    def modes(size, s):       # of an array of order s
-        return s * center + step * (np.arange(size) - (size - 1) / 2)
-
-    ju, ku, F = [], [], [f]   # j u_j and k u_j for j = 1..n, F_s for s < n
+    span = f.size - 1
+    lo = center - step * span / 2          # the mode of f[0]
+    sums = (_StackedSums if _takes_stacked_path(f) else _PairSums)(f, step, lo)
+    u_sizes, f_sizes = [], [f.size]
     u = yield f
+    n = 0
     while True:
-        n = len(ju) + 1
+        n += 1
         u = np.asarray(u)
-        ju.append(n * u)
-        ku.append(modes(u.size, n) * u)
-        size = max(a.size + c.size for a, c in zip(ju, reversed(F))) - 1
-        acc = np.zeros(size, dtype=f.dtype)     # sum (j u_j) * F_{n-j}
-        kcc = np.zeros(size, dtype=f.dtype)     # sum (k u_j) * F_{n-j}
-        for a, b, c in zip(ju, ku, reversed(F)):
-            lo = (size - a.size - c.size + 1) // 2
-            acc[lo:size - lo] += np.convolve(a, c)
-            kcc[lo:size - lo] += np.convolve(b, c)
-        acc *= modes(size, n + 1)
-        acc -= n * kcc
+        off, odd = divmod(n * span + 1 - u.size, 2)    # u_n's place in its window
+        if off < 0 or odd:
+            raise ValueError(f"u_{n} has {u.size} entries, off the window of "
+                             f"its order ({n * span + 1} entries)")
+        u_sizes.append(u.size)
+        size = max(map(int.__add__, u_sizes, reversed(f_sizes))) - 1
+        w0 = ((n + 1) * span + 1 - size) // 2          # F_n's place in its window
+        acc = sums.add(u, n, off, w0, size)
         acc *= two_pi_i / n
-        F.append(acc)
+        sums.keep(acc, n, w0)
+        f_sizes.append(size)
         u = yield acc
+
+
+_JET_ROWS = 32         # orders per stored block of the stacked path
+_JET_SLAB = 1500       # least bound on h (R + rows), half the scratch of one slab
+
+
+def _takes_stacked_path(f: np.ndarray) -> bool:
+    """Whether ``composition_jet`` sums over pairs of orders by ``_StackedSums``.
+
+    It looks at widths and the dtype the jet holds from the start.  The
+    window of order n is n span + 1 entries wide (span = len(f) - 1), and a
+    stacked product pads every row of a run to the run's widest window: at
+    span 1 or 2 (``cos`` on its lattice, or at stride 1) the rows fill
+    their windows and a few products replace 2n convolutions per order;
+    from span 3 on, the padded products and their folds cost more than the
+    exact convolutions, the more so the more orders.  Stacked over pairs
+    time, one-sided forcings at stride 1, 20 / 40 / 60 orders (2-CPU host,
+    one OpenBLAS thread, numpy 2.4): span 1 0.66 / 0.48 / 0.45, span 2
+    0.68 / 0.64 / 0.68, span 3 0.85 / 0.96 / 1.12, span 4 0.99 / 1.23 /
+    1.41, span 6 1.33 / 1.58 / 1.88.  numpy multiplies clongdouble matrices
+    without BLAS, so an extended-precision f keeps the pairs path: on the
+    stacked path ``cos`` at 34/89 took 168 ms against 58 ms.
+    """
+    return f.size - 1 <= 2 and f.dtype == np.complex128
+
+
+class _PairSums:
+    """The sums of ``composition_jet`` by two ``np.convolve``s per (n, j).
+
+    Keeps j u_j and k u_j for j = 1..n and F_s for s < n at their own
+    lengths, each with its offset in its order's window.
+    """
+
+    def __init__(self, f, step, lo):
+        self.step, self.lo, self.dtype = step, lo, f.dtype
+        self.ju, self.ku, self.F = [], [], [(f, 0)]
+
+    def add(self, u, n, off, w0, size):
+        """n F_n / (2 pi i) on modes w0..w0 + size - 1 of its window."""
+        ks = n * self.lo + self.step * (off + np.arange(u.size))
+        self.ju.append((n * u, off))
+        self.ku.append(ks * u)
+        acc = np.zeros(size, dtype=self.dtype)  # sum (j u_j) * F_{n-j}
+        kcc = np.zeros(size, dtype=self.dtype)  # sum (k u_j) * F_{n-j}
+        for (a, oa), b, (c, oc) in zip(self.ju, self.ku, reversed(self.F)):
+            i = oa + oc - w0
+            acc[i:i + a.size + c.size - 1] += np.convolve(a, c)
+            kcc[i:i + a.size + c.size - 1] += np.convolve(b, c)
+        acc *= (n + 1) * self.lo + self.step * (w0 + np.arange(size))
+        acc -= n * kcc
+        return acc
+
+    def keep(self, F, s, off):
+        self.F.append((F, off))
+
+
+class _StackedSums:
+    """The sums of ``composition_jet`` by matrix products over j.
+
+    Rows sit on the lattice: entry i of u_j is mode k1 = j lo + step i and
+    entry l of F_s is mode (s + 1) lo + step l, so the pair (i, l) of any
+    (u_j, F_{n-j}) lands on entry c = i + l of order n + 1's window, mode
+    k = (n + 1) lo + step c, whatever j is.  Rows are kept in blocks of
+    ``_JET_ROWS`` orders, each as wide as the window of its last order, the
+    F blocks in reverse order so that the F_{n-j} paired with consecutive
+    u_j are consecutive rows.  Order n splits j = 1..n where either block
+    changes (about 2n / ``_JET_ROWS`` runs), and
+
+        n F_n / (2 pi i) [c] = k A_j[c] - n A_k[c],
+
+    with A_j and A_k the anti-diagonal sums (i + l = c) of the outer
+    products sum_j j u_j F_{n-j}^T and sum_j (k1 u_j) F_{n-j}^T over every
+    run, the k1 weight sitting on the entries of u_j as in ``_PairSums``.
+    Memory: the blocks (for ``cos`` at 34/89, 200 kB beside the 130 kB of
+    the rows themselves) and one scratch buffer of about 2 ``_JET_SLAB``
+    entries, or 32 per entry of the window when that is more, since
+    ``_fold`` never holds a whole product.
+    """
+
+    def __init__(self, f, step, lo):
+        self.step, self.lo, self.span, self.dtype = step, lo, f.size - 1, f.dtype
+        self.U, self.F = [], []
+        self.scratch = np.zeros(0, dtype=f.dtype)
+        self.layout = self.out = self.diag = self.X = None   # views into scratch
+        self.ints = self.sig = np.zeros(0, dtype=f.dtype)  # i and step i
+        self.keep(f, 0, 0)
+
+    def _row(self, blocks, t, reverse=False):
+        """Block and row of row t (j - 1 of u_j, or s of F_s, *reverse*d).
+
+        A block is as wide as the window of its last order and grows 4, 8,
+        16, ... ``_JET_ROWS`` rows as its orders arrive (the rows of a
+        reversed block sit at its end), so that the last block of a run
+        holds little more than the rows it has.
+        """
+        b, r = divmod(t, _JET_ROWS)
+        if b == len(blocks):
+            width = (b + 1) * _JET_ROWS * self.span + 1
+            blocks.append(np.zeros((0, width), dtype=self.dtype))
+        block = blocks[b]
+        if r == len(block):
+            grown = np.zeros((min(max(4, 2 * r), _JET_ROWS), block.shape[1]),
+                             dtype=self.dtype)
+            if reverse:
+                grown[len(grown) - r:] = block
+            else:
+                grown[:r] = block
+            blocks[b] = block = grown
+        return block, len(block) - 1 - r if reverse else r
+
+    def keep(self, F, s, off):
+        block, row = self._row(self.F, s, reverse=True)
+        block[row, off:off + F.size] = F
+
+    def add(self, u, n, off, w0, size):
+        """n F_n / (2 pi i) on modes w0..w0 + size - 1 of its window."""
+        C, span = _JET_ROWS, self.span
+        block, r = self._row(self.U, n - 1)
+        block[r, off:off + u.size] = u
+        width = (n + 1) * span + 1
+        if self.ints.size < 2 * width:
+            self.ints = np.arange(4 * width).astype(self.dtype)
+            self.sig = self.step * self.ints
+        # a slab of U keeps >= 16 columns at wide windows: at 160 orders of
+        # cos at stride 1 the least bound alone took 0.48 s against 0.42 s
+        # on the pairs path
+        self.slab = max(_JET_SLAB, 16 * width)
+        need = 2 * (self.slab + 2 * width + C)        # bounds 2 h (R + rows)
+        if self.scratch.size < need:
+            self.scratch = self.out = self.diag = self.X = self.layout = None
+            self.scratch = np.zeros(need + 4 * width, dtype=self.dtype)
+        acc = np.zeros((2, width + C * span), dtype=self.dtype)   # A_j, A_k
+        j = 1
+        while j <= n:
+            bu, ru = divmod(j - 1, C)
+            bf, rf = divmod(n - j, C)
+            rows = min(C - ru, rf + 1)
+            U = self.U[bu][ru:ru + rows, :(j + rows - 1) * span + 1]
+            top = len(self.F[bf]) - 1 - rf
+            F = self.F[bf][top:top + rows, :(n - j + 1) * span + 1]
+            self._fold(acc, U, F, self.ints[j:j + rows])
+            j += rows
+        k = (n + 1) * self.lo + self.step * np.arange(w0, w0 + size)
+        return k * acc[0, w0:w0 + size] - n * acc[1, w0:w0 + size]
+
+    def _fold(self, acc, U, F, js):
+        """Add A_j and A_k of one run (U_j, j = js; F_{n-j}) to acc.
+
+        A slab of h columns i0..i0 + h - 1 of U at a time: one matrix
+        product X @ F, X = [j U_slab^T; k1 U_slab^T], writes both products
+        into a zeroed buffer at row stride R = F's width + h, so that read
+        at stride R - 1 every anti-diagonal is a column, summed into acc.
+        Buffer and X share the scratch, 2 h (R + rows) <= 2 ``slab``
+        entries; the gaps of the buffer stay zero while (h, R, rows)
+        repeats.
+        """
+        wu, wf, rows = U.shape[1], F.shape[1], js.size
+        b = wf + rows
+        h = max(1, int((math.sqrt(b * b + 4 * self.slab) - b) / 2))
+        slabs = -(-wu // h)
+        h = -(-wu // slabs)                     # even slabs of at most h
+        ljs = self.lo * js
+        for i0 in range(0, wu, h):
+            h = min(h, wu - i0)
+            R = wf + h
+            if self.layout != (h, R, rows):
+                buf = self.scratch[:2 * h * R]
+                buf.fill(0)
+                self.out = buf.reshape(2 * h, R)[:, :wf]
+                diag = buf.reshape(2, h * R)[:, :h * (R - 1)]
+                self.diag = diag.reshape(2, h, R - 1)
+                self.X = self.scratch[2 * h * R:2 * h * (R + rows)].reshape(2 * h, rows)
+                self.layout = (h, R, rows)
+            Ut = U[:, i0:i0 + h].T
+            np.multiply(Ut, js, out=self.X[:h])
+            np.multiply(Ut, np.add.outer(self.sig[i0:i0 + h], ljs), out=self.X[h:])
+            np.matmul(self.X, F, out=self.out)
+            acc[:, i0:i0 + R - 1] += self.diag.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +666,12 @@ def invert_pointwise(A: FourierSeries) -> FourierSeries:
     coefficient (one 4x refinement is attempted if the first grid cannot get
     there).  Raises
     ``NearSingularError`` when min |A| on the grid is at or below
-    ``AMIN_FLOOR``, or when the cutoff the inverse needs exceeds
-    ``HARD_CAP``.
+    ``AMIN_FLOOR``, when the cutoff the inverse needs exceeds ``HARD_CAP``,
+    or when neither grid gets the tail below 1e-13 and the one the refined
+    grid leaves at its reach is above ``INVERSE_TAIL_MAX`` (the error names
+    the grid size and that tail).  A tail between the two is kept: at
+    1.7e-11 the inverse still holds ten digits, while at 2e-2 (A = 1 -
+    0.99999 cos) |A inv - 1| reaches 9.
     """
     G0 = next_fast_len(max(GRID_FACTOR * (A.N + 1), 512))
     for G in (G0, next_fast_len(4 * G0)):
@@ -501,6 +696,13 @@ def invert_pointwise(A: FourierSeries) -> FourierSeries:
         K = max(int(ok[0]) - 1, 0) if ok.size else Kmax
         if ok.size:
             break
+    tail = 0.0 if ok.size else float(suffix[Kmax] / suffix[0])
+    if tail > INVERSE_TAIL_MAX and K <= HARD_CAP:
+        raise NearSingularError(
+            f"a grid of {G} points leaves the inverse's tail at {tail:.3e} "
+            f"of its largest coefficient, above {INVERSE_TAIL_MAX:.0e}",
+            {"grid_size": G, "tail": tail, "grid_min": gmin},
+        )
     if K > HARD_CAP:
         raise NearSingularError(
             f"inverse needs cutoff {K} above the hard cap {HARD_CAP}",

@@ -15,9 +15,11 @@ closed form,
 with A the top coefficient of f and beta_n > 0 produced by a scalar
 recursion in the divisor values.  The engine here computes the g_n with
 the same composition kernel as the Taylor orders at q = 0
-(``fourier.composition_jet``: direct convolution, no FFT, no grids), on
-the lattice of f's modes; the oracle uses only K, A and the divisor
-tables, so the comparison is a genuine two-route consistency check.
+(``fourier.composition_jet``: exact sums over pairs of orders, by matrix
+products on lattice-aligned rows for ``cos`` and by direct convolution for
+wider forcings; no FFT, no grids), on the lattice of f's modes; the oracle
+uses only K, A and the divisor tables, so the comparison is a genuine
+two-route consistency check.
 """
 
 from __future__ import annotations

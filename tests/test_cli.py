@@ -544,6 +544,20 @@ def test_picard_at_the_chart_pole_exits_1_with_the_error_json(tmp_path):
     assert json.loads((tmp_path / "p.json").read_text())["error"] == err
 
 
+def test_picard_past_the_double_range_of_q_exits_1_like_newton(tmp_path):
+    # |q| = e^754 has no double: Picard refuses it with the typed error that
+    # Newton gives at the same omega, and writes its error JSON
+    errors = {}
+    for method in ("newton", "picard"):
+        r = run_cli(["solve", "--omega", "0.3", "--omega-im", "-120",
+                     "--method", method, "--out", f"{method}.json"], tmp_path)
+        assert r.returncode == 1, r.stderr
+        assert "Traceback" not in r.stderr
+        errors[method] = json.loads((tmp_path / f"{method}.json").read_text())["error"]
+    assert errors["picard"]["type"] == errors["newton"]["type"] == "OverflowRiskError"
+    assert errors["picard"]["message"] == errors["newton"]["message"]
+
+
 def test_verify_invariants_suite(tmp_path):
     r = run_cli(["verify", "--suite", "invariants"], tmp_path)
     assert r.returncode == 0, r.stdout + r.stderr

@@ -6,7 +6,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import kamforge.fourier as fourier
 from kamforge.errors import NearSingularError, OverflowRiskError
 from kamforge.fourier import (
     EXP_CAP,
@@ -465,17 +468,80 @@ def test_composition_jet_on_a_lattice_sums_to_evaluated_composition(case, dtype)
     assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
 
 
-def test_composition_jet_keeps_the_lattice_zeros_exact():
-    # cos on the full lattice: every F_n is zero on the modes of parity n
+def test_composition_jet_keeps_the_lattice_zeros_exact(monkeypatch):
+    # cos on the full lattice: every F_n is zero on the modes of parity n,
+    # on the stacked path (the rule's choice for cos) across four blocks of
+    # rows, then on the pairs path
+    assert fourier._takes_stacked_path(FourierSeries.cos().coeffs)
+    monkeypatch.setattr(fourier, "_JET_ROWS", 5)
+    for stacked in (True, False):
+        monkeypatch.setattr(fourier, "_takes_stacked_path", lambda f: stacked)
+        jet = composition_jet(FourierSeries.cos().coeffs)
+        F = next(jet)
+        for n in range(1, 20):
+            u = np.zeros(2 * n + 1, dtype=np.complex128)
+            u[::2] = 0.3 / n               # u_n on modes -n, -n + 2, ..., n
+            F = jet.send(u)
+            N = (F.size - 1) // 2
+            off = (np.arange(-N, N + 1) - (n + 1)) % 2 == 1
+            assert np.any(F[~off]) and not np.any(F[off])
+
+
+def test_composition_jet_refuses_a_u_off_its_window():
+    # u_1 of cos lives on modes -1..1; five entries would reach modes +-2,
+    # which no order-1 window of cos holds
     jet = composition_jet(FourierSeries.cos().coeffs)
-    F = next(jet)
-    for n in range(1, 12):
-        u = np.zeros(2 * n + 1, dtype=np.complex128)
-        u[::2] = 0.3 / n               # u_n on modes -n, -n + 2, ..., n
-        F = jet.send(u)
-        N = (F.size - 1) // 2
-        off = (np.arange(-N, N + 1) - (n + 1)) % 2 == 1
-        assert np.any(F[~off]) and not np.any(F[off])
+    next(jet)
+    with pytest.raises(ValueError, match="off the window"):
+        jet.send(np.zeros(5, dtype=np.complex128))
+
+
+def jet_on_both_paths(f, step, lam, orders, rows):
+    """F_0..F_orders on the pairs path and on the stacked path, with blocks
+    of *rows* orders, for u_n = lam F_{n-1} mode by mode (the way
+    ``obstruction_order`` drives the jet)."""
+    runs = []
+    saved = fourier._takes_stacked_path, fourier._JET_ROWS
+    try:
+        for stacked in (False, True):
+            fourier._takes_stacked_path = lambda f: stacked
+            fourier._JET_ROWS = rows
+            jet = composition_jet(f, step, step * (f.size - 1) / 2 + 1)
+            F = [next(jet)]
+            for _ in range(orders):
+                F.append(jet.send(F[-1] * lam[:F[-1].size]))
+            runs.append(F)
+    finally:
+        fourier._takes_stacked_path, fourier._JET_ROWS = saved
+    return runs
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(size=st.integers(2, 9), step=st.integers(1, 3),
+       rows=st.sampled_from([3, 5, 32]), orders=st.integers(1, 40),
+       sublattice=st.booleans(),
+       dtype=st.sampled_from([np.complex128, np.clongdouble]),
+       seed=st.integers(0, 2**32 - 1))
+@example(size=3, step=1, rows=32, orders=40, sublattice=True,
+         dtype=np.complex128, seed=0)
+@example(size=2, step=2, rows=32, orders=70, sublattice=False,
+         dtype=np.clongdouble, seed=1)
+def test_composition_jet_paths_agree(size, step, rows, orders, sublattice,
+                                     dtype, seed):
+    # the same f and u on both paths: every order agrees to 500 epsilons of
+    # its largest coefficient (each path alone stays within about 120 of a
+    # long-double run on these drives) and has its zeros at the same entries
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    if sublattice:
+        c[1:-1:2] = 0.0                   # f on every other mode of its lattice
+    lam = -rng.uniform(0.05, 0.3) * rng.uniform(0.25, 1.0, 8 * orders + 1)
+    pairs, stacked = jet_on_both_paths(c.astype(dtype), step, lam, orders, rows)
+    tol = 500 * np.finfo(dtype).eps
+    for x, y in zip(pairs, stacked):
+        assert x.dtype == y.dtype == dtype and x.shape == y.shape
+        assert np.array_equal(x == 0, y == 0)
+        assert np.max(np.abs(x - y)) <= tol * np.max(np.abs(x))
 
 
 def test_invert_pointwise_inverse():
@@ -518,6 +584,19 @@ def test_invert_pointwise_near_singular():
     f = FourierSeries([0.5, 1.0, 0.5])  # 1 + cos vanishes at theta = 1/2
     with pytest.raises(NearSingularError):
         invert_pointwise(f)
+
+
+def test_invert_pointwise_refuses_a_tail_neither_grid_resolves():
+    # 1/(1 - 0.99999 cos) decays like 0.9955^|k|: the refined grid's 1023
+    # modes end at 2% of the largest, where the kept inverse would miss 1/A
+    # by up to 9.2; the cutoff it would need stays below the hard cap
+    A = FourierSeries.constant(1.0) - 0.99999 * FourierSeries.cos()
+    with pytest.raises(NearSingularError, match="grid of 2048 points") as info:
+        invert_pointwise(A)
+    d = info.value.diagnostics
+    assert d["grid_size"] == 2048
+    assert 1e-2 < d["tail"] < 3e-2
+    assert d["grid_min"] > 0.0
 
 
 def test_invert_pointwise_beyond_hard_cap_is_typed():

@@ -383,8 +383,10 @@ def test_reflected_witness_matches_a_direct_lattice_run(exactness):
 
 
 def test_obstruction_peak_memory():
-    # one exponential series per mode, on all modes, peaked at 0.44 MB here;
-    # F = f(id + u) on the odd/even lattice of cos keeps three arrays an order
+    # cos on its lattice takes the jet's stacked path: u_j and F_s in blocks
+    # of 32 orders (about 200 kB for the 89 orders against 130 kB of rows;
+    # three arrays an order, 194 kB, on the pairs path) and a fold buffer of
+    # about 50 kB, since no product over j is ever held whole
     obstruction_order(FourierSeries.cos(), RationalFreq(34, 89))
     tracemalloc.start()
     try:
