@@ -589,7 +589,8 @@ def test_invert_pointwise_near_singular():
 def test_invert_pointwise_refuses_a_tail_neither_grid_resolves():
     # 1/(1 - 0.99999 cos) decays like 0.9955^|k|: the refined grid's 1023
     # modes end at 2% of the largest, where the kept inverse would miss 1/A
-    # by up to 9.2; the cutoff it would need stays below the hard cap
+    # by up to 9.2, and that reach is below the hard cap, whose refusal
+    # therefore never sees it
     A = FourierSeries.constant(1.0) - 0.99999 * FourierSeries.cos()
     with pytest.raises(NearSingularError, match="grid of 2048 points") as info:
         invert_pointwise(A)
