@@ -593,8 +593,8 @@ class _StackedSums:
         block, r = self._row(self.U, n - 1)
         block[r, off:off + u.size] = u
         width = (n + 1) * span + 1
-        if self.ints.size < 2 * width:
-            self.ints = np.arange(4 * width).astype(self.dtype)
+        if self.ints.size < 2 * width + n:        # slab columns i, and j <= n
+            self.ints = np.arange(4 * width + 2 * n).astype(self.dtype)
             self.sig = self.step * self.ints
         # a slab of U keeps >= 16 columns at wide windows: at 160 orders of
         # cos at stride 1 the least bound alone took 0.48 s against 0.42 s

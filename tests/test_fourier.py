@@ -517,7 +517,7 @@ def jet_on_both_paths(f, step, lam, orders, rows):
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(size=st.integers(2, 9), step=st.integers(1, 3),
+@given(size=st.integers(1, 9), step=st.integers(1, 3),
        rows=st.sampled_from([3, 5, 32]), orders=st.integers(1, 40),
        sublattice=st.booleans(),
        dtype=st.sampled_from([np.complex128, np.clongdouble]),
