@@ -432,9 +432,12 @@ def composition_jet(f: np.ndarray, step: int = 1, center=0):
     same orders to round-off:
 
     - stacked: u_j and F_s sit in blocks of ``_JET_ROWS`` orders, aligned
-      to the lattice, and the sums over j are matrix products folded along
-      anti-diagonals (``_StackedSums``);
-    - pairs: two ``np.convolve``s per (n, j) (``_PairSums``).
+      to the lattice, and the sums over j are a few matrix products per
+      order folded along anti-diagonals (``_StackedSums``); it holds the
+      blocks (200 kB for ``cos`` at 34/89, against 130 kB of rows) and a
+      scratch of about 50 kB;
+    - pairs: two ``np.convolve``s per (n, j) (``_PairSums``), holding three
+      arrays an order.
 
     ``_takes_stacked_path`` chooses from f alone: the stacked path for a
     complex128 f of lattice span len(f) - 1 <= 2, where it measured 0.45 to
