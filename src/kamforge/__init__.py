@@ -84,7 +84,6 @@ from .obstruction import (
     e_star,
     obstruction_order,
     projector,
-    radial_approach_diagnostic,
 )
 
 __version__ = "0.1.0"

@@ -43,11 +43,7 @@ from .frequency import (
 )
 from .kam import (DIVERGENCE_FACTOR, InvariantCurve, SolverConfig,
                   dynamical_residual, omega_tangent, solve_curve)
-from .obstruction import (
-    RationalFreq,
-    obstruction_order,
-    radial_approach_diagnostic,
-)
+from .obstruction import RationalFreq, obstruction_order
 
 
 # ---------------------------------------------------------------------------
@@ -71,15 +67,25 @@ def parse_series(text: str) -> FourierSeries:
         raise ValueError(f"--f {text!r}: {exc}") from None
 
 
+def _complex_option(args, re: str, im: str) -> complex | None:
+    """complex(args.<re>, args.<im>), or None without the real part, where
+    an imaginary part alone belongs to no form and is refused."""
+    x, y = getattr(args, re), getattr(args, im)
+    if x is None and y is not None:
+        raise ValueError(f"--{im.replace('_', '-')} is given without "
+                         f"--{re.replace('_', '-')}")
+    return None if x is None else complex(x, 0.0 if y is None else y)
+
+
 def _frequency_from_args(args) -> Frequency:
     """The one frequency form given: --omega [--omega-im] or --q-re [--q-im]."""
-    if (args.omega is None) == (args.q_re is None):
+    omega = _complex_option(args, "omega", "omega_im")
+    q = _complex_option(args, "q_re", "q_im")
+    if (omega is None) == (q is None):
         raise ValueError(
             "exactly one frequency form must be given: "
             "--omega [--omega-im] or --q-re [--q-im]")
-    if args.omega is not None:
-        return from_omega(complex(args.omega, args.omega_im))
-    return from_q(complex(args.q_re, args.q_im))
+    return from_q(q) if omega is None else from_omega(omega)
 
 
 def _error_payload(exc: Exception) -> dict:
@@ -280,11 +286,7 @@ def cmd_obstruction(args) -> int:
     rep = obstruction_order(f, rf, max_order=args.max_order,
                             threshold=args.threshold,
                             exactness=args.exactness)
-    payload = jsonio.encode(rep)
-    if args.radial_eps is not None:
-        payload["radial_diagnostic"] = radial_approach_diagnostic(
-            f, args.p, args.m, args.radial_eps)
-    jsonio.dump_path(payload, args.out)
+    jsonio.dump_path(jsonio.encode(rep), args.out)
     if rep.n_star is None:
         print(f"p/m = {rf.p}/{rf.m}: no obstruction through order "
               f"{rep.orders_computed}")
@@ -300,11 +302,11 @@ def cmd_obstruction(args) -> int:
 
 def cmd_taylor0(args) -> int:
     f = parse_series(args.f)
+    q = _complex_option(args, "q_re", "q_im")
     eps = complex(args.eps, args.eps_im)
     data = taylor0_recursion(f, eps, N_q=args.orders)
     payload = {"data": jsonio.encode(data)}
-    if args.q_re is not None:
-        q = complex(args.q_re, args.q_im)
+    if q is not None:
         u, info = taylor0_eval(data, q, with_info=True)
         payload["eval"] = jsonio.encode({
             "q": q,
@@ -364,12 +366,12 @@ def cmd_verify(args) -> int:
 def _add_freq_args(sp) -> None:
     sp.add_argument("--omega", type=float, default=None,
                     help="rotation number (real part)")
-    sp.add_argument("--omega-im", type=float, default=0.0,
-                    help="imaginary part of omega")
+    sp.add_argument("--omega-im", type=float, default=None,
+                    help="imaginary part of omega (default 0)")
     sp.add_argument("--q-re", type=float, default=None,
                     help="multiplier q = exp(2 pi i omega), real part")
-    sp.add_argument("--q-im", type=float, default=0.0,
-                    help="multiplier q, imaginary part")
+    sp.add_argument("--q-im", type=float, default=None,
+                    help="multiplier q, imaginary part (default 0)")
 
 
 def _finite_float(text: str) -> float:
@@ -479,8 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--threshold", type=_finite_float, default=None)
     sp.add_argument("--exactness", choices=("float", "extended"),
                     default="float")
-    sp.add_argument("--radial-eps", type=_finite_float, default=None,
-                    help="also probe q -> exp(2 pi i p/m) radially at this eps")
     sp.add_argument("--out", default="obstruction.json")
     sp.set_defaults(func=cmd_obstruction)
 
@@ -490,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--orders", type=int, default=40)
     sp.add_argument("--q-re", type=float, default=None,
                     help="evaluate the polynomial at this q")
-    sp.add_argument("--q-im", type=float, default=0.0)
+    sp.add_argument("--q-im", type=float, default=None)
     sp.add_argument("--out", default="taylor0.json")
     sp.set_defaults(func=cmd_taylor0)
 

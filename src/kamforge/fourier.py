@@ -443,6 +443,13 @@ def composition_jet(f: np.ndarray, step: int = 1, center=0):
     complex128 f of lattice span len(f) - 1 <= 2, where it measured 0.45 to
     0.68 of the pairs path's time, and the pairs path otherwise.
 
+    The terms (j k - n k1) u_j F_{n-j} cancel, so accuracy depends on the
+    drive.  For u_s built mode by mode from the orders yielded, as
+    ``obstruction_order`` and ``taylor0_recursion`` build them, complex128
+    agrees with clongdouble to about 1e-13 relative (7e-13 at order 88 of
+    34/89); a small drive such as u = t u_1, |u_1| ~ 0.05, loses all
+    digits (7e-4 relative at order 20, 5e3 at order 30).
+
     Entry i of f is mode center + step (i - (len(f) - 1)/2), and every
     array of order s (u_s, and F_{s-1}) is centred on mode s center.  Order
     s has the window of modes s lo .. s hi at stride ``step`` (lo and hi

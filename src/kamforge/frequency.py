@@ -78,7 +78,7 @@ def from_omega(omega) -> Frequency:
     coord = cmath.exp(-2j * math.pi * om)         # |coord| = e^{2 pi Im} < 1
     try:
         q = 1.0 / coord
-    except ZeroDivisionError:  # pragma: no cover - coord never exactly 0 here
+    except ZeroDivisionError:  # coord underflows to 0 at Im omega <~ -118.5
         q = complex(math.inf, 0.0)
     return Frequency(om, q, "outer", log_scale, coord)
 

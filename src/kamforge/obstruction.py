@@ -30,20 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import KamforgeError, OverflowRiskError
+from .errors import OverflowRiskError
 from .fourier import FourierSeries, composition_jet
-from .frequency import from_q
-
-__all__ = [
-    "RationalFreq",
-    "ObstructionReport",
-    "delta_star",
-    "e_star",
-    "projector",
-    "obstruction_order",
-    "beta_gamma_oracle",
-    "radial_approach_diagnostic",
-]
 
 
 @dataclass(frozen=True)
@@ -74,18 +62,13 @@ class RationalFreq:
         ``extended=True`` the tables are computed in long-double precision
         for the engine's headroom mode.
         """
-        if extended:
-            pi = np.arccos(np.longdouble(-1.0))
-            j = np.arange(self.m, dtype=np.longdouble)
-        else:
-            pi = np.float64(math.pi)
-            j = np.arange(self.m, dtype=np.float64)
-        s = np.sin(j * pi * self.p / self.m)
+        real = np.longdouble if extended else np.float64
+        j = np.arange(self.m, dtype=real)
+        s = np.sin(j * np.arccos(real(-1)) * self.p / self.m)
         D = -4.0 * s * s
         D[0] = 0.0
         lam = np.zeros_like(D)
-        if self.m > 1:
-            lam[1:] = 1.0 / D[1:]
+        lam[1:] = 1.0 / D[1:]
         return D, lam
 
 
@@ -189,9 +172,7 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
     f_lat = c[f.N + lo:f.N + K + 1:d]    # f on its lattice: modes lo..K, stride d
     A = complex(f_lat[-1])
 
-    if max_order is None:
-        max_order = rf.m
-    max_order = int(max_order)
+    max_order = rf.m if max_order is None else int(max_order)
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
 
@@ -224,15 +205,9 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
 
         betas, gammas_oracle = beta_gamma_oracle(
             K, rf, len(gammas_engine), A, extended=(exactness == "extended"))
-    ref = max((abs(g) for g in gammas_oracle), default=0.0)
-    if ref > 0.0:
-        relative_gap = max(
-            abs(ge - go) for ge, go in zip(gammas_engine, gammas_oracle)
-        ) / ref
-    else:
-        relative_gap = max((abs(g) for g in gammas_engine), default=0.0)
+    gap = max(abs(ge - go) for ge, go in zip(gammas_engine, gammas_oracle))
+    relative_gap = gap / max(map(abs, gammas_oracle))   # [0] is A, never 0
 
-    idx = (n_star if n_star is not None else len(gammas_engine)) - 1
     witness = np.zeros(2 * n * K + 1, dtype=dtype)   # modes -n K..n K
     if reflected:   # f(-theta) at eps is f at -eps, mirrored
         witness[n * K - ks[res]] = g[res] if n % 2 else -g[res]
@@ -250,8 +225,8 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
         threshold=float(thr),
         obstruction_witness=FourierSeries(witness),
         witness_norm=wnorm,
-        gamma_engine=gammas_engine[idx],
-        gamma_oracle=gammas_oracle[idx],
+        gamma_engine=gammas_engine[-1],     # order n_star, or the last one
+        gamma_oracle=gammas_oracle[-1],
         relative_gap=float(relative_gap),
         betas=betas,
         gammas_engine=gammas_engine,
@@ -288,12 +263,8 @@ def beta_gamma_oracle(K: int, rf: RationalFreq, up_to: int,
     if up_to < 1:
         raise ValueError("need at least one order")
     _, lam = rf.tables(extended=extended)
-    if extended:
-        cplx = np.clongdouble
-        pi = np.arccos(np.longdouble(-1.0))
-    else:
-        cplx = complex
-        pi = math.pi
+    cplx = np.clongdouble if extended else complex   # float: Python's powers
+    pi = np.arccos(lam.dtype.type(-1))
     beta = np.zeros(up_to, dtype=lam.dtype)     # beta[i] = beta_{i+1} = E_i
     jb = np.zeros(up_to, dtype=lam.dtype)       # j b_j
     beta[0] = 1.0
@@ -312,31 +283,3 @@ def beta_gamma_oracle(K: int, rf: RationalFreq, up_to: int,
             raise OverflowRiskError(f"oracle order {n} overflowed", {"order": n})
         gammas.append(g)
     return [float(x) for x in beta], gammas
-
-
-def radial_approach_diagnostic(f: FourierSeries, p: int, m: int, eps,
-                               radii=(0.85, 0.90, 0.95)) -> list:
-    """Picard iteration counts at q = r e^{2 pi i p/m} as r -> 1.
-
-    The climb in iteration counts as the radius approaches the resonant
-    boundary point is a natural-boundary indicator; it is reported for
-    logging, not asserted against any threshold.  A radius where Picard
-    refuses or fails is recorded as not converged, with the reason as its
-    ``note``.
-    """
-    from .continuation import picard_solve
-
-    out = []
-    for r in radii:
-        q = r * complex(math.cos(2 * math.pi * p / m),
-                        math.sin(2 * math.pi * p / m))
-        freq = from_q(q)
-        entry = {"radius": float(r), "converged": False, "iterations": None}
-        try:
-            _, rep = picard_solve(f, freq, eps)
-            entry["converged"] = True
-            entry["iterations"] = rep.iterations
-        except (ValueError, KamforgeError) as exc:
-            entry["note"] = str(exc)
-        out.append(entry)
-    return out

@@ -125,6 +125,17 @@ def test_exactly_one_frequency_form_is_enforced(tmp_path):
     assert both.returncode == 2, both.stderr
     neither = run_cli(["solve", "--eps", "0.05", "--f", "cos"], tmp_path)
     assert neither.returncode == 2, neither.stderr
+    # an imaginary part without its own form was dropped without a word
+    for args, part, form in (
+            (["solve", "--q-re", "0.3", "--omega-im", "0.5"], "--omega-im",
+             "--omega"),
+            (["solve", "--omega", "0.3", "--q-im", "0.4"], "--q-im", "--q-re"),
+            (["taylor0", "--q-im", "0.2"], "--q-im", "--q-re")):
+        r = run_cli([*args, "--out", "x.json"], tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("error: ")
+        assert f"{part} is given without {form}" in r.stderr
+        assert not (tmp_path / "x.json").exists()
 
 
 def test_solve_picard_method(tmp_path):
@@ -338,13 +349,13 @@ def test_obstruction_artifact_keeps_the_sign_of_zero(tmp_path):
     assert np.count_nonzero((parts == 0) & np.signbit(parts)) == 16
 
 
-def test_obstruction_radial_overflow_still_writes_json(tmp_path):
-    r = run_cli(["obstruction", "--p", "1", "--m", "3", "--radial-eps", "50",
+def test_obstruction_radial_eps_is_an_unknown_option(tmp_path):
+    # the radial probe is `sweep --method picard` on Re omega = p/m
+    r = run_cli(["obstruction", "--p", "1", "--m", "3", "--radial-eps", "0.05",
                  "--out", "obs.json"], tmp_path)
-    assert r.returncode == 0, r.stderr
-    d = json.loads((tmp_path / "obs.json").read_text())
-    assert len(d["radial_diagnostic"]) == 3
-    assert all(e["converged"] is False for e in d["radial_diagnostic"])
+    assert r.returncode == 2, r.stderr
+    assert "unrecognized arguments: --radial-eps 0.05" in r.stderr
+    assert not (tmp_path / "obs.json").exists()
 
 
 @pytest.mark.parametrize("cmd,flag,value,field", [
@@ -418,8 +429,7 @@ def test_series_file_missing_a_key_exits_2(tmp_path, content, key):
     (["solve", "--omega", "0.3", "--eps-im", "inf"], "--eps-im"),
     (["sweep", "--omega-min", "0.3", "--omega-max", "0.4", "--omega-n", "2",
       "--eps-n", "2", "--eps-min", "0", "--eps-max", "-inf"], "--eps-max"),
-    (["obstruction", "--p", "1", "--m", "3", "--radial-eps", "nan"],
-     "--radial-eps"),
+    (["taylor0", "--eps-im", "nan"], "--eps-im"),
     (["crosscheck", "--q-re", "0.3", "--eps", "nan"], "--eps"),
     (["solve", "--omega", "0.3", "--f", "[NaN, 0, 0.5]"], "--f"),
     (["obstruction", "--p", "1", "--m", "3", "--threshold", "nan"],

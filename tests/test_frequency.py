@@ -67,6 +67,15 @@ def test_q_roundtrip():
     assert abs(freq2.q - freq.q) < 1e-15
 
 
+@pytest.mark.parametrize("freq", [from_omega(0.3 - 120j), from_q(math.inf)],
+                         ids=["coord-underflow", "q-inf"])
+def test_the_outer_pole_has_q_inf(freq):
+    # at Im omega <~ -118.5 the outer coordinate e^{2 pi Im omega} underflows
+    # to 0, so from_omega lands on the pole q = inf like from_q(inf)
+    assert freq.chart == "outer" and freq.is_pole
+    assert freq.coord == 0 and freq.q == complex(math.inf, 0.0)
+
+
 def test_reflection_conjugates_omega():
     freq = from_omega(0.5 + 0.5j)
     refl = reflected(freq)

@@ -1,18 +1,21 @@
 """Formal construction at rational rotation numbers and its obstruction."""
 
+import ast
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kamforge import jsonio
+from kamforge import jsonio, obstruction
+from kamforge.cli import run_sweep
 from kamforge.errors import OverflowRiskError
 from kamforge.fourier import FourierSeries, composition_jet, sup_norm
 from kamforge.obstruction import (ObstructionReport, RationalFreq,
                                   beta_gamma_oracle, delta_star, e_star,
-                                  obstruction_order, projector,
-                                  radial_approach_diagnostic)
+                                  obstruction_order, projector)
 
 
 def basis(k, amp=1.0):
@@ -479,28 +482,51 @@ def test_report_json_dict():
     assert len(d["betas"]) == d["orders_computed"]
 
 
-def test_radial_iteration_counts_climb_toward_resonance():
+def _radial_sweep(tmp_path, eps, radii):
+    """Picard at q = r e^{2 pi i / 3}: a sweep on Re omega = 1/3 at
+    Im omega = -ln r / 2 pi, one point a radius (the README's radial probe)."""
+    records = []
+    for r in radii:
+        im = -math.log(r) / (2 * math.pi)
+        out = tmp_path / f"radial-{r}.jsonl"
+        run_sweep(omega_re=(1 / 3, 1 / 3, 1), omega_im=(im, im, 1), eps=eps,
+                  f=FourierSeries.cos(), modes=256, method="picard",
+                  out_path=out)
+        records += [json.loads(line) for line in out.read_text().splitlines()]
+    return records
+
+
+def test_radial_iteration_counts_climb_toward_resonance(tmp_path):
     # approaching q = e^{2 pi i /3} radially, the Picard contraction slows
     # down; the counts are a natural-boundary indicator
-    f = FourierSeries.cos()
-    out = radial_approach_diagnostic(f, 1, 3, 0.05, radii=(0.80, 0.88, 0.94))
-    assert [e["radius"] for e in out] == [0.80, 0.88, 0.94]
-    assert all(e["converged"] for e in out)
-    iters = [e["iterations"] for e in out]
-    assert iters[0] < iters[-1]
-    assert all(b >= a for a, b in zip(iters, iters[1:]))
+    out = _radial_sweep(tmp_path, 0.05, (0.80, 0.88, 0.94))
+    assert all(e["status"] == "converged" for e in out)
+    assert [e["iterations"] for e in out] == [13, 21, 61]
 
 
-def test_radial_diagnostic_records_overflow_as_not_converged():
+def test_radial_picard_sweep_records_each_failure(tmp_path):
     # at eps = 2e4 every radius overflows the evaluation exponent cap in the
     # first composition off the grid; at eps = 50 Picard's divergence
-    # safeguard stops every radius before that.  Either way the diagnostic
-    # records each radius instead of raising
-    for eps, reason in ((2e4, "exceeds cap"),
-                        (50.0, "residual grew")):
-        out = radial_approach_diagnostic(FourierSeries.cos(), 1, 3, eps)
-        assert [e["radius"] for e in out] == [0.85, 0.90, 0.95]
+    # safeguard stops every radius before that.  Either way the sweep
+    # records each radius as failed instead of raising
+    for eps, error, reason in ((2e4, "OverflowRiskError", "exceeds cap"),
+                               (50.0, "DivergenceError", "residual grew")):
+        out = _radial_sweep(tmp_path, eps, (0.85, 0.90, 0.95))
+        assert len(out) == 3
         for e in out:
-            assert e["converged"] is False
-            assert e["iterations"] is None
-            assert reason in e["note"]
+            assert e["status"] == "failed"
+            assert e["error"]["type"] == error
+            assert reason in e["error"]["message"]
+
+
+def test_obstruction_imports_no_solver():
+    # the rational theory stands on the tables and the jet alone
+    tree = ast.parse(Path(obstruction.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {part for a in node.names for part in a.name.split(".")}
+        elif isinstance(node, ast.ImportFrom):
+            names |= set((node.module or "").split("."))
+            names |= {a.name for a in node.names}
+    assert not names & {"kam", "continuation"}
