@@ -349,10 +349,28 @@ def test_obstruction_artifact_keeps_the_sign_of_zero(tmp_path):
     assert np.count_nonzero((parts == 0) & np.signbit(parts)) == 16
 
 
-def test_obstruction_radial_eps_is_an_unknown_option(tmp_path):
-    # the radial probe is `sweep --method picard` on Re omega = p/m
-    r = run_cli(["obstruction", "--p", "1", "--m", "3", "--radial-eps", "0.05",
-                 "--out", "obs.json"], tmp_path)
+def test_radial_picard_sweep_failure_still_writes_jsonl(tmp_path):
+    # the radial probe toward q = e^{2 pi i / 3} is `sweep --method picard`
+    # on Re omega = 1/3; at eps = 50 Picard diverges at r = 0.9, and the
+    # point is still written, as failed; with no point converged the exit
+    # code is 1
+    im = -math.log(0.9) / (2 * math.pi)
+    r = run_cli(["sweep", "--omega-min", str(1 / 3), "--omega-max",
+                 str(1 / 3), "--omega-n", "1", "--im-min", str(im),
+                 "--im-max", str(im), "--eps", "50", "--f", "cos",
+                 "--modes", "256", "--method", "picard",
+                 "--out", "radial.jsonl"], tmp_path)
+    assert r.returncode == 1, r.stderr
+    assert r.stderr == "all points failed\n"
+    recs = [json.loads(s)
+            for s in (tmp_path / "radial.jsonl").read_text().splitlines()]
+    assert len(recs) == 1
+    assert recs[0]["status"] == "failed"
+    assert recs[0]["error"]["type"] == "DivergenceError"
+    # the option that added the radial probe to the obstruction artifact
+    # is gone
+    r = run_cli(["obstruction", "--p", "1", "--m", "3", "--radial-eps",
+                 "0.05", "--out", "obs.json"], tmp_path)
     assert r.returncode == 2, r.stderr
     assert "unrecognized arguments: --radial-eps 0.05" in r.stderr
     assert not (tmp_path / "obs.json").exists()
@@ -429,13 +447,16 @@ def test_series_file_missing_a_key_exits_2(tmp_path, content, key):
     (["solve", "--omega", "0.3", "--eps-im", "inf"], "--eps-im"),
     (["sweep", "--omega-min", "0.3", "--omega-max", "0.4", "--omega-n", "2",
       "--eps-n", "2", "--eps-min", "0", "--eps-max", "-inf"], "--eps-max"),
-    (["taylor0", "--eps-im", "nan"], "--eps-im"),
+    # the deleted radial option is refused like a non-finite value
+    (["obstruction", "--p", "1", "--m", "3", "--radial-eps", "nan"],
+     "--radial-eps"),
     (["crosscheck", "--q-re", "0.3", "--eps", "nan"], "--eps"),
     (["solve", "--omega", "0.3", "--f", "[NaN, 0, 0.5]"], "--f"),
     (["obstruction", "--p", "1", "--m", "3", "--threshold", "nan"],
      "--threshold"),
     (["obstruction", "--p", "1", "--m", "3", "--threshold", "inf"],
      "--threshold"),
+    (["taylor0", "--eps-im", "nan"], "--eps-im"),
 ])
 def test_non_finite_frequency_or_eps_exits_2(tmp_path, args, name):
     r = run_cli([*args, "--out", "x.json"], tmp_path)
