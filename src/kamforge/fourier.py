@@ -667,6 +667,14 @@ class _StackedSums:
 # pointwise inverse
 
 
+def refuse_grid_min(gmin: float) -> None:
+    """NearSingularError when min |A| on a grid is at or below AMIN_FLOOR."""
+    if gmin <= AMIN_FLOOR:
+        raise NearSingularError(
+            f"min |A| on grid = {gmin:.3e} at/below floor {AMIN_FLOOR:.1e}",
+            {"grid_min": gmin, "floor": AMIN_FLOOR})
+
+
 def invert_pointwise(A: FourierSeries) -> FourierSeries:
     """Series of 1/A(theta), built from an oversampled grid.
 
@@ -687,11 +695,7 @@ def invert_pointwise(A: FourierSeries) -> FourierSeries:
     for G in (G0, next_fast_len(4 * G0)):
         vals = grid_values(A, G)
         gmin = float(np.min(np.abs(vals)))
-        if gmin <= AMIN_FLOOR:
-            raise NearSingularError(
-                f"min |A| on grid = {gmin:.3e} at/below floor {AMIN_FLOOR:.1e}",
-                {"grid_min": gmin, "floor": AMIN_FLOOR},
-            )
+        refuse_grid_min(gmin)
         c_full = np.fft.fft(1.0 / vals) / G
         mag = np.abs(c_full)
         Kmax = (G - 1) // 2

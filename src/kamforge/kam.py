@@ -12,9 +12,10 @@ vanishes.  Each Newton step solves the factorized linearized equation
     A delta(A w) - (A w) delta A = A E(u) - <A E(u)>,   A = 1 + u',
 
 by quadratures: alpha = 1/(A A+), psi = Gamma-(A E), mu0 = -<alpha psi>/<alpha>,
-w = Gamma(alpha psi + mu0 alpha), and updates u <- u + A w.  The mean
-<A E(u)> vanishes identically (for any u, not only solutions), which is
-what makes the scheme well-posed without eliminating a parameter.
+w = Gamma(alpha psi + mu0 alpha), and updates u <- u + A w; a constant A
+(the first step from u = 0) needs no grid, as alpha = 1/A^2 and mu0 = 0.
+The mean <A E(u)> vanishes identically (for any u, not only solutions),
+which is what makes the scheme well-posed without eliminating a parameter.
 
 Numerics: a fixed spectral cutoff with monitored aliasing tails replaces
 the proof's shrinking-strip schedule.  Smallness hypotheses are replaced by
@@ -49,6 +50,7 @@ from .fourier import (
     DEFAULT_CUTOFF,
     HARD_CAP,
     FourierSeries,
+    _widen,
     clamp_small,
     compose_id_plus,
     derivative,
@@ -58,6 +60,7 @@ from .fourier import (
     invert_pointwise,
     mean,
     product,
+    refuse_grid_min,
     sup_norm,
     truncate,
 )
@@ -212,10 +215,17 @@ def linearized_solve(A: FourierSeries, E: FourierSeries,
 
     Quadrature construction: alpha = 1/(A A+), psi = Gamma-(A E),
     mu0 = -<alpha psi>/<alpha>, w = Gamma(alpha psi + mu0 alpha).  The mean
-    of w vanishes exactly because Gamma kills mode zero.
+    of w vanishes exactly because Gamma kills mode zero.  A constant A = a
+    (a cold start's first step) takes alpha = 1/a^2 on no grid, refused at
+    |a a| <= ``AMIN_FLOOR``; mu0 = 0, and at a = 1 w is the grid's bit for bit.
     """
-    Ap = apply(SHIFT_PLUS, A, freq)
-    alpha = invert_pointwise(product(A, Ap))
+    if A.N == 0:
+        refuse_shift(freq, 0)  # a chart pole, as A+ would refuse it
+        a = complex(A.coeffs[0])
+        refuse_grid_min(abs(a * a))
+        alpha = FourierSeries._of(np.array([1.0 / (a * a)]))
+    else:
+        alpha = invert_pointwise(product(A, apply(SHIFT_PLUS, A, freq)))
     psi = apply(GAMMA_MINUS, product(A, E), freq)
     alpha_mean = mean(alpha)
     if abs(alpha_mean) < 1e-8:
@@ -269,15 +279,18 @@ def _fit_slope(history) -> float:
     """Least-squares slope of log r_{n+1} against log r_n, pre-floor pairs.
 
     The floor on r_{n+1} is 1e-13, or 1e-15 when that leaves under 2 pairs.
+    The closed-form slope is nan under 2 pairs or when all share one log r_n.
     """
     for floor in (1e-13, 1e-15):
-        xs, ys = [], []
-        for a, b in zip(history, history[1:]):
-            if a > 0 and b >= floor:
-                xs.append(math.log10(a))
-                ys.append(math.log10(b))
-        if len(xs) >= 2:
-            return float(np.polyfit(xs, ys, 1)[0])
+        pairs = [(math.log10(a), math.log10(b))
+                 for a, b in zip(history, history[1:]) if a > 0 and b >= floor]
+        if len(pairs) >= 2:
+            xs, ys = zip(*pairs)
+            if min(xs) == max(xs):
+                return math.nan
+            xm, ym = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+            return (math.fsum((x - xm) * (y - ym) for x, y in pairs)
+                    / math.fsum((x - xm) ** 2 for x in xs))
     return math.nan
 
 
@@ -291,7 +304,10 @@ def _fixed_point_defect(u, target):
     |q|^{-|k|} off the unit circle and would amplify round-off into a fake
     divergence signal.
     """
-    return sup_norm((u - FourierSeries.constant(mean(u))) - target)
+    N = max(u.N, target.N)
+    d = _widen(u.coeffs, N) - _widen(target.coeffs, N)
+    d[N] = -target.coeff(0)  # u - <u> is exactly 0 at mode 0
+    return sup_norm(FourierSeries._of(d))
 
 
 def solve_curve(f: FourierSeries, freq: Frequency, eps,

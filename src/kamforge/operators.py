@@ -20,9 +20,10 @@ Every table of a frequency is a slice of one set per frequency
 (``_FrequencyTables``), bit for bit the vector a build at the requested
 cutoff N gives, with the refusals at that N: the shift guard
 2 pi N |Im omega|, ``ResonanceError`` at the smallest vanishing k <= N, and
-the poles.  ``_frequency_tables`` keeps the sets of the last two
-frequencies and ``multiplier_table`` caches read-only copies of slices;
-both are functools caches, so clearing them empties every table.
+the poles.  ``_frequency_tables``, a functools cache of the last two
+frequencies' sets, is the one cache on the solver path: ``apply`` multiplies
+by read-only views of them.  ``multiplier_table``, the public accessor whose
+functools cache perfbench reads, keeps read-only copies of slices.
 """
 
 from __future__ import annotations
@@ -100,6 +101,7 @@ class _FrequencyTables:
         kinds = self.kinds[shift]
         if kind not in kinds:
             kinds[kind] = _derive(kinds, kind)
+            kinds[kind].flags.writeable = False
         M = self.width[shift]
         return kinds[kind][M - N:M + N + 1]
 
@@ -109,11 +111,11 @@ class _FrequencyTables:
             a = abs(self.freq.omega.imag)
             while M > N and _TWO_PI * M * a > EXP_CAP:  # stop at the guard
                 M = max(N, min(M - 1, int(EXP_CAP / (_TWO_PI * a))))
-            self.kinds[shift] = {SHIFT_PLUS: mode_phases(
-                self.freq.omega, M, "shift", cutoff=M)}
+            kind, t = SHIFT_PLUS, mode_phases(self.freq.omega, M, "shift", cutoff=M)
         else:
-            gamma, self.vanished = lambda_pass(self.freq, M)
-            self.kinds[shift] = {GAMMA: gamma}
+            kind, (t, self.vanished) = GAMMA, lambda_pass(self.freq, M)
+        t.flags.writeable = False
+        self.kinds[shift] = {kind: t}
         self.width[shift] = M
 
 
@@ -160,10 +162,9 @@ def _frequency_tables(freq: Frequency) -> _FrequencyTables:
 def multiplier_table(freq: Frequency, N: int, kind: MultiplierKind) -> np.ndarray:
     """The multiplier vector for modes k = -N..N (read-only, cached).
 
-    A copy of a slice of the frequency's tables, so that this cache pins no
-    frequency's full tables.  A miss costs a slice, so the cache holds about
-    two solves' worth of vectors (a solve of the wide sweep asks for at most
-    31 distinct (N, kind)), not the tables of earlier sweep points.
+    The public accessor; the solvers read the frequency's tables through
+    ``apply`` instead.  A copy of a slice of those tables, so that this
+    cache pins no frequency's full tables.
     """
     t = _frequency_tables(freq).table(N, kind).copy()
     t.flags.writeable = False
@@ -177,8 +178,7 @@ def apply(kind: MultiplierKind, phi: FourierSeries, freq: Frequency) -> FourierS
     multiplied coefficients stop being finite, ``ResonanceError`` when a
     divisor q^k - 1 vanishes to working precision.
     """
-    table = multiplier_table(freq, phi.N, kind)
-    out = phi.coeffs * table
+    out = phi.coeffs * _frequency_tables(freq).table(phi.N, kind)
     if not np.isfinite(out).all():
         raise OverflowRiskError(
             f"{kind.value} produced non-finite coefficients",

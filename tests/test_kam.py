@@ -10,13 +10,16 @@ from kamforge import kam
 from kamforge.errors import (DivergenceError, NearSingularError,
                              NoConvergenceError, OverflowRiskError,
                              ResonanceError)
-from kamforge.fourier import (HARD_CAP, FourierSeries, compose_id_plus,
-                              derivative, mean, sup_norm)
+from kamforge.fourier import (AMIN_FLOOR, HARD_CAP, FourierSeries,
+                              compose_id_plus, derivative, invert_pointwise,
+                              mean, product, sup_norm)
 from kamforge.frequency import DiophantineClass, from_omega, from_q
-from kamforge.kam import (InvariantCurve, SolverConfig, dynamical_residual,
-                          error_functional, mean_identity_residual,
+from kamforge.kam import (InvariantCurve, SolverConfig, _fit_slope,
+                          dynamical_residual, error_functional,
+                          linearized_solve, mean_identity_residual,
                           newton_step, solve_curve)
-from kamforge.operators import E_Q, NABLA_MINUS, apply
+from kamforge.operators import (E_Q, GAMMA, GAMMA_MINUS, NABLA_MINUS,
+                                SHIFT_PLUS, apply)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -195,6 +198,127 @@ def test_newton_solves_where_sup_of_u_prime_exceeds_one():
     u_p, _ = picard_solve(f, freq, 0.05)
     assert sup_norm(derivative(u_p)) > 1.0
     assert sup_norm(curve.u - u_p) < 1e-11
+
+
+def grid_route(A, E, freq):
+    """linearized_solve's quadratures through the grid inverse, for any A."""
+    alpha = invert_pointwise(product(A, apply(SHIFT_PLUS, A, freq)))
+    psi = apply(GAMMA_MINUS, product(A, E), freq)
+    alpha_mean = mean(alpha)
+    if abs(alpha_mean) < 1e-8:
+        raise NearSingularError(
+            f"<alpha> = {abs(alpha_mean):.3e} too small for the mean correction",
+            {"alpha_mean": alpha_mean})
+    ap = product(alpha, psi)
+    mu0 = -mean(ap) / alpha_mean
+    return apply(GAMMA, ap + kam._scaled(mu0, alpha, "mu0 alpha"), freq)
+
+
+def wide_forcing(seed=11, N=64, decay=0.3):
+    """Real zero-mean forcing on 2N + 1 modes, |c_k| = exp(-decay |k|)."""
+    ks = np.arange(1, N + 1)
+    phases = np.random.default_rng(0).random(N) + ks * np.random.default_rng(
+        seed).random()
+    c = np.exp(-decay * ks + 2j * np.pi * phases)
+    return FourierSeries(np.concatenate([np.conj(c[::-1]), [0.0], c]))
+
+
+@pytest.fixture
+def no_grid(monkeypatch):
+    def refuse(A):
+        raise AssertionError("a constant A went through the grid inverse")
+    monkeypatch.setattr(kam, "invert_pointwise", refuse)
+
+
+def test_a_constant_A_is_the_grid_route_bit_for_bit_at_one(no_grid):
+    # every cold start's first step: A = 1 and E = eps f, here the 129-mode
+    # forcing of the wide sweep; signed zeros included
+    freq, E = from_omega(0.5 + 0.01j), 5e-4 * wide_forcing()
+    w = linearized_solve(FourierSeries.constant(1.0), E, freq)
+    ref = grid_route(FourierSeries.constant(1.0), E, freq)
+    assert w.coeffs.tobytes() == ref.coeffs.tobytes()
+    assert np.array_equal(np.signbit(w.coeffs.view(float)),
+                          np.signbit(ref.coeffs.view(float)))
+
+
+def test_a_constant_A_agrees_with_the_grid_route_at_round_off(no_grid):
+    freq, E = from_omega(0.5 + 0.01j), 5e-4 * wide_forcing()
+    A = FourierSeries.constant(2.0 - 0.5j)
+    w, ref = linearized_solve(A, E, freq), grid_route(A, E, freq)
+    assert w.N == ref.N
+    assert np.max(np.abs(w.coeffs - ref.coeffs)) <= 1e-15 * np.max(
+        np.abs(ref.coeffs))
+
+
+@pytest.mark.parametrize("a,message,keys", [
+    (1e-4, r"^min \|A\| on grid = 1\.000e-08 at/below floor 1\.0e-08$",
+     {"grid_min", "floor"}),
+    (3e-5j, r"^min \|A\| on grid = 9\.000e-10 at/below floor 1\.0e-08$",
+     {"grid_min", "floor"}),
+    (2e4, r"^<alpha> = 2\.500e-09 too small for the mean correction$",
+     {"alpha_mean"}),
+])
+def test_a_constant_A_keeps_both_refusals(no_grid, a, message, keys):
+    freq, E = from_omega(GOLDEN), 0.05 * FourierSeries.cos()
+    for solve in (linearized_solve, grid_route):
+        with pytest.raises(NearSingularError, match=message) as caught:
+            solve(FourierSeries.constant(a), E, freq)
+        assert set(caught.value.diagnostics) == keys
+    if "floor" in keys:
+        assert caught.value.diagnostics["floor"] == AMIN_FLOOR
+
+
+@pytest.mark.parametrize("im", [math.inf, -math.inf])
+def test_a_constant_A_at_a_chart_pole_is_refused(im):
+    freq, E = from_omega(complex(0.3, im)), 0.05 * FourierSeries.cos()
+    for solve in (linearized_solve, grid_route):
+        with pytest.raises(OverflowRiskError, match="chart poles"):
+            solve(FourierSeries.constant(1.0), E, freq)
+
+
+@pytest.mark.parametrize("Nu,Nt", [(0, 4), (3, 10), (10, 3), (5, 5)])
+def test_the_defect_is_the_sup_of_the_gauge_fixed_difference(Nu, Nt):
+    # formed in one widened pass, it equals the series arithmetic exactly
+    rng = np.random.default_rng(Nu + 7 * Nt)
+    u, target = (FourierSeries(rng.standard_normal(2 * n + 1)
+                               + 1j * rng.standard_normal(2 * n + 1))
+                 for n in (Nu, Nt))
+    ref = sup_norm((u - FourierSeries.constant(mean(u))) - target)
+    assert kam._fixed_point_defect(u, target) == ref
+
+
+def test_fit_slope_is_nan_when_every_pair_shares_its_log_r_n():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(_fit_slope([1e-3, 1e-3, 1e-9]))
+        assert math.isnan(_fit_slope([1e-2, 1e-2, 1e-2, 1e-5]))
+
+
+@pytest.mark.parametrize("history", [[], [1e-3], [1e-3, 1e-5], [0.0, 1e-4],
+                                     [1e-3, 1e-16, 1e-17], [0.0, 0.0, 1e-6]])
+def test_fit_slope_is_nan_under_two_pairs(history):
+    assert math.isnan(_fit_slope(history))
+
+
+def test_fit_slope_agrees_with_polyfit():
+    rng = np.random.default_rng(5)
+    histories = [[10.0 ** -(2 ** n) for n in range(4)],
+                 solve_curve(FourierSeries.cos(), from_omega(GOLDEN), 0.05,
+                             SolverConfig(tol=1e-13)).report.residual_history]
+    for n in range(3, 31):  # every r_n above 1e-13: n - 1 pairs
+        histories.append(list(10.0 ** -np.cumsum(rng.uniform(0.01, 0.4, n))))
+    for h in histories:
+        xs = [math.log10(a) for a, b in zip(h, h[1:]) if b >= 1e-13]
+        ys = [math.log10(b) for b in h[1:] if b >= 1e-13]
+        assert len(xs) >= 2
+        assert _fit_slope(h) == pytest.approx(np.polyfit(xs, ys, 1)[0],
+                                              rel=1e-12, abs=1e-12)
+
+
+def test_fit_slope_falls_back_to_the_lower_floor():
+    # at 1e-13 only the pair (1e-3, 1e-7) is left; at 1e-15 the line runs
+    # through (-3, -7) and (-7, -14)
+    assert _fit_slope([1e-3, 1e-7, 1e-14]) == pytest.approx(1.75, rel=1e-15)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf)])

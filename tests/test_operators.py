@@ -317,3 +317,86 @@ def test_a_sweep_keeps_at_most_two_frequencies_tables(monkeypatch):
     alive = {om for om, ref in built if ref() is not None}
     assert len(omegas) == 100
     assert len(alive) <= 2
+
+
+# ---------------------------------------------------------------------------
+# apply multiplies by views of the per-frequency tables
+
+
+@st.composite
+def apply_cases(draw):
+    """A frequency off the circle on either chart, and cutoffs to apply at.
+
+    Im omega up to 0.2 keeps q^k finite past the 512-mode floor, so those
+    cutoffs rebuild the tables; up to 10 the shift guard refuses early.
+    """
+    re = draw(st.floats(0.0, 1.0, exclude_max=True))
+    im = draw(st.one_of(st.floats(0.0, 0.2, exclude_min=True),
+                        st.floats(0.0, 10.0, exclude_min=True)))
+    im *= draw(st.sampled_from([1.0, -1.0]))
+    Ns = draw(st.lists(st.integers(0, 1100), min_size=1, max_size=4))
+    return from_omega(complex(re, im)), Ns
+
+
+def applied(kind, phi, freq):
+    """``apply``'s coefficients, or the type and message of what it raised."""
+    try:
+        return apply(kind, phi, freq).coeffs.tobytes()
+    except KamforgeError as exc:
+        return type(exc), str(exc)
+
+
+def multiplied(kind, phi, freq):
+    """phi times ``multiplier_table``'s vector, refused as ``apply`` refuses."""
+    try:
+        table = multiplier_table(freq, phi.N, kind)
+    except KamforgeError as exc:
+        return type(exc), str(exc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = phi.coeffs * table
+    if not np.isfinite(out).all():
+        return OverflowRiskError, f"{kind.value} produced non-finite coefficients"
+    return out.tobytes()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(apply_cases())
+@example((from_omega(0.3 + 0.01j), [10, 600, 1100]))
+@example((from_omega(0.7 - 10.0j), [0, 11, 12]))
+def test_apply_reads_the_frequency_tables(case):
+    freq, Ns = case
+    clear_kamforge_caches()
+    rng = np.random.default_rng(len(Ns))
+    for N in Ns:
+        phi = random_series(rng, N, decay=0.01)
+        for kind in MultiplierKind:
+            assert applied(kind, phi, freq) == multiplied(kind, phi, freq), (
+                N, kind)
+        # the factorizations, mode by mode, to the round-off of each product
+        tables = operators._frequency_tables(freq)
+        for outer, inner, whole in ((GAMMA, GAMMA_MINUS, E_Q),
+                                    (NABLA, NABLA_MINUS, DELTA)):
+            try:
+                a, b = tables.table(N, outer), tables.table(N, inner)
+                lhs = apply(whole, phi, freq).coeffs
+                rhs = apply(outer, apply(inner, phi, freq), freq).coeffs
+            except KamforgeError:
+                continue  # refused alike by apply and multiplier_table above
+            scale = np.abs(phi.coeffs) * (1 + np.abs(a)) * (1 + np.abs(b))
+            assert np.all(np.abs(lhs - rhs) <= 1e-15 * scale), (N, whole)
+    # every table the frequency holds is read-only, and so is every view
+    for family in operators._frequency_tables(freq).kinds.values():
+        for table in family.values():
+            for view in (table, table[1:-1]):
+                with pytest.raises(ValueError, match="read-only"):
+                    view[0] = 1.0
+
+
+def test_a_solve_leaves_the_public_table_cache_empty():
+    # the solver reads the per-frequency tables; multiplier_table is the
+    # public accessor, and a solve no longer fills its cache
+    multiplier_table.cache_clear()
+    curve = solve_curve(FourierSeries.cos(), from_omega(GOLDEN + 0.01j), 0.05)
+    assert curve.report.converged
+    assert multiplier_table.cache_info().currsize == 0
+    assert operators._frequency_tables.cache_info().currsize >= 1
