@@ -12,9 +12,10 @@ mode pairs and by FFT above.  ``composition_jet``, the order-by-order
 composition of the formal series, samples no grid: it carries F =
 f(theta + u) through (1 + u_theta) F_t = u_t F_theta on raw coefficient
 arrays, on the stride-d lattice of f's modes (F_s stays on (s + 1) r + d Z
-when f lives on r + d Z and u_j on j r + d Z), in whatever complex dtype it
-is given.  Its sum over the pairs of orders (n, j) is exact either way: for
-an f of lattice span 1 or 2 a few matrix products per order on
+when f lives on r + d Z and u_j on j r + d Z), in the dtype it is given: a
+complex one, or float64 for a real problem, whose order n then carries the
+phase i^n.  Its sum over the pairs of orders (n, j) is exact either way:
+for an f of small lattice span a few matrix products per order on
 lattice-aligned rows, folded along anti-diagonals; for a wider f two direct
 convolutions per pair.
 
@@ -428,27 +429,35 @@ def composition_jet(f: np.ndarray, step: int = 1, center=0):
     k1 + k2, so n F_n = 2 pi i (k sum_j (j u_j) * F_{n-j} - n sum_j (k u_j)
     * F_{n-j}).  No grid and no FFT, so a structural zero stays exact (a
     padding zero only ever adds 0 x terms); the arithmetic runs in f's
-    complex dtype (clongdouble included), on one of two paths that give the
-    same orders to round-off:
+    dtype (clongdouble included), on one of two paths that give the same
+    orders to round-off:
 
     - stacked: u_j and F_s sit in blocks of ``_JET_ROWS`` orders, aligned
       to the lattice, and the sums over j are a few matrix products per
       order folded along anti-diagonals (``_StackedSums``); it holds the
-      blocks (200 kB for ``cos`` at 34/89, against 130 kB of rows) and a
-      scratch of about 50 kB;
+      blocks (200 kB for ``cos`` at 34/89 in complex128, against 130 kB of
+      rows) and a scratch of about 50 kB, half of each in float64;
     - pairs: two ``np.convolve``s per (n, j) (``_PairSums``), holding three
       arrays an order.
 
     ``_takes_stacked_path`` chooses from f alone: the stacked path for a
-    complex128 f of lattice span len(f) - 1 <= 2, where it measured 0.45 to
-    0.68 of the pairs path's time, and the pairs path otherwise.
+    complex128 f of lattice span len(f) - 1 <= 2 and a float64 f of span
+    <= 4, where it measured 0.43 to 1.00 of the pairs path's time, and the
+    pairs path otherwise.
+
+    A real (float64) f runs the same recurrence with 2 pi in place of
+    2 pi i, in a quarter of the multiplications and half the memory: if the
+    complex jet of the same f is driven by u_s = i^(s-1) v_s, v_s real,
+    its order F_s is i^s times the order the real jet yields for the drive
+    v_s.  The caller sends the v_s (a complex u_s raises ``ValueError``)
+    and keeps track of the phase.
 
     The terms (j k - n k1) u_j F_{n-j} cancel, so accuracy depends on the
     drive.  For u_s built mode by mode from the orders yielded, as
     ``obstruction_order`` and ``taylor0_recursion`` build them, complex128
-    agrees with clongdouble to about 1e-13 relative (7e-13 at order 88 of
-    34/89); a small drive such as u = t u_1, |u_1| ~ 0.05, loses all
-    digits (7e-4 relative at order 20, 5e3 at order 30).
+    and float64 agree with clongdouble to about 1e-13 relative (7e-13 at
+    order 88 of 34/89); a small drive such as u = t u_1, |u_1| ~ 0.05,
+    loses all digits (7e-4 relative at order 20, 5e3 at order 30).
 
     Entry i of f is mode center + step (i - (len(f) - 1)/2), and every
     array of order s (u_s, and F_{s-1}) is centred on mode s center.  Order
@@ -461,7 +470,9 @@ def composition_jet(f: np.ndarray, step: int = 1, center=0):
     c_{-N}..c_N.  F_n has the length max_j (len(u_j) + len(F_{n-j})) - 1.
     """
     f = np.asarray(f)
-    two_pi_i = f.dtype.type(2j) * np.arccos(f.real.dtype.type(-1))
+    real = not np.iscomplexobj(f)
+    # 2 pi i, or 2 pi on a real jet
+    rate = f.dtype.type(2 if real else 2j) * np.arccos(f.real.dtype.type(-1))
     span = f.size - 1
     lo = center - step * span / 2          # the mode of f[0]
     sums = (_StackedSums if _takes_stacked_path(f) else _PairSums)(f, step, lo)
@@ -471,6 +482,8 @@ def composition_jet(f: np.ndarray, step: int = 1, center=0):
     while True:
         n += 1
         u = np.asarray(u)
+        if real and np.iscomplexobj(u):    # numpy would drop Im u with a warning
+            raise ValueError(f"u_{n} is complex but the jet is real")
         off, odd = divmod(n * span + 1 - u.size, 2)    # u_n's place in its window
         if off < 0 or odd:
             raise ValueError(f"u_{n} has {u.size} entries, off the window of "
@@ -479,7 +492,7 @@ def composition_jet(f: np.ndarray, step: int = 1, center=0):
         size = max(map(int.__add__, u_sizes, reversed(f_sizes))) - 1
         w0 = ((n + 1) * span + 1 - size) // 2          # F_n's place in its window
         acc = sums.add(u, n, off, w0, size)
-        acc *= two_pi_i / n
+        acc *= rate / n
         sums.keep(acc, n, w0)
         f_sizes.append(size)
         u = yield acc
@@ -495,18 +508,23 @@ def _takes_stacked_path(f: np.ndarray) -> bool:
     It looks at widths and the dtype the jet holds from the start.  The
     window of order n is n span + 1 entries wide (span = len(f) - 1), and a
     stacked product pads every row of a run to the run's widest window: at
-    span 1 or 2 (``cos`` on its lattice, or at stride 1) the rows fill
+    small spans (``cos`` on its lattice, or at stride 1) the rows fill
     their windows and a few products replace 2n convolutions per order;
-    from span 3 on, the padded products and their folds cost more than the
-    exact convolutions, the more so the more orders.  Stacked over pairs
-    time, one-sided forcings at stride 1, 20 / 40 / 60 orders (2-CPU host,
-    one OpenBLAS thread, numpy 2.4): span 1 0.66 / 0.48 / 0.45, span 2
-    0.68 / 0.64 / 0.68, span 3 0.85 / 0.96 / 1.12, span 4 0.99 / 1.23 /
-    1.41, span 6 1.33 / 1.58 / 1.88.  numpy multiplies clongdouble matrices
-    without BLAS, so an extended-precision f keeps the pairs path: on the
-    stacked path ``cos`` at 34/89 took 168 ms against 58 ms.
+    at wider spans the padded products and their folds cost more than the
+    exact convolutions.  Stacked over pairs time, one-sided forcings at
+    stride 1, 20 / 40 / 60 orders (2-CPU host, one OpenBLAS thread, numpy
+    2.4), complex128: span 1 0.66 / 0.48 / 0.45, span 2 0.68 / 0.64 /
+    0.68, span 3 0.85 / 0.96 / 1.12, span 4 0.99 / 1.23 / 1.41, span 6
+    1.33 / 1.58 / 1.88; float64 (two runs, and a third at spans 3 and 4
+    that reached 100 orders): span 1 0.43-0.48, span 2 0.61-0.64, span 3
+    0.70-0.84, span 4 0.77-1.00, span 5 1.02-1.23, span 6 1.07-1.20.  So
+    complex128 takes the stacked path up to span 2 and float64 up to span
+    4.  numpy multiplies long-double
+    matrices without BLAS, so an extended-precision f keeps the pairs path:
+    on the stacked path ``cos`` at 34/89 took 168 ms against 58 ms.
     """
-    return f.size - 1 <= 2 and f.dtype == np.complex128
+    widest = {np.float64: 4, np.complex128: 2}.get(f.dtype.type, -1)
+    return f.size - 1 <= widest
 
 
 class _PairSums:
@@ -556,10 +574,10 @@ class _StackedSums:
     with A_j and A_k the anti-diagonal sums (i + l = c) of the outer
     products sum_j j u_j F_{n-j}^T and sum_j (k1 u_j) F_{n-j}^T over every
     run, the k1 weight sitting on the entries of u_j as in ``_PairSums``.
-    Memory: the blocks (for ``cos`` at 34/89, 200 kB beside the 130 kB of
-    the rows themselves) and one scratch buffer of about 2 ``_JET_SLAB``
-    entries, or 32 per entry of the window when that is more, since
-    ``_fold`` never holds a whole product.
+    Memory: the blocks (for ``cos`` at 34/89 in complex128, 200 kB beside
+    the 130 kB of the rows themselves) and one scratch buffer of about 2
+    ``_JET_SLAB`` entries, or 32 per entry of the window when that is more,
+    since ``_fold`` never holds a whole product.
     """
 
     def __init__(self, f, step, lo):

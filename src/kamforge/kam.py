@@ -264,15 +264,19 @@ def newton_step(u: FourierSeries, comp: FourierSeries, freq: Frequency,
     only an A that is not invertible (``NearSingularError``), whatever
     sup|u'| is.  Raises a bare ``DivergenceError`` when w reaches sup 1 (a
     small divisor has taken over; the grid sup is formed only once sum|w_k|,
-    its bound, reaches 1); ``_iterate`` adds the failure record.
+    its bound, reaches 1); ``_iterate`` adds the failure record.  At a cold
+    start, u = 0, the step is w itself for A = 1 and E = eps comp (the same
+    values, but for the sign of a zero).
     """
-    A = FourierSeries.constant(1.0) + derivative(u)
-    E = _scaled(eps, comp, "eps f(id + u)") - apply(DELTA, u, freq)
+    cold = not u.coeffs.any()
+    A, E = FourierSeries.constant(1.0), _scaled(eps, comp, "eps f(id + u)")
+    if not cold:
+        A, E = A + derivative(u), E - apply(DELTA, u, freq)
     w = linearized_solve(A, E, freq)
     if np.abs(w.coeffs).sum() >= 1.0 and (w_sup := sup_norm(w)) >= 1.0:
         raise DivergenceError(f"Newton correction has sup {w_sup:.3g} >= 1; "
                               "a small divisor has taken over")
-    return u + product(A, w)
+    return w if cold else u + product(A, w)
 
 
 def _fit_slope(history) -> float:

@@ -17,9 +17,10 @@ recursion in the divisor values.  The engine here computes the g_n with
 the same composition kernel as the Taylor orders at q = 0
 (``fourier.composition_jet``: exact sums over pairs of orders, by matrix
 products on lattice-aligned rows for ``cos`` and by direct convolution for
-wider forcings; no FFT, no grids), on the lattice of f's modes; the oracle
-uses only K, A and the divisor tables, so the comparison is a genuine
-two-route consistency check.
+wider forcings; no FFT, no grids), on the lattice of f's modes, in real
+arithmetic when f's coefficients there are all real or all imaginary; the
+oracle uses only K, A and the divisor tables, so the comparison is a
+genuine two-route consistency check.
 """
 
 from __future__ import annotations
@@ -145,8 +146,18 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
     f(-theta) at eps is the caller's problem at -eps, mirrored, so its
     g_n are (-1)^(n+1) times the caller's, mirrored: the witness is mapped
     back to the caller's modes by that rule, while ``A`` and the
-    ``gamma_*`` values stay in the reflected frame.  ``exactness="extended"``
-    runs the identical arithmetic in long-double precision.  Raises
+    ``gamma_*`` values stay in the reflected frame.
+
+    At ``exactness="float"``, a forcing whose lattice coefficients are all
+    real (``cos``) or all imaginary (sin-type) is c r with c = 1 or i and r
+    real.  Every g_n is then c (i c)^(n-1) times a real array g~_n, and the
+    jet runs on r in float64, driven by u~_n = lam g~_n.  The phase goes
+    back, exactly, only on what leaves the loop: ``gammas_engine`` and the
+    witness.  The scale, the threshold and n_star read moduli, so they do
+    not see it.  Other forcings run in complex128.
+    ``exactness="extended"`` runs the complex arithmetic in long-double
+    precision (a real long-double jet has no BLAS and measured no
+    faster).  Raises
     ``OverflowRiskError`` naming the order when g_n, or the oracle's
     gamma_n, stops being finite.
 
@@ -177,9 +188,11 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
         raise ValueError("max_order must be at least 1")
 
     _, lam = rf.tables(extended=(exactness == "extended"))
-    jet = composition_jet(f_lat, step=d, center=(lo + K) / 2)
+    real = None if exactness == "extended" else _real_form(f_lat)
+    jet = composition_jet(f_lat if real is None else real[0],
+                          step=d, center=(lo + K) / 2)
     g = next(jet)                 # g_1 = f
-    gammas_engine: list = []
+    tops: list = []               # mode n K of each order, as the jet gives it
     scale = 0.0
     n_star = None
     thr = threshold if threshold is not None else 0.0
@@ -191,7 +204,7 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
             if not np.isfinite(g).all():
                 raise OverflowRiskError(f"obstruction order {n} overflowed",
                                         {"order": n})
-            gammas_engine.append(complex(g[-1]))   # mode n K
+            tops.append(g[-1])
             scale = max(scale, float(np.max(np.abs(g))))
             if threshold is None:
                 thr = 1e-10 * scale
@@ -204,15 +217,21 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
             u = g * lam[ks % rf.m]
 
         betas, gammas_oracle = beta_gamma_oracle(
-            K, rf, len(gammas_engine), A, extended=(exactness == "extended"))
+            K, rf, len(tops), A, extended=(exactness == "extended"))
+    gres = g[res]
+    if real is not None:     # g_n = c (i c)^(n-1) times the jet's order, c = i^e
+        e = real[1]
+        turns = e + (1 + e) * np.arange(len(tops))
+        tops, gres = _turned(np.array(tops), turns), _turned(gres, turns[-1])
+    gammas_engine = [complex(x) for x in tops]
     gap = max(abs(ge - go) for ge, go in zip(gammas_engine, gammas_oracle))
     relative_gap = gap / max(map(abs, gammas_oracle))   # [0] is A, never 0
 
     witness = np.zeros(2 * n * K + 1, dtype=dtype)   # modes -n K..n K
     if reflected:   # f(-theta) at eps is f at -eps, mirrored
-        witness[n * K - ks[res]] = g[res] if n % 2 else -g[res]
+        witness[n * K - ks[res]] = gres if n % 2 else -gres
     else:
-        witness[n * K + ks[res]] = g[res]
+        witness[n * K + ks[res]] = gres
     return ObstructionReport(
         p=rf.p,
         m=rf.m,
@@ -232,6 +251,25 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
         gammas_engine=gammas_engine,
         gammas_oracle=gammas_oracle,
     )
+
+
+def _real_form(f_lat: np.ndarray):
+    """(r, e) with f_lat = i^e r for a real array r and e in {0, 1}, or None."""
+    if not f_lat.imag.any():
+        return np.ascontiguousarray(f_lat.real), 0
+    if not f_lat.real.any():
+        return np.ascontiguousarray(f_lat.imag), 1
+    return None
+
+
+def _turned(x: np.ndarray, k) -> np.ndarray:
+    """i^k x for a real x, formed exactly: the other part holds +0."""
+    k = np.asarray(k) % 4
+    x = np.where(k >= 2, -x, x)
+    out = np.zeros(x.shape, dtype=np.complex128)
+    out.real = np.where(k % 2 == 0, x, 0.0)
+    out.imag = np.where(k % 2 == 1, x, 0.0)
+    return out
 
 
 # ---------------------------------------------------------------------------

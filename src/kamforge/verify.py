@@ -521,6 +521,16 @@ def check_omega_tangent():
                 f"[50, 200] at 4 points: {np.round(ratios, 1).tolist()}")
 
 
+def check_real_obstruction_gap():
+    # cos runs the real jet; engine and oracle then agree to a few epsilons
+    f = FourierSeries.cos()
+    gaps = [obstruction_order(f, RationalFreq(p, m)).relative_gap
+            for p, m in ((21, 55), (34, 89))]
+    ok = all(g <= 5e-15 for g in gaps)
+    return ok, ("cos engine vs oracle, relative gap at 21/55 and 34/89: "
+                f"{gaps[0]:.2e}, {gaps[1]:.2e} (<=5e-15)")
+
+
 # ---------------------------------------------------------------------------
 # registry and runner
 
@@ -549,6 +559,7 @@ INVARIANTS = [
     ("I07-taylor-vs-picard", check_taylor_vs_picard),
     ("I08-history-positivity", check_history_positivity),
     ("I09-omega-tangent", check_omega_tangent),
+    ("I10-real-obstruction-gap", check_real_obstruction_gap),
 ]
 
 

@@ -544,6 +544,53 @@ def test_composition_jet_paths_agree(size, step, rows, orders, sublattice,
         assert np.max(np.abs(x - y)) <= tol * np.max(np.abs(x))
 
 
+# (size, step, rows, orders, sublattice): spans 1, 2, 3, 4 and 6, blocks of
+# 5 rows past several block edges, and two 70-order runs
+REAL_JET_CASES = [(2, 1, 32, 40, False), (3, 2, 5, 40, True),
+                  (4, 1, 32, 40, False), (5, 3, 5, 40, True),
+                  (7, 1, 32, 40, True), (2, 2, 32, 70, False),
+                  (7, 1, 5, 70, False)]
+
+
+@pytest.mark.parametrize("size,step,rows,orders,sublattice", REAL_JET_CASES)
+def test_real_jet_is_the_complex_jet_turned(size, step, rows, orders, sublattice):
+    # the same real f and drive in float64 and in complex128, on both paths:
+    # order n of the complex run is i^n times order n of the real run, to
+    # 500 epsilons of its largest coefficient, with its zeros at the same
+    # entries
+    rng = np.random.default_rng(size + orders)
+    c = rng.standard_normal(size)
+    if sublattice:
+        c[1:-1:2] = 0.0
+    lam = -rng.uniform(0.05, 0.3) * rng.uniform(0.25, 1.0, 8 * orders + 1)
+    real = jet_on_both_paths(c, step, lam, orders, rows)
+    cplx = jet_on_both_paths(c.astype(np.complex128), step, lam, orders, rows)
+    turns = np.array([1, 1j, -1, -1j])
+    tol = 500 * np.finfo(np.float64).eps
+    for xs, ys in zip(real, cplx):
+        for n, (x, y) in enumerate(zip(xs, ys)):
+            assert x.dtype == np.float64 and x.shape == y.shape
+            assert np.array_equal(x == 0, y == 0)
+            assert np.max(np.abs(turns[n % 4] * x - y)) <= tol * np.max(np.abs(y))
+
+
+def test_stacked_path_rule_by_dtype():
+    # float64 up to span 4, complex128 up to span 2, long double never
+    for size, real, cplx in ((2, True, True), (3, True, True), (4, True, False),
+                             (5, True, False), (6, False, False)):
+        assert fourier._takes_stacked_path(np.zeros(size)) == real
+        assert fourier._takes_stacked_path(np.zeros(size, np.complex128)) == cplx
+        assert not fourier._takes_stacked_path(np.zeros(size, np.clongdouble))
+
+
+def test_real_jet_refuses_a_complex_u():
+    # numpy would cast it to float64, dropping Im u with only a ComplexWarning
+    jet = composition_jet(np.array([0.5, 0.0, 0.5]))
+    next(jet)
+    with pytest.raises(ValueError, match="complex"):
+        jet.send(np.array([0.1, 0.0, 0.1j]))
+
+
 def test_invert_pointwise_inverse():
     f = FourierSeries([0.5, 2.0, 0.5])  # 2 + cos, strictly positive
     inv = invert_pointwise(f)

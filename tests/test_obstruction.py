@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kamforge import jsonio, obstruction
+from kamforge import fourier, jsonio, obstruction
 from kamforge.cli import run_sweep
 from kamforge.errors import OverflowRiskError
 from kamforge.fourier import FourierSeries, composition_jet, sup_norm
@@ -385,11 +385,53 @@ def test_reflected_witness_matches_a_direct_lattice_run(exactness):
                                                  rel=1e-13)
 
 
+# real on their lattices (f = r, or i r for sin-type), so the engine runs
+# the jet in float64: cos (stacked path), three cosines (span 6 at stride 1,
+# the pairs path), sin 2 pi theta - 0.4 sin 6 pi theta, and a forcing whose
+# only extreme mode is -2 (reflected)
+REAL_FORCINGS = {
+    "cos": FourierSeries.cos(),
+    "three cosines": FourierSeries([0.1, 0.15, 0.25, 0, 0.25, 0.15, 0.1]),
+    "sin-type": FourierSeries([0.2j, 0, -0.5j, 0, 0.5j, 0, -0.2j]),
+    "reflected": FourierSeries([0.3, 0.5, 0, 0.5, 0]),
+}
+
+
+@pytest.mark.parametrize("p,m", [(3, 13), (21, 55), (34, 89)])
+@pytest.mark.parametrize("name", sorted(REAL_FORCINGS))
+def test_real_forcings_match_the_complex_run(name, p, m, monkeypatch):
+    # the real run against the same problem in complex128: the same n_star,
+    # and gammas and witness within 500 epsilons, relative
+    f, rf = REAL_FORCINGS[name], RationalFreq(p, m)
+    jets = []
+
+    def spy(f_lat, **kw):
+        jets.append((f_lat.dtype, fourier._takes_stacked_path(f_lat)))
+        return composition_jet(f_lat, **kw)
+
+    monkeypatch.setattr(obstruction, "composition_jet", spy)
+    got = obstruction_order(f, rf)
+    monkeypatch.setattr(obstruction, "_real_form", lambda f_lat: None)
+    ref = obstruction_order(f, rf)
+    stacked = name != "three cosines"
+    assert jets == [(np.float64, stacked), (np.complex128, stacked and name == "cos")]
+    assert got.reflected == ref.reflected == (name == "reflected")
+    assert got.n_star == ref.n_star is not None
+    assert got.orders_computed == ref.orders_computed
+    tol = 500 * np.finfo(np.float64).eps
+    ge, gr = np.array(got.gammas_engine), np.array(ref.gammas_engine)
+    assert np.all(np.abs(ge - gr) <= tol * np.abs(gr))
+    w, wr = got.obstruction_witness.coeffs, ref.obstruction_witness.coeffs
+    assert w.shape == wr.shape
+    assert np.max(np.abs(w - wr)) <= tol * np.max(np.abs(wr))
+    assert got.witness_norm == pytest.approx(ref.witness_norm, rel=tol)
+
+
 def test_obstruction_peak_memory():
-    # cos on its lattice takes the jet's stacked path: u_j and F_s in blocks
-    # of 32 orders (about 200 kB for the 89 orders against 130 kB of rows;
-    # three arrays an order, 194 kB, on the pairs path) and a fold buffer of
-    # about 50 kB, since no product over j is ever held whole
+    # cos on its lattice takes the jet's stacked path in float64: u_j and
+    # F_s in blocks of 32 orders (about 100 kB for the 89 orders against
+    # 65 kB of rows) and a fold buffer of about 25 kB, since no product over
+    # j is ever held whole; the peak read 0.16 MB (0.31 MB in complex128)
     obstruction_order(FourierSeries.cos(), RationalFreq(34, 89))
     tracemalloc.start()
     try:
