@@ -172,9 +172,9 @@ def _sweep_point(task) -> dict:
 
 
 def _family_from_records(records) -> SampledFamily:
-    """Converged u-vectors at their common cutoff N, each with its chart
-    derivative: ``kam.omega_tangent`` cut to N over d coord/d omega, or None
-    where that solve raises a ``KamforgeError``."""
+    """Converged u-vectors at their common cutoff N, each with du/d omega:
+    ``kam.omega_tangent`` cut to N, or None where that solve raises a
+    ``KamforgeError``."""
     series = [(from_omega(jsonio.to_complex([rec["omega"]])[0]),
                FourierSeries.from_json_dict(rec["u"]))
               for rec in records if rec["status"] == "converged"]
@@ -182,10 +182,9 @@ def _family_from_records(records) -> SampledFamily:
     fam = SampledFamily(points=[fr for fr, _ in series], derivs=[],
                         values=[_widen(s.coeffs, N) for _, s in series])
     for fr, u in zip(fam.points, fam.values):
-        dcoord = (2j if fr.chart == "inner" else -2j) * math.pi * fr.coord
         try:
             h, _ = truncate(omega_tangent(FourierSeries._of(u), fr), N)
-            fam.derivs.append(h.coeffs / dcoord)
+            fam.derivs.append(h.coeffs)
         except KamforgeError:
             fam.derivs.append(None)
     return fam
@@ -460,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default="sweep.jsonl")
     sp.add_argument("--family", default=None,
                     help="also write the converged u-vectors as a sampled "
-                         "family with their exact chart derivatives")
+                         "family with their exact omega-derivatives")
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("geometry",

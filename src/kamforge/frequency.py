@@ -621,11 +621,11 @@ def export_set_geometry(cls: DiophantineClass, boundary_n: int = 512) -> SetGeom
 
 @dataclass
 class SampledFamily:
-    """Values (and chart derivatives) of a quantity along frequency samples.
+    """Values (and omega-derivatives) of a quantity along frequency samples.
 
     ``values[i]`` is a complex vector attached to ``points[i]``; ``derivs[i]``
-    is its derivative in the point's own chart coordinate, or None where a
-    sweep's tangent solve raised a ``KamforgeError``.
+    is its derivative in omega, or None where a sweep's tangent solve raised
+    a ``KamforgeError``.
     """
 
     points: list
@@ -646,52 +646,51 @@ class SampledFamily:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SampledFamily":
-        def unvec(v):
-            return None if v is None else jsonio.to_complex(v)
+        values = [jsonio.to_complex(v) for v in d["values"]]
+        derivs = [None if v is None else jsonio.to_complex(v)
+                  for v in d["derivs"]]
+        counts = (len(d["points"]), len(values), len(derivs))
+        lengths = sorted({v.size for v in values + derivs if v is not None})
+        if len(set(counts)) > 1 or len(lengths) > 1:
+            raise ValueError(
+                "a sampled family needs one value and one deriv per point, "
+                f"all of one length: got (points, values, derivs) = {counts} "
+                f"of lengths {lengths}")
         omegas = jsonio.to_complex([p["omega"] for p in d["points"]])
         return cls(points=[from_omega(om) for om in omegas],
-                   values=[unvec(v) for v in d["values"]],
-                   derivs=[unvec(v) for v in d["derivs"]])
+                   values=values, derivs=derivs)
 
 
 def c1hol_norm_estimate(family: SampledFamily):
-    """Sampled three-part estimate of the C1-holomorphic norm.
+    """Sampled three-part estimate of the C1-holomorphic norm in omega.
 
     Returns ``(n0, n1, n2)``:
 
     * n0 — largest sup-norm of the values;
-    * n1 — largest of the claimed chart derivatives and of the raw
-      increments |phi(q') - phi(q)| within a chart;
-    * n2 — largest defect |(phi(q') - phi(q)) / (q' - q) - phi'(q)| of the
-      difference quotients against the claimed derivatives.
+    * n1 — largest of the claimed derivatives and of the raw increments
+      |phi(omega') - phi(omega)|;
+    * n2 — largest defect |(phi(omega') - phi(omega)) / (omega' - omega)
+      - phi'(omega)| of the difference quotients against the claimed
+      derivatives.
 
-    Charts are treated separately (outer-chart data must already be given
-    in the outer coordinate) and combined by the maximum.
+    Every pair of points is compared, across the real axis too.
+    ``from_omega`` folds Re omega into [0, 1), so Re(omega' - omega) is
+    taken to its nearest representative mod 1.
     """
-    vals = [np.atleast_1d(np.asarray(v, dtype=np.complex128))
-            for v in family.values]
-    n0 = max((float(np.max(np.abs(v))) for v in vals), default=0.0)
-    n1 = 0.0
-    n2 = 0.0
-    for chart in ("inner", "outer"):
-        idx = [i for i, p in enumerate(family.points) if p.chart == chart]
-        if not idx:
+    V = np.array([np.atleast_1d(v) for v in family.values],
+                 dtype=np.complex128)
+    om = np.array([p.omega for p in family.points])
+    n0 = float(np.max(np.abs(V), initial=0.0))
+    n1 = n2 = 0.0
+    for a, d in enumerate(family.derivs):
+        dv = V - V[a]
+        n1 = max(n1, float(np.max(np.abs(dv))))
+        if d is None:
             continue
-        coords = np.array([family.points[i].coord for i in idx])
-        V = np.stack([vals[i] for i in idx])
-        D = [None if family.derivs[i] is None
-             else np.atleast_1d(np.asarray(family.derivs[i], dtype=np.complex128))
-             for i in idx]
-        for a in range(len(idx)):
-            if D[a] is not None:
-                n1 = max(n1, float(np.max(np.abs(D[a]))))
-            dq = coords - coords[a]
-            dv = V - V[a]
-            if len(idx) > 1:
-                n1 = max(n1, float(np.max(np.abs(dv))))
-            ok = np.abs(dq) > 1e-12
-            if D[a] is None or not np.any(ok):
-                continue
-            quot = dv[ok] / dq[ok, None]
-            n2 = max(n2, float(np.max(np.abs(quot - D[a][None, :]))))
+        n1 = max(n1, float(np.max(np.abs(d))))
+        dw = om - om[a]
+        dw -= np.round(dw.real)
+        ok = np.abs(dw) > 1e-12
+        n2 = max(n2, float(np.max(np.abs(dv[ok] / dw[ok, None] - d),
+                                  initial=0.0)))
     return n0, n1, n2

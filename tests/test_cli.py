@@ -15,7 +15,8 @@ import kamforge
 from kamforge import cli, continuation, jsonio
 from kamforge.errors import NoConvergenceError
 from kamforge.fourier import FourierSeries
-from kamforge.frequency import SampledFamily, from_omega, from_q
+from kamforge.frequency import (SampledFamily, c1hol_norm_estimate,
+                                from_omega, from_q)
 from kamforge.kam import SolverConfig, solve_curve
 from kamforge.obstruction import RationalFreq, obstruction_order
 
@@ -208,10 +209,10 @@ def test_sweep_is_byte_identical_across_worker_counts(tmp_path):
     ("0.02", "0.06", "inner"),      # the grid of check A11
     ("-0.06", "-0.02", "outer"),
 ])
-def test_sweep_family_carries_the_exact_chart_derivative(tmp_path, im_min,
+def test_sweep_family_carries_the_exact_omega_derivative(tmp_path, im_min,
                                                          im_max, chart):
-    # every converged point gets d u / d coord from the omega-tangent; a
-    # central difference in omega over the chart's own step agrees to O(d^2)
+    # every converged point gets d u / d omega from the omega-tangent; a
+    # central difference in omega agrees to O(d^2)
     r = run_cli(["sweep", "--omega-min", "0.58", "--omega-max", "0.62",
                  "--omega-n", "3", "--im-min", im_min, "--im-max", im_max,
                  "--im-n", "3", "--eps", "0.05", "--modes", "64",
@@ -223,12 +224,29 @@ def test_sweep_family_carries_the_exact_chart_derivative(tmp_path, im_min,
     for fr, deriv in zip(fam.points, fam.derivs):
         up, um = (solve_curve(FourierSeries.cos(), from_omega(fr.omega + s),
                               0.05, cfg).u for s in (d, -d))
-        dc = from_omega(fr.omega + d).coord - from_omega(fr.omega - d).coord
-        central = (up - um).coeffs / dc
+        central = (up - um).coeffs / (2 * d)
         N = (deriv.size - 1) // 2
         assert (central.size - 1) // 2 <= N
         gap = (FourierSeries(deriv) - FourierSeries(central)).coeffs
         assert np.max(np.abs(gap)) <= 1e-6 * np.max(np.abs(central))
+
+
+def test_sweep_family_across_the_real_axis_is_c1_in_omega(tmp_path):
+    # a 3x3 box centred on the golden mean, both charts, compared in one
+    # pass: the difference-quotient defect n2 falls linearly with the box.
+    # Keep h small: golden + 1e-3 lies 1.4e-5 from 13/21
+    n2 = []
+    for h in (3e-4, 1e-4):
+        cli.run_sweep(omega_re=(GOLDEN - h, GOLDEN + h, 3),
+                      omega_im=(-h, h, 3), eps=0.1, f=FourierSeries.cos(),
+                      modes=256, out_path=str(tmp_path / "s.jsonl"),
+                      family_path=str(tmp_path / "fam.json"))
+        fam = SampledFamily.from_json_dict(
+            jsonio.load_path(tmp_path / "fam.json"))
+        assert len(fam.points) == 9
+        assert {fr.chart for fr in fam.points} == {"inner", "outer"}
+        n2.append(c1hol_norm_estimate(fam)[2])
+    assert 2.5 <= n2[0] / n2[1] <= 3.6, n2
 
 
 class _RecordingPool:

@@ -624,16 +624,16 @@ def test_nan_imaginary_part_is_refused():
 
 
 def test_sampled_family_roundtrip_and_c1_estimate():
-    # linear family phi(q) = c * q: difference quotients equal the claimed
-    # derivative exactly, so the defect part of the estimate vanishes
+    # linear family phi(omega) = c * omega: difference quotients equal the
+    # claimed derivative up to round-off, so the defect part vanishes
     c = np.array([2.0 - 1.0j, 0.5j])
-    qs = [0.2 + 0.1j, 0.25 + 0.1j, 0.3 + 0.12j]
-    points = [from_q(q) for q in qs]
-    values = [c * q for q in qs]
-    derivs = [c.copy() for _ in qs]
+    oms = [0.2 + 0.1j, 0.25 + 0.1j, 0.3 - 0.12j]
+    points = [from_omega(om) for om in oms]
+    values = [c * om for om in oms]
+    derivs = [c.copy() for _ in oms]
     fam = SampledFamily(points=points, values=values, derivs=derivs)
     n0, n1, n2 = c1hol_norm_estimate(fam)
-    assert n0 == pytest.approx(max(abs(c * q).max() for q in qs), rel=1e-12)
+    assert n0 == pytest.approx(max(abs(c * om).max() for om in oms), rel=1e-12)
     assert n1 >= abs(c).max()
     assert n2 < 1e-12
     fam2 = SampledFamily.from_json_dict(fam.to_json_dict())
@@ -645,6 +645,31 @@ def test_sampled_family_roundtrip_and_c1_estimate():
     assert (n0b, n1b) == (n0, n1)
 
 
+def test_c1_estimate_compares_points_across_the_real_axis():
+    # c above the axis, -c below, zero claimed derivatives: the one quotient
+    # across the axis reads |2c| / |2 delta|, while each side alone is flat
+    c, delta = np.array([1.5 - 2.0j]), 1e-3
+    points = [from_omega(0.3 + 1j * delta), from_omega(0.3 - 1j * delta)]
+    assert [p.chart for p in points] == ["inner", "outer"]
+    fam = SampledFamily(points=points, values=[c, -c],
+                        derivs=[np.zeros(1), np.zeros(1)])
+    n0, n1, n2 = c1hol_norm_estimate(fam)
+    assert (n0, n1) == (2.5, 5.0)
+    assert n2 == pytest.approx(2.5 / delta, rel=1e-12)
+
+
+def test_c1_estimate_takes_omega_differences_mod_one():
+    # from_omega folds Re omega = -0.01 to 0.99; phi = c * omega on the
+    # unfolded points is linear only if that pair's step reads 0.01
+    c = np.array([2.0 - 1.0j, 0.5j])
+    oms = [-0.01 + 0.05j, 0.05j, 0.01 + 0.05j]
+    points = [from_omega(om) for om in oms]
+    assert points[0].omega.real == pytest.approx(0.99)
+    fam = SampledFamily(points=points, values=[c * om for om in oms],
+                        derivs=[c.copy() for _ in oms])
+    assert c1hol_norm_estimate(fam)[2] < 1e-12
+
+
 def test_sampled_family_none_derivs():
     points = [from_q(0.2), from_q(0.3)]
     values = [np.array([1.0 + 0j]), np.array([2.0 + 0j])]
@@ -654,3 +679,54 @@ def test_sampled_family_none_derivs():
     assert n2 == 0.0  # no claimed derivatives, no defect
     fam2 = SampledFamily.from_json_dict(fam.to_json_dict())
     assert fam2.derivs == [None, None]
+
+
+def _family_dict(n_points, n_values, n_derivs, lengths=None):
+    lengths = lengths or [2] * n_values
+    return SampledFamily(
+        points=[from_omega(0.1 * (i + 1) + 0.05j) for i in range(n_points)],
+        values=[np.arange(n, dtype=np.complex128) for n in lengths],
+        derivs=[np.ones(2, dtype=np.complex128)] * n_derivs).to_json_dict()
+
+
+@pytest.mark.parametrize("d,message", [
+    (_family_dict(2, 2, 1), r"\(points, values, derivs\) = \(2, 2, 1\)"),
+    (_family_dict(1, 2, 1), r"\(points, values, derivs\) = \(1, 2, 1\)"),
+    (_family_dict(2, 2, 2, lengths=[2, 3]), r"of lengths \[2, 3\]"),
+], ids=["missing-deriv", "orphan-value", "unequal-lengths"])
+def test_sampled_family_decode_refuses_mismatched_counts(d, message):
+    with pytest.raises(ValueError, match=message):
+        SampledFamily.from_json_dict(d)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_entry = st.builds(complex, _finite, _finite) | st.sampled_from(
+    [complex(-0.0, -0.0), complex(-0.0, 0.5), complex(0.25, -0.0)])
+
+
+@st.composite
+def _families(draw):
+    n, size = draw(st.integers(0, 4)), draw(st.integers(1, 4))
+    vec = st.lists(_entry, min_size=size, max_size=size).map(np.array)
+    re = st.floats(0.0, 1.0, exclude_max=True)
+    im = st.floats(-5.0, 5.0) | st.just(-0.0)
+    return SampledFamily(
+        points=[from_omega(complex(draw(re), draw(im))) for _ in range(n)],
+        values=[draw(vec) for _ in range(n)],
+        derivs=[draw(st.none() | vec) for _ in range(n)])
+
+
+def _bits(v):
+    return None if v is None else np.asarray(v, dtype=np.complex128).tobytes()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_families())
+def test_sampled_family_roundtrips_bit_for_bit(fam):
+    fam2 = SampledFamily.from_json_dict(
+        jsonio.loads(jsonio.dumps(fam.to_json_dict())))
+    def points(f):
+        return [(p.chart, _bits([p.omega, p.coord])) for p in f.points]
+    assert points(fam) == points(fam2)
+    assert [_bits(v) for v in fam.values] == [_bits(v) for v in fam2.values]
+    assert [_bits(v) for v in fam.derivs] == [_bits(v) for v in fam2.derivs]

@@ -17,7 +17,7 @@ from kamforge.frequency import DiophantineClass, from_omega, from_q
 from kamforge.kam import (InvariantCurve, SolverConfig, _fit_slope,
                           dynamical_residual, error_functional,
                           linearized_solve, mean_identity_residual,
-                          newton_step, solve_curve)
+                          newton_step, omega_tangent, solve_curve)
 from kamforge.operators import (E_Q, GAMMA, GAMMA_MINUS, NABLA_MINUS,
                                 SHIFT_PLUS, apply)
 
@@ -623,3 +623,21 @@ def test_dynamical_residual_matches_dense_formula():
         fast = dynamical_residual(curve, grid_n)
         assert fast == pytest.approx(dense_residual(curve, grid_n), abs=1e-15)
     assert dynamical_residual(rough, 64) > 1e-3
+
+
+@pytest.mark.parametrize("omega", [GOLDEN, math.sqrt(2.0) - 1.0])
+def test_omega_tangent_is_the_derivative_across_the_real_axis(omega):
+    # the curves at omega + i delta (inner chart) and omega - i delta (outer
+    # chart) are one function of omega: their central difference across the
+    # real axis converges to the tangent at the real point as delta^2
+    f, cfg = FourierSeries.cos(), SolverConfig(cutoff=256, tol=1e-13)
+    h = omega_tangent(solve_curve(f, from_omega(omega), 0.1, cfg).u,
+                      from_omega(omega))
+    gaps = []
+    for delta in (1e-4, 1e-5):
+        up, um = (solve_curve(f, from_omega(omega + s * 1j * delta), 0.1,
+                              cfg).u for s in (1, -1))
+        assert from_omega(omega - 1j * delta).chart == "outer"
+        gaps.append(sup_norm((up - um) * (1 / (2j * delta)) - h))
+    assert 90.0 <= gaps[0] / gaps[1] <= 110.0, gaps
+    assert gaps[1] < 1e-6

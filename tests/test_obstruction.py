@@ -338,6 +338,25 @@ def test_obstruction_pins_at_the_workload_rationals(key):
     assert rep.relative_gap <= 1e-13
 
 
+@pytest.mark.parametrize("forcing", ["cos", "degree3"])
+def test_float_engine_agrees_with_the_extended_engine(forcing):
+    # an accuracy check, where invariant I10's engine-vs-oracle gap is not:
+    # both sides of that gap share one summation order.  Against the
+    # long-double engine, the float gammas and witness hold 1e-12 relative
+    f = FourierSeries.cos() if forcing == "cos" else degree3_forcing(7)
+    for p, m in ((3, 13), (13, 34), (21, 55), (34, 89)):
+        rep = obstruction_order(f, RationalFreq(p, m))
+        ext = obstruction_order(f, RationalFreq(p, m), exactness="extended")
+        assert rep.n_star == ext.n_star is not None
+        g, g_ext = np.array(rep.gammas_engine), np.array(ext.gammas_engine)
+        assert np.max(np.abs(g - g_ext) / np.abs(g_ext)) <= 1e-12, (p, m)
+        w = rep.obstruction_witness.coeffs
+        w_ext = ext.obstruction_witness.coeffs
+        assert np.array_equal(w != 0, w_ext != 0)
+        nz = w_ext != 0
+        assert np.max(np.abs(w[nz] - w_ext[nz]) / np.abs(w_ext[nz])) <= 1e-12
+
+
 def test_one_sided_lattice_forcing_and_its_reflection():
     # modes 1 and 4 (lattice 1 + 3Z, one-sided) and its mirror image -1, -4
     c = np.zeros(9, dtype=np.complex128)
