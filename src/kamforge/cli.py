@@ -214,6 +214,7 @@ def run_sweep(*, omega_re, omega_im, eps, f, modes=64, tol=1e-12,
     idx = 0
     for a in res:
         for b in ims:
+            from_omega(complex(a, b))  # refuse past the cap before any solve
             for e in eps_vals:
                 tasks.append((idx, complex(a, b), e, f, modes, tol,
                               max_iters, method))

@@ -89,14 +89,12 @@ def picard_solve(f: FourierSeries, freq: Frequency, eps,
 
 def _picard_curve(f: FourierSeries, freq: Frequency, eps,
                   config: SolverConfig | None = None) -> InvariantCurve:
-    """``picard_solve``'s whole curve, v and the forcing included."""
+    """``picard_solve``'s whole curve, v and the forcing included.  |q| is
+    finite and nonzero: ``from_omega`` keeps |log_scale| <= ``EXP_CAP``."""
     config = config or SolverConfig()
     eps = finite_scalar(eps, "eps")
-    try:
-        modulus = math.exp(-freq.log_scale)
-    except OverflowError:   # past the double range: the shift tables refuse it
-        modulus = math.inf
-    gap = abs(modulus - 1.0) if math.isfinite(modulus) else 1.0
+    modulus = math.exp(-freq.log_scale)
+    gap = abs(modulus - 1.0)
     if gap < PICARD_MARGIN and not math.isclose(gap, PICARD_MARGIN):
         raise ValueError(
             f"|q| = {modulus:.6g} is within {PICARD_MARGIN} of the unit "

@@ -4,9 +4,10 @@ A rotation number omega (complex, real part mod 1) maps to the multiplier
 q = exp(2 pi i omega).  The Riemann sphere of multipliers is covered by two
 charts: the *inner* chart (|q| <= 1, i.e. Im omega >= 0, coordinate q) and
 the *outer* chart (coordinate xi = 1/q).  Both chart coordinates stay in
-the closed unit disc, so no intermediate quantity here ever overflows no
-matter how large |Im omega| gets; ``log_scale`` = 2 pi Im(omega) carries
-the magnitude exactly.
+the closed unit disc, and ``log_scale`` = 2 pi Im(omega) carries the
+magnitude exactly.  A frequency exists only where 2 pi |Im omega| <=
+``fourier.EXP_CAP``, so that q^{+-1} are finite and nonzero: the chart
+poles q = 0, infinity are refused where a frequency is made.
 
 The real Diophantine set of exponent tau and constant M is the complement
 of the open intervals of radius 1/(M m^(2+tau)) around every rational n/m;
@@ -29,6 +30,7 @@ from scipy.special import zeta as _zeta
 
 from . import jsonio
 from .errors import BoundViolationError, ResonanceError
+from .fourier import EXP_CAP
 
 _TWO_PI = 2.0 * math.pi
 RESONANCE_ULPS = 4.0  # |q^k - 1| < RESONANCE_ULPS 2 pi |k| 2^-52 counts as zero
@@ -44,8 +46,9 @@ class Frequency:
     """A rotation number together with its multiplier-chart data.
 
     ``coord`` is the coordinate in the active chart (q inner, xi outer) and
-    always has modulus <= 1; ``q`` itself may overflow to inf deep in the
-    outer chart, which is why downstream code works with ``coord``.
+    always has modulus <= 1.  ``from_omega`` and ``from_q`` admit only
+    2 pi |Im omega| <= ``EXP_CAP``, so q, 1/q and ``coord`` are finite and
+    nonzero: every frequency has its shift multipliers.
     """
 
     omega: complex
@@ -54,46 +57,37 @@ class Frequency:
     log_scale: float  # 2 pi Im(omega)
     coord: complex
 
-    @property
-    def is_pole(self) -> bool:
-        """True at the chart centers q = 0 and q = infinity."""
-        return self.coord == 0
-
 
 def from_omega(omega) -> Frequency:
+    """The frequency of omega, with Re omega folded into [0, 1).
+
+    Raises ``ValueError`` naming omega unless it is finite with
+    2 pi |Im omega| <= ``EXP_CAP``: past the cap q or 1/q overflows, and at
+    the chart poles q = 0, infinity no shift multiplier exists.
+    """
     om = complex(omega)
-    if cmath.isnan(om) or math.isinf(om.real):
-        raise ValueError(
-            f"omega must have no NaN part and a finite real part, got {om}")
-    if math.isinf(om.imag):
-        if om.imag > 0:
-            return Frequency(complex(0.0, math.inf), 0j, "inner", math.inf, 0j)
-        return Frequency(complex(0.0, -math.inf), complex(math.inf, 0.0),
-                         "outer", -math.inf, 0j)
+    if not (cmath.isfinite(om) and _TWO_PI * abs(om.imag) <= EXP_CAP):
+        raise ValueError(f"omega must be finite with 2 pi |Im omega| <= "
+                         f"{EXP_CAP:g}, got {om}")
     om = complex(om.real % 1.0, om.imag)
     log_scale = _TWO_PI * om.imag
     if om.imag >= 0:
         coord = cmath.exp(2j * math.pi * om)      # |coord| = e^{-2 pi Im} <= 1
         return Frequency(om, coord, "inner", log_scale, coord)
     coord = cmath.exp(-2j * math.pi * om)         # |coord| = e^{2 pi Im} < 1
-    try:
-        q = 1.0 / coord
-    except ZeroDivisionError:  # coord underflows to 0 at Im omega <~ -118.5
-        q = complex(math.inf, 0.0)
-    return Frequency(om, q, "outer", log_scale, coord)
+    return Frequency(om, 1.0 / coord, "outer", log_scale, coord)
 
 
 def from_q(q) -> Frequency:
+    """The frequency of the multiplier q; ``ValueError`` naming q at q = 0,
+    at an infinite or NaN q, and where |log |q|| passes ``EXP_CAP``."""
     qq = complex(q)
-    if cmath.isnan(qq):
-        raise ValueError(f"q must have no NaN part, got {qq}")
-    if qq == 0:
-        return from_omega(complex(0.0, math.inf))
-    if math.isinf(abs(qq)):
-        return from_omega(complex(0.0, -math.inf))
-    re = cmath.phase(qq) / _TWO_PI
-    im = -math.log(abs(qq)) / _TWO_PI
-    return from_omega(complex(re, im))
+    try:
+        return from_omega(complex(cmath.phase(qq) / _TWO_PI,
+                                  -math.log(abs(qq)) / _TWO_PI))
+    except (ValueError, OverflowError):  # log 0, abs overflow, from_omega
+        raise ValueError(f"q must be nonzero and finite with |log |q|| <= "
+                         f"{EXP_CAP:g}, got {qq}") from None
 
 
 def reflected(freq: Frequency) -> Frequency:
@@ -126,9 +120,6 @@ def lambda_k(freq: Frequency, k: int) -> complex:
     k = int(k)
     if k == 0:
         raise ValueError("lambda_k is undefined at k = 0")
-    if freq.is_pole:
-        at_zero = -1.0 + 0.0j if k > 0 else 0.0 + 0.0j
-        return at_zero if freq.chart == "inner" else (-1.0 - at_zero)
     om = freq.omega
     direct = k * om.imag >= 0
     w = cmath.exp((2j if direct else -2j) * math.pi * k * om)
@@ -139,8 +130,8 @@ def lambda_k(freq: Frequency, k: int) -> complex:
 
 
 def lambda_table(freq: Frequency, N: int) -> np.ndarray:
-    """``lambda_k`` for k = -N..N in one pass, 0 at k = 0: the same branches,
-    pole values and ``ResonanceError`` (at the smallest vanishing |k| > 0)."""
+    """``lambda_k`` for k = -N..N in one pass, 0 at k = 0: the same branches
+    and ``ResonanceError`` (at the smallest vanishing |k| > 0)."""
     table, k = lambda_pass(freq, N)
     if k:
         raise resonance_error(k, freq.omega)
@@ -152,9 +143,6 @@ def lambda_pass(freq: Frequency, N: int) -> tuple[np.ndarray, int]:
     vanished, and the smallest such |k| (0 if none)."""
     ks = np.arange(-N, N + 1)
     table = np.zeros(2 * N + 1, dtype=np.complex128)
-    if freq.is_pole:  # -1 on the side where q^k vanishes, 0 on the other
-        table[ks > 0 if freq.chart == "inner" else ks < 0] = -1.0
-        return table, 0
     om = freq.omega
     direct = ks * om.imag >= 0
     w = np.exp(np.where(direct, 2j * math.pi, -2j * math.pi) * ks * om)
@@ -233,8 +221,8 @@ class DiophantineClass:
                     f"{name} must be finite, got {getattr(self, name)}")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-        if self.m_max < 2:
-            raise ValueError("m_max must be at least 2")
+        if not (type(self.m_max) is int and self.m_max >= 2):
+            raise ValueError(f"m_max must be an int >= 2, got {self.m_max!r}")
         bound = 2.0 * float(_zeta(1.0 + self.tau))
         if not self.M > bound:
             raise ValueError(
@@ -530,9 +518,7 @@ def in_AMC(omega, cls: DiophantineClass) -> bool:
 
 
 def in_KM(freq: Frequency, cls: DiophantineClass) -> bool:
-    """Membership of the multiplier in the sphere-side set (poles included)."""
-    if freq.is_pole:
-        return True
+    """Membership of the multiplier in the sphere-side set."""
     return in_AMC(freq.omega, cls)
 
 

@@ -53,16 +53,20 @@ def encode(obj):
     return obj
 
 
+def _is_number(x) -> bool:
+    """An int or a float; a bool is an int, but no coefficient."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def to_complex(entries) -> np.ndarray:
     """complex128 array from a list of numbers and [re, im] pairs, bit-exact."""
     if not isinstance(entries, list):
         raise ValueError("expected a list of numbers or [re, im] pairs")
     pairs = []
     for e in entries:
-        if isinstance(e, (int, float)):
+        if _is_number(e):
             pairs.append((e, 0.0))
-        elif (isinstance(e, list) and len(e) == 2
-              and all(isinstance(x, (int, float)) for x in e)):
+        elif isinstance(e, list) and len(e) == 2 and all(map(_is_number, e)):
             pairs.append(e)
         else:
             raise ValueError("series entries must be numbers or [re, im] pairs")

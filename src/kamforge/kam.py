@@ -75,7 +75,6 @@ from .operators import (
     SHIFT_PLUS,
     apply,
     max_divisor_magnitude,
-    refuse_shift,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -220,7 +219,6 @@ def linearized_solve(A: FourierSeries, E: FourierSeries,
     |a a| <= ``AMIN_FLOOR``; mu0 = 0, and at a = 1 w is the grid's bit for bit.
     """
     if A.N == 0:
-        refuse_shift(freq, 0)  # a chart pole, as A+ would refuse it
         a = complex(A.coeffs[0])
         refuse_grid_min(abs(a * a))
         alpha = FourierSeries._of(np.array([1.0 / (a * a)]))
@@ -364,8 +362,7 @@ def _iterate(f: FourierSeries, freq: Frequency, eps: complex,
     is, and stays honest off the unit circle, where the raw error routes
     round-off through exponentially large multipliers (on the circle the
     two differ by a factor at most ||delta|| <= 4).  A cold start (no
-    ``config.seed``) takes at least one step before the defect may accept,
-    and a chart pole, with no shift multipliers, is refused before any step.
+    ``config.seed``) takes at least one step before the defect may accept.
     Raises ``DivergenceError`` when a defect grows ``DIVERGENCE_FACTOR``-fold
     and ``NoConvergenceError`` after ``budget`` steps (the expected failure
     near resonances, where no analytic curve exists).  Any ``KamforgeError``
@@ -384,7 +381,6 @@ def _iterate(f: FourierSeries, freq: Frequency, eps: complex,
     tails: list[float] = []
     t_tail = 0.0
     try:
-        refuse_shift(freq, 0)  # a chart pole, before the first composition
         for it in range(budget + 1):
             comp, crep = compose_id_plus(f, u)
             tails.append(crep.aliasing_tail)
@@ -453,8 +449,6 @@ def dynamical_residual(curve: InvariantCurve, grid_n: int = 1024) -> float:
     """
     freq = curve.freq
     om = freq.omega
-    if not math.isfinite(om.imag):
-        raise ValueError("dynamical residual undefined at the chart poles")
     if not (type(grid_n) is int and grid_n >= 1):
         raise ValueError(f"grid_n must be an int >= 1, got {grid_n!r}")
     theta = np.arange(grid_n) / grid_n

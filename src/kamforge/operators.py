@@ -19,11 +19,12 @@ factors; e_q is assembled as gamma * gamma_minus, both factors bounded.
 Every table of a frequency is a slice of one set per frequency
 (``_FrequencyTables``), bit for bit the vector a build at the requested
 cutoff N gives, with the refusals at that N: the shift guard
-2 pi N |Im omega|, ``ResonanceError`` at the smallest vanishing k <= N, and
-the poles.  ``_frequency_tables``, a functools cache of the last two
-frequencies' sets, is the one cache on the solver path: ``apply`` multiplies
-by read-only views of them.  ``multiplier_table``, the public accessor whose
-functools cache perfbench reads, keeps read-only copies of slices.
+2 pi N |Im omega| <= ``EXP_CAP`` and ``ResonanceError`` at the smallest
+vanishing k <= N (no frequency is a pole: ``from_omega`` refuses them).
+``_frequency_tables``, a functools cache of the last two frequencies' sets,
+is the one cache on the solver path: ``apply`` multiplies by read-only
+views of them.  ``multiplier_table``, the public accessor whose functools
+cache perfbench reads, keeps read-only copies of slices.
 """
 
 from __future__ import annotations
@@ -92,8 +93,9 @@ class _FrequencyTables:
     def table(self, N: int, kind: MultiplierKind) -> np.ndarray:
         """The kind's vector for k = -N..N, a view of its full-width table."""
         shift = kind in _SHIFT_KINDS
-        if shift:
-            refuse_shift(self.freq, N)
+        if shift:  # OverflowRiskError if some q^k, |k| <= N, would overflow
+            check_exponent(_TWO_PI * N * abs(self.freq.omega.imag), "shift",
+                           cutoff=N)
         if N > self.width.get(shift, -1):
             self._build(shift, N)
         if not shift and 0 < self.vanished <= N:
@@ -133,22 +135,6 @@ def _derive(kinds: dict, kind: MultiplierKind) -> np.ndarray:
     gamma = kinds[GAMMA]
     minus = -gamma[::-1]
     return {GAMMA_MINUS: minus, E_Q: gamma * minus}[kind]
-
-
-def refuse_shift(freq: Frequency, N: int) -> None:
-    """OverflowRiskError if some q^k, |k| <= N, would overflow.
-
-    A finite omega reads as a pole once its chart coordinate underflows
-    (|Im omega| past about 119); there q^{+-1} already overflow, so the
-    exponent 2 pi |Im omega| is named against the cap.
-    """
-    if freq.is_pole:
-        if math.isfinite(freq.omega.imag):
-            check_exponent(_TWO_PI * abs(freq.omega.imag), "shift", cutoff=N)
-        raise OverflowRiskError(
-            "shift multipliers are undefined at the chart poles q = 0, infinity"
-        )
-    check_exponent(_TWO_PI * N * abs(freq.omega.imag), "shift", cutoff=N)
 
 
 @lru_cache(maxsize=2)

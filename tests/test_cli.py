@@ -165,12 +165,13 @@ def test_inline_coefficient_forcing(tmp_path):
     assert a["u"] == b["u"]
 
 
-@pytest.mark.parametrize("forcing", ["[[1, 2, 3]]", "[1, 2]"])
+@pytest.mark.parametrize("forcing", ["[[1, 2, 3]]", "[1, 2]", "[true, 0, true]",
+                                     "[[1, false], 0, 1]"])
 def test_malformed_inline_forcing_exits_2(tmp_path, forcing):
     r = run_cli(["solve", "--omega", str(GOLDEN), "--f", forcing,
                  "--out", "bad.json"], tmp_path)
     assert r.returncode == 2, r.stderr
-    assert r.stderr.startswith("error:")
+    assert r.stderr.startswith(f"error: --f {forcing!r}: ")
     assert "Traceback" not in r.stderr
 
 
@@ -496,19 +497,29 @@ def test_solve_far_off_the_circle_steps_from_a_cold_start(tmp_path, im):
     assert d["dynamical_residual"] < 1e-10
 
 
+def assert_exits_2_naming(r, tmp_path, out, named):
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ") and named in r.stderr, r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / out).exists()
+
+
 @pytest.mark.parametrize("im", ["115", "200", "-200"])
 def test_solve_past_the_exponent_cap_names_it(tmp_path, im):
+    # 2 pi |Im omega| > 700: no frequency is made, so nothing is solved
     r = run_cli(["solve", "--omega", "0.3", "--omega-im", im, "--eps", "0.01",
                  "--out", "c.json"], tmp_path)
-    assert r.returncode == 1, r.stderr
-    err = json.loads(r.stdout)["error"]
-    assert err["type"] == "OverflowRiskError"
-    assert "shift exponent" in err["message"]
-    assert err["diagnostics"]["exponent"] == pytest.approx(
-        2.0 * math.pi * abs(float(im)))
-    assert err["diagnostics"]["cap"] == 700.0
-    assert "Traceback" not in r.stderr
-    assert json.loads((tmp_path / "c.json").read_text())["error"] == err
+    assert_exits_2_naming(r, tmp_path, "c.json",
+                          f"2 pi |Im omega| <= 700, got (0.3{float(im):+g}j)")
+
+
+def test_sweep_past_the_exponent_cap_exits_2_before_any_solve(tmp_path):
+    r = run_cli(["sweep", "--omega-min", "0.3", "--omega-max", "0.3",
+                 "--omega-n", "1", "--im-min", "0.01", "--im-max", "200",
+                 "--im-n", "2", "--out", "s.jsonl"], tmp_path)
+    assert_exits_2_naming(r, tmp_path, "s.jsonl",
+                          "2 pi |Im omega| <= 700, got (0.3+200j)")
+    assert "sweep:" not in r.stdout
 
 
 def test_picard_budget_failure_keeps_its_history(monkeypatch):
@@ -580,31 +591,26 @@ def test_crosscheck_repeated_method_exits_2(tmp_path):
     assert not (tmp_path / "cc.json").exists()
 
 
-def test_picard_at_the_chart_pole_exits_1_with_the_error_json(tmp_path):
-    # the curve's v = nabla_minus u needs the shift multipliers, which q = 0
-    # does not have: the solve ends in the typed error, not in a curve
-    r = run_cli(["solve", "--q-re", "0", "--method", "picard",
-                 "--out", "p.json"], tmp_path)
-    assert r.returncode == 1, r.stderr
-    assert "Traceback" not in r.stderr
-    err = json.loads(r.stdout)["error"]
-    assert err["type"] == "OverflowRiskError"
-    assert "chart poles" in err["message"]
-    assert json.loads((tmp_path / "p.json").read_text())["error"] == err
+@pytest.mark.parametrize("args", [["solve", "--method", "picard"],
+                                  ["crosscheck"]], ids=["solve-picard",
+                                                        "crosscheck"])
+def test_a_chart_pole_exits_2_naming_q(tmp_path, args):
+    # q = 0 has no shift multipliers: no frequency is made there
+    r = run_cli([*args, "--q-re", "0", "--out", "p.json"], tmp_path)
+    assert_exits_2_naming(r, tmp_path, "p.json",
+                          "q must be nonzero and finite with |log |q|| <= 700, "
+                          "got 0j")
 
 
-def test_picard_past_the_double_range_of_q_exits_1_like_newton(tmp_path):
-    # |q| = e^754 has no double: Picard refuses it with the typed error that
-    # Newton gives at the same omega, and writes its error JSON
+def test_picard_past_the_double_range_of_q_exits_2_like_newton(tmp_path):
+    # |q| = e^754 has no double: both methods meet the one refusal
     errors = {}
     for method in ("newton", "picard"):
         r = run_cli(["solve", "--omega", "0.3", "--omega-im", "-120",
                      "--method", method, "--out", f"{method}.json"], tmp_path)
-        assert r.returncode == 1, r.stderr
-        assert "Traceback" not in r.stderr
-        errors[method] = json.loads((tmp_path / f"{method}.json").read_text())["error"]
-    assert errors["picard"]["type"] == errors["newton"]["type"] == "OverflowRiskError"
-    assert errors["picard"]["message"] == errors["newton"]["message"]
+        assert_exits_2_naming(r, tmp_path, f"{method}.json", "got (0.3-120j)")
+        errors[method] = r.stderr
+    assert errors["picard"] == errors["newton"]
 
 
 def test_verify_invariants_suite(tmp_path):

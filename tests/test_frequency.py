@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import hashlib
 import math
+import re
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -67,13 +68,36 @@ def test_q_roundtrip():
     assert abs(freq2.q - freq.q) < 1e-15
 
 
-@pytest.mark.parametrize("freq", [from_omega(0.3 - 120j), from_q(math.inf)],
-                         ids=["coord-underflow", "q-inf"])
-def test_the_outer_pole_has_q_inf(freq):
-    # at Im omega <~ -118.5 the outer coordinate e^{2 pi Im omega} underflows
-    # to 0, so from_omega lands on the pole q = inf like from_q(inf)
-    assert freq.chart == "outer" and freq.is_pole
-    assert freq.coord == 0 and freq.q == complex(math.inf, 0.0)
+CAP_IM = frequency.EXP_CAP / (2.0 * math.pi)   # the largest |Im omega|
+
+
+@pytest.mark.parametrize("im", [
+    math.inf, -math.inf, 120.0, -120.0, 200.0, -200.0, 1e300,
+    pytest.param(CAP_IM * (1.0 + 1e-12), id="cap-above"),
+    pytest.param(-CAP_IM * (1.0 + 1e-12), id="cap-below")])
+def test_from_omega_refuses_the_poles_and_past_the_cap(im):
+    # q^{+-1} = e^{-+2 pi i omega} exist only for 2 pi |Im omega| <= EXP_CAP,
+    # so no frequency, and no shift multiplier, is made past it
+    with pytest.raises(ValueError, match=r"^omega must be finite with "
+                                         r"2 pi \|Im omega\| <= 700, got"):
+        from_omega(complex(0.3, im))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_from_omega_accepts_the_cap(sign):
+    freq = from_omega(complex(0.3, sign * CAP_IM * (1.0 - 1e-12)))
+    assert freq.chart == ("inner" if sign > 0 else "outer")
+    assert cmath.isfinite(freq.q) and freq.q != 0
+    assert cmath.isfinite(freq.coord) and 0.0 < abs(freq.coord) < 1e-303
+
+
+@pytest.mark.parametrize("q", [0.0, -0.0j, math.inf, complex(0.0, -math.inf),
+                               math.nan, complex(0.3, math.nan), 1e-305,
+                               1e305, complex(1.5e308, 1.5e308)])
+def test_from_q_refuses_the_poles_and_past_the_cap_naming_q(q):
+    with pytest.raises(ValueError, match=r"^q must be nonzero and finite .*, "
+                                         rf"got {re.escape(str(complex(q)))}$"):
+        from_q(q)
 
 
 def test_reflection_conjugates_omega():
@@ -144,8 +168,6 @@ def vanishes(freq, k):
        im=st.one_of(st.just(0.0), st.floats(-40.0, 40.0)),
        N=st.integers(0, 200))
 @example(re=0.0, im=0.0, N=3)           # omega = 0: every divisor vanishes
-@example(re=0.3, im=math.inf, N=5)      # the pole q = 0
-@example(re=0.3, im=-math.inf, N=5)     # the pole q = infinity
 def test_lambda_table_matches_scalar_reference(re, im, N):
     freq = from_omega(complex(re, im))
     if any(vanishes(freq, k) for k in range(-N, N + 1) if k):
@@ -158,8 +180,6 @@ def test_lambda_table_matches_scalar_reference(re, im, N):
     table = lambda_table(freq, N)
     assert table.shape == (2 * N + 1,)
     assert table[N] == 0.0
-    if freq.is_pole:
-        assert table.tobytes() == ref.tobytes()
     assert np.all(np.abs(table - ref) <= 4e-16 * np.abs(ref))
 
 
@@ -266,6 +286,16 @@ def test_admissibility_gate():
         DiophantineClass(6.0, -0.1, 100)
     c = DiophantineClass(5.3, 0.5, 100)   # just admissible
     assert c.measure_bound() < 1.0
+
+
+@pytest.mark.parametrize("m_max", [200.5, 200.0, True, np.int64(200), "200",
+                                   1, -5], ids=["200.5", "200.0", "True",
+                                                "np.int64", "str", "1", "-5"])
+def test_m_max_must_be_an_int_of_at_least_2(m_max):
+    # the sieve behind dist_to_AMR counts to m_max: a float would fail there
+    got = re.escape(repr(m_max))
+    with pytest.raises(ValueError, match=rf"^m_max must be an int >= 2, got {got}$"):
+        DiophantineClass(6.0, 0.5, m_max)
 
 
 @pytest.mark.parametrize("name", ["M", "tau"])

@@ -122,7 +122,8 @@ def test_to_complex_round_trips_bit_for_bit():
 
 
 @pytest.mark.parametrize("bad", [[[1, 2, 3]], [[1]], ["1"], [[1, "a"]],
-                                 [None], 5, {"N": 0}])
+                                 [None], 5, {"N": 0}, [True], [0.5, False],
+                                 [[1.0, True]], [[False, 0.5]]])
 def test_to_complex_rejects_malformed_entries(bad):
     with pytest.raises(ValueError):
         jsonio.to_complex(bad)
