@@ -268,6 +268,15 @@ def test_a_constant_A_keeps_both_refusals(no_grid, a, message, keys):
         assert caught.value.diagnostics["floor"] == AMIN_FLOOR
 
 
+@pytest.mark.parametrize("im", [math.inf, -math.inf])
+def test_a_constant_A_at_a_chart_pole_is_refused(im):
+    # no frequency exists at a chart pole, so neither solve route is reached
+    with pytest.raises(ValueError, match=r"^omega must be finite with "):
+        freq = from_omega(complex(0.3, im))
+        for solve in (linearized_solve, grid_route):
+            solve(FourierSeries.constant(1.0), 0.05 * FourierSeries.cos(), freq)
+
+
 @pytest.mark.parametrize("Nu,Nt", [(0, 4), (3, 10), (10, 3), (5, 5)])
 def test_the_defect_is_the_sup_of_the_gauge_fixed_difference(Nu, Nt):
     # formed in one widened pass, it equals the series arithmetic exactly

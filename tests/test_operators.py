@@ -169,6 +169,13 @@ def test_apply_is_linear():
     assert sup_norm(out - expected) < 1e-13 * max(sup_norm(expected), 1.0)
 
 
+@pytest.mark.parametrize("im", [math.inf, -math.inf])
+def test_shift_at_the_poles_is_undefined(im):
+    # q^{+-1} do not exist there, so no frequency to shift by is made
+    with pytest.raises(ValueError, match=r"^omega must be finite with "):
+        apply(SHIFT_PLUS, FourierSeries.cos(), from_omega(complex(0.3, im)))
+
+
 # ---------------------------------------------------------------------------
 # the per-frequency tables behind multiplier_table
 
