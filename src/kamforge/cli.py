@@ -100,13 +100,6 @@ def _error_payload(exc: Exception) -> dict:
 # solve
 
 
-def _solve_with_method(f, freq, eps, cfg: SolverConfig, method: str,
-                       dioph=None) -> InvariantCurve:
-    if method == "picard":
-        return _picard_curve(f, freq, eps, cfg)
-    return solve_curve(f, freq, eps, cfg, dioph=dioph)
-
-
 def _write_csv(path: str, curve: InvariantCurve, grid_n: int) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -122,9 +115,9 @@ def cmd_solve(args) -> int:
         dioph = DiophantineClass(args.M, args.tau, args.mmax)
     cfg = SolverConfig(cutoff=args.modes, tol=args.tol,
                        max_iters=args.max_iters)
+    solve = _picard_curve if args.method == "picard" else solve_curve
     t0 = time.perf_counter()
-    curve = _solve_with_method(f, freq, complex(args.eps, args.eps_im),
-                               cfg, args.method, dioph=dioph)
+    curve = solve(f, freq, complex(args.eps, args.eps_im), cfg, dioph)
     secs = time.perf_counter() - t0
     dyn = dynamical_residual(curve, 1024)
     for i, r in enumerate(curve.report.residual_history):
@@ -157,7 +150,8 @@ def _sweep_point(task) -> dict:
     }
     cfg = SolverConfig(cutoff=modes, tol=tol, max_iters=max_iters)
     try:
-        curve = _solve_with_method(f, freq, eps, cfg, method)
+        solve = _picard_curve if method == "picard" else solve_curve
+        curve = solve(f, freq, eps, cfg)
         dyn = dynamical_residual(curve, 512)
         rec["status"] = "converged"
         rec["iterations"] = curve.report.iterations
@@ -306,8 +300,11 @@ def cmd_taylor0(args) -> int:
     eps = complex(args.eps, args.eps_im)
     data = taylor0_recursion(f, eps, N_q=args.orders)
     payload = {"data": jsonio.encode(data)}
-    if q is not None:
-        u, info = taylor0_eval(data, q, with_info=True)
+    if q is None:
+        first, last = sup_norm(data.orders[0]), sup_norm(data.orders[-1])
+    else:
+        u, info = taylor0_eval(data, q)
+        first, last = info["order_norms"][0], info["order_norms"][-1]
         payload["eval"] = jsonio.encode({
             "q": q,
             "u": u,
@@ -318,10 +315,8 @@ def cmd_taylor0(args) -> int:
         print(f"order-{args.orders} evaluation at q = {q}: "
               f"sup norm {sup_norm(u):.6e}, "
               f"last term {info['last_term']:.3e}")
-    order_norms = [sup_norm(un) for un in data.orders]
-    print(f"computed {len(data.orders)} orders; "
-          f"||u_1|| = {order_norms[0]:.3e}, "
-          f"||u_{len(order_norms)}|| = {order_norms[-1]:.3e}")
+    print(f"computed {len(data.orders)} orders; ||u_1|| = {first:.3e}, "
+          f"||u_{len(data.orders)}|| = {last:.3e}")
     jsonio.dump_path(payload, args.out)
     print(f"wrote {args.out}")
     return 0

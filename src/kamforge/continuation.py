@@ -13,7 +13,7 @@ eps f_{+-n} — which is what makes the "inverse scattering" readout of f
 from the solution family possible.  Cross-checking these against the
 Newton solver (which does not need |q| != 1) is the practical meaning of
 analytic continuation through the circle: all three must agree wherever
-two of them are defined.
+two of them are defined, and each method says itself where it is not.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .fourier import (
     finite_scalar,
     sup_norm,
 )
-from .frequency import Frequency, reflected
+from .frequency import DiophantineClass, Frequency, reflected
 from .kam import (InvariantCurve, SolverConfig, _iterate, dynamical_residual,
                   solve_curve)
 
@@ -73,12 +73,13 @@ def picard_solve(f: FourierSeries, freq: Frequency, eps,
                  config: SolverConfig | None = None):
     """Iterate u <- eps E_q(f(id + u)) to its fixed point.
 
-    Runs ``kam._iterate`` with this map as the step, so it honours
-    ``config.seed``, records the gauge-fixed defect (for the zero-mean
-    iterates, the next sup-difference) and raises Newton's errors, with
-    ``q_modulus`` as their entry diagnostics.  Returns ``(u, SolveReport)``
-    with u of zero mean; ``report.beta`` is the mean defect eps <f(id+u)>,
-    an exact zero at the fixed point, so its size measures truncation only.
+    Runs ``kam._iterate`` with this map as the step, so it opens as Newton
+    does, honours ``config.seed``, records the gauge-fixed defect (for the
+    zero-mean iterates, the next sup-difference) and raises Newton's
+    errors, with ``q_modulus`` as their entry diagnostics.  Returns ``(u,
+    SolveReport)`` with u of zero mean; ``report.beta`` is the mean defect
+    eps <f(id+u)>, an exact zero at the fixed point, so its size measures
+    truncation only.
     Requires | |q| - 1 | >= ``PICARD_MARGIN`` or a gap ``math.isclose`` to
     it (|q| = 0.95 rounds to either side with its phase), and takes at most
     ``PICARD_MAX_ITERS`` steps.
@@ -88,11 +89,10 @@ def picard_solve(f: FourierSeries, freq: Frequency, eps,
 
 
 def _picard_curve(f: FourierSeries, freq: Frequency, eps,
-                  config: SolverConfig | None = None) -> InvariantCurve:
-    """``picard_solve``'s whole curve, v and the forcing included.  |q| is
+                  config: SolverConfig | None = None,
+                  dioph: DiophantineClass | None = None) -> InvariantCurve:
+    """``picard_solve``'s whole curve, on ``solve_curve``'s arguments.  |q| is
     finite and nonzero: ``from_omega`` keeps |log_scale| <= ``EXP_CAP``."""
-    config = config or SolverConfig()
-    eps = finite_scalar(eps, "eps")
     modulus = math.exp(-freq.log_scale)
     gap = abs(modulus - 1.0)
     if gap < PICARD_MARGIN and not math.isclose(gap, PICARD_MARGIN):
@@ -100,8 +100,8 @@ def _picard_curve(f: FourierSeries, freq: Frequency, eps,
             f"|q| = {modulus:.6g} is within {PICARD_MARGIN} of the unit "
             "circle; the Picard contraction is not certified there"
         )
-    return _iterate(f, freq, eps, config,
-                    lambda u, comp, target: target,
+    return _iterate(f, freq, eps, config, dioph,
+                    lambda u, comp, target, _: target,
                     PICARD_MAX_ITERS, "picard", {"q_modulus": modulus})
 
 
@@ -157,15 +157,15 @@ def taylor0_recursion(f: FourierSeries, eps, N_q: int = 40) -> QTaylorData:
     return QTaylorData(eps=eps, f_ref=f, orders=orders)
 
 
-def taylor0_eval(data: QTaylorData, q, with_info: bool = False):
-    """Partial sum sum_n q^n u_n over the available orders.
+def taylor0_eval(data: QTaylorData, q):
+    """Partial sum sum_n q^n u_n over the available orders, with its decay.
 
-    The sum accumulates in one array at the widest cutoff; a term's norm is
-    |q^n| sup|u_n|, one ``sup_norm`` per order.  Warns when the term
-    magnitudes stop decaying (the partial sums are then not Cauchy at this
-    q).  With ``with_info=True`` also returns the term norms, the last-term
-    truncation indicator, and the root-test line |u_n|^(1/n) — reported
-    without any threshold.
+    Returns ``(u, info)``; u accumulates in one array at the widest cutoff.
+    ``info`` holds the ``term_norms`` |q^n| sup|u_n|, the ``order_norms``,
+    the ``last_term``, the root-test line |u_n|^(1/n) (with no threshold),
+    and ``decaying``: False, with a ``RuntimeWarning``, when the last of six
+    or more terms exceeds 1e-15 of the largest and 0.9 of the term five
+    orders before it (the partial sums are then not Cauchy at this q).
     """
     qq = complex(q)
     if not abs(qq) < 1.0:  # refuses a NaN q too
@@ -182,28 +182,25 @@ def taylor0_eval(data: QTaylorData, q, with_info: bool = False):
         order_norms.append(sup_norm(un))
         term_norms.append(abs(qn) * order_norms[-1])
     last = term_norms[-1] if term_norms else 0.0
-    scale = max(term_norms) if term_norms else 0.0
-    if len(term_norms) >= 6 and scale > 0:
-        head = term_norms[-6]
-        if last > 1e-15 * scale and head > 0 and last > 0.9 * head:
-            warnings.warn(
-                f"Taylor partial sums not decaying at q = {qq:.4g} "
-                f"(last term {last:.3e})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    acc = FourierSeries._of(acc)
-    if not with_info:
-        return acc
+    head = term_norms[-6] if len(term_norms) >= 6 else 0.0
+    decaying = not (head > 0 and last > 0.9 * head
+                    and last > 1e-15 * max(term_norms))
+    if not decaying:
+        warnings.warn(
+            f"Taylor partial sums not decaying at q = {qq:.4g} "
+            f"(last term {last:.3e})",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     root_test = [nn ** (1.0 / n) if nn > 0 else 0.0
                  for n, nn in enumerate(order_norms, start=1)]
-    info = {
+    return FourierSeries._of(acc), {
         "last_term": last,
         "term_norms": term_norms,
         "order_norms": order_norms,
         "root_test": root_test,
+        "decaying": decaying,
     }
-    return acc, info
 
 
 def inverse_scattering(data: QTaylorData) -> FourierSeries:
@@ -237,16 +234,21 @@ def crosscheck(f: FourierSeries, freq: Frequency, eps,
     """Run the requested solvers at one (q, eps) and compare them pairwise.
 
     Methods whose preconditions fail are recorded as skipped with a notice
-    (Picard on the unit circle, Taylor-at-0 outside |q| < 1); solver errors
-    are recorded as failed, with their diagnostics.  A non-finite eps, an
-    empty ``methods``, a name outside ``CROSSCHECK_METHODS``, a repeated
-    name, or ``taylor0`` with ``n_taylor`` outside [1, ``TAYLOR_ORDER_CAP``]
-    raises ``ValueError`` before any solve.  Every method returns a
-    zero-mean u, so the solutions are compared as they are.  Returns a
-    report dict with per-method status and pairwise sup-norm differences.
+    (Picard on the unit circle, Taylor-at-0 outside |q| < 1, or with terms
+    not decaying: the last term is in the note, and in an ok record's
+    ``last_term``); solver errors are recorded as failed, with their
+    diagnostics.  A non-finite eps, a bare string, an empty ``methods``, a
+    name outside ``CROSSCHECK_METHODS``, a repeated name, or ``taylor0``
+    with ``n_taylor`` outside [1, ``TAYLOR_ORDER_CAP``] raises
+    ``ValueError`` before any solve.  Every method returns a zero-mean u,
+    so the ok solutions are compared as they are.  Returns a report dict
+    with per-method status and pairwise sup-norm differences.
     """
     config = config or SolverConfig()
     eps = finite_scalar(eps, "eps")
+    if isinstance(methods, str):
+        raise ValueError(f"methods must be a sequence of names, got the "
+                         f"string {methods!r}; write ({methods!r},)")
     unknown = [m for m in methods if m not in CROSSCHECK_METHODS]
     if unknown or not methods:
         what = f"unknown methods {unknown}" if unknown else "no methods given"
@@ -289,8 +291,13 @@ def crosscheck(f: FourierSeries, freq: Frequency, eps,
                 data = taylor_data
                 if data is None or data.f_ref is not f or data.eps != eps:
                     data = taylor0_recursion(f, eps, N_q=n_taylor)
-                solutions[name] = taylor0_eval(data, freq.coord)
-                status[name] = {"status": "ok", "orders": len(data.orders)}
+                u, info = taylor0_eval(data, freq.coord)
+                if not info["decaying"]:
+                    raise ValueError("taylor0 partial sums not decaying, "
+                                     f"last term {info['last_term']:.3e}")
+                solutions[name] = u
+                status[name] = {"status": "ok", "orders": len(data.orders),
+                                "last_term": info["last_term"]}
         except ValueError as exc:
             status[name] = {"status": "skipped", "note": str(exc)}
         except KamforgeError as exc:

@@ -25,8 +25,9 @@ each step, and a ``DIVERGENCE_FACTOR`` (10x) residual-growth safeguard.
 Each iterate is truncated to the cutoff and coefficients below
 ``fourier.CLAMP_REL`` times the largest are dropped.
 
-``continuation.picard_solve`` runs the same loop, ``_iterate``, with the
-Picard step u -> eps E_q f(id+u); the loop writes every failure's record.
+``continuation.picard_solve`` runs the same solve, ``_iterate``, with the
+Picard step u -> eps E_q f(id+u); ``_iterate`` opens both methods alike
+(eps, the forcing's mean, ``in_KM``) and writes every failure's record.
 """
 
 from __future__ import annotations
@@ -112,6 +113,9 @@ class SolverConfig:
         if not (type(self.cutoff) is int and 1 <= self.cutoff <= HARD_CAP):
             raise ValueError(f"cutoff must be an int in [1, {HARD_CAP}], "
                              f"got {self.cutoff!r}")
+        if not (self.seed is None or isinstance(self.seed, FourierSeries)):
+            raise ValueError("seed must be a FourierSeries or None, "
+                             f"got a {type(self.seed).__name__}")
 
 
 @dataclass
@@ -317,44 +321,26 @@ def solve_curve(f: FourierSeries, freq: Frequency, eps,
                 dioph: DiophantineClass | None = None) -> InvariantCurve:
     """Newton iteration from u = 0 (or ``config.seed``), then normalization.
 
-    Warns when the forcing has a mean, and when omega lies outside a given
-    ``dioph`` class (``in_KM`` then opens the diagnostics).  The loop, its
-    stopping rule, its errors and the normalization are ``_iterate``'s,
-    with ``newton_step`` as the step and ``config.max_iters`` as the budget.
+    The entry checks, the loop, its stopping rule, its errors and the
+    normalization are ``_iterate``'s, with ``newton_step`` as the step and
+    ``config.max_iters`` as the budget.
     """
-    config = config or SolverConfig()
-    eps = finite_scalar(eps, "eps")
-    diagnostics: dict = {}
-    if dioph is not None:
-        member = in_KM(freq, dioph)
-        diagnostics["in_KM"] = member
-        if not member:
-            warnings.warn(
-                "frequency lies outside the truncated Diophantine set; "
-                "convergence is not covered by the certified regime",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    fmean = abs(mean(f))  # the scale max(sup|f|, 1) is >= 1: no FFT below 1e-13
-    if fmean > 1e-13 and fmean > 1e-13 * max(sup_norm(f), 1.0):
-        warnings.warn(
-            f"forcing has mean {fmean:.3e}; the invariance equation is "
-            "obstructed at first order",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
-    return _iterate(f, freq, eps, config,
-                    lambda u, comp, _: newton_step(u, comp, freq, eps),
-                    config.max_iters, "newton", diagnostics)
+    return _iterate(f, freq, eps, config, dioph,
+                    lambda u, comp, _, eps: newton_step(u, comp, freq, eps),
+                    None, "newton", {})
 
 
-def _iterate(f: FourierSeries, freq: Frequency, eps: complex,
-             config: SolverConfig, step, budget: int, method: str,
+def _iterate(f: FourierSeries, freq: Frequency, eps,
+             config: SolverConfig | None, dioph: DiophantineClass | None,
+             step, budget: int | None, method: str,
              diagnostics: dict) -> InvariantCurve:
-    """The solve loop of every method: iterate, stop, normalize, report.
+    """The solve of every method: open, iterate, stop, normalize, report.
 
-    ``step(u, comp, target)`` is all a method brings: the next iterate,
+    Every method opens alike: the default ``SolverConfig``, a finite eps, a
+    warning when the forcing has a mean and, for a ``dioph`` class,
+    ``in_KM`` (warning when False) ahead of the method's ``diagnostics``.
+    ``step(u, comp, target, eps)`` and ``budget`` (None for
+    ``config.max_iters``) are all a method brings: the next iterate,
     untruncated, given comp = f(id + u) and target = eps E_q comp, the
     product the defect has just formed and checked.
     The loop stops when the gauge-fixed defect ||(u - <u>) - eps E_q comp||
@@ -375,6 +361,20 @@ def _iterate(f: FourierSeries, freq: Frequency, eps: complex,
     divisors.  The converged u is shifted to exact zero mean by
     u(theta - u0) - u0, which maps solutions to solutions.
     """
+    config = config or SolverConfig()
+    eps = finite_scalar(eps, "eps")
+    if dioph is not None:
+        diagnostics = {"in_KM": in_KM(freq, dioph), **diagnostics}
+        if not diagnostics["in_KM"]:
+            warnings.warn("frequency lies outside the truncated Diophantine "
+                          "set; convergence is not covered by the certified "
+                          "regime", RuntimeWarning, stacklevel=3)
+    fmean = abs(mean(f))  # the scale max(sup|f|, 1) is >= 1: no FFT below 1e-13
+    if fmean > 1e-13 and fmean > 1e-13 * max(sup_norm(f), 1.0):
+        warnings.warn(f"forcing has mean {fmean:.3e}; the invariance equation"
+                      " is obstructed at first order", RuntimeWarning,
+                      stacklevel=3)
+    budget = config.max_iters if budget is None else budget
     cold = config.seed is None
     u = FourierSeries.zero(0) if cold else config.seed
     history: list[float] = []
@@ -398,7 +398,7 @@ def _iterate(f: FourierSeries, freq: Frequency, eps: complex,
                 raise NoConvergenceError(
                     f"no convergence to {config.tol:.1e} within {budget} "
                     f"iterations (last residual {history[-1]:.3e})")
-            u, t_tail = truncate(step(u, comp, target), config.cutoff)
+            u, t_tail = truncate(step(u, comp, target, eps), config.cutoff)
             tails.append(t_tail)
             u = clamp_small(u)
 

@@ -34,6 +34,12 @@ import numpy as np
 from .errors import OverflowRiskError
 from .fourier import FourierSeries, composition_jet
 
+# Largest m and max_order: the tables take m entries and the default order
+# budget is m.  On one core of a shared 2-CPU host, cos at 144/377 takes
+# 4.6 s in float64; at 233/610 the engine overflows at order 384 in float64
+# and the oracle at 391 in long double (after 81 s), so no budget past
+# ~400 orders can finish for cos.
+OBSTRUCTION_ORDER_CAP = 400
 
 @dataclass(frozen=True)
 class RationalFreq:
@@ -161,10 +167,15 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
     ``OverflowRiskError`` naming the order when g_n, or the oracle's
     gamma_n, stops being finite.
 
-    Preconditions: f zero-mean and not identically zero, threshold finite >= 0.
+    Preconditions: f zero-mean and not identically zero, threshold finite >= 0,
+    m and ``max_order`` at most ``OBSTRUCTION_ORDER_CAP``.
     """
     if exactness not in ("float", "extended"):
         raise ValueError("exactness must be 'float' or 'extended'")
+    for name, n in (("m", rf.m), ("max_order", max_order)):
+        if n is not None and n > OBSTRUCTION_ORDER_CAP:
+            raise ValueError(f"{name} = {n} exceeds the order cap "
+                             f"OBSTRUCTION_ORDER_CAP = {OBSTRUCTION_ORDER_CAP}")
     if threshold is not None and not 0.0 <= threshold < math.inf:
         raise ValueError(
             f"threshold must be finite and >= 0, got {threshold!r}")

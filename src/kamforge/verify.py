@@ -135,7 +135,7 @@ def check_three_method_agreement():
     freq = from_q(0.3)
     u_p, _ = picard_solve(f, freq, 0.05)
     data = taylor0_recursion(f, 0.05, N_q=40)
-    u_t = taylor0_eval(data, 0.3)
+    u_t, _ = taylor0_eval(data, 0.3)
     curve = solve_curve(f, freq, 0.05)
     d_pt = sup_norm(u_p - u_t)
     d_pn = sup_norm(u_p - curve.u)
@@ -488,7 +488,7 @@ def check_resonant_forcing():
 def check_taylor_vs_picard():
     f = FourierSeries.cos()
     data = taylor0_recursion(f, 0.05, N_q=40)
-    u_t = taylor0_eval(data, 0.2)
+    u_t, _ = taylor0_eval(data, 0.2)
     u_p, _ = picard_solve(f, from_q(0.2), 0.05)
     d = sup_norm(u_t - u_p)
     return d < 1e-8, f"taylor0(40) vs picard at q=0.2: {d:.2e} (<1e-8)"

@@ -618,3 +618,22 @@ def test_verify_invariants_suite(tmp_path):
     assert r.returncode == 0, r.stdout + r.stderr
     assert "[PASS]" in r.stdout
     assert "[FAIL]" not in r.stdout
+
+
+def test_picard_solve_with_a_diophantine_class_writes_in_KM_first(tmp_path):
+    r = run_cli(["solve", "--q-re", "0.3", "--method", "picard", "--M", "6",
+                 "--out", "p.json"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    d = json.loads((tmp_path / "p.json").read_text())
+    assert list(d["report"]["diagnostics"]) == [
+        "in_KM", "q_modulus", "post_normalization_residual"]
+    assert d["report"]["diagnostics"]["in_KM"] is True
+
+
+def test_obstruction_past_the_order_cap_exits_2(tmp_path):
+    r = run_cli(["obstruction", "--p", "1", "--m", "1000000000",
+                 "--out", "obs.json"], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: m = 1000000000 exceeds")
+    assert "OBSTRUCTION_ORDER_CAP" in r.stderr
+    assert not (tmp_path / "obs.json").exists()

@@ -14,7 +14,7 @@ from kamforge.continuation import (QTaylorData, conjugate_reflection_check,
 from kamforge.errors import (DivergenceError, NearSingularError,
                              OverflowRiskError)
 from kamforge.fourier import FourierSeries, composition_jet, mean, sup_norm
-from kamforge.frequency import from_omega, from_q
+from kamforge.frequency import DiophantineClass, from_omega, from_q
 from kamforge.kam import DIVERGENCE_FACTOR, SolverConfig, solve_curve
 from kamforge.operators import NABLA_MINUS, apply, e_n
 
@@ -169,7 +169,7 @@ def test_taylor_eval_partial_sum_and_term_norms():
     # and each term norm is |q^n| sup|u_n|, the term's own sup to rounding
     data = taylor0_recursion(taylor_test_forcing(3), 0.05, N_q=30)
     q = 0.25 - 0.1j
-    u, info = taylor0_eval(data, q, with_info=True)
+    u, info = taylor0_eval(data, q)
     acc, qn = FourierSeries.zero(0), 1.0
     for n, un in enumerate(data.orders, start=1):
         qn = qn * q
@@ -185,7 +185,7 @@ def test_taylor_eval_matches_picard_at_complex_q():
     eps = 0.05
     q = 0.2 + 0.15j
     data = taylor0_recursion(f, eps, N_q=40)
-    u_t = taylor0_eval(data, q)
+    u_t, _ = taylor0_eval(data, q)
     u_p, _ = picard_solve(f, from_q(q), eps, SolverConfig(cutoff=64, tol=1e-14))
     assert sup_norm(u_t - u_p) < 1e-12
 
@@ -204,8 +204,8 @@ def test_taylor_eval_rejects_outside_disc_and_warns_near_radius():
                        eps=0.05, f_ref=f)
     with pytest.warns(RuntimeWarning):
         taylor0_eval(grow, 0.9)
-    # with_info returns the raw decay data without thresholding
-    u, info = taylor0_eval(data, 0.3, with_info=True)
+    # the info carries the raw decay data beside the verdict
+    u, info = taylor0_eval(data, 0.3)
     assert len(info["term_norms"]) == 10
     assert len(info["root_test"]) == 10
     assert info["last_term"] == info["term_norms"][-1]
@@ -282,7 +282,7 @@ def test_crosscheck_skips_methods_off_their_domain():
 
 def test_crosscheck_keeps_the_record_of_a_failed_method():
     # at q = 0.95 both solvers fail; each status keeps the error's
-    # diagnostics beside its note, and taylor0 still runs
+    # diagnostics beside its note, and taylor0 runs but its terms grow
     with pytest.warns(RuntimeWarning, match="Taylor partial sums not decaying"):
         report = crosscheck(FourierSeries.cos(), from_q(0.95), 0.05)
     for name, entry, note in (
@@ -295,7 +295,7 @@ def test_crosscheck_keeps_the_record_of_a_failed_method():
         assert list(status["diagnostics"]) == entry + [
             "residual_history", "max_divisor", "max_divisor_k",
             "truncation_tail"]
-    assert report["methods"]["taylor0"]["status"] == "ok"
+    assert report["methods"]["taylor0"]["status"] == "skipped"
     assert report["pairs"] == {}
 
 
@@ -394,3 +394,71 @@ def test_conjugate_reflection_warns_on_asymmetric_data():
     with pytest.warns(RuntimeWarning):
         conjugate_reflection_check(g, from_omega(0.5 + 0.5j), 0.05 + 0.01j,
                                    SolverConfig(cutoff=32))
+
+
+def test_picard_warns_on_a_forcing_with_a_mean():
+    # Picard opens its solve as Newton does: a forcing with a mean is
+    # obstructed at first order, whichever method runs
+    f = FourierSeries([0.5, 0.1, 0.5])
+    with pytest.warns(RuntimeWarning, match="forcing has mean"):
+        picard_solve(f, from_q(0.3), 0.05)
+
+
+def test_picard_opens_its_diagnostics_with_in_KM():
+    cls = DiophantineClass(M=6.0, tau=0.5, m_max=200)
+    curve = continuation._picard_curve(FourierSeries.cos(), from_q(0.3),
+                                       0.05, dioph=cls)
+    assert list(curve.report.diagnostics) == [
+        "in_KM", "q_modulus", "post_normalization_residual"]
+
+
+def test_taylor_eval_reports_whether_its_terms_decay():
+    f = FourierSeries.cos()
+    data = taylor0_recursion(f, 0.05, N_q=40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, info = taylor0_eval(data, 0.3)
+    assert info["decaying"] is True
+    with pytest.warns(RuntimeWarning, match=r"last term 6\.238e\+03"):
+        _, info = taylor0_eval(data, 0.95)
+    assert info["decaying"] is False
+    # under six terms the rule cannot tell, and the sum counts as decaying
+    basis = FourierSeries(np.array([0.0, 0.0, 1.0], dtype=complex))
+    grow = QTaylorData(orders=[(2.0 ** n) * basis for n in range(1, 6)],
+                       eps=0.05, f_ref=f)
+    assert taylor0_eval(grow, 0.9)[1]["decaying"] is True
+
+
+def test_crosscheck_skips_a_taylor_sum_that_does_not_decay():
+    # at q = -0.9 Newton and Picard agree while the 40-order Taylor sum has
+    # stopped decaying: taylor0 is skipped and enters no pair
+    with pytest.warns(RuntimeWarning, match="Taylor partial sums not decaying"):
+        report = crosscheck(FourierSeries.cos(), from_q(-0.9), 0.05)
+    assert report["methods"]["newton"]["status"] == "ok"
+    assert report["methods"]["picard"]["status"] == "ok"
+    taylor = report["methods"]["taylor0"]
+    assert taylor == {"status": "skipped", "note": taylor["note"]}
+    assert "last term 7.175e+02" in taylor["note"]
+    assert list(report["pairs"]) == ["newton_vs_picard"]
+    with pytest.warns(RuntimeWarning):
+        report = crosscheck(FourierSeries.cos(), from_q(0.95), 0.05,
+                            methods=("taylor0",))
+    assert "last term 6.238e+03" in report["methods"]["taylor0"]["note"]
+
+
+def test_crosscheck_gives_an_ok_taylor_record_its_last_term():
+    report = crosscheck(FourierSeries.cos(), from_q(0.3), 0.05,
+                        methods=("taylor0",))
+    taylor = report["methods"]["taylor0"]
+    assert list(taylor) == ["status", "orders", "last_term"]
+    assert taylor["status"] == "ok"
+    assert taylor["last_term"] == pytest.approx(5.9e-17, rel=0.01)
+
+
+def test_crosscheck_refuses_a_bare_string(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the methods were checked")
+
+    monkeypatch.setattr(continuation, "solve_curve", no_solve)
+    with pytest.raises(ValueError, match="got the string 'newton'"):
+        crosscheck(FourierSeries.cos(), from_q(0.3), 0.05, methods="newton")

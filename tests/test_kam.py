@@ -631,3 +631,13 @@ def test_omega_tangent_is_the_derivative_across_the_real_axis(omega):
         gaps.append(sup_norm((up - um) * (1 / (2j * delta)) - h))
     assert 90.0 <= gaps[0] / gaps[1] <= 110.0, gaps
     assert gaps[1] < 1e-6
+
+
+@pytest.mark.parametrize("seed,named", [(np.zeros(3), "ndarray"),
+                                        ([0, 0.01, 0], "list")])
+def test_solver_config_refuses_a_seed_that_is_not_a_series(seed, named):
+    # such a seed used to pass and end in an AttributeError on .coeffs
+    # inside the first composition
+    with pytest.raises(ValueError, match=f"seed must be a FourierSeries or "
+                                         f"None, got a {named}"):
+        SolverConfig(seed=seed)

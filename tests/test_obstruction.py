@@ -591,3 +591,27 @@ def test_obstruction_imports_no_solver():
             names |= set((node.module or "").split("."))
             names |= {a.name for a in node.names}
     assert not names & {"kam", "continuation"}
+
+
+@pytest.mark.parametrize("m,max_order,named", [
+    (obstruction.OBSTRUCTION_ORDER_CAP + 1, None, "m = 401"),
+    (7, obstruction.OBSTRUCTION_ORDER_CAP + 1, "max_order = 401"),
+])
+def test_obstruction_refuses_orders_past_the_cap(monkeypatch, m, max_order,
+                                                 named):
+    # the tables take m entries and the default order budget is m: both are
+    # refused before any table is built
+    def no_tables(*args, **kwargs):
+        raise AssertionError("tables built before the cap was checked")
+
+    monkeypatch.setattr(RationalFreq, "tables", no_tables)
+    with pytest.raises(ValueError, match="OBSTRUCTION_ORDER_CAP = 400") as e:
+        obstruction_order(FourierSeries.cos(), RationalFreq(1, m),
+                          max_order=max_order)
+    assert str(e.value).startswith(named)
+
+
+def test_obstruction_runs_at_the_cap():
+    rep = obstruction_order(FourierSeries.cos(), RationalFreq(1, 7),
+                            max_order=obstruction.OBSTRUCTION_ORDER_CAP)
+    assert rep.n_star == 7
