@@ -44,7 +44,6 @@ from .frequency import (
     from_omega,
     from_q,
     in_AMC,
-    in_KM,
     lambda_k,
     reflected,
 )

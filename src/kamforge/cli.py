@@ -145,7 +145,6 @@ def _sweep_point(task) -> dict:
         "index": idx,
         "omega": om,
         "q": freq.q,
-        "chart": freq.chart,
         "eps": eps,
     }
     cfg = SolverConfig(cutoff=modes, tol=tol, max_iters=max_iters)

@@ -92,8 +92,8 @@ def _picard_curve(f: FourierSeries, freq: Frequency, eps,
                   config: SolverConfig | None = None,
                   dioph: DiophantineClass | None = None) -> InvariantCurve:
     """``picard_solve``'s whole curve, on ``solve_curve``'s arguments.  |q| is
-    finite and nonzero: ``from_omega`` keeps |log_scale| <= ``EXP_CAP``."""
-    modulus = math.exp(-freq.log_scale)
+    finite and nonzero: ``from_omega`` keeps 2 pi |Im omega| <= ``EXP_CAP``."""
+    modulus = math.exp(-2 * math.pi * freq.omega.imag)
     gap = abs(modulus - 1.0)
     if gap < PICARD_MARGIN and not math.isclose(gap, PICARD_MARGIN):
         raise ValueError(
@@ -284,14 +284,12 @@ def crosscheck(f: FourierSeries, freq: Frequency, eps,
                     "beta": abs(rep.beta),
                 }
             else:  # taylor0
-                if freq.chart != "inner" or abs(freq.coord) >= 1.0:
-                    raise ValueError(
-                        "taylor0 needs |q| < 1 (inner chart, off the circle)"
-                    )
+                if abs(freq.q) >= 1.0:
+                    raise ValueError("taylor0 needs |q| < 1")
                 data = taylor_data
                 if data is None or data.f_ref is not f or data.eps != eps:
                     data = taylor0_recursion(f, eps, N_q=n_taylor)
-                u, info = taylor0_eval(data, freq.coord)
+                u, info = taylor0_eval(data, freq.q)
                 if not info["decaying"]:
                     raise ValueError("taylor0 partial sums not decaying, "
                                      f"last term {info['last_term']:.3e}")

@@ -1,13 +1,10 @@
-"""Rotation numbers, multiplier charts, and Diophantine set geometry.
+"""Rotation numbers, their multipliers, and Diophantine set geometry.
 
-A rotation number omega (complex, real part mod 1) maps to the multiplier
-q = exp(2 pi i omega).  The Riemann sphere of multipliers is covered by two
-charts: the *inner* chart (|q| <= 1, i.e. Im omega >= 0, coordinate q) and
-the *outer* chart (coordinate xi = 1/q).  Both chart coordinates stay in
-the closed unit disc, and ``log_scale`` = 2 pi Im(omega) carries the
-magnitude exactly.  A frequency exists only where 2 pi |Im omega| <=
-``fourier.EXP_CAP``, so that q^{+-1} are finite and nonzero: the chart
-poles q = 0, infinity are refused where a frequency is made.
+A frequency is its rotation number omega (complex, real part mod 1); its
+multiplier is q = exp(2 pi i omega), one formula on both sides of the real
+axis.  A frequency exists only where 2 pi |Im omega| <= ``fourier.EXP_CAP``,
+so that q^{+-1} are finite and nonzero: the poles q = 0, infinity are
+refused where a frequency is made.
 
 The real Diophantine set of exponent tau and constant M is the complement
 of the open intervals of radius 1/(M m^(2+tau)) around every rational n/m;
@@ -38,24 +35,20 @@ GAP_UNION_MAX_M = 10_000  # largest m_max whose gap union is built (~258 MB peak
 
 
 # ---------------------------------------------------------------------------
-# frequencies and charts
+# frequencies
 
 
 @dataclass(frozen=True)
 class Frequency:
-    """A rotation number together with its multiplier-chart data.
+    """A rotation number omega and its multiplier q = exp(2 pi i omega).
 
-    ``coord`` is the coordinate in the active chart (q inner, xi outer) and
-    always has modulus <= 1.  ``from_omega`` and ``from_q`` admit only
-    2 pi |Im omega| <= ``EXP_CAP``, so q, 1/q and ``coord`` are finite and
-    nonzero: every frequency has its shift multipliers.
+    ``from_omega`` and ``from_q`` admit only 2 pi |Im omega| <= ``EXP_CAP``,
+    so q and 1/q are finite and nonzero: every frequency has its shift
+    multipliers.
     """
 
     omega: complex
     q: complex
-    chart: str        # "inner" | "outer"
-    log_scale: float  # 2 pi Im(omega)
-    coord: complex
 
 
 def from_omega(omega) -> Frequency:
@@ -63,19 +56,15 @@ def from_omega(omega) -> Frequency:
 
     Raises ``ValueError`` naming omega unless it is finite with
     2 pi |Im omega| <= ``EXP_CAP``: past the cap q or 1/q overflows, and at
-    the chart poles q = 0, infinity no shift multiplier exists.
+    the poles q = 0, infinity no shift multiplier exists.
     """
     om = complex(omega)
     if not (cmath.isfinite(om) and _TWO_PI * abs(om.imag) <= EXP_CAP):
         raise ValueError(f"omega must be finite with 2 pi |Im omega| <= "
                          f"{EXP_CAP:g}, got {om}")
-    om = complex(om.real % 1.0, om.imag)
-    log_scale = _TWO_PI * om.imag
-    if om.imag >= 0:
-        coord = cmath.exp(2j * math.pi * om)      # |coord| = e^{-2 pi Im} <= 1
-        return Frequency(om, coord, "inner", log_scale, coord)
-    coord = cmath.exp(-2j * math.pi * om)         # |coord| = e^{2 pi Im} < 1
-    return Frequency(om, 1.0 / coord, "outer", log_scale, coord)
+    re = om.real % 1.0
+    om = complex(0.0 if re == 1.0 else re, om.imag)  # -1e-20 % 1.0 is 1.0
+    return Frequency(om, cmath.exp(2j * math.pi * om))
 
 
 def from_q(q) -> Frequency:
@@ -481,7 +470,7 @@ def _difference_sum(b: np.ndarray, a: np.ndarray):
 
 
 def dist_to_AMR(x: float, cls: DiophantineClass) -> float:
-    """Distance (on the circle) from Re-coordinate x to the truncated real set.
+    """Distance (on the circle) from a real part x to the truncated real set.
 
     Zero iff x lies outside every truncated gap.  One binary search in the
     cached gap union, then scalar float arithmetic (``_gap_dist``, which
@@ -515,11 +504,6 @@ def in_AMC(omega, cls: DiophantineClass) -> bool:
     if math.isnan(om.imag):
         raise ValueError(f"omega must have no NaN part, got {om}")
     return dist_to_AMR(om.real, cls) <= abs(om.imag)
-
-
-def in_KM(freq: Frequency, cls: DiophantineClass) -> bool:
-    """Membership of the multiplier in the sphere-side set."""
-    return in_AMC(freq.omega, cls)
 
 
 def check_small_divisor_bound(freq: Frequency, cls: DiophantineClass,
@@ -624,8 +608,7 @@ class SampledFamily:
                 return None
             return np.atleast_1d(np.asarray(v, dtype=np.complex128))
         return jsonio.encode({
-            "points": [{"omega": fr.omega, "chart": fr.chart, "coord": fr.coord}
-                       for fr in self.points],
+            "points": self.points,
             "values": [vec(v) for v in self.values],
             "derivs": [vec(v) for v in self.derivs],
         })

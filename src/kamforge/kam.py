@@ -65,7 +65,7 @@ from .fourier import (
     sup_norm,
     truncate,
 )
-from .frequency import DiophantineClass, Frequency, from_omega, in_KM
+from .frequency import DiophantineClass, Frequency, from_omega, in_AMC
 from .operators import (
     DELTA,
     E_Q,
@@ -148,12 +148,7 @@ class InvariantCurve:
 
     def to_json_dict(self, dynamical: float | None = None) -> dict:
         d = {
-            "frequency": {
-                "omega": self.freq.omega,
-                "q": self.freq.q,
-                "chart": self.freq.chart,
-                "log_scale": self.freq.log_scale,
-            },
+            "frequency": self.freq,
             "eps": complex(self.eps),
             "u": self.u,
             "v": self.v,
@@ -364,7 +359,7 @@ def _iterate(f: FourierSeries, freq: Frequency, eps,
     config = config or SolverConfig()
     eps = finite_scalar(eps, "eps")
     if dioph is not None:
-        diagnostics = {"in_KM": in_KM(freq, dioph), **diagnostics}
+        diagnostics = {"in_KM": in_AMC(freq.omega, dioph), **diagnostics}
         if not diagnostics["in_KM"]:
             warnings.warn("frequency lies outside the truncated Diophantine "
                           "set; convergence is not covered by the certified "

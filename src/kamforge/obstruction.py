@@ -37,8 +37,8 @@ from .fourier import FourierSeries, composition_jet
 # Largest m and max_order: the tables take m entries and the default order
 # budget is m.  On one core of a shared 2-CPU host, cos at 144/377 takes
 # 4.6 s in float64; at 233/610 the engine overflows at order 384 in float64
-# and the oracle at 391 in long double (after 81 s), so no budget past
-# ~400 orders can finish for cos.
+# and the oracle at 391 in long double (where the engine stops), so no
+# budget past ~400 orders can finish for cos.
 OBSTRUCTION_ORDER_CAP = 400
 
 @dataclass(frozen=True)
@@ -163,9 +163,9 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
     not see it.  Other forcings run in complex128.
     ``exactness="extended"`` runs the complex arithmetic in long-double
     precision (a real long-double jet has no BLAS and measured no
-    faster).  Raises
-    ``OverflowRiskError`` naming the order when g_n, or the oracle's
-    gamma_n, stops being finite.
+    faster).  Raises ``OverflowRiskError`` naming the order when g_n, or
+    the oracle's gamma_n (computed first, so the engine stops at the first
+    such order), stops being finite; at a tie the engine's error wins.
 
     Preconditions: f zero-mean and not identically zero, threshold finite >= 0,
     m and ``max_order`` at most ``OBSTRUCTION_ORDER_CAP``.
@@ -198,8 +198,9 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
 
-    _, lam = rf.tables(extended=(exactness == "extended"))
-    real = None if exactness == "extended" else _real_form(f_lat)
+    extended = exactness == "extended"
+    _, lam = rf.tables(extended=extended)
+    real = None if extended else _real_form(f_lat)
     jet = composition_jet(f_lat if real is None else real[0],
                           step=d, center=(lo + K) / 2)
     g = next(jet)                 # g_1 = f
@@ -207,14 +208,25 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
     scale = 0.0
     n_star = None
     thr = threshold if threshold is not None else 0.0
-    # an overflowing order surfaces as the typed error below, not as warnings
+    # an overflowing order surfaces as a typed error, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
+        # the oracle is prefix-stable: one call to max_order, sliced below;
+        # an order it cannot reach ends the engine there (gamma_1 = A is finite)
+        overflow = None
+        try:
+            oracle = beta_gamma_oracle(K, rf, max_order, A, extended)
+        except OverflowRiskError as exc:
+            overflow = exc
+            oracle = beta_gamma_oracle(K, rf, exc.diagnostics["order"] - 1,
+                                       A, extended)
         for n in range(1, max_order + 1):
             if n > 1:
                 g = jet.send(u)       # g_n = [f(id+u)]_{n-1}
             if not np.isfinite(g).all():
                 raise OverflowRiskError(f"obstruction order {n} overflowed",
                                         {"order": n})
+            if overflow is not None and n == overflow.diagnostics["order"]:
+                raise overflow
             tops.append(g[-1])
             scale = max(scale, float(np.max(np.abs(g))))
             if threshold is None:
@@ -226,9 +238,7 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
                 n_star = n
                 break
             u = g * lam[ks % rf.m]
-
-        betas, gammas_oracle = beta_gamma_oracle(
-            K, rf, len(tops), A, extended=(exactness == "extended"))
+    betas, gammas_oracle = (x[:len(tops)] for x in oracle)
     gres = g[res]
     if real is not None:     # g_n = c (i c)^(n-1) times the jet's order, c = i^e
         e = real[1]

@@ -51,7 +51,8 @@ def test_solve_writes_curve_and_csv(tmp_path):
     assert d["report"]["converged"] is True
     assert d["report"]["iterations"] <= 8
     assert d["dynamical_residual"] < 1e-10
-    assert d["frequency"]["chart"] == "inner"
+    assert list(d["frequency"]) == ["omega", "q"]
+    assert d["frequency"]["omega"][1] >= 0.0   # |q| <= 1
     with open(tmp_path / "curve.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["theta", "x_re", "x_im", "y_re", "y_im"]
@@ -206,12 +207,12 @@ def test_sweep_is_byte_identical_across_worker_counts(tmp_path):
     assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
 
-@pytest.mark.parametrize("im_min,im_max,chart", [
-    ("0.02", "0.06", "inner"),      # the grid of check A11
-    ("-0.06", "-0.02", "outer"),
+@pytest.mark.parametrize("im_min,im_max,side", [
+    ("0.02", "0.06", "inner"),      # the grid of check A11, |q| < 1
+    ("-0.06", "-0.02", "outer"),    # its mirror, |q| > 1
 ])
 def test_sweep_family_carries_the_exact_omega_derivative(tmp_path, im_min,
-                                                         im_max, chart):
+                                                         im_max, side):
     # every converged point gets d u / d omega from the omega-tangent; a
     # central difference in omega agrees to O(d^2)
     r = run_cli(["sweep", "--omega-min", "0.58", "--omega-max", "0.62",
@@ -220,7 +221,7 @@ def test_sweep_family_carries_the_exact_omega_derivative(tmp_path, im_min,
                  "--out", "s.jsonl", "--family", "fam.json"], tmp_path)
     assert r.returncode == 0, r.stderr
     fam = SampledFamily.from_json_dict(jsonio.load_path(tmp_path / "fam.json"))
-    assert [fr.chart for fr in fam.points] == [chart] * 9
+    assert [fr.omega.imag > 0 for fr in fam.points] == [side == "inner"] * 9
     cfg, d = SolverConfig(cutoff=64, tol=1e-12), 1e-5
     for fr, deriv in zip(fam.points, fam.derivs):
         up, um = (solve_curve(FourierSeries.cos(), from_omega(fr.omega + s),
@@ -233,7 +234,7 @@ def test_sweep_family_carries_the_exact_omega_derivative(tmp_path, im_min,
 
 
 def test_sweep_family_across_the_real_axis_is_c1_in_omega(tmp_path):
-    # a 3x3 box centred on the golden mean, both charts, compared in one
+    # a 3x3 box centred on the golden mean, both sides, compared in one
     # pass: the difference-quotient defect n2 falls linearly with the box.
     # Keep h small: golden + 1e-3 lies 1.4e-5 from 13/21
     n2 = []
@@ -245,7 +246,7 @@ def test_sweep_family_across_the_real_axis_is_c1_in_omega(tmp_path):
         fam = SampledFamily.from_json_dict(
             jsonio.load_path(tmp_path / "fam.json"))
         assert len(fam.points) == 9
-        assert {fr.chart for fr in fam.points} == {"inner", "outer"}
+        assert {fr.omega.imag >= 0 for fr in fam.points} == {True, False}
         n2.append(c1hol_norm_estimate(fam)[2])
     assert 2.5 <= n2[0] / n2[1] <= 3.6, n2
 

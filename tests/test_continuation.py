@@ -53,7 +53,7 @@ def test_picard_runs_on_the_margin_at_every_phase(r):
     moduli = set()
     for phase in (1.0, 2.0, 2 * math.pi / 7, 3.0):
         freq = from_q(r * complex(math.cos(phase), math.sin(phase)))
-        moduli.add(math.exp(-freq.log_scale))
+        moduli.add(math.exp(-2 * math.pi * freq.omega.imag))
         _, rep = picard_solve(f, freq, 0.05, SolverConfig(cutoff=32))
         assert rep.converged
     if r < 1.0:

@@ -1,4 +1,5 @@
-"""Frequency charts, small divisors, Diophantine geometry, sampled families."""
+"""Frequencies and their multipliers, small divisors, Diophantine geometry,
+sampled families."""
 
 import cmath
 import dataclasses
@@ -33,7 +34,6 @@ from kamforge.frequency import (
     from_omega,
     from_q,
     in_AMC,
-    in_KM,
     lambda_k,
     lambda_table,
     reflected,
@@ -46,17 +46,19 @@ def cls6(m_max=2000):
     return DiophantineClass(6.0, 0.5, m_max)
 
 
-# -- charts -----------------------------------------------------------------
+# -- frequencies ------------------------------------------------------------
 
 
 def test_charts_by_sign_of_im():
+    # |q| = exp(-2 pi Im omega): on the unit circle on the real axis, inside
+    # it above the axis and outside it below
     real = from_omega(GOLDEN)
-    assert real.chart == "inner"
-    assert abs(abs(real.coord) - 1.0) < 1e-15
+    assert real.omega.imag == 0.0
+    assert abs(abs(real.q) - 1.0) < 1e-15
     up = from_omega(0.3 + 0.2j)
-    assert up.chart == "inner" and abs(up.coord) < 1.0
+    assert up.omega.imag > 0 and abs(up.q) < 1.0
     down = from_omega(0.3 - 0.2j)
-    assert down.chart == "outer" and abs(down.coord) < 1.0
+    assert down.omega.imag < 0 and abs(down.q) > 1.0
 
 
 def test_q_roundtrip():
@@ -66,6 +68,16 @@ def test_q_roundtrip():
     assert abs(cmath.exp(2j * math.pi * freq.omega) - 0.3) < 1e-15
     freq2 = from_omega(freq.omega)
     assert abs(freq2.q - freq.q) < 1e-15
+
+
+@pytest.mark.parametrize("freq", [
+    from_omega(-1e-20 + 0.01j), from_omega(-2.0 ** -54),
+    from_omega(complex(-2.0 ** -54, -0.3)), from_q(complex(1.0, -1e-20))],
+    ids=["-1e-20", "-2^-54", "-2^-54-below", "q-phase-below-zero"])
+def test_from_omega_folds_a_tiny_negative_real_part_to_zero(freq):
+    # -1e-20 % 1.0 rounds to 1.0, outside [0, 1): the fold maps it to 0.0
+    assert freq.omega.real == 0.0
+    assert freq.q == cmath.exp(2j * math.pi * freq.omega)
 
 
 CAP_IM = frequency.EXP_CAP / (2.0 * math.pi)   # the largest |Im omega|
@@ -86,9 +98,10 @@ def test_from_omega_refuses_the_poles_and_past_the_cap(im):
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_from_omega_accepts_the_cap(sign):
     freq = from_omega(complex(0.3, sign * CAP_IM * (1.0 - 1e-12)))
-    assert freq.chart == ("inner" if sign > 0 else "outer")
+    assert math.copysign(1.0, freq.omega.imag) == sign
     assert cmath.isfinite(freq.q) and freq.q != 0
-    assert cmath.isfinite(freq.coord) and 0.0 < abs(freq.coord) < 1e-303
+    # the smaller of |q| and 1/|q| is exp(-2 pi |Im omega|), near e^-700
+    assert 0.0 < min(abs(freq.q), 1.0 / abs(freq.q)) < 1e-303
 
 
 @pytest.mark.parametrize("q", [0.0, -0.0j, math.inf, complex(0.0, -math.inf),
@@ -104,7 +117,7 @@ def test_reflection_conjugates_omega():
     freq = from_omega(0.5 + 0.5j)
     refl = reflected(freq)
     assert abs(refl.omega - (0.5 - 0.5j)) < 1e-15
-    assert refl.chart == "outer"
+    assert refl.omega.imag < 0 and abs(refl.q) > 1.0
 
 
 def test_dist_to_integers():
@@ -244,8 +257,8 @@ def test_margin_rational_is_zero():
 
 def test_membership():
     c = cls6()
-    assert in_KM(from_omega(GOLDEN), c)
-    assert not in_KM(from_omega(0.5), c)
+    assert in_AMC(from_omega(GOLDEN).omega, c)
+    assert not in_AMC(from_omega(0.5).omega, c)
     assert in_AMC(GOLDEN + 0.001j, c)
     assert not in_AMC(0.5 + 0.001j, c)
     assert in_AMC(0.5 + 0.1j, c)  # high enough over the gap
@@ -406,7 +419,7 @@ def test_gap_union_refuses_m_max_past_its_cap(monkeypatch):
                        match="m_max = 10001 exceeds the gap-union cap 10000"):
         cls._gaps()
     with pytest.raises(ValueError, match="10001"):
-        in_KM(from_omega(0.3 + 0.01j), cls)
+        in_AMC(from_omega(0.3 + 0.01j).omega, cls)
     # the convergent scan needs no union and takes any m_max
     assert dioph_real_margin(GOLDEN, DiophantineClass(6.0, 0.5, 10**9))[0] > 1
 
@@ -680,7 +693,7 @@ def test_c1_estimate_compares_points_across_the_real_axis():
     # across the axis reads |2c| / |2 delta|, while each side alone is flat
     c, delta = np.array([1.5 - 2.0j]), 1e-3
     points = [from_omega(0.3 + 1j * delta), from_omega(0.3 - 1j * delta)]
-    assert [p.chart for p in points] == ["inner", "outer"]
+    assert [p.omega.imag > 0 for p in points] == [True, False]
     fam = SampledFamily(points=points, values=[c, -c],
                         derivs=[np.zeros(1), np.zeros(1)])
     n0, n1, n2 = c1hol_norm_estimate(fam)
@@ -756,7 +769,7 @@ def test_sampled_family_roundtrips_bit_for_bit(fam):
     fam2 = SampledFamily.from_json_dict(
         jsonio.loads(jsonio.dumps(fam.to_json_dict())))
     def points(f):
-        return [(p.chart, _bits([p.omega, p.coord])) for p in f.points]
+        return [_bits([p.omega, p.q]) for p in f.points]
     assert points(fam) == points(fam2)
     assert [_bits(v) for v in fam.values] == [_bits(v) for v in fam2.values]
     assert [_bits(v) for v in fam.derivs] == [_bits(v) for v in fam2.derivs]

@@ -19,7 +19,7 @@ from kamforge.frequency import (
     from_q,
     lambda_k,
 )
-from kamforge.kam import SolverConfig, solve_curve
+from kamforge.kam import InvariantCurve, SolverConfig, solve_curve
 from kamforge.obstruction import RationalFreq, obstruction_order
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -33,6 +33,7 @@ def _artifacts():
         values=[np.array([1.0 + 2.0j, -0.5j]), np.array([0.25, 1.0 + 0j])],
         derivs=[np.array([0.5 - 1.0j, 2.0 + 0j]), None])
     return {
+        "Frequency": curve.freq,
         "FourierSeries": curve.u,
         "SolveReport": curve.report,
         "InvariantCurve": curve,
@@ -56,6 +57,7 @@ def test_every_artifact_is_json_native():
 # Each artifact's top-level keys, in the order its files print them.  The
 # reports' keys are their dataclass fields, so reordering a field fails here.
 ARTIFACT_KEYS = {
+    "Frequency": ["omega", "q"],
     "FourierSeries": ["N", "coeffs"],
     "SolveReport": ["method", "converged", "iterations", "residual_history",
                     "quadratic_fit_slope", "beta", "aliasing_tail",
@@ -78,6 +80,26 @@ def test_every_artifact_keeps_its_key_order():
     assert set(artifacts) == set(ARTIFACT_KEYS)
     for name, artifact in artifacts.items():
         assert list(jsonio.encode(artifact)) == ARTIFACT_KEYS[name], name
+
+
+def test_artifacts_in_the_two_chart_format_still_decode():
+    # curve and family files once carried chart data next to omega
+    # ("chart", "log_scale", "coord"); decoding reads omega alone, so the
+    # stale entries, here set to nonsense, change nothing
+    curve = _artifacts()["InvariantCurve"]
+    d = jsonio.loads(jsonio.dumps(curve))
+    d["frequency"].update(chart="outer", log_scale=-1.0)
+    got = InvariantCurve.from_json_dict(d)
+    assert got.freq == curve.freq
+    assert jsonio.dumps(got) == jsonio.dumps(curve)
+
+    family = _artifacts()["SampledFamily"]
+    d = jsonio.loads(jsonio.dumps(family))
+    d["points"] = [{"omega": p["omega"], "chart": "outer", "coord": [9.0, 9.0]}
+                   for p in d["points"]]
+    got = SampledFamily.from_json_dict(d)
+    assert got.points == family.points
+    assert jsonio.dumps(got) == jsonio.dumps(family)
 
 
 def test_encode_writes_a_dataclass_by_its_fields_in_order():

@@ -533,6 +533,28 @@ def test_oracle_overflow_is_typed():
         beta_gamma_oracle(1, RationalFreq(1, 7), 3, A=1e200)
 
 
+def test_an_oracle_overflow_stops_the_engine_at_its_order(monkeypatch):
+    # 2^300 cos: A = 2^299, so A^4 in gamma_4 passes the largest double while
+    # the long-double jet runs on; the oracle runs first, so the engine stops
+    # at order 4 (3 sends) instead of running all 34 orders (33 sends)
+    sends = []
+
+    def counting(f_lat, **kw):
+        jet = composition_jet(f_lat, **kw)
+        u = yield next(jet)
+        while True:
+            sends.append(1)
+            u = yield jet.send(u)
+
+    monkeypatch.setattr(obstruction, "composition_jet", counting)
+    f = FourierSeries(FourierSeries.cos().coeffs * 2.0 ** 300)
+    with pytest.raises(OverflowRiskError,
+                       match="oracle order 4 overflowed") as info:
+        obstruction_order(f, RationalFreq(13, 34), exactness="extended")
+    assert info.value.diagnostics == {"order": 4}
+    assert len(sends) == 3
+
+
 def test_report_json_dict():
     report = obstruction_order(FourierSeries.cos(), RationalFreq(1, 3))
     d = jsonio.encode(report)

@@ -304,7 +304,7 @@ def test_a_sweep_keeps_at_most_two_frequencies_tables(monkeypatch):
 
 @st.composite
 def apply_cases(draw):
-    """A frequency off the circle on either chart, and cutoffs to apply at.
+    """A frequency off the circle on either side of it, and cutoffs to apply at.
 
     Im omega up to 0.2 keeps q^k finite past the 512-mode floor, so those
     cutoffs rebuild the tables; up to 10 the shift guard refuses early.
