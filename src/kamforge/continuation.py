@@ -30,6 +30,7 @@ from .fourier import (
     FourierSeries,
     composition_jet,
     finite_scalar,
+    require_int,
     sup_norm,
 )
 from .frequency import DiophantineClass, Frequency, reflected
@@ -125,7 +126,7 @@ def taylor0_recursion(f: FourierSeries, eps, N_q: int = 40) -> QTaylorData:
     pieces E^(n0) give.  E^(n) breaks f's mode lattice, so the jet runs at
     stride 1.  Raises ``OverflowRiskError`` when an order stops being finite.
     """
-    N_q = int(N_q)
+    N_q = require_int(N_q, "N_q")
     if N_q < 1:
         raise ValueError("need at least one order")
     if N_q > TAYLOR_ORDER_CAP:
@@ -239,10 +240,10 @@ def crosscheck(f: FourierSeries, freq: Frequency, eps,
     ``last_term``); solver errors are recorded as failed, with their
     diagnostics.  A non-finite eps, a bare string, an empty ``methods``, a
     name outside ``CROSSCHECK_METHODS``, a repeated name, or ``taylor0``
-    with ``n_taylor`` outside [1, ``TAYLOR_ORDER_CAP``] raises
-    ``ValueError`` before any solve.  Every method returns a zero-mean u,
-    so the ok solutions are compared as they are.  Returns a report dict
-    with per-method status and pairwise sup-norm differences.
+    with an ``n_taylor`` that is not an int in [1, ``TAYLOR_ORDER_CAP``]
+    raises ``ValueError`` before any solve.  Every method returns a
+    zero-mean u, so the ok solutions are compared as they are.  Returns a
+    report dict with per-method status and pairwise sup-norm differences.
     """
     config = config or SolverConfig()
     eps = finite_scalar(eps, "eps")
@@ -258,7 +259,8 @@ def crosscheck(f: FourierSeries, freq: Frequency, eps,
     if repeated:
         raise ValueError(f"methods {repeated} given more than once; "
                          "each method runs once")
-    if "taylor0" in methods and not 1 <= n_taylor <= TAYLOR_ORDER_CAP:
+    if "taylor0" in methods and not (
+            1 <= require_int(n_taylor, "n_taylor") <= TAYLOR_ORDER_CAP):
         raise ValueError(f"n_taylor must lie in [1, {TAYLOR_ORDER_CAP}], "
                          f"got {n_taylor}")
     status: dict = {}

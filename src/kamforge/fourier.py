@@ -212,6 +212,14 @@ def finite_scalar(value, name: str) -> complex:
     return z
 
 
+def require_int(value, name: str) -> int:
+    """*value* if its type is exactly int, else ValueError naming *name*:
+    a float is not truncated into a count, and a bool is no count."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    return value
+
+
 def _widen(c: np.ndarray, N: int) -> np.ndarray:
     """Centered *c* assigned into zeros of cutoff N (assignment keeps -0.0)."""
     out = np.zeros(2 * N + 1, dtype=np.complex128)

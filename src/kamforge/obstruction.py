@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OverflowRiskError
-from .fourier import FourierSeries, composition_jet
+from .fourier import FourierSeries, composition_jet, require_int
 
 # Largest m and max_order: the tables take m entries and the default order
 # budget is m.  On one core of a shared 2-CPU host, cos at 144/377 takes
@@ -49,13 +49,11 @@ class RationalFreq:
     m: int
 
     def __post_init__(self):
-        p, m = int(self.p), int(self.m)
+        p, m = require_int(self.p, "p"), require_int(self.m, "m")
         if m < 1:
             raise ValueError("denominator must be a positive integer")
         if math.gcd(abs(p), m) != 1:
             raise ValueError(f"{p}/{m} is not in lowest terms")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "m", m)
 
     @property
     def omega(self) -> float:
@@ -168,12 +166,13 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
     such order), stops being finite; at a tie the engine's error wins.
 
     Preconditions: f zero-mean and not identically zero, threshold finite >= 0,
-    m and ``max_order`` at most ``OBSTRUCTION_ORDER_CAP``.
+    ``max_order`` an int, m and ``max_order`` at most ``OBSTRUCTION_ORDER_CAP``.
     """
     if exactness not in ("float", "extended"):
         raise ValueError("exactness must be 'float' or 'extended'")
+    max_order = rf.m if max_order is None else max_order
     for name, n in (("m", rf.m), ("max_order", max_order)):
-        if n is not None and n > OBSTRUCTION_ORDER_CAP:
+        if require_int(n, name) > OBSTRUCTION_ORDER_CAP:
             raise ValueError(f"{name} = {n} exceeds the order cap "
                              f"OBSTRUCTION_ORDER_CAP = {OBSTRUCTION_ORDER_CAP}")
     if threshold is not None and not 0.0 <= threshold < math.inf:
@@ -194,7 +193,6 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
     f_lat = c[f.N + lo:f.N + K + 1:d]    # f on its lattice: modes lo..K, stride d
     A = complex(f_lat[-1])
 
-    max_order = rf.m if max_order is None else int(max_order)
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
 
@@ -318,7 +316,7 @@ def beta_gamma_oracle(K: int, rf: RationalFreq, up_to: int,
     to Python floats and complexes either way.  Raises ``OverflowRiskError``
     naming the first order whose gamma is not finite.
     """
-    up_to = int(up_to)
+    up_to = require_int(up_to, "up_to")
     if up_to < 1:
         raise ValueError("need at least one order")
     _, lam = rf.tables(extended=extended)

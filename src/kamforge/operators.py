@@ -21,10 +21,9 @@ Every table of a frequency is a slice of one set per frequency
 cutoff N gives, with the refusals at that N: the shift guard
 2 pi N |Im omega| <= ``EXP_CAP`` and ``ResonanceError`` at the smallest
 vanishing k <= N (no frequency is a pole: ``from_omega`` refuses them).
-``_frequency_tables``, a functools cache of the last two frequencies' sets,
-is the one cache on the solver path: ``apply`` multiplies by read-only
-views of them.  ``multiplier_table``, the public accessor whose functools
-cache perfbench reads, keeps read-only copies of slices.
+``multiplier_table``, a functools cache of the last two frequencies' sets,
+is the one cache: ``apply`` multiplies by read-only views of them, and
+``multiplier_table(freq).table(N, kind)`` gives any caller the same view.
 """
 
 from __future__ import annotations
@@ -138,23 +137,11 @@ def _derive(kinds: dict, kind: MultiplierKind) -> np.ndarray:
 
 
 @lru_cache(maxsize=2)
-def _frequency_tables(freq: Frequency) -> _FrequencyTables:
-    """The tables of the last two frequencies: a solve, or a sweep point,
-    asks for one frequency's tables from its first iteration to its last."""
+def multiplier_table(freq: Frequency) -> _FrequencyTables:
+    """The tables of the last two frequencies (a solve, or a sweep point,
+    asks for one frequency's from its first iteration to its last);
+    ``.table(N, kind)`` is the kind's read-only vector for k = -N..N."""
     return _FrequencyTables(freq)
-
-
-@lru_cache(maxsize=64)
-def multiplier_table(freq: Frequency, N: int, kind: MultiplierKind) -> np.ndarray:
-    """The multiplier vector for modes k = -N..N (read-only, cached).
-
-    The public accessor; the solvers read the frequency's tables through
-    ``apply`` instead.  A copy of a slice of those tables, so that this
-    cache pins no frequency's full tables.
-    """
-    t = _frequency_tables(freq).table(N, kind).copy()
-    t.flags.writeable = False
-    return t
 
 
 def apply(kind: MultiplierKind, phi: FourierSeries, freq: Frequency) -> FourierSeries:
@@ -164,7 +151,7 @@ def apply(kind: MultiplierKind, phi: FourierSeries, freq: Frequency) -> FourierS
     multiplied coefficients stop being finite, ``ResonanceError`` when a
     divisor q^k - 1 vanishes to working precision.
     """
-    out = phi.coeffs * _frequency_tables(freq).table(phi.N, kind)
+    out = phi.coeffs * multiplier_table(freq).table(phi.N, kind)
     if not np.isfinite(out).all():
         raise OverflowRiskError(
             f"{kind.value} produced non-finite coefficients",
@@ -175,7 +162,7 @@ def apply(kind: MultiplierKind, phi: FourierSeries, freq: Frequency) -> FourierS
 
 def max_divisor_magnitude(freq: Frequency, N: int):
     """Largest |lambda_k| over 0 < |k| <= N, with its k (divergence diagnostics)."""
-    mags = np.abs(_frequency_tables(freq).table(N, GAMMA))
+    mags = np.abs(multiplier_table(freq).table(N, GAMMA))
     i = int(np.argmax(mags))
     return float(mags[i]), int(i - N)
 

@@ -531,6 +531,42 @@ def check_real_obstruction_gap():
                 f"{gaps[0]:.2e}, {gaps[1]:.2e} (<=5e-15)")
 
 
+def degree3_forcing(seed):
+    """Zero-mean forcing on modes 0 < |k| <= 3, seeded magnitudes and phases."""
+    rng = np.random.default_rng(seed)
+    c = np.zeros(7, dtype=np.complex128)
+    for k in (-3, -2, -1, 1, 2, 3):
+        c[k + 3] = (rng.uniform(0.2, 1.0)
+                    * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+                    * np.exp(-0.4 * abs(k)))
+    return FourierSeries(c)
+
+
+def check_float_vs_extended():
+    # an accuracy check, where I10's engine-vs-oracle gap is not (both
+    # sides of that gap share one summation order): the float gammas and
+    # witness against the long-double engine's, with the same n*
+    worst, same = 0.0, True
+    for f in (FourierSeries.cos(), degree3_forcing(7)):
+        for p, m in ((3, 13), (13, 34), (21, 55), (34, 89)):
+            rep = obstruction_order(f, RationalFreq(p, m))
+            ext = obstruction_order(f, RationalFreq(p, m), exactness="extended")
+            w = rep.obstruction_witness.coeffs
+            w_ext = ext.obstruction_witness.coeffs
+            if not (rep.n_star == ext.n_star is not None
+                    and np.array_equal(w != 0, w_ext != 0)):
+                same = False
+                continue
+            g, g_ext = np.array(rep.gammas_engine), np.array(ext.gammas_engine)
+            nz = w_ext != 0
+            worst = max(worst, np.max(np.abs(g - g_ext) / np.abs(g_ext)),
+                        np.max(np.abs(w[nz] - w_ext[nz]) / np.abs(w_ext[nz])))
+    ok = same and worst <= 1e-12
+    return ok, ("float vs extended engine, cos and degree-3 at 3/13, 13/34, "
+                f"21/55, 34/89: same n* and support {same}, worst relative "
+                f"gap {worst:.2e} (<=1e-12)")
+
+
 # ---------------------------------------------------------------------------
 # registry and runner
 
@@ -560,6 +596,7 @@ INVARIANTS = [
     ("I08-history-positivity", check_history_positivity),
     ("I09-omega-tangent", check_omega_tangent),
     ("I10-real-obstruction-gap", check_real_obstruction_gap),
+    ("I11-float-vs-extended", check_float_vs_extended),
 ]
 
 

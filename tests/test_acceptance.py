@@ -1,4 +1,4 @@
-"""The eleven headline criteria and the ten invariants, one test each.
+"""The eleven headline criteria and the eleven invariants, one test each.
 
 Run with ``pytest -v -s tests/test_acceptance.py`` to see the per-check
 lines; the same checks back ``python3 -m kamforge verify``.

@@ -704,8 +704,8 @@ GUARD_SITES = {
     "evaluation": lambda y: evaluate(_ONES, 0.3 + 1j * y),
     "constant-shift": lambda y: compose_id_plus(
         _ONES, FourierSeries.constant(0.3 + 1j * y))[0].coeffs,
-    "shift": lambda y: multiplier_table(from_omega(complex(0.3, y)), 10,
-                                        SHIFT_PLUS),
+    "shift": lambda y: multiplier_table(from_omega(complex(0.3, y))).table(
+        10, SHIFT_PLUS),
 }
 
 

@@ -11,11 +11,14 @@ import pytest
 
 from kamforge import fourier, jsonio, obstruction
 from kamforge.cli import run_sweep
+from kamforge.continuation import crosscheck, taylor0_recursion
 from kamforge.errors import OverflowRiskError
 from kamforge.fourier import FourierSeries, composition_jet, sup_norm
+from kamforge.frequency import from_q
 from kamforge.obstruction import (ObstructionReport, RationalFreq,
                                   beta_gamma_oracle, delta_star, e_star,
                                   obstruction_order, projector)
+from kamforge.verify import degree3_forcing
 
 
 def basis(k, amp=1.0):
@@ -33,6 +36,31 @@ def test_rational_freq_validation():
     with pytest.raises(ValueError):
         RationalFreq(2, 4)  # not in lowest terms
     RationalFreq(-1, 3)  # negative numerators are fine
+
+
+# counts given as floats or bools were truncated by int() into other counts
+COUNT_CASES = {
+    "p float": ("p", lambda: RationalFreq(1.5, 3)),
+    "p bool": ("p", lambda: RationalFreq(True, 3)),
+    "m float": ("m", lambda: RationalFreq(1, 2.5)),
+    "N_q float": ("N_q", lambda: taylor0_recursion(FourierSeries.cos(), 0.05,
+                                                   N_q=3.9)),
+    "N_q bool": ("N_q", lambda: taylor0_recursion(FourierSeries.cos(), 0.05,
+                                                  N_q=True)),
+    "max_order float": ("max_order", lambda: obstruction_order(
+        FourierSeries.cos(), RationalFreq(1, 3), max_order=2.9)),
+    "up_to float": ("up_to", lambda: beta_gamma_oracle(
+        1, RationalFreq(1, 3), 2.9)),
+    "n_taylor float": ("n_taylor", lambda: crosscheck(
+        FourierSeries.cos(), from_q(0.3), 0.05, n_taylor=3.9)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COUNT_CASES))
+def test_a_count_that_is_not_an_int_is_refused(case):
+    name, call = COUNT_CASES[case]
+    with pytest.raises(ValueError, match=rf"^{name} must "):
+        call()
 
 
 def test_divisor_tables_closed_form():
@@ -202,17 +230,6 @@ def test_extended_precision_agrees_with_float():
     assert rext.n_star == r64.n_star == 5
     assert abs(rext.gamma_engine - r64.gamma_engine) < 1e-13
     assert rext.relative_gap < 1e-12
-
-
-def degree3_forcing(seed):
-    """Zero-mean forcing on modes 0 < |k| <= 3, seeded magnitudes and phases."""
-    rng = np.random.default_rng(seed)
-    c = np.zeros(7, dtype=np.complex128)
-    for k in (-3, -2, -1, 1, 2, 3):
-        c[k + 3] = (rng.uniform(0.2, 1.0)
-                    * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-                    * np.exp(-0.4 * abs(k)))
-    return FourierSeries(c)
 
 
 # (n*, gamma_engine, witness at its modes +-m), as an engine that ran one
