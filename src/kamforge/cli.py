@@ -32,7 +32,7 @@ from .continuation import crosscheck as run_crosscheck
 from .continuation import (PICARD_MAX_ITERS, _picard_curve, taylor0_eval,
                            taylor0_recursion)
 from .errors import KamforgeError
-from .fourier import FourierSeries, _widen, sup_norm, truncate
+from .fourier import FourierSeries, _widen, require_int, sup_norm, truncate
 from .frequency import (
     DiophantineClass,
     Frequency,
@@ -190,17 +190,21 @@ def run_sweep(*, omega_re, omega_im, eps, f, modes=64, tol=1e-12,
 
     ``omega_re`` / ``omega_im`` are (min, max, count) axes; ``eps_axis``
     optionally replaces the single ``eps`` by a (min, max, count) axis.
+    A count or ``workers`` that is not an int >= 1 raises ``ValueError``.
     Records are computed by a deterministic pure function per point, so the
     files are byte-identical for any worker count.
     """
+    require_int(workers, "workers", 1)
     re0, re1, n_re = omega_re
     im0, im1, n_im = omega_im
-    res = np.linspace(float(re0), float(re1), int(n_re))
-    ims = np.linspace(float(im0), float(im1), int(n_im))
+    res = np.linspace(float(re0), float(re1),
+                      require_int(n_re, "omega_re count", 1))
+    ims = np.linspace(float(im0), float(im1),
+                      require_int(n_im, "omega_im count", 1))
     if eps_axis is not None:
         e0, e1, n_e = eps_axis
-        eps_vals = [complex(e) for e in np.linspace(float(e0), float(e1),
-                                                    int(n_e))]
+        eps_vals = [complex(e) for e in np.linspace(
+            float(e0), float(e1), require_int(n_e, "eps_axis count", 1))]
     else:
         eps_vals = [complex(eps)]
     tasks = []

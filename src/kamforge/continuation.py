@@ -126,12 +126,7 @@ def taylor0_recursion(f: FourierSeries, eps, N_q: int = 40) -> QTaylorData:
     pieces E^(n0) give.  E^(n) breaks f's mode lattice, so the jet runs at
     stride 1.  Raises ``OverflowRiskError`` when an order stops being finite.
     """
-    N_q = require_int(N_q, "N_q")
-    if N_q < 1:
-        raise ValueError("need at least one order")
-    if N_q > TAYLOR_ORDER_CAP:
-        raise ValueError(
-            f"N_q = {N_q} exceeds the order cap {TAYLOR_ORDER_CAP}")
+    require_int(N_q, "N_q", 1, TAYLOR_ORDER_CAP)
     eps = finite_scalar(eps, "eps")
     jet = composition_jet(f.coeffs)
     # low[s] holds modes -N_q..N_q of [f(id+u)]_s, cut[s] its cutoff
@@ -259,10 +254,8 @@ def crosscheck(f: FourierSeries, freq: Frequency, eps,
     if repeated:
         raise ValueError(f"methods {repeated} given more than once; "
                          "each method runs once")
-    if "taylor0" in methods and not (
-            1 <= require_int(n_taylor, "n_taylor") <= TAYLOR_ORDER_CAP):
-        raise ValueError(f"n_taylor must lie in [1, {TAYLOR_ORDER_CAP}], "
-                         f"got {n_taylor}")
+    if "taylor0" in methods:
+        require_int(n_taylor, "n_taylor", 1, TAYLOR_ORDER_CAP)
     status: dict = {}
     solutions: dict = {}
 

@@ -183,9 +183,7 @@ class FourierSeries:
         for key in ("N", "coeffs"):
             if key not in d:
                 raise ValueError(f"series JSON has no {key!r} key")
-        N = d["N"]
-        if type(N) is not int or N < 0:  # a bool is no count either
-            raise ValueError(f"series JSON 'N' must be an integer >= 0, got {N!r}")
+        N = require_int(d["N"], "series JSON 'N'", 0)
         coeffs = jsonio.to_complex(d["coeffs"])
         if coeffs.size != 2 * N + 1:
             raise ValueError("coeff count does not match N")
@@ -212,11 +210,17 @@ def finite_scalar(value, name: str) -> complex:
     return z
 
 
-def require_int(value, name: str) -> int:
-    """*value* if its type is exactly int, else ValueError naming *name*:
-    a float is not truncated into a count, and a bool is no count."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an int, got {value!r}")
+def require_int(value, name: str, lo: int | None = None,
+                hi: int | None = None) -> int:
+    """*value* if its type is exactly int and it lies in [lo, hi] (an
+    omitted bound is open), else ValueError naming *name*, the bounds and
+    the value: a float is not truncated into a count, and a bool is no
+    count.  This is the package's one check of an integer argument."""
+    if not (type(value) is int and (lo is None or value >= lo)
+            and (hi is None or value <= hi)):
+        rule = (f" in [{lo}, {hi}]" if hi is not None
+                else "" if lo is None else f" >= {lo}")
+        raise ValueError(f"{name} must be an int{rule}, got {value!r}")
     return value
 
 

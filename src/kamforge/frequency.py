@@ -27,7 +27,7 @@ from scipy.special import zeta as _zeta
 
 from . import jsonio
 from .errors import BoundViolationError, ResonanceError
-from .fourier import EXP_CAP
+from .fourier import EXP_CAP, require_int
 
 _TWO_PI = 2.0 * math.pi
 RESONANCE_ULPS = 4.0  # |q^k - 1| < RESONANCE_ULPS 2 pi |k| 2^-52 counts as zero
@@ -106,8 +106,7 @@ def lambda_k(freq: Frequency, k: int) -> complex:
     within ``RESONANCE_ULPS`` round-offs of 2 pi k omega of zero raises
     ``ResonanceError``: omega is then a rational p/m with m | k.
     """
-    k = int(k)
-    if k == 0:
+    if require_int(k, "k") == 0:
         raise ValueError("lambda_k is undefined at k = 0")
     om = freq.omega
     direct = k * om.imag >= 0
@@ -210,8 +209,7 @@ class DiophantineClass:
                     f"{name} must be finite, got {getattr(self, name)}")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-        if not (type(self.m_max) is int and self.m_max >= 2):
-            raise ValueError(f"m_max must be an int >= 2, got {self.m_max!r}")
+        require_int(self.m_max, "m_max", 2)
         bound = 2.0 * float(_zeta(1.0 + self.tau))
         if not self.M > bound:
             raise ValueError(
@@ -513,6 +511,7 @@ def check_small_divisor_bound(freq: Frequency, cls: DiophantineClass,
     Returns a report with the worst ratio; raises ``BoundViolationError``
     when any ratio exceeds one (a bug, or a frequency outside the set).
     """
+    require_int(k_max, "k_max", 1)
     # in the order 1, -1, 2, -2, ... argmax resolves a tie of +-k to +k
     ks = np.stack((np.arange(1, k_max + 1), -np.arange(1, k_max + 1)), 1).ravel()
     bound = math.sqrt(2.0) * cls.M * np.abs(ks).astype(float) ** (1.0 + cls.tau)
@@ -569,6 +568,7 @@ def export_set_geometry(cls: DiophantineClass, boundary_n: int = 512) -> SetGeom
     dist(Re omega, real set); both branches are traced (upper left-to-right,
     then lower right-to-left) at ``boundary_n`` points per branch.
     """
+    require_int(boundary_n, "boundary_n", 1)
     starts, ends, measure = cls._gaps()
     xs = (np.arange(boundary_n) + 0.5) / boundary_n
     d = np.array([_gap_dist(x, starts, ends) for x in xs.tolist()])

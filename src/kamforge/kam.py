@@ -62,6 +62,7 @@ from .fourier import (
     mean,
     product,
     refuse_grid_min,
+    require_int,
     sup_norm,
     truncate,
 )
@@ -106,13 +107,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
-        # counts are ints, as a series' N is: a bool or a float is refused
-        if not (type(self.max_iters) is int and self.max_iters >= 0):
-            raise ValueError(
-                f"max_iters must be an int >= 0, got {self.max_iters!r}")
-        if not (type(self.cutoff) is int and 1 <= self.cutoff <= HARD_CAP):
-            raise ValueError(f"cutoff must be an int in [1, {HARD_CAP}], "
-                             f"got {self.cutoff!r}")
+        require_int(self.max_iters, "max_iters", 0)
+        require_int(self.cutoff, "cutoff", 1, HARD_CAP)
         if not (self.seed is None or isinstance(self.seed, FourierSeries)):
             raise ValueError("seed must be a FourierSeries or None, "
                              f"got a {type(self.seed).__name__}")
@@ -175,6 +171,7 @@ class InvariantCurve:
 
     def csv_rows(self, grid_n: int = 256):
         """Curve samples: theta, re_x, im_x, re_y, im_y."""
+        require_int(grid_n, "grid_n", 1)
         theta = np.arange(grid_n) / grid_n
         x = theta + grid_values(self.u, grid_n)
         y = self.freq.omega + grid_values(self.v, grid_n)
@@ -444,8 +441,7 @@ def dynamical_residual(curve: InvariantCurve, grid_n: int = 1024) -> float:
     """
     freq = curve.freq
     om = freq.omega
-    if not (type(grid_n) is int and grid_n >= 1):
-        raise ValueError(f"grid_n must be an int >= 1, got {grid_n!r}")
+    require_int(grid_n, "grid_n", 1)
     theta = np.arange(grid_n) / grid_n
     x = theta + grid_values(curve.u, grid_n)
     y = om + grid_values(curve.v, grid_n)

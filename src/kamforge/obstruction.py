@@ -49,9 +49,7 @@ class RationalFreq:
     m: int
 
     def __post_init__(self):
-        p, m = require_int(self.p, "p"), require_int(self.m, "m")
-        if m < 1:
-            raise ValueError("denominator must be a positive integer")
+        p, m = require_int(self.p, "p"), require_int(self.m, "m", 1)
         if math.gcd(abs(p), m) != 1:
             raise ValueError(f"{p}/{m} is not in lowest terms")
 
@@ -166,15 +164,13 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
     such order), stops being finite; at a tie the engine's error wins.
 
     Preconditions: f zero-mean and not identically zero, threshold finite >= 0,
-    ``max_order`` an int, m and ``max_order`` at most ``OBSTRUCTION_ORDER_CAP``.
+    m and ``max_order`` ints in [1, ``OBSTRUCTION_ORDER_CAP``].
     """
     if exactness not in ("float", "extended"):
         raise ValueError("exactness must be 'float' or 'extended'")
     max_order = rf.m if max_order is None else max_order
-    for name, n in (("m", rf.m), ("max_order", max_order)):
-        if require_int(n, name) > OBSTRUCTION_ORDER_CAP:
-            raise ValueError(f"{name} = {n} exceeds the order cap "
-                             f"OBSTRUCTION_ORDER_CAP = {OBSTRUCTION_ORDER_CAP}")
+    require_int(rf.m, "m", 1, OBSTRUCTION_ORDER_CAP)
+    require_int(max_order, "max_order", 1, OBSTRUCTION_ORDER_CAP)
     if threshold is not None and not 0.0 <= threshold < math.inf:
         raise ValueError(
             f"threshold must be finite and >= 0, got {threshold!r}")
@@ -192,9 +188,6 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
     lo, d = int(modes[0]), int(np.gcd.reduce(np.diff(modes))) or 1
     f_lat = c[f.N + lo:f.N + K + 1:d]    # f on its lattice: modes lo..K, stride d
     A = complex(f_lat[-1])
-
-    if max_order < 1:
-        raise ValueError("max_order must be at least 1")
 
     extended = exactness == "extended"
     _, lam = rf.tables(extended=extended)
@@ -316,9 +309,7 @@ def beta_gamma_oracle(K: int, rf: RationalFreq, up_to: int,
     to Python floats and complexes either way.  Raises ``OverflowRiskError``
     naming the first order whose gamma is not finite.
     """
-    up_to = require_int(up_to, "up_to")
-    if up_to < 1:
-        raise ValueError("need at least one order")
+    require_int(up_to, "up_to", 1)
     _, lam = rf.tables(extended=extended)
     cplx = np.clongdouble if extended else complex   # float: Python's powers
     pi = np.arccos(lam.dtype.type(-1))

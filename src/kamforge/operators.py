@@ -41,6 +41,7 @@ from .fourier import (
     FourierSeries,
     check_exponent,
     mode_phases,
+    require_int,
 )
 from .frequency import Frequency, lambda_pass, resonance_error
 
@@ -173,9 +174,7 @@ def e_n(phi: FourierSeries, n: int) -> FourierSeries:
     E_q = sum_{n>=1} q^n E^(n) with E^(n) phi = sum_{m d = n} d (phi_m e_m +
     phi_{-m} e_{-m}); only divisor modes of n survive.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    require_int(n, "n", 1)
     N_out = min(n, phi.N)
     out = np.zeros(2 * N_out + 1, dtype=np.complex128)
     for m in range(1, N_out + 1):

@@ -3,7 +3,9 @@
 import ast
 import json
 import math
+import os
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +16,13 @@ from kamforge.cli import run_sweep
 from kamforge.continuation import crosscheck, taylor0_recursion
 from kamforge.errors import OverflowRiskError
 from kamforge.fourier import FourierSeries, composition_jet, sup_norm
-from kamforge.frequency import from_q
+from kamforge.frequency import (DiophantineClass, check_small_divisor_bound,
+                                export_set_geometry, from_q, lambda_k)
+from kamforge.kam import SolverConfig, solve_curve
 from kamforge.obstruction import (ObstructionReport, RationalFreq,
                                   beta_gamma_oracle, delta_star, e_star,
                                   obstruction_order, projector)
+from kamforge.operators import e_n
 from kamforge.verify import degree3_forcing
 
 
@@ -40,27 +45,69 @@ def test_rational_freq_validation():
 
 # counts given as floats or bools were truncated by int() into other counts
 COUNT_CASES = {
-    "p float": ("p", lambda: RationalFreq(1.5, 3)),
-    "p bool": ("p", lambda: RationalFreq(True, 3)),
-    "m float": ("m", lambda: RationalFreq(1, 2.5)),
-    "N_q float": ("N_q", lambda: taylor0_recursion(FourierSeries.cos(), 0.05,
-                                                   N_q=3.9)),
-    "N_q bool": ("N_q", lambda: taylor0_recursion(FourierSeries.cos(), 0.05,
-                                                  N_q=True)),
-    "max_order float": ("max_order", lambda: obstruction_order(
-        FourierSeries.cos(), RationalFreq(1, 3), max_order=2.9)),
-    "up_to float": ("up_to", lambda: beta_gamma_oracle(
-        1, RationalFreq(1, 3), 2.9)),
-    "n_taylor float": ("n_taylor", lambda: crosscheck(
-        FourierSeries.cos(), from_q(0.3), 0.05, n_taylor=3.9)),
+    "p float": ("p must be an int, got 1.5", lambda: RationalFreq(1.5, 3)),
+    "p bool": ("p must be an int, got True", lambda: RationalFreq(True, 3)),
+    "m float": ("m must be an int >= 1, got 2.5",
+                lambda: RationalFreq(1, 2.5)),
+    "N_q float": ("N_q must be an int in [1, 60], got 3.9",
+                  lambda: taylor0_recursion(FourierSeries.cos(), 0.05,
+                                            N_q=3.9)),
+    "N_q bool": ("N_q must be an int in [1, 60], got True",
+                 lambda: taylor0_recursion(FourierSeries.cos(), 0.05,
+                                           N_q=True)),
+    "max_order float": ("max_order must be an int in [1, 400], got 2.9",
+                        lambda: obstruction_order(
+                            FourierSeries.cos(), RationalFreq(1, 3),
+                            max_order=2.9)),
+    "up_to float": ("up_to must be an int >= 1, got 2.9",
+                    lambda: beta_gamma_oracle(1, RationalFreq(1, 3), 2.9)),
+    "n_taylor float": ("n_taylor must be an int in [1, 60], got 3.9",
+                       lambda: crosscheck(FourierSeries.cos(), from_q(0.3),
+                                          0.05, n_taylor=3.9)),
+    # lambda_2 and E^(2) were returned for k = 2.5 and n = 2.5
+    "k float": ("k must be an int, got 2.5",
+                lambda: lambda_k(from_q(0.3), 2.5)),
+    "k bool": ("k must be an int, got True",
+               lambda: lambda_k(from_q(0.3), True)),
+    "n float": ("n must be an int >= 1, got 2.5",
+                lambda: e_n(FourierSeries.cos(), 2.5)),
+    "n bool": ("n must be an int >= 1, got True",
+               lambda: e_n(FourierSeries.cos(), True)),
 }
+
+
+def _sweep(**kwargs):
+    # /dev/null takes the records, should a count not be refused
+    return run_sweep(**{"omega_re": (0.3, 0.3, 1), "omega_im": (0.1, 0.1, 1),
+                        "eps": 0.05, "f": FourierSeries.cos(), "modes": 16,
+                        "out_path": os.devnull, **kwargs})
+
+
+# entry points that checked no count: a float was truncated or hit a numpy
+# error, and 0 gave an empty result
+UNCHECKED_COUNTS = {
+    "k_max": lambda v: check_small_divisor_bound(
+        from_q(0.3), DiophantineClass(6.0, 0.5, 100), k_max=v),
+    "boundary_n": lambda v: export_set_geometry(
+        DiophantineClass(6.0, 0.5, 50), boundary_n=v),
+    "grid_n": lambda v: solve_curve(FourierSeries.cos(), from_q(0.3), 0.05,
+                                    SolverConfig(cutoff=16)).csv_rows(v),
+    "omega_re count": lambda v: _sweep(omega_re=(0.3, 0.4, v)),
+    "workers": lambda v: _sweep(workers=v),
+}
+COUNT_CASES.update({
+    f"{name} {label}": (f"{name} must be an int >= 1, got {v!r}",
+                        partial(call, v))
+    for name, call in UNCHECKED_COUNTS.items()
+    for label, v in (("float", 2.5), ("bool", True), ("0", 0))})
 
 
 @pytest.mark.parametrize("case", sorted(COUNT_CASES))
 def test_a_count_that_is_not_an_int_is_refused(case):
-    name, call = COUNT_CASES[case]
-    with pytest.raises(ValueError, match=rf"^{name} must "):
+    message, call = COUNT_CASES[case]
+    with pytest.raises(ValueError) as e:
         call()
+    assert str(e.value) == message
 
 
 def test_divisor_tables_closed_form():
@@ -633,8 +680,10 @@ def test_obstruction_imports_no_solver():
 
 
 @pytest.mark.parametrize("m,max_order,named", [
-    (obstruction.OBSTRUCTION_ORDER_CAP + 1, None, "m = 401"),
-    (7, obstruction.OBSTRUCTION_ORDER_CAP + 1, "max_order = 401"),
+    pytest.param(obstruction.OBSTRUCTION_ORDER_CAP + 1, None, "m",
+                 id="401-None-m = 401"),
+    pytest.param(7, obstruction.OBSTRUCTION_ORDER_CAP + 1, "max_order",
+                 id="7-401-max_order = 401"),
 ])
 def test_obstruction_refuses_orders_past_the_cap(monkeypatch, m, max_order,
                                                  named):
@@ -644,10 +693,10 @@ def test_obstruction_refuses_orders_past_the_cap(monkeypatch, m, max_order,
         raise AssertionError("tables built before the cap was checked")
 
     monkeypatch.setattr(RationalFreq, "tables", no_tables)
-    with pytest.raises(ValueError, match="OBSTRUCTION_ORDER_CAP = 400") as e:
+    with pytest.raises(ValueError) as e:
         obstruction_order(FourierSeries.cos(), RationalFreq(1, m),
                           max_order=max_order)
-    assert str(e.value).startswith(named)
+    assert str(e.value) == f"{named} must be an int in [1, 400], got 401"
 
 
 def test_obstruction_runs_at_the_cap():
