@@ -32,7 +32,8 @@ from .continuation import crosscheck as run_crosscheck
 from .continuation import (PICARD_MAX_ITERS, _picard_curve, taylor0_eval,
                            taylor0_recursion)
 from .errors import KamforgeError
-from .fourier import FourierSeries, _widen, require_int, sup_norm, truncate
+from .fourier import (HARD_CAP, FourierSeries, _widen, require_int, sup_norm,
+                      truncate)
 from .frequency import (
     DiophantineClass,
     Frequency,
@@ -139,7 +140,7 @@ def cmd_solve(args) -> int:
 
 
 def _sweep_point(task) -> dict:
-    idx, om, eps, f, modes, tol, max_iters, method = task
+    idx, om, eps, f, cfg, method = task
     freq = from_omega(om)
     rec = {
         "index": idx,
@@ -147,7 +148,6 @@ def _sweep_point(task) -> dict:
         "q": freq.q,
         "eps": eps,
     }
-    cfg = SolverConfig(cutoff=modes, tol=tol, max_iters=max_iters)
     try:
         solve = _picard_curve if method == "picard" else solve_curve
         curve = solve(f, freq, eps, cfg)
@@ -190,11 +190,19 @@ def run_sweep(*, omega_re, omega_im, eps, f, modes=64, tol=1e-12,
 
     ``omega_re`` / ``omega_im`` are (min, max, count) axes; ``eps_axis``
     optionally replaces the single ``eps`` by a (min, max, count) axis.
-    A count or ``workers`` that is not an int >= 1 raises ``ValueError``.
+    A count or ``workers`` that is not an int >= 1 raises ``ValueError``,
+    and so, by its own name, does a ``modes`` that is not an int in
+    [1, ``HARD_CAP``], a ``max_iters`` that is not an int >= 0, a ``tol``
+    that is not finite and positive, or a ``method`` other than "newton"
+    and "picard", all before any point is solved.
     Records are computed by a deterministic pure function per point, so the
     files are byte-identical for any worker count.
     """
     require_int(workers, "workers", 1)
+    cfg = SolverConfig(cutoff=require_int(modes, "modes", 1, HARD_CAP),
+                       tol=tol, max_iters=max_iters)
+    if method not in ("newton", "picard"):
+        raise ValueError(f"method must be 'newton' or 'picard', got {method!r}")
     re0, re1, n_re = omega_re
     im0, im1, n_im = omega_im
     res = np.linspace(float(re0), float(re1),
@@ -213,8 +221,7 @@ def run_sweep(*, omega_re, omega_im, eps, f, modes=64, tol=1e-12,
         for b in ims:
             from_omega(complex(a, b))  # refuse past the cap before any solve
             for e in eps_vals:
-                tasks.append((idx, complex(a, b), e, f, modes, tol,
-                              max_iters, method))
+                tasks.append((idx, complex(a, b), e, f, cfg, method))
                 idx += 1
     workers = min(workers, len(tasks))
     if workers <= 1:

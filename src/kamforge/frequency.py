@@ -128,18 +128,34 @@ def lambda_table(freq: Frequency, N: int) -> np.ndarray:
 
 def lambda_pass(freq: Frequency, N: int) -> tuple[np.ndarray, int]:
     """``lambda_table`` without the refusal: the table, 0 wherever q^k - 1
-    vanished, and the smallest such |k| (0 if none)."""
-    ks = np.arange(-N, N + 1)
+    vanished, and the smallest such |k| (0 if none).
+
+    One exponential per |k|: w = exp(2 pi i k omega) for the k whose sign
+    is that of Im omega (k > 0 on the real axis), where |w| <= 1 and
+    lambda_k = 1 / (w - 1); the same w gives lambda_{-k} = w / (1 - w), and
+    |w - 1| decides the resonance of +-k together.  Both are ``lambda_k``'s
+    bits.  The other side reads conj(w) where that is, bit for bit, its
+    own exponential: on the real axis, where every k is direct and
+    lambda_{-k} = 1 / (conj(w) - 1), and at Re omega = 0 below it, where w
+    is real and the other side's exponent has -0.0 for the +0.0 imaginary
+    part of this one.
+    """
     table = np.zeros(2 * N + 1, dtype=np.complex128)
+    plus, minus = table[N + 1:], table[:N][::-1]  # k = j and k = -j
     om = freq.omega
-    direct = ks * om.imag >= 0
-    w = np.exp(np.where(direct, 2j * math.pi, -2j * math.pi) * ks * om)
-    d = np.where(direct, w - 1.0, 1.0 - w)
-    nz = ks != 0
-    vanished = nz & (np.abs(d) < RESONANCE_ULPS * _TWO_PI * np.abs(ks) * 2.0 ** -52)
-    k = int(np.min(np.abs(ks[vanished]))) if vanished.any() else 0
-    ok = nz & ~vanished
-    table[ok] = np.where(direct, 1.0, w)[ok] / d[ok]
+    up = om.imag >= 0
+    j = np.arange(1, N + 1)
+    w = np.exp((2j * math.pi) * (j if up else -j) * om)
+    d = w - 1.0
+    ok = np.abs(d) >= RESONANCE_ULPS * _TWO_PI * j * 2.0 ** -52
+    k = 0 if ok.all() else int(np.argmin(ok)) + 1
+    np.divide(1.0, d, out=plus if up else minus, where=ok)
+    if om.imag == 0.0:
+        np.divide(1.0, np.conj(w) - 1.0, out=minus, where=ok)
+    else:
+        if om.real == 0.0 and not up:
+            w = np.conj(w)
+        np.divide(w, 1.0 - w, out=minus if up else plus, where=ok)
     return table, k
 
 
@@ -242,31 +258,32 @@ def dioph_real_margin(x: float, cls: DiophantineClass):
     is margin >= 1.  The minimum over all m is attained at a continued-
     fraction convergent denominator (best-approximation property), so only
     convergents are scanned, in exact integer arithmetic without
-    ``Fraction``: on the pair y = num/den of ``y.as_integer_ratio()`` each
-    distance |q y - p| is |q num - p den| / den, one correctly rounded
-    int/int division.  Raises ``ValueError`` for NaN or infinite x.
+    ``Fraction``.  The distances are Euclid's remainders: on the pair
+    y = num/den of ``y.as_integer_ratio()``, the remainder left when the
+    convergent p/q is formed is |q num - p den|, so |q y - p| is that
+    remainder over den, one correctly rounded int/int division.  Raises
+    ``ValueError`` for NaN or infinite x.
     """
     y = _fold(_finite_x(x))
-    y_num, y_den = y.as_integer_ratio()
+    num, y_den = y.as_integer_ratio()
+    M, power, m_max = cls.M, 1.0 + cls.tau, cls.m_max
     margin = math.inf
     worst = (0, 1)
-    num, den = y_num, y_den
     p_prev, q_prev, p_cur, q_cur = 0, 1, 1, 0  # convergents p/q, seeded before a0
+    den = y_den
     a, rem = divmod(num, den)
     while True:
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
-        if q_cur > cls.m_max:
+        if q_cur > m_max:
             break
-        dist = abs(q_cur * y_num - p_cur * y_den) / y_den
-        val = dist * cls.M * float(q_cur) ** (1.0 + cls.tau)
+        val = rem / y_den * M * float(q_cur) ** power
         if val < margin:
             margin = val
             worst = (p_cur, q_cur)
         if rem == 0:
             break
-        num, den = den, rem
-        a, rem = divmod(num, den)
+        den, (a, rem) = rem, divmod(den, rem)
     return margin, worst
 
 
@@ -512,12 +529,15 @@ def check_small_divisor_bound(freq: Frequency, cls: DiophantineClass,
     when any ratio exceeds one (a bug, or a frequency outside the set).
     """
     require_int(k_max, "k_max", 1)
-    # in the order 1, -1, 2, -2, ... argmax resolves a tie of +-k to +k
-    ks = np.stack((np.arange(1, k_max + 1), -np.arange(1, k_max + 1)), 1).ravel()
-    bound = math.sqrt(2.0) * cls.M * np.abs(ks).astype(float) ** (1.0 + cls.tau)
-    ratios = np.abs(lambda_table(freq, k_max)[ks + k_max]) / bound
-    worst = float(np.max(ratios, initial=0.0))
-    worst_k = int(ks[np.argmax(ratios)]) if worst > 0.0 else 0
+    bound = math.sqrt(2.0) * cls.M * np.arange(1.0, k_max + 1) ** (1.0 + cls.tau)
+    mags = np.abs(lambda_table(freq, k_max))
+    plus = mags[k_max + 1:] / bound       # |k| = 1..k_max, k > 0
+    minus = mags[k_max - 1::-1] / bound   # and k < 0
+    ratios = np.maximum(plus, minus)
+    i = int(np.argmax(ratios))            # the first |k| wins a tie,
+    worst = float(ratios[i])              # and +k wins it over -k
+    # no k when every bound overflowed to inf
+    worst_k = (i + 1 if plus[i] >= minus[i] else -i - 1) if worst > 0.0 else 0
     report = {"k_max": k_max, "max_ratio": worst, "k_at_max": worst_k}
     if worst > 1.0:
         raise BoundViolationError(

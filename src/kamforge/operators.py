@@ -14,7 +14,8 @@ gamma / gamma_minus / e_q annihilate the mean, which is exactly why the
 linearized KAM equation is solvable only up to a constant.  The divisor
 table comes from ``frequency.lambda_pass``, which is branch-stable: the
 product q^k * lambda_k is never formed from separately overflowing
-factors; e_q is assembled as gamma * gamma_minus, both factors bounded.
+factors, and one exponential per |k| serves both k and -k; e_q is
+assembled as gamma * gamma_minus, both factors bounded.
 
 Every table of a frequency is a slice of one set per frequency
 (``_FrequencyTables``), bit for bit the vector a build at the requested

@@ -287,6 +287,42 @@ def test_sweep_starts_at_most_one_process_per_point(
     assert summary["total"] == n_points
 
 
+SWEEP_KNOB_REFUSALS = {
+    "modes float": ({"modes": 2.5}, "modes must be an int in [1, 4096], got 2.5"),
+    "modes 0": ({"modes": 0}, "modes must be an int in [1, 4096], got 0"),
+    "modes past the cap": ({"modes": 4097},
+                           "modes must be an int in [1, 4096], got 4097"),
+    "max_iters float": ({"max_iters": 3.0},
+                        "max_iters must be an int >= 0, got 3.0"),
+    "max_iters -1": ({"max_iters": -1}, "max_iters must be an int >= 0, got -1"),
+    "tol nan": ({"tol": math.nan}, "tol must be finite and positive, got nan"),
+    "tol 0": ({"tol": 0.0}, "tol must be finite and positive, got 0.0"),
+    "method": ({"method": "bogus"},
+               "method must be 'newton' or 'picard', got 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", sorted(SWEEP_KNOB_REFUSALS))
+def test_sweep_refuses_a_bad_solver_knob_by_name_before_any_task(
+        tmp_path, monkeypatch, case, workers):
+    kwargs, message = SWEEP_KNOB_REFUSALS[case]
+    monkeypatch.setattr(_RecordingPool, "started", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    solved = []
+    monkeypatch.setattr(cli, "_sweep_point", solved.append)
+    out = tmp_path / "s.jsonl"
+    with pytest.raises(ValueError) as e:
+        # Im omega = 200 is refused while the tasks are built, so the knob's
+        # message shows that it was refused first
+        cli.run_sweep(**{"omega_re": (0.6, 0.62, 2),
+                         "omega_im": (0.03, 200.0, 2), "eps": 0.05,
+                         "f": FourierSeries.cos(), "modes": 16,
+                         "workers": workers, "out_path": str(out), **kwargs})
+    assert str(e.value) == message
+    assert (solved, _RecordingPool.started, out.exists()) == ([], [], False)
+
+
 def test_sweep_keeps_failed_points_inline(tmp_path):
     # a grid crossing omega = 1/2 on the real axis: the resonant point
     # fails inline, the rest converge, and the exit code stays 0
@@ -400,7 +436,7 @@ def test_radial_picard_sweep_failure_still_writes_jsonl(tmp_path):
     ("solve", "--max-iters", "-1", "max_iters"),
     ("solve", "--modes", "-3", "cutoff"),
     ("sweep", "--max-iters", "-1", "max_iters"),
-    ("sweep", "--modes", "0", "cutoff"),
+    ("sweep", "--modes", "0", "modes"),
     ("sweep", "--workers", "-4", "--workers"),
     ("sweep", "--workers", "0", "--workers"),
     ("solve", "--grid-n", "0", "--grid-n"),

@@ -35,6 +35,7 @@ from kamforge.frequency import (
     from_q,
     in_AMC,
     lambda_k,
+    lambda_pass,
     lambda_table,
     reflected,
 )
@@ -194,6 +195,56 @@ def test_lambda_table_matches_scalar_reference(re, im, N):
     assert table.shape == (2 * N + 1,)
     assert table[N] == 0.0
     assert np.all(np.abs(table - ref) <= 4e-16 * np.abs(ref))
+
+
+def lambda_pass_two_sided(freq, N):
+    """The divisor table with one exponential per k, each on its own side:
+    the reference ``lambda_pass`` matches bit for bit."""
+    ks = np.arange(-N, N + 1)
+    table = np.zeros(2 * N + 1, dtype=np.complex128)
+    om = freq.omega
+    direct = ks * om.imag >= 0
+    w = np.exp(np.where(direct, 2j * math.pi, -2j * math.pi) * ks * om)
+    d = np.where(direct, w - 1.0, 1.0 - w)
+    nz = ks != 0
+    vanished = nz & (np.abs(d) < frequency.RESONANCE_ULPS * (2.0 * math.pi)
+                     * np.abs(ks) * 2.0 ** -52)
+    k = int(np.min(np.abs(ks[vanished]))) if vanished.any() else 0
+    ok = nz & ~vanished
+    table[ok] = np.where(direct, 1.0, w)[ok] / d[ok]
+    return table, k
+
+
+def same_bits(a, b):
+    """Equal float64 bit patterns: a signed zero counts, unlike ==."""
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint64),
+        np.ascontiguousarray(b).view(np.uint64))
+
+
+@settings(derandomize=True, max_examples=1500, deadline=None)
+@given(re=st.one_of(st.sampled_from([0.0, 0.5]),
+                    st.floats(0.0, 1.0, exclude_max=True),
+                    st.builds(lambda p, m: p % m / m,
+                              st.integers(0, 200), st.integers(1, 60))),
+       im=st.one_of(st.sampled_from([0.0, -0.0]),
+                    st.floats(1e-12, 110.0), st.floats(-110.0, -1e-12)),
+       N=st.integers(0, 600))
+@example(re=0.0, im=0.0, N=7)           # every divisor vanishes
+@example(re=1 / 3, im=0.0, N=600)       # k = 3, 6, ... vanish
+@example(re=0.4, im=-0.0, N=12)
+@example(re=0.0, im=-0.5, N=40)         # real w below the axis: conj(w)
+@example(re=0.0, im=0.5, N=40)          # and above it: w itself
+@example(re=1e-9, im=0.0, N=50)         # Re(w - 1) is exactly 0
+@example(re=0.3, im=110.0, N=600)       # w underflows to 0
+@example(re=0.3, im=-110.0, N=600)
+@example(re=0.25, im=0.0, N=0)
+def test_lambda_pass_matches_the_two_sided_formula_bit_for_bit(re, im, N):
+    freq = from_omega(complex(re, im))
+    table, k = lambda_pass(freq, N)
+    want, want_k = lambda_pass_two_sided(freq, N)
+    assert k == want_k
+    assert same_bits(table, want), (freq.omega, N)
 
 
 @pytest.mark.parametrize("omega,p,m", [(0.5, 1, 2), (1 / 3, 1, 3), (0.4, 2, 5),
@@ -509,6 +560,42 @@ def test_small_divisor_bound_certificate():
         check_small_divisor_bound(from_omega(0.5), cls6(), k_max=10)
 
 
+def small_divisor_scan(freq, cls, k_max):
+    """The bound's ratios in the order 1, -1, 2, -2, ..., where argmax keeps
+    the first of equal ratios: the reference of the bound report."""
+    ks = np.stack((np.arange(1, k_max + 1), -np.arange(1, k_max + 1)), 1).ravel()
+    bound = math.sqrt(2.0) * cls.M * np.abs(ks).astype(float) ** (1.0 + cls.tau)
+    ratios = np.abs(lambda_table(freq, k_max)[ks + k_max]) / bound
+    worst = float(np.max(ratios, initial=0.0))
+    return worst.hex(), int(ks[np.argmax(ratios)]) if worst > 0.0 else 0
+
+
+@pytest.mark.parametrize("M", [6.0, 1e306, 1.7e308])  # bounds overflow to inf
+@pytest.mark.parametrize("k_max", [1, 7, 100, 400])
+@pytest.mark.parametrize("omega", [GOLDEN, math.sqrt(2.0) - 1.0, 0.3 + 0.02j,
+                                   0.3 - 0.02j])
+def test_small_divisor_bound_matches_the_interleaved_scan(omega, k_max, M):
+    freq = from_omega(omega)
+    cls = DiophantineClass(M, 0.5, 2000)
+    with np.errstate(over="ignore"):    # the huge M overflow their bounds
+        rep = check_small_divisor_bound(freq, cls, k_max=k_max)
+        want = small_divisor_scan(freq, cls, k_max)
+    assert (rep["max_ratio"].hex(), rep["k_at_max"]) == want
+
+
+@pytest.mark.parametrize("omega,k_max", [(0.5 + 1e-9, 10), (0.5 - 1e-9, 10),
+                                         (1 / 3 + 1e-10 + 1e-9j, 30),
+                                         (1 / 3 + 1e-10 - 1e-9j, 30)])
+def test_small_divisor_violation_reports_the_interleaved_scan(omega, k_max):
+    freq = from_omega(omega)
+    with pytest.raises(BoundViolationError) as e:
+        check_small_divisor_bound(freq, cls6(), k_max=k_max)
+    rep = e.value.diagnostics
+    assert rep["max_ratio"] > 1.0
+    assert (rep["max_ratio"].hex(), rep["k_at_max"]) == small_divisor_scan(
+        freq, cls6(), k_max)
+
+
 def test_small_divisor_bound_resolves_a_tie_to_plus_k():
     # on the real circle q^{-k} is the exact conjugate of q^k, so
     # |lambda_k| and |lambda_{-k}| tie bit for bit at every k
@@ -623,6 +710,8 @@ def edge_points():
     picks = np.random.default_rng(3).integers(1, starts.size - 1, 40)
     return [0.0, -0.0, 0.5, 1.0 / 3.0, GOLDEN, 1.0 - 2.0 ** -53, 5e-324,
             -5e-324, 1.0, -1e-20, 2.5, -7.75,
+            # y_den past 2^53, and dyadic x whose expansion ends at rem = 0
+            1e-300, 2.0 ** -60, 3e-17, 1e-5, 0.375, 0.3125, 3 * 2.0 ** -10,
             # the wrap components: [starts[0], ends[0]] holds 0 and
             # [starts[-1], ends[-1]] holds 1
             0.01, -0.01, 0.99, 1.01, float(ends[0]), float(starts[-1]),
@@ -644,6 +733,19 @@ def test_membership_bit_for_bit_against_references():
 @example(x=1.0 - 2.0 ** -53, y=1e-9)
 def test_membership_matches_references(x, y):
     assert_membership_matches_references([x], [y])
+
+
+@pytest.mark.parametrize("x,m_max", [
+    (0.375, 8), (0.375, 7),              # the last convergent 3/8 at q = m_max
+    (GOLDEN, 987), (GOLDEN, 986), (math.sqrt(2.0) - 1.0, 408),
+    (3e-17, 10**9), (1e-5, 10**6),       # tiny x, deep expansions
+    (0.5 - 2.0 ** -40, 2**40),           # rem reaches 0 at q = 2^40
+])
+def test_margin_at_other_m_max_matches_the_fraction_reference(x, m_max):
+    cls = cls6(m_max)
+    margin, worst = dioph_real_margin(x, cls)
+    want_margin, want_worst = margin_fraction(x, cls)
+    assert (margin.hex(), worst) == (want_margin.hex(), want_worst)
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
