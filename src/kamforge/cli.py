@@ -32,8 +32,8 @@ from .continuation import crosscheck as run_crosscheck
 from .continuation import (PICARD_MAX_ITERS, _picard_curve, taylor0_eval,
                            taylor0_recursion)
 from .errors import KamforgeError
-from .fourier import (HARD_CAP, FourierSeries, _widen, require_int, sup_norm,
-                      truncate)
+from .fourier import (HARD_CAP, FourierSeries, _widen, finite_scalar,
+                      require_int, sup_norm, truncate)
 from .frequency import (
     DiophantineClass,
     Frequency,
@@ -114,8 +114,8 @@ def cmd_solve(args) -> int:
     dioph = None
     if args.M is not None:
         dioph = DiophantineClass(args.M, args.tau, args.mmax)
-    cfg = SolverConfig(cutoff=args.modes, tol=args.tol,
-                       max_iters=args.max_iters)
+    cfg = SolverConfig(cutoff=require_int(args.modes, "modes", 1, HARD_CAP),
+                       tol=args.tol, max_iters=args.max_iters)
     solve = _picard_curve if args.method == "picard" else solve_curve
     t0 = time.perf_counter()
     curve = solve(f, freq, complex(args.eps, args.eps_im), cfg, dioph)
@@ -183,6 +183,16 @@ def _family_from_records(records) -> SampledFamily:
     return fam
 
 
+def _axis_points(axis, name: str) -> np.ndarray:
+    """The points of a (min, max, count) axis; ``ValueError`` naming the
+    axis for a non-finite end or a count that is not an int >= 1."""
+    lo, hi, n = axis
+    lo, hi = float(lo), float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{name} ends must be finite, got {lo!r} and {hi!r}")
+    return np.linspace(lo, hi, require_int(n, f"{name} count", 1))
+
+
 def run_sweep(*, omega_re, omega_im, eps, f, modes=64, tol=1e-12,
               max_iters=30, workers=1, out_path, family_path=None,
               eps_axis=None, method="newton") -> dict:
@@ -191,10 +201,11 @@ def run_sweep(*, omega_re, omega_im, eps, f, modes=64, tol=1e-12,
     ``omega_re`` / ``omega_im`` are (min, max, count) axes; ``eps_axis``
     optionally replaces the single ``eps`` by a (min, max, count) axis.
     A count or ``workers`` that is not an int >= 1 raises ``ValueError``,
-    and so, by its own name, does a ``modes`` that is not an int in
-    [1, ``HARD_CAP``], a ``max_iters`` that is not an int >= 0, a ``tol``
-    that is not finite and positive, or a ``method`` other than "newton"
-    and "picard", all before any point is solved.
+    and so, by its own name, does a non-finite ``eps`` or axis end, a
+    ``modes`` that is not an int in [1, ``HARD_CAP``], a ``max_iters`` that
+    is not an int >= 0, a ``tol`` that is not finite and positive, or a
+    ``method`` other than "newton" and "picard", all before any point is
+    solved.
     Records are computed by a deterministic pure function per point, so the
     files are byte-identical for any worker count.
     """
@@ -203,18 +214,13 @@ def run_sweep(*, omega_re, omega_im, eps, f, modes=64, tol=1e-12,
                        tol=tol, max_iters=max_iters)
     if method not in ("newton", "picard"):
         raise ValueError(f"method must be 'newton' or 'picard', got {method!r}")
-    re0, re1, n_re = omega_re
-    im0, im1, n_im = omega_im
-    res = np.linspace(float(re0), float(re1),
-                      require_int(n_re, "omega_re count", 1))
-    ims = np.linspace(float(im0), float(im1),
-                      require_int(n_im, "omega_im count", 1))
+    eps = finite_scalar(eps, "eps")
+    res = _axis_points(omega_re, "omega_re")
+    ims = _axis_points(omega_im, "omega_im")
     if eps_axis is not None:
-        e0, e1, n_e = eps_axis
-        eps_vals = [complex(e) for e in np.linspace(
-            float(e0), float(e1), require_int(n_e, "eps_axis count", 1))]
+        eps_vals = [complex(e) for e in _axis_points(eps_axis, "eps_axis")]
     else:
-        eps_vals = [complex(eps)]
+        eps_vals = [eps]
     tasks = []
     idx = 0
     for a in res:
@@ -288,7 +294,6 @@ def cmd_obstruction(args) -> int:
     f = parse_series(args.f)
     rf = RationalFreq(args.p, args.m)
     rep = obstruction_order(f, rf, max_order=args.max_order,
-                            threshold=args.threshold,
                             exactness=args.exactness)
     jsonio.dump_path(jsonio.encode(rep), args.out)
     if rep.n_star is None:
@@ -335,8 +340,8 @@ def cmd_taylor0(args) -> int:
 def cmd_crosscheck(args) -> int:
     f = parse_series(args.f)
     freq = _frequency_from_args(args)
-    cfg = SolverConfig(cutoff=args.modes, tol=args.tol,
-                       max_iters=args.max_iters)
+    cfg = SolverConfig(cutoff=require_int(args.modes, "modes", 1, HARD_CAP),
+                       tol=args.tol, max_iters=args.max_iters)
     methods = tuple(s.strip() for s in args.methods.split(",") if s.strip())
     result = run_crosscheck(f, freq, complex(args.eps, args.eps_im),
                             methods=methods, config=cfg,
@@ -380,7 +385,8 @@ def _add_freq_args(sp) -> None:
 
 
 def _finite_float(text: str) -> float:
-    """argparse type of the eps options and --threshold: a finite float."""
+    """argparse type of the eps options and the sweep's axis ends
+    (--omega-min, --omega-max, --im-min, --im-max): a finite float."""
     try:
         x = float(text)
     except ValueError:
@@ -445,11 +451,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("sweep", help="grid of solves over frequency")
-    sp.add_argument("--omega-min", type=float, required=True)
-    sp.add_argument("--omega-max", type=float, required=True)
+    sp.add_argument("--omega-min", type=_finite_float, required=True)
+    sp.add_argument("--omega-max", type=_finite_float, required=True)
     sp.add_argument("--omega-n", type=_positive_int, required=True)
-    sp.add_argument("--im-min", type=float, default=0.0)
-    sp.add_argument("--im-max", type=float, default=0.0)
+    sp.add_argument("--im-min", type=_finite_float, default=0.0)
+    sp.add_argument("--im-max", type=_finite_float, default=0.0)
     sp.add_argument("--im-n", type=_positive_int, default=1)
     _add_eps_args(sp)
     sp.add_argument("--eps-min", type=_finite_float, default=None)
@@ -483,7 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--f", default="cos")
     sp.add_argument("--max-order", type=int, default=None)
-    sp.add_argument("--threshold", type=_finite_float, default=None)
     sp.add_argument("--exactness", choices=("float", "extended"),
                     default="float")
     sp.add_argument("--out", default="obstruction.json")

@@ -398,9 +398,8 @@ def _iterate(f: FourierSeries, freq: Frequency, eps,
         u0 = mean(u)
         if u0 != 0:
             shifted, _ = compose_id_plus(u, FourierSeries.constant(-u0))
-            u = shifted - FourierSeries.constant(u0)
-            c = u.coeffs.copy()
-            c[u.N] = 0.0  # analytically exact zero; strip the ~1e-17 roundoff
+            c = shifted.coeffs.copy()
+            c[shifted.N] = 0.0  # the "- u0": the mean is analytically zero
             u = FourierSeries._of(c)
         comp_n, crep_n = compose_id_plus(f, u)
         tails.append(crep_n.aliasing_tail)

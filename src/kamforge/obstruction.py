@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OverflowRiskError
-from .fourier import FourierSeries, composition_jet, require_int
+from .fourier import HARD_CAP, FourierSeries, composition_jet, require_int
 
 # Largest m and max_order: the tables take m entries and the default order
 # budget is m.  On one core of a shared 2-CPU host, cos at 144/377 takes
@@ -126,7 +126,6 @@ class ObstructionReport:
 
 def obstruction_order(f: FourierSeries, rf: RationalFreq,
                       max_order: int | None = None,
-                      threshold: float | None = None,
                       exactness: str = "float") -> ObstructionReport:
     """Run the formal construction at omega = p/m until it obstructs.
 
@@ -138,8 +137,8 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
     j < n, the jet puts g_n on n lo + d Z, and lam, acting mode by mode,
     keeps u_n there: each is stored as its modes n lo..n K at stride d (half
     of each array for ``cos``).  The run stops at the first n where
-    ||Pi0 g_n|| exceeds the threshold (default 1e-10 times the largest
-    coefficient magnitude accumulated so far).  Mode 0 of g_n, the mean of
+    ||Pi0 g_n|| exceeds the threshold, 1e-10 times the largest
+    coefficient magnitude accumulated so far.  Mode 0 of g_n, the mean of
     f(id+u), vanishes once the lower orders hold: it is never tested and
     the witness holds it as an exact zero.  Forcings whose only extreme
     mode is -K are reduced to the +K case by the reflection theta -> -theta
@@ -163,17 +162,18 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
     the oracle's gamma_n (computed first, so the engine stops at the first
     such order), stops being finite; at a tie the engine's error wins.
 
-    Preconditions: f zero-mean and not identically zero, threshold finite >= 0,
-    m and ``max_order`` ints in [1, ``OBSTRUCTION_ORDER_CAP``].
+    The witness lives on modes -n K..n K at the final order n (n_star, or
+    ``max_order``); a ``ValueError`` naming n, K and n K refuses a run whose
+    n K passes ``HARD_CAP``.
+
+    Preconditions: f zero-mean and not identically zero, m and
+    ``max_order`` ints in [1, ``OBSTRUCTION_ORDER_CAP``].
     """
     if exactness not in ("float", "extended"):
         raise ValueError("exactness must be 'float' or 'extended'")
     max_order = rf.m if max_order is None else max_order
     require_int(rf.m, "m", 1, OBSTRUCTION_ORDER_CAP)
     require_int(max_order, "max_order", 1, OBSTRUCTION_ORDER_CAP)
-    if threshold is not None and not 0.0 <= threshold < math.inf:
-        raise ValueError(
-            f"threshold must be finite and >= 0, got {threshold!r}")
     if abs(f.coeff(0)) > 0.0:
         raise ValueError("forcing must have zero mean")
     modes = np.nonzero(f.coeffs)[0] - f.N
@@ -198,7 +198,6 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
     tops: list = []               # mode n K of each order, as the jet gives it
     scale = 0.0
     n_star = None
-    thr = threshold if threshold is not None else 0.0
     # an overflowing order surfaces as a typed error, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
         # the oracle is prefix-stable: one call to max_order, sliced below;
@@ -220,8 +219,7 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
                 raise overflow
             tops.append(g[-1])
             scale = max(scale, float(np.max(np.abs(g))))
-            if threshold is None:
-                thr = 1e-10 * scale
+            thr = 1e-10 * scale
             ks = n * lo + d * np.arange(g.size)    # g_n lives on n lo + d Z
             res = (ks % rf.m == 0) & (ks != 0)     # mode 0 vanishes analytically
             wnorm = float(np.abs(g[res]).max(initial=0.0))
@@ -239,6 +237,9 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
     gap = max(abs(ge - go) for ge, go in zip(gammas_engine, gammas_oracle))
     relative_gap = gap / max(map(abs, gammas_oracle))   # [0] is A, never 0
 
+    if n * K > HARD_CAP:
+        raise ValueError(f"the witness at order {n} needs modes up to n K = "
+                         f"{n} * {K} = {n * K}, past the hard cap {HARD_CAP}")
     witness = np.zeros(2 * n * K + 1, dtype=dtype)   # modes -n K..n K
     if reflected:   # f(-theta) at eps is f at -eps, mirrored
         witness[n * K - ks[res]] = gres if n % 2 else -gres

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -299,6 +300,14 @@ SWEEP_KNOB_REFUSALS = {
     "tol 0": ({"tol": 0.0}, "tol must be finite and positive, got 0.0"),
     "method": ({"method": "bogus"},
                "method must be 'newton' or 'picard', got 'bogus'"),
+    # a non-finite eps or axis end, refused before np.linspace can warn
+    "eps nan": ({"eps": math.nan}, "eps must be finite, got (nan+0j)"),
+    "eps_axis inf": ({"eps_axis": (0.01, math.inf, 2)},
+                     "eps_axis ends must be finite, got 0.01 and inf"),
+    "omega_re inf": ({"omega_re": (0.6, math.inf, 2)},
+                     "omega_re ends must be finite, got 0.6 and inf"),
+    "omega_im nan": ({"omega_im": (math.nan, 0.03, 2)},
+                     "omega_im ends must be finite, got nan and 0.03"),
 }
 
 
@@ -312,7 +321,8 @@ def test_sweep_refuses_a_bad_solver_knob_by_name_before_any_task(
     solved = []
     monkeypatch.setattr(cli, "_sweep_point", solved.append)
     out = tmp_path / "s.jsonl"
-    with pytest.raises(ValueError) as e:
+    with pytest.raises(ValueError) as e, warnings.catch_warnings():
+        warnings.simplefilter("error")
         # Im omega = 200 is refused while the tasks are built, so the knob's
         # message shows that it was refused first
         cli.run_sweep(**{"omega_re": (0.6, 0.62, 2),
@@ -434,7 +444,8 @@ def test_radial_picard_sweep_failure_still_writes_jsonl(tmp_path):
 
 @pytest.mark.parametrize("cmd,flag,value,field", [
     ("solve", "--max-iters", "-1", "max_iters"),
-    ("solve", "--modes", "-3", "cutoff"),
+    ("solve", "--modes", "-3", "modes"),
+    ("crosscheck", "--modes", "5000", "modes"),
     ("sweep", "--max-iters", "-1", "max_iters"),
     ("sweep", "--modes", "0", "modes"),
     ("sweep", "--workers", "-4", "--workers"),
@@ -445,6 +456,7 @@ def test_radial_picard_sweep_failure_still_writes_jsonl(tmp_path):
     ("sweep", "--im-n", "0", "--im-n"),
     ("sweep", "--eps-n", "0", "--eps-n"),
     ("geometry", "--boundary-n", "-5", "--boundary-n"),
+    # the deleted option is refused like --radial-eps, naming it
     ("obstruction", "--threshold", "-1", "threshold"),
     ("crosscheck", "--orders", "0", "n_taylor"),
     ("crosscheck", "--orders", "100", "n_taylor"),
@@ -466,6 +478,16 @@ def test_invalid_solver_settings_exit_2(tmp_path, cmd, flag, value, field):
     assert r.returncode == 2, r.stderr
     assert "error: " in r.stderr and field in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_an_obstruction_witness_past_the_hard_cap_exits_2(tmp_path):
+    f = json.dumps([0.5] + [0] * 99 + [0.5])    # 0.5 e_-50 + 0.5 e_50
+    r = run_cli(["obstruction", "--p", "1", "--m", "97", "--f", f,
+                 "--out", "x.json"], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: the witness at order 97 ")
+    assert "97 * 50 = 4850, past the hard cap 4096" in r.stderr
+    assert not (tmp_path / "x.json").exists()
 
 
 @pytest.mark.parametrize("cmd", [["geometry"], ["solve", "--omega", "0.3"]])
@@ -508,11 +530,16 @@ def test_series_file_missing_a_key_exits_2(tmp_path, content, key):
      "--radial-eps"),
     (["crosscheck", "--q-re", "0.3", "--eps", "nan"], "--eps"),
     (["solve", "--omega", "0.3", "--f", "[NaN, 0, 0.5]"], "--f"),
+    # the deleted option is refused like --radial-eps, naming it
     (["obstruction", "--p", "1", "--m", "3", "--threshold", "nan"],
      "--threshold"),
     (["obstruction", "--p", "1", "--m", "3", "--threshold", "inf"],
      "--threshold"),
     (["taylor0", "--eps-im", "nan"], "--eps-im"),
+    (["sweep", "--omega-min", "0.3", "--omega-max", "inf", "--omega-n", "2"],
+     "--omega-max"),
+    (["sweep", "--omega-min", "0.3", "--omega-max", "0.4", "--omega-n", "2",
+      "--im-min", "nan"], "--im-min"),
 ])
 def test_non_finite_frequency_or_eps_exits_2(tmp_path, args, name):
     r = run_cli([*args, "--out", "x.json"], tmp_path)

@@ -538,13 +538,21 @@ def test_obstruction_validation():
         obstruction_order(f + FourierSeries.constant(0.1), rf)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
-def test_obstruction_refuses_a_threshold_that_is_nan_inf_or_negative(bad):
-    # nan compares false and would report no obstruction; -1 would report
-    # n* = 1 with a witness of norm 0
-    with pytest.raises(ValueError, match="threshold must be finite and >= 0"):
-        obstruction_order(FourierSeries.cos(), RationalFreq(1, 3),
-                          threshold=bad)
+@pytest.mark.parametrize("max_order,n", [(None, 97), (90, 90)])
+def test_a_witness_past_the_hard_cap_is_refused_naming_its_order(max_order, n):
+    # the run itself is cheap (n* = 97 at 1/97); only the witness on modes
+    # -n K..n K, K = 50, would pass HARD_CAP
+    f = basis(50, 0.5) + basis(-50, 0.5)
+    with pytest.raises(ValueError, match=rf"order {n} needs modes up to "
+                       rf"n K = {n} \* 50 = {n * 50}, past the hard cap 4096"):
+        obstruction_order(f, RationalFreq(1, 97), max_order=max_order)
+
+
+@pytest.mark.parametrize("m,n_star", [(81, 81), (100, 2)])
+def test_a_witness_within_the_hard_cap_is_returned(m, n_star):
+    # at 1/100, max_order K = 5000 passes the cap, but n* = 2 stops the run
+    rep = obstruction_order(basis(50, 0.5) + basis(-50, 0.5), RationalFreq(1, m))
+    assert (rep.n_star, rep.obstruction_witness.N) == (n_star, n_star * 50)
 
 
 def test_oracle_consistency_small_gap():
