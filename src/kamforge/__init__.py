@@ -59,7 +59,6 @@ from .kam import (
     SolveReport,
     SolverConfig,
     dynamical_residual,
-    error_functional,
     linearized_solve,
     mean_identity_residual,
     newton_step,

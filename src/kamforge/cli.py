@@ -78,6 +78,12 @@ def _complex_option(args, re: str, im: str) -> complex | None:
     return None if x is None else complex(x, 0.0 if y is None else y)
 
 
+def _given(args, *names: str) -> list:
+    """The options among ``names`` (dests) given a value, as flags."""
+    return ["--" + n.replace("_", "-") for n in names
+            if getattr(args, n) is not None]
+
+
 def _frequency_from_args(args) -> Frequency:
     """The one frequency form given: --omega [--omega-im] or --q-re [--q-im]."""
     omega = _complex_option(args, "omega", "omega_im")
@@ -111,9 +117,12 @@ def _write_csv(path: str, curve: InvariantCurve, grid_n: int) -> None:
 def cmd_solve(args) -> int:
     f = parse_series(args.f)
     freq = _frequency_from_args(args)
-    dioph = None
+    dioph, given = None, _given(args, "tau", "mmax")
     if args.M is not None:
-        dioph = DiophantineClass(args.M, args.tau, args.mmax)
+        dioph = DiophantineClass(args.M, 0.5 if args.tau is None else args.tau,
+                                 2000 if args.mmax is None else args.mmax)
+    elif given:
+        raise ValueError(f"{' and '.join(given)} given without --M")
     cfg = SolverConfig(cutoff=require_int(args.modes, "modes", 1, HARD_CAP),
                        tol=args.tol, max_iters=args.max_iters)
     solve = _picard_curve if args.method == "picard" else solve_curve
@@ -247,17 +256,27 @@ def run_sweep(*, omega_re, omega_im, eps, f, modes=64, tol=1e-12,
             "family": family_path, "workers": workers}
 
 
+def _eps_axis(args):
+    """The sweep's eps axis (--eps-min, --eps-max, --eps-n), or None for
+    the single eps (--eps [--eps-im]); a mix of the two forms, or a part
+    of the axis alone, is refused naming the options given."""
+    single = _given(args, "eps", "eps_im")
+    axis = _given(args, "eps_min", "eps_max", "eps_n")
+    if axis and (single or len(axis) < 3):
+        raise ValueError(f"{', '.join(single + axis)} given: eps is either "
+                         "--eps [--eps-im] or all of --eps-min, --eps-max "
+                         "and --eps-n")
+    return (args.eps_min, args.eps_max, args.eps_n) if axis else None
+
+
 def cmd_sweep(args) -> int:
     f = parse_series(args.f)
-    eps_axis = None
-    if args.eps_n is not None:
-        if args.eps_min is None or args.eps_max is None:
-            raise ValueError("--eps-n requires --eps-min and --eps-max")
-        eps_axis = (args.eps_min, args.eps_max, args.eps_n)
     summary = run_sweep(
         omega_re=(args.omega_min, args.omega_max, args.omega_n),
         omega_im=(args.im_min, args.im_max, args.im_n),
-        eps=complex(args.eps, args.eps_im), eps_axis=eps_axis, f=f,
+        eps=complex(0.05 if args.eps is None else args.eps,
+                    0.0 if args.eps_im is None else args.eps_im),
+        eps_axis=_eps_axis(args), f=f,
         modes=args.modes, tol=args.tol, max_iters=args.max_iters,
         workers=args.workers, out_path=args.out, family_path=args.family,
         method=args.method)
@@ -405,11 +424,11 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _add_eps_args(sp) -> None:
-    sp.add_argument("--eps", type=_finite_float, default=0.05,
-                    help="perturbation strength (real part)")
-    sp.add_argument("--eps-im", type=_finite_float, default=0.0,
-                    help="imaginary part of eps")
+def _add_eps_args(sp, eps=0.05, eps_im=0.0) -> None:
+    sp.add_argument("--eps", type=_finite_float, default=eps,
+                    help="perturbation strength (real part, default 0.05)")
+    sp.add_argument("--eps-im", type=_finite_float, default=eps_im,
+                    help="imaginary part of eps (default 0)")
 
 
 def _add_solver_args(sp, modes=256) -> None:
@@ -446,8 +465,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="CSV sample count")
     sp.add_argument("--M", type=float, default=None,
                     help="check omega against this Diophantine class")
-    sp.add_argument("--tau", type=float, default=0.5)
-    sp.add_argument("--mmax", type=int, default=2000)
+    sp.add_argument("--tau", type=float, default=None,
+                    help="the class's tau (with --M; default 0.5)")
+    sp.add_argument("--mmax", type=int, default=None,
+                    help="the class's m_max (with --M; default 2000)")
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("sweep", help="grid of solves over frequency")
@@ -457,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--im-min", type=_finite_float, default=0.0)
     sp.add_argument("--im-max", type=_finite_float, default=0.0)
     sp.add_argument("--im-n", type=_positive_int, default=1)
-    _add_eps_args(sp)
+    _add_eps_args(sp, eps=None, eps_im=None)
     sp.add_argument("--eps-min", type=_finite_float, default=None)
     sp.add_argument("--eps-max", type=_finite_float, default=None)
     sp.add_argument("--eps-n", type=_positive_int, default=None,

@@ -197,13 +197,6 @@ def _scaled(c: complex, phi: FourierSeries, step: str) -> FourierSeries:
     return FourierSeries._of(out)
 
 
-def error_functional(u: FourierSeries, f: FourierSeries, freq: Frequency,
-                     eps) -> FourierSeries:
-    """E(u) = -delta u + eps f(id + u); zero exactly on invariant curves."""
-    comp, _ = compose_id_plus(f, u)
-    return complex(eps) * comp - apply(DELTA, u, freq)
-
-
 def linearized_solve(A: FourierSeries, E: FourierSeries,
                      freq: Frequency) -> FourierSeries:
     """Solve A delta(A w) - (A w) delta A = A E - <A E> with <w> = 0.
@@ -457,12 +450,14 @@ def dynamical_residual(curve: InvariantCurve, grid_n: int = 1024) -> float:
 
 def mean_identity_residual(u: FourierSeries, f: FourierSeries,
                            freq: Frequency, eps) -> float:
-    """|<(1 + u') E(u)>| — vanishes identically for ANY u (not only solutions).
+    """|<(1 + u') E(u)>| with E(u) = eps f(id + u) - delta u; it vanishes
+    identically for ANY u (not only solutions).
 
     What it actually measures numerically is composition aliasing; a
     nonzero forcing mean shows up here as |eps <f>|.
     """
-    E = error_functional(u, f, freq, eps)
+    comp, _ = compose_id_plus(f, u)
+    E = complex(eps) * comp - apply(DELTA, u, freq)
     A = FourierSeries.constant(1.0) + derivative(u)
     return abs(mean(product(A, E)))
 

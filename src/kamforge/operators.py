@@ -17,9 +17,9 @@ product q^k * lambda_k is never formed from separately overflowing
 factors, and one exponential per |k| serves both k and -k; e_q is
 assembled as gamma * gamma_minus, both factors bounded.
 
-Every table of a frequency is a slice of one set per frequency
-(``_FrequencyTables``), bit for bit the vector a build at the requested
-cutoff N gives, with the refusals at that N: the shift guard
+Each frequency has one set of tables (``_FrequencyTables``); a build
+derives every kind of a family, and a request at cutoff N gets a slice,
+bit for bit the build at N, with that N's refusals: the shift guard
 2 pi N |Im omega| <= ``EXP_CAP`` and ``ResonanceError`` at the smallest
 vanishing k <= N (no frequency is a pole: ``from_omega`` refuses them).
 ``multiplier_table``, a functools cache of the last two frequencies' sets,
@@ -76,19 +76,16 @@ _TABLE_FLOOR = 2 * DEFAULT_CUTOFF  # covers a solve at the default cutoff
 class _FrequencyTables:
     """One frequency's tables for |k| <= a width M per family.
 
-    The shift family is q^k from one ``mode_phases`` pass and the divisor
-    family lambda_k from one ``lambda_pass``, each at least
-    ``_TABLE_FLOOR`` wide; every kind is derived from its family's table
-    once per width.  A request past M rebuilds the family at max(N, 2M),
-    so a solve builds each family once or twice; the q^k width stops at
-    the shift guard's limit.
+    A build derives every kind of its family: the shift kinds from one
+    ``mode_phases`` pass of q^k, the divisor kinds from one ``lambda_pass``
+    of lambda_k, at least ``_TABLE_FLOOR`` wide.  A request past M rebuilds
+    the family at max(N, 2M) (a table's length is 2M + 1), so a solve builds
+    each family once or twice; the q^k width stops at the shift guard's limit.
     """
 
     def __init__(self, freq: Frequency):
         self.freq = freq
-        # keyed by family: True for the q^k kinds, False for the lambda_k ones
-        self.width: dict = {}   # M
-        self.kinds: dict = {}   # {kind: vector for k = -M..M}
+        self.tables: dict = {}  # {kind: read-only vector for k = -M..M}
         self.vanished = 0       # smallest |k| <= M at which q^k - 1 vanished
 
     def table(self, N: int, kind: MultiplierKind) -> np.ndarray:
@@ -97,45 +94,33 @@ class _FrequencyTables:
         if shift:  # OverflowRiskError if some q^k, |k| <= N, would overflow
             check_exponent(_TWO_PI * N * abs(self.freq.omega.imag), "shift",
                            cutoff=N)
-        if N > self.width.get(shift, -1):
-            self._build(shift, N)
+        t = self.tables.get(kind)
+        if t is None or 2 * N + 1 > len(t):
+            t = self._build(shift, N)[kind]
         if not shift and 0 < self.vanished <= N:
             raise resonance_error(self.vanished, self.freq.omega)
-        kinds = self.kinds[shift]
-        if kind not in kinds:
-            kinds[kind] = _derive(kinds, kind)
-            kinds[kind].flags.writeable = False
-        M = self.width[shift]
-        return kinds[kind][M - N:M + N + 1]
+        M = len(t) // 2
+        return t[M - N:M + N + 1]
 
-    def _build(self, shift: bool, N: int) -> None:
-        M = max(N, 2 * self.width.get(shift, 0), _TABLE_FLOOR)
+    def _build(self, shift: bool, N: int) -> dict:
+        M = len(self.tables.get(SHIFT_PLUS if shift else GAMMA, ())) // 2
+        M = max(N, 2 * M, _TABLE_FLOOR)
         if shift:
             a = abs(self.freq.omega.imag)
             while M > N and _TWO_PI * M * a > EXP_CAP:  # stop at the guard
                 M = max(N, min(M - 1, int(EXP_CAP / (_TWO_PI * a))))
-            kind, t = SHIFT_PLUS, mode_phases(self.freq.omega, M, "shift", cutoff=M)
+            plus = mode_phases(self.freq.omega, M, "shift", cutoff=M)
+            minus = plus[::-1]
+            family = {SHIFT_PLUS: plus, SHIFT_MINUS: minus, NABLA: plus - 1.0,
+                      NABLA_MINUS: 1.0 - minus, DELTA: plus - 2.0 + minus}
         else:
-            kind, (t, self.vanished) = GAMMA, lambda_pass(self.freq, M)
-        t.flags.writeable = False
-        self.kinds[shift] = {kind: t}
-        self.width[shift] = M
-
-
-def _derive(kinds: dict, kind: MultiplierKind) -> np.ndarray:
-    """A kind from its family's q^k or lambda_k table.
-
-    The q^{-k} and -lambda_{-k} vectors are those tables reversed (and
-    negated).
-    """
-    if kind in _SHIFT_KINDS:
-        plus = kinds[SHIFT_PLUS]
-        minus = plus[::-1]
-        return {SHIFT_MINUS: minus, NABLA: plus - 1.0,
-                NABLA_MINUS: 1.0 - minus, DELTA: plus - 2.0 + minus}[kind]
-    gamma = kinds[GAMMA]
-    minus = -gamma[::-1]
-    return {GAMMA_MINUS: minus, E_Q: gamma * minus}[kind]
+            gamma, self.vanished = lambda_pass(self.freq, M)
+            minus = -gamma[::-1]
+            family = {GAMMA: gamma, GAMMA_MINUS: minus, E_Q: gamma * minus}
+        for t in family.values():
+            t.flags.writeable = False
+        self.tables.update(family)
+        return family
 
 
 @lru_cache(maxsize=2)

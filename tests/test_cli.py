@@ -14,7 +14,7 @@ import pytest
 
 import kamforge
 from kamforge import cli, continuation, jsonio
-from kamforge.errors import NoConvergenceError
+from kamforge.errors import NearSingularError, NoConvergenceError
 from kamforge.fourier import FourierSeries
 from kamforge.frequency import (SampledFamily, c1hol_norm_estimate,
                                 from_omega, from_q)
@@ -141,6 +141,34 @@ def test_exactly_one_frequency_form_is_enforced(tmp_path):
         assert not (tmp_path / "x.json").exists()
 
 
+SWEEP_BOX = ["sweep", "--omega-min", "0.58", "--omega-max", "0.62",
+             "--omega-n", "2", "--im-min", "0.04", "--im-max", "0.04"]
+AXIS = ["--eps-min", "0.01", "--eps-max", "0.03", "--eps-n", "2"]
+
+
+@pytest.mark.parametrize("args,message", [
+    # part of the eps axis alone names no axis, nor the single eps
+    ([*SWEEP_BOX, *AXIS[:4]], "--eps-min, --eps-max given: eps is either"),
+    ([*SWEEP_BOX, "--eps-max", "0.03"], "--eps-max given: eps is either"),
+    # a single eps and the axis are two values for one eps
+    ([*SWEEP_BOX, "--eps-im", "0.02", *AXIS],
+     "--eps-im, --eps-min, --eps-max, --eps-n given: eps is either"),
+    ([*SWEEP_BOX, "--eps", "0.05", *AXIS],
+     "--eps, --eps-min, --eps-max, --eps-n given: eps is either"),
+    # a Diophantine class's parameters check nothing without the class
+    (["solve", "--omega", str(GOLDEN), "--tau", "0.9", "--mmax", "50"],
+     "--tau and --mmax given without --M"),
+    (["solve", "--omega", str(GOLDEN), "--tau", "0.9"],
+     "--tau given without --M"),
+], ids=["axis-ends", "axis-end", "eps-im-and-axis", "eps-and-axis",
+        "tau-and-mmax", "tau"])
+def test_an_ignored_option_is_refused_by_name(tmp_path, args, message):
+    r = run_cli([*args, "--out", "x.json"], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ") and message in r.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_solve_picard_method(tmp_path):
     r = run_cli(["solve", "--q-re", "0.3", "--eps", "0.05", "--f", "cos",
                  "--method", "picard", "--modes", "64",
@@ -250,6 +278,39 @@ def test_sweep_family_across_the_real_axis_is_c1_in_omega(tmp_path):
         assert {fr.omega.imag >= 0 for fr in fam.points} == {True, False}
         n2.append(c1hol_norm_estimate(fam)[2])
     assert 2.5 <= n2[0] / n2[1] <= 3.6, n2
+
+
+def test_a_failed_omega_tangent_leaves_a_null_deriv(tmp_path, monkeypatch):
+    # the grid of check A11; the tangent solve fails at its middle point
+    def family(name):
+        path = tmp_path / name
+        cli.run_sweep(omega_re=(0.58, 0.62, 3), omega_im=(0.02, 0.06, 3),
+                      eps=0.05, f=FourierSeries.cos(), modes=64,
+                      out_path=str(tmp_path / "s.jsonl"),
+                      family_path=str(path))
+        return path
+
+    whole = jsonio.load_path(family("whole.json"))
+    tangent = cli.omega_tangent
+
+    def failing(u, freq):
+        if abs(freq.omega - complex(0.6, 0.04)) < 1e-12:
+            raise NearSingularError("tangent refused", {})
+        return tangent(u, freq)
+
+    monkeypatch.setattr(cli, "omega_tangent", failing)
+    d = jsonio.load_path(family("failed.json"))
+    assert d["derivs"][4] is None and whole["derivs"][4] is not None
+    assert d["derivs"][:4] + d["derivs"][5:] == (
+        whole["derivs"][:4] + whole["derivs"][5:])
+    assert jsonio.dumps(d["values"]) == jsonio.dumps(whole["values"])
+    fam = SampledFamily.from_json_dict(d)
+    assert fam.derivs[4] is None and len(fam.values) == 9
+    norms = c1hol_norm_estimate(fam)
+    assert all(math.isfinite(n) for n in norms)
+    # the failed point's deriv drops out of n1 and n2, its value stays in n0
+    whole_fam = SampledFamily.from_json_dict(whole)
+    assert norms[0] == c1hol_norm_estimate(whole_fam)[0]
 
 
 class _RecordingPool:
@@ -470,8 +531,7 @@ def test_invalid_solver_settings_exit_2(tmp_path, cmd, flag, value, field):
                             "--out", "x.json"],
             "crosscheck": ["crosscheck", "--q-re", "0.3", "--out", "x.json"],
             "sweep": ["sweep", "--omega-min", "0.3", "--omega-max", "0.4",
-                      "--omega-n", "2", "--eps-min", "0", "--eps-max", "0.1",
-                      "--out", "x.jsonl"],
+                      "--omega-n", "2", "--out", "x.jsonl"],
             "geometry": ["geometry", "--M", "6", "--mmax", "50",
                          "--out", "x.json"]}[cmd]
     r = run_cli([*args, flag, value], tmp_path)

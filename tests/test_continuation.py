@@ -15,7 +15,8 @@ from kamforge.errors import (DivergenceError, NearSingularError,
                              OverflowRiskError)
 from kamforge.fourier import FourierSeries, composition_jet, mean, sup_norm
 from kamforge.frequency import DiophantineClass, from_omega, from_q
-from kamforge.kam import DIVERGENCE_FACTOR, SolverConfig, solve_curve
+from kamforge.kam import (DIVERGENCE_FACTOR, SolverConfig, dynamical_residual,
+                          solve_curve)
 from kamforge.operators import NABLA_MINUS, apply, e_n
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -257,6 +258,23 @@ def test_crosscheck_full_agreement_inner_disc():
     assert report["pairs"]["picard_vs_taylor0"] < 1e-8
     assert report["pairs"]["newton_vs_picard"] < 1e-10
     assert report["pairs"]["newton_vs_taylor0"] < 1e-8
+
+
+def test_eps_zero_gives_the_zero_curve_to_every_method():
+    # at eps = 0 the map is integrable and u = 0 exactly
+    f, freq = FourierSeries.cos(), from_q(0.3)
+    curve = continuation._picard_curve(f, freq, 0.0)
+    rep = curve.report
+    assert rep.method == "picard" and rep.converged and rep.iterations == 1
+    assert rep.residual_history == [0.0, 0.0]
+    assert curve.u.coeffs.tolist() == [0j] and curve.v.coeffs.tolist() == [0j]
+    assert dynamical_residual(curve, 1024) == 0.0 and rep.beta == 0
+    report = crosscheck(f, freq, 0.0)
+    assert {m["status"] for m in report["methods"].values()} == {"ok"}
+    assert len(report["methods"]) == 3
+    assert report["pairs"] == {"newton_vs_picard": 0.0,
+                               "newton_vs_taylor0": 0.0,
+                               "picard_vs_taylor0": 0.0}
 
 
 def test_crosscheck_reuses_supplied_taylor_data():

@@ -15,13 +15,17 @@ from kamforge.fourier import (AMIN_FLOOR, HARD_CAP, FourierSeries,
                               mean, product, sup_norm)
 from kamforge.frequency import DiophantineClass, from_omega, from_q
 from kamforge.kam import (InvariantCurve, SolverConfig, _fit_slope,
-                          dynamical_residual, error_functional,
-                          linearized_solve, mean_identity_residual,
+                          dynamical_residual, linearized_solve, mean_identity_residual,
                           newton_step, omega_tangent, solve_curve)
-from kamforge.operators import (E_Q, GAMMA, GAMMA_MINUS, NABLA_MINUS,
-                                SHIFT_PLUS, apply)
+from kamforge.operators import (DELTA, E_Q, GAMMA, GAMMA_MINUS,
+                                NABLA_MINUS, SHIFT_PLUS, apply)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def error(u, f, freq, eps):
+    """E(u) = eps f(id + u) - delta u; zero exactly on invariant curves."""
+    return eps * compose_id_plus(f, u)[0] - apply(DELTA, u, freq)
 
 
 def test_first_newton_step_is_eps_Eq_f():
@@ -36,8 +40,8 @@ def test_first_newton_step_is_eps_Eq_f():
     expected = eps * apply(E_Q, f, freq)
     diff = sup_norm(u1 - expected)
     assert diff < 1e-16
-    r0 = sup_norm(error_functional(u0, f, freq, eps))
-    r1 = sup_norm(error_functional(u1, f, freq, eps))
+    r0 = sup_norm(error(u0, f, freq, eps))
+    r1 = sup_norm(error(u1, f, freq, eps))
     assert r0 == pytest.approx(abs(eps), rel=1e-12)
     assert r1 < r0
 
@@ -53,8 +57,20 @@ def test_golden_solve_converges_and_is_invariant():
     # internal residual
     assert dynamical_residual(curve, 1024) < 1e-10
     # error functional vanishes on the solution
-    E = error_functional(curve.u, f, curve.freq, 0.05)
+    E = error(curve.u, f, curve.freq, 0.05)
     assert sup_norm(E) < 1e-12
+
+
+@pytest.mark.parametrize("omega", [GOLDEN, GOLDEN + 0.03j, 0.3 - 0.05j])
+def test_eps_zero_gives_the_zero_curve_in_one_step(omega):
+    # at eps = 0 the map is integrable and u = 0 exactly; the step's
+    # update is all zeros, which clamp_small returns as the zero series
+    curve = solve_curve(FourierSeries.cos(), from_omega(omega), 0.0)
+    rep = curve.report
+    assert rep.converged and rep.iterations == 1
+    assert rep.residual_history == [0.0, 0.0]
+    assert curve.u.coeffs.tolist() == [0j] and curve.v.coeffs.tolist() == [0j]
+    assert dynamical_residual(curve, 1024) == 0.0 and rep.beta == 0
 
 
 def test_residual_history_contracts_quadratically():
