@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import sys
 import time
@@ -32,7 +31,7 @@ from .continuation import crosscheck as run_crosscheck
 from .continuation import (PICARD_MAX_ITERS, _picard_curve, taylor0_eval,
                            taylor0_recursion)
 from .errors import KamforgeError
-from .fourier import (HARD_CAP, FourierSeries, _widen, finite_scalar,
+from .fourier import (HARD_CAP, FourierSeries, _widen, require_finite,
                       require_int, sup_norm, truncate)
 from .frequency import (
     DiophantineClass,
@@ -196,9 +195,7 @@ def _axis_points(axis, name: str) -> np.ndarray:
     """The points of a (min, max, count) axis; ``ValueError`` naming the
     axis for a non-finite end or a count that is not an int >= 1."""
     lo, hi, n = axis
-    lo, hi = float(lo), float(hi)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"{name} ends must be finite, got {lo!r} and {hi!r}")
+    lo, hi = (require_finite(end, f"{name} ends", float) for end in (lo, hi))
     return np.linspace(lo, hi, require_int(n, f"{name} count", 1))
 
 
@@ -215,15 +212,20 @@ def run_sweep(*, omega_re, omega_im, eps, f, modes=64, tol=1e-12,
     is not an int >= 0, a ``tol`` that is not finite and positive, or a
     ``method`` other than "newton" and "picard", all before any point is
     solved.
+    A ``family_path`` with an ``eps_axis`` is refused too: a family is
+    sampled in omega at one eps.
     Records are computed by a deterministic pure function per point, so the
     files are byte-identical for any worker count.
     """
     require_int(workers, "workers", 1)
+    if family_path is not None and eps_axis is not None:
+        raise ValueError("family_path and eps_axis given: a family is "
+                         "sampled in omega at a single eps")
     cfg = SolverConfig(cutoff=require_int(modes, "modes", 1, HARD_CAP),
                        tol=tol, max_iters=max_iters)
     if method not in ("newton", "picard"):
         raise ValueError(f"method must be 'newton' or 'picard', got {method!r}")
-    eps = finite_scalar(eps, "eps")
+    eps = require_finite(eps, "eps")
     res = _axis_points(omega_re, "omega_re")
     ims = _axis_points(omega_im, "omega_im")
     if eps_axis is not None:
@@ -362,9 +364,11 @@ def cmd_crosscheck(args) -> int:
     cfg = SolverConfig(cutoff=require_int(args.modes, "modes", 1, HARD_CAP),
                        tol=args.tol, max_iters=args.max_iters)
     methods = tuple(s.strip() for s in args.methods.split(",") if s.strip())
+    if args.orders is not None and "taylor0" not in methods:
+        raise ValueError("--orders given without taylor0 in --methods")
     result = run_crosscheck(f, freq, complex(args.eps, args.eps_im),
                             methods=methods, config=cfg,
-                            n_taylor=args.orders)
+                            n_taylor=40 if args.orders is None else args.orders)
     jsonio.dump_path(result, args.out)
     failed = False
     for name, m in result["methods"].items():
@@ -407,13 +411,10 @@ def _finite_float(text: str) -> float:
     """argparse type of the eps options and the sweep's axis ends
     (--omega-min, --omega-max, --im-min, --im-max): a finite float."""
     try:
-        x = float(text)
+        return require_finite(text, "value", float)
     except ValueError:
-        x = math.nan
-    if not math.isfinite(x):
         raise argparse.ArgumentTypeError(
-            f"must be a finite number, got {text!r}")
-    return x
+            f"must be a finite number, got {text!r}") from None
 
 
 def _positive_int(text: str) -> int:
@@ -531,7 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_eps_args(sp)
     sp.add_argument("--f", default="cos")
     sp.add_argument("--methods", default="newton,picard,taylor0")
-    sp.add_argument("--orders", type=int, default=40)
+    sp.add_argument("--orders", type=int, default=None,
+                    help="taylor0's order count (with taylor0; default 40)")
     _add_solver_args(sp)
     sp.add_argument("--out", default="crosscheck.json")
     sp.set_defaults(func=cmd_crosscheck)

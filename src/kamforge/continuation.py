@@ -29,7 +29,7 @@ from .errors import KamforgeError, OverflowRiskError
 from .fourier import (
     FourierSeries,
     composition_jet,
-    finite_scalar,
+    require_finite,
     require_int,
     sup_norm,
 )
@@ -61,7 +61,7 @@ class QTaylorData:
     def from_json_dict(cls, d: dict) -> "QTaylorData":
         return cls(
             orders=[FourierSeries.from_json_dict(o) for o in d["orders"]],
-            eps=complex(jsonio.to_complex([d["eps"]])[0]),
+            eps=require_finite(jsonio.to_complex([d["eps"]])[0], "eps"),
             f_ref=FourierSeries.from_json_dict(d["f_ref"]),
         )
 
@@ -127,7 +127,7 @@ def taylor0_recursion(f: FourierSeries, eps, N_q: int = 40) -> QTaylorData:
     stride 1.  Raises ``OverflowRiskError`` when an order stops being finite.
     """
     require_int(N_q, "N_q", 1, TAYLOR_ORDER_CAP)
-    eps = finite_scalar(eps, "eps")
+    eps = require_finite(eps, "eps")
     jet = composition_jet(f.coeffs)
     # low[s] holds modes -N_q..N_q of [f(id+u)]_s, cut[s] its cutoff
     low = np.zeros((N_q, 2 * N_q + 1), dtype=np.complex128)
@@ -241,7 +241,7 @@ def crosscheck(f: FourierSeries, freq: Frequency, eps,
     report dict with per-method status and pairwise sup-norm differences.
     """
     config = config or SolverConfig()
-    eps = finite_scalar(eps, "eps")
+    eps = require_finite(eps, "eps")
     if isinstance(methods, str):
         raise ValueError(f"methods must be a sequence of names, got the "
                          f"string {methods!r}; write ({methods!r},)")

@@ -134,7 +134,7 @@ class FourierSeries:
     def __mul__(self, other):
         if isinstance(other, FourierSeries):
             return product(self, other)
-        return FourierSeries(self.coeffs * finite_scalar(other, "scalar factor"))
+        return FourierSeries(self.coeffs * require_finite(other, "scalar factor"))
 
     __rmul__ = __mul__
 
@@ -202,12 +202,13 @@ class CompositionReport:
 # the exponent guard, point evaluation and exact grids
 
 
-def finite_scalar(value, name: str) -> complex:
-    """*value* as a complex number, or ValueError naming *name* if not finite."""
-    z = complex(value)
-    if not cmath.isfinite(z):
-        raise ValueError(f"{name} must be finite, got {z}")
-    return z
+def require_finite(value, name: str, kind=complex):
+    """``kind(value)``, or ValueError naming *name* if it is NaN or infinite:
+    the package's one finiteness check of a scalar argument."""
+    x = kind(value)
+    if not cmath.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x}")
+    return x
 
 
 def require_int(value, name: str, lo: int | None = None,

@@ -27,7 +27,7 @@ from scipy.special import zeta as _zeta
 
 from . import jsonio
 from .errors import BoundViolationError, ResonanceError
-from .fourier import EXP_CAP, require_int
+from .fourier import EXP_CAP, require_finite, require_int
 
 _TWO_PI = 2.0 * math.pi
 RESONANCE_ULPS = 4.0  # |q^k - 1| < RESONANCE_ULPS 2 pi |k| 2^-52 counts as zero
@@ -160,8 +160,8 @@ def lambda_pass(freq: Frequency, N: int) -> tuple[np.ndarray, int]:
 
 
 def dist_to_integers(z) -> float:
-    """Distance from a real or complex number to the integer lattice."""
-    zz = complex(z)
+    """Distance from z to the integer lattice; ValueError if z is not finite."""
+    zz = require_finite(z, "z")
     return math.hypot(zz.real - round(zz.real), zz.imag)
 
 
@@ -169,9 +169,9 @@ def check_exp_dist_bound(z) -> bool:
     """Certify |exp(2 pi i z) - 1| >= dist(z, Z) on the strip |Im z| <= 1/2.
 
     Raises ``BoundViolationError`` if the inequality fails (it cannot, for
-    correct code), ``ValueError`` outside the strip.
+    correct code), ``ValueError`` for a non-finite z or outside the strip.
     """
-    zz = complex(z)
+    zz = require_finite(z, "z")
     if abs(zz.imag) > 0.5:
         raise ValueError("bound certified only for |Im z| <= 1/2")
     lhs = abs(cmath.exp(2j * math.pi * zz) - 1.0)
@@ -186,14 +186,6 @@ def check_exp_dist_bound(z) -> bool:
 
 # ---------------------------------------------------------------------------
 # Diophantine classes
-
-
-def _finite_x(x) -> float:
-    """*x* as a float, or ValueError naming x if it is NaN or infinite."""
-    xf = float(x)
-    if not math.isfinite(xf):
-        raise ValueError(f"x must be finite, got {xf}")
-    return xf
 
 
 def _fold(x: float) -> float:
@@ -220,9 +212,7 @@ class DiophantineClass:
 
     def __post_init__(self):
         for name in ("M", "tau"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(
-                    f"{name} must be finite, got {getattr(self, name)}")
+            require_finite(getattr(self, name), name, float)
         if self.tau <= 0:
             raise ValueError("tau must be positive")
         require_int(self.m_max, "m_max", 2)
@@ -264,7 +254,7 @@ def dioph_real_margin(x: float, cls: DiophantineClass):
     remainder over den, one correctly rounded int/int division.  Raises
     ``ValueError`` for NaN or infinite x.
     """
-    y = _fold(_finite_x(x))
+    y = _fold(require_finite(x, "x", float))
     num, y_den = y.as_integer_ratio()
     M, power, m_max = cls.M, 1.0 + cls.tau, cls.m_max
     margin = math.inf
@@ -493,7 +483,7 @@ def dist_to_AMR(x: float, cls: DiophantineClass) -> float:
     infinite x.
     """
     starts, ends, _ = cls._gaps()
-    return _gap_dist(_finite_x(x) % 1.0, starts, ends)
+    return _gap_dist(require_finite(x, "x", float) % 1.0, starts, ends)
 
 
 def _gap_dist(y: float, starts: np.ndarray, ends: np.ndarray) -> float:
@@ -514,10 +504,9 @@ def _gap_dist(y: float, starts: np.ndarray, ends: np.ndarray) -> float:
 
 
 def in_AMC(omega, cls: DiophantineClass) -> bool:
-    """Membership of omega in the complex extension of the truncated set."""
-    om = complex(omega)
-    if math.isnan(om.imag):
-        raise ValueError(f"omega must have no NaN part, got {om}")
+    """Membership of omega in the complex extension of the truncated set;
+    ``ValueError`` naming omega if a part is NaN or infinite."""
+    om = require_finite(omega, "omega")
     return dist_to_AMR(om.real, cls) <= abs(om.imag)
 
 

@@ -56,12 +56,12 @@ from .fourier import (
     compose_id_plus,
     derivative,
     evaluate,
-    finite_scalar,
     grid_values,
     invert_pointwise,
     mean,
     product,
     refuse_grid_min,
+    require_finite,
     require_int,
     sup_norm,
     truncate,
@@ -164,7 +164,7 @@ class InvariantCurve:
             u=FourierSeries.from_json_dict(d["u"]),
             v=FourierSeries.from_json_dict(d["v"]),
             freq=from_omega(omega),
-            eps=complex(eps),
+            eps=require_finite(eps, "eps"),
             report=SolveReport(**report),
             f=FourierSeries.from_json_dict(d["f"]),
         )
@@ -347,7 +347,7 @@ def _iterate(f: FourierSeries, freq: Frequency, eps,
     u(theta - u0) - u0, which maps solutions to solutions.
     """
     config = config or SolverConfig()
-    eps = finite_scalar(eps, "eps")
+    eps = require_finite(eps, "eps")
     if dioph is not None:
         diagnostics = {"in_KM": in_AMC(freq.omega, dioph), **diagnostics}
         if not diagnostics["in_KM"]:

@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OverflowRiskError
-from .fourier import HARD_CAP, FourierSeries, composition_jet, require_int
+from .fourier import (HARD_CAP, FourierSeries, composition_jet, require_finite,
+                      require_int)
 
 # Largest m and max_order: the tables take m entries and the default order
 # budget is m.  On one core of a shared 2-CPU host, cos at 144/377 takes
@@ -306,13 +307,14 @@ def beta_gamma_oracle(K: int, rf: RationalFreq, up_to: int,
     the forcing data: gamma_n = (-2 pi i K)^(n-1) A^n beta_n.  Returns
     ``(betas, gammas)``.  With ``extended=True`` the recursion and the
     gamma products run in long double on the long-double tables, matching
-    the engine's ``exactness="extended"``; the returned values are rounded
-    to Python floats and complexes either way.  Raises ``OverflowRiskError``
-    naming the first order whose gamma is not finite.
+    the engine's ``exactness="extended"``; the values are rounded to Python
+    floats and complexes either way.  A non-finite A raises ``ValueError``,
+    and the first order whose gamma is not finite ``OverflowRiskError``.
     """
+    cplx = np.clongdouble if extended else complex   # float: Python's powers
+    a = cplx(require_finite(A, "A"))
     require_int(up_to, "up_to", 1)
     _, lam = rf.tables(extended=extended)
-    cplx = np.clongdouble if extended else complex   # float: Python's powers
     pi = np.arccos(lam.dtype.type(-1))
     beta = np.zeros(up_to, dtype=lam.dtype)     # beta[i] = beta_{i+1} = E_i
     jb = np.zeros(up_to, dtype=lam.dtype)       # j b_j
@@ -321,7 +323,6 @@ def beta_gamma_oracle(K: int, rf: RationalFreq, up_to: int,
         jb[i] = i * -lam[(i * K) % rf.m] * beta[i - 1]
         beta[i] = np.dot(jb[1:i + 1], beta[i - 1::-1]) / i
     base = cplx(-2j) * pi * K
-    a = cplx(A)
     gammas = []
     for n in range(1, up_to + 1):
         try:

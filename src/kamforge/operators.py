@@ -20,8 +20,9 @@ assembled as gamma * gamma_minus, both factors bounded.
 Each frequency has one set of tables (``_FrequencyTables``); a build
 derives every kind of a family, and a request at cutoff N gets a slice,
 bit for bit the build at N, with that N's refusals: the shift guard
-2 pi N |Im omega| <= ``EXP_CAP`` and ``ResonanceError`` at the smallest
-vanishing k <= N (no frequency is a pole: ``from_omega`` refuses them).
+2 pi N |Im omega| <= ``EXP_CAP`` (``mode_phases`` applies it where a shift
+table is built) and ``ResonanceError`` at the smallest vanishing k <= N
+(no frequency is a pole: ``from_omega`` refuses them).
 ``multiplier_table``, a functools cache of the last two frequencies' sets,
 is the one cache: ``apply`` multiplies by read-only views of them, and
 ``multiplier_table(freq).table(N, kind)`` gives any caller the same view.
@@ -40,7 +41,6 @@ from .fourier import (
     DEFAULT_CUTOFF,
     EXP_CAP,
     FourierSeries,
-    check_exponent,
     mode_phases,
     require_int,
 )
@@ -89,11 +89,9 @@ class _FrequencyTables:
         self.vanished = 0       # smallest |k| <= M at which q^k - 1 vanished
 
     def table(self, N: int, kind: MultiplierKind) -> np.ndarray:
-        """The kind's vector for k = -N..N, a view of its full-width table."""
+        """The kind's vector for k = -N..N, a view of its full-width table; a
+        shift build past the guard shrinks to N and raises in ``mode_phases``."""
         shift = kind in _SHIFT_KINDS
-        if shift:  # OverflowRiskError if some q^k, |k| <= N, would overflow
-            check_exponent(_TWO_PI * N * abs(self.freq.omega.imag), "shift",
-                           cutoff=N)
         t = self.tables.get(kind)
         if t is None or 2 * N + 1 > len(t):
             t = self._build(shift, N)[kind]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import kamforge
-from kamforge import cli, continuation, jsonio
+from kamforge import cli, continuation, jsonio, verify
 from kamforge.errors import NearSingularError, NoConvergenceError
 from kamforge.fourier import FourierSeries
 from kamforge.frequency import (SampledFamily, c1hol_norm_estimate,
@@ -160,8 +160,14 @@ AXIS = ["--eps-min", "0.01", "--eps-max", "0.03", "--eps-n", "2"]
      "--tau and --mmax given without --M"),
     (["solve", "--omega", str(GOLDEN), "--tau", "0.9"],
      "--tau given without --M"),
+    # crosscheck's order count feeds taylor0 alone
+    (["crosscheck", "--q-re", "0.3", "--methods", "newton,picard",
+      "--orders", "7"], "--orders given without taylor0 in --methods"),
+    # a family is sampled in omega: an eps axis would read as omega steps
+    ([*SWEEP_BOX, *AXIS, "--family", "fam.json"],
+     "family_path and eps_axis given"),
 ], ids=["axis-ends", "axis-end", "eps-im-and-axis", "eps-and-axis",
-        "tau-and-mmax", "tau"])
+        "tau-and-mmax", "tau", "orders-without-taylor0", "family-and-eps-axis"])
 def test_an_ignored_option_is_refused_by_name(tmp_path, args, message):
     r = run_cli([*args, "--out", "x.json"], tmp_path)
     assert r.returncode == 2, r.stderr
@@ -364,11 +370,15 @@ SWEEP_KNOB_REFUSALS = {
     # a non-finite eps or axis end, refused before np.linspace can warn
     "eps nan": ({"eps": math.nan}, "eps must be finite, got (nan+0j)"),
     "eps_axis inf": ({"eps_axis": (0.01, math.inf, 2)},
-                     "eps_axis ends must be finite, got 0.01 and inf"),
+                     "eps_axis ends must be finite, got inf"),
     "omega_re inf": ({"omega_re": (0.6, math.inf, 2)},
-                     "omega_re ends must be finite, got 0.6 and inf"),
+                     "omega_re ends must be finite, got inf"),
     "omega_im nan": ({"omega_im": (math.nan, 0.03, 2)},
-                     "omega_im ends must be finite, got nan and 0.03"),
+                     "omega_im ends must be finite, got nan"),
+    "family with eps_axis": ({"eps_axis": (0.01, 0.05, 2),
+                              "family_path": "fam.json"},
+                             "family_path and eps_axis given: a family is "
+                             "sampled in omega at a single eps"),
 }
 
 
@@ -600,6 +610,8 @@ def test_series_file_missing_a_key_exits_2(tmp_path, content, key):
      "--omega-max"),
     (["sweep", "--omega-min", "0.3", "--omega-max", "0.4", "--omega-n", "2",
       "--im-min", "nan"], "--im-min"),
+    # not a number at all
+    (["solve", "--omega", "0.3", "--eps", "abc"], "--eps"),
 ])
 def test_non_finite_frequency_or_eps_exits_2(tmp_path, args, name):
     r = run_cli([*args, "--out", "x.json"], tmp_path)
@@ -760,3 +772,70 @@ def test_obstruction_past_the_order_cap_exits_2(tmp_path):
     assert r.returncode == 2, r.stderr
     assert r.stderr == "error: m must be an int in [1, 400], got 1000000000\n"
     assert not (tmp_path / "obs.json").exists()
+
+
+def test_an_unknown_forcing_name_exits_2(tmp_path):
+    r = run_cli(["solve", "--omega", str(GOLDEN), "--f", "sin",
+                 "--out", "x.json"], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr == ("error: --f must be 'cos', an inline JSON array, "
+                        "or a path: 'sin'\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_obstruction_below_its_order_writes_a_null_n_star(tmp_path):
+    # at 1/7 the cosine's first obstruction lies past order 3
+    r = run_cli(["obstruction", "--p", "1", "--m", "7", "--max-order", "3",
+                 "--out", "obs.json"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert "p/m = 1/7: no obstruction through order 3" in r.stdout
+    d = json.loads((tmp_path / "obs.json").read_text())
+    assert d["n_star"] is None and d["orders_computed"] == 3
+
+
+def test_taylor0_without_a_point_writes_the_orders_alone(tmp_path):
+    r = run_cli(["taylor0", "--out", "t0.json"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("computed 40 orders; ||u_1|| = 5.000e-02, ")
+    d = json.loads((tmp_path / "t0.json").read_text())
+    assert list(d) == ["data"] and len(d["data"]["orders"]) == 40
+
+
+def test_crosscheck_on_the_unit_circle_prints_the_skip_notes(tmp_path):
+    r = run_cli(["crosscheck", "--omega", repr(GOLDEN), "--out", "cc.json"],
+                tmp_path)
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert lines[0] == "newton: ok"
+    assert lines[1].startswith("picard: skipped (|q| = 1 is within 0.05 ")
+    assert lines[2] == "taylor0: skipped (taylor0 needs |q| < 1)"
+
+
+def test_an_unwritable_error_json_still_reaches_stdout(tmp_path):
+    r = run_cli(["solve", "--omega", "0.5",
+                 "--out", str(tmp_path / "missing" / "x.json")], tmp_path)
+    assert r.returncode == 1, r.stderr
+    assert json.loads(r.stdout)["error"]["type"] == "ResonanceError"
+    assert r.stderr.splitlines()[-1].startswith("error: [Errno 2] ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_suite_registry():
+    assert verify._registry("acceptance") == verify.ACCEPTANCE
+    assert verify._registry("all") == verify.INVARIANTS + verify.ACCEPTANCE
+    with pytest.raises(ValueError, match="^unknown suite 'bogus'"):
+        verify._registry("bogus")
+
+
+def test_run_check_reports_a_crash_as_a_failure(monkeypatch):
+    def crash():
+        raise RuntimeError("no data")
+
+    name = verify.INVARIANTS[0][0]
+    monkeypatch.setattr(verify, "INVARIANTS",
+                        [(name, crash), *verify.INVARIANTS[1:]])
+    result = verify.run_check(name)
+    assert (result.name, result.passed, result.detail) == (
+        name, False, "raised RuntimeError: no data")
+    with pytest.raises(KeyError):
+        verify.run_check("I99-no-such-check")

@@ -57,6 +57,13 @@ def test_validation():
         FourierSeries([1.0, np.inf, 1.0])
 
 
+def test_a_series_past_the_cap_or_off_its_count_is_refused():
+    with pytest.raises(ValueError, match=f"^cutoff exceeds hard cap {HARD_CAP}$"):
+        FourierSeries(np.zeros(2 * HARD_CAP + 3))
+    with pytest.raises(ValueError, match="^coeff count does not match N$"):
+        FourierSeries.from_json_dict({"N": 2, "coeffs": [0.5, 0.0, 0.5]})
+
+
 def test_immutability_and_pickle():
     s = FourierSeries([1.0, 2.0, 3.0])
     with pytest.raises(AttributeError):

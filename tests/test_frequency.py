@@ -753,7 +753,7 @@ def test_non_finite_x_is_refused(x):
     c = cls6(50)
     with pytest.raises(ValueError, match="^x must be finite"):
         dist_to_AMR(x, c)
-    with pytest.raises(ValueError, match="^x must be finite"):
+    with pytest.raises(ValueError, match="^omega must be finite"):
         in_AMC(complex(x, 0.01), c)
     with pytest.raises(ValueError, match="^x must be finite"):
         dioph_real_margin(x, c)
@@ -761,8 +761,25 @@ def test_non_finite_x_is_refused(x):
 
 def test_nan_imaginary_part_is_refused():
     # 0.25 is outside every gap: a NaN height used to read as "not a member"
-    with pytest.raises(ValueError, match="^omega must have no NaN part"):
+    with pytest.raises(ValueError, match="^omega must be finite"):
         in_AMC(complex(0.25, math.nan), cls6(50))
+
+
+@pytest.mark.parametrize("im", [math.inf, -math.inf])
+def test_an_infinite_height_is_refused(im):
+    # an infinite height used to dominate every distance: "a member"
+    with pytest.raises(ValueError, match="^omega must be finite"):
+        in_AMC(complex(0.25, im), cls6(50))
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf,
+                               complex(math.inf, 0.1), complex(0.3, math.nan)])
+def test_a_non_finite_z_is_refused_by_the_integer_distance(z):
+    # round() raised a bare OverflowError at inf, and a NaN height was
+    # certified (check_exp_dist_bound) or measured as nan (dist_to_integers)
+    for call in (dist_to_integers, check_exp_dist_bound):
+        with pytest.raises(ValueError, match="^z must be finite"):
+            call(z)
 
 
 # -- sampled families ---------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from kamforge import jsonio
-from kamforge.continuation import taylor0_recursion
+from kamforge.continuation import QTaylorData, taylor0_recursion
 from kamforge.errors import ResonanceError
 from kamforge.fourier import FourierSeries
 from kamforge.frequency import (
@@ -100,6 +100,17 @@ def test_artifacts_in_the_two_chart_format_still_decode():
     got = SampledFamily.from_json_dict(d)
     assert got.points == family.points
     assert jsonio.dumps(got) == jsonio.dumps(family)
+
+
+@pytest.mark.parametrize("eps", [[math.nan, 0.0], [0.05, math.inf],
+                                 -math.inf])
+@pytest.mark.parametrize("cls", [InvariantCurve, QTaylorData])
+def test_a_non_finite_eps_is_refused_on_decode(cls, eps):
+    # a curve read with a NaN eps had a dynamical residual of nan
+    d = jsonio.encode(_artifacts()[cls.__name__])
+    d["eps"] = eps
+    with pytest.raises(ValueError, match="^eps must be finite"):
+        cls.from_json_dict(d)
 
 
 def test_encode_writes_a_dataclass_by_its_fields_in_order():

@@ -598,6 +598,13 @@ def test_order_overflow_is_typed_without_warnings():
     assert info.value.diagnostics == {"order": 2}
 
 
+@pytest.mark.parametrize("A", [math.nan, math.inf, complex(1.0, math.nan)])
+def test_the_oracle_refuses_a_non_finite_A(A):
+    # a NaN A was reported as an overflow at order 1
+    with pytest.raises(ValueError, match="^A must be finite"):
+        beta_gamma_oracle(1, RationalFreq(1, 3), 3, A=A)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_oracle_overflow_is_typed():
     # gamma_2 = -2 pi i A^2 beta_2 and A^2 overflows
