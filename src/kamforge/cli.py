@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -148,14 +150,11 @@ def cmd_solve(args) -> int:
 
 
 def _sweep_point(task) -> dict:
+    """One grid point's record as computed (complex values, the series
+    ``u``), or a failed record holding the solve's error object."""
     idx, om, eps, f, cfg, method = task
     freq = from_omega(om)
-    rec = {
-        "index": idx,
-        "omega": om,
-        "q": freq.q,
-        "eps": eps,
-    }
+    rec = {"index": idx, "omega": om, "q": freq.q, "eps": eps}
     try:
         solve = _picard_curve if method == "picard" else solve_curve
         curve = solve(f, freq, eps, cfg)
@@ -169,16 +168,14 @@ def _sweep_point(task) -> dict:
     except (KamforgeError, ValueError) as exc:
         rec["status"] = "failed"
         rec["error"] = _error_payload(exc)["error"]
-    return jsonio.encode(rec)
+    return rec
 
 
 def _family_from_records(records) -> SampledFamily:
-    """Converged u-vectors at their common cutoff N, each with du/d omega:
-    ``kam.omega_tangent`` cut to N, or None where that solve raises a
-    ``KamforgeError``."""
-    series = [(from_omega(jsonio.to_complex([rec["omega"]])[0]),
-               FourierSeries.from_json_dict(rec["u"]))
-              for rec in records if rec["status"] == "converged"]
+    """The converged records' u at their common cutoff N, each with du/d
+    omega: ``kam.omega_tangent`` cut to N, or None where that solve raises
+    a ``KamforgeError``."""
+    series = [(from_omega(rec["omega"]), rec["u"]) for rec in records]
     N = max((s.N for _, s in series), default=0)
     fam = SampledFamily(points=[fr for fr, _ in series], derivs=[],
                         values=[_widen(s.coeffs, N) for _, s in series])
@@ -202,7 +199,7 @@ def _axis_points(axis, name: str) -> np.ndarray:
 def run_sweep(*, omega_re, omega_im, eps, f, modes=64, tol=1e-12,
               max_iters=30, workers=1, out_path, family_path=None,
               eps_axis=None, method="newton") -> dict:
-    """Run the grid, write JSON-lines records sorted by grid index.
+    """Run the grid, writing one JSON line per point in grid index order.
 
     ``omega_re`` / ``omega_im`` are (min, max, count) axes; ``eps_axis``
     optionally replaces the single ``eps`` by a (min, max, count) axis.
@@ -214,8 +211,11 @@ def run_sweep(*, omega_re, omega_im, eps, f, modes=64, tol=1e-12,
     solved.
     A ``family_path`` with an ``eps_axis`` is refused too: a family is
     sampled in omega at one eps.
-    Records are computed by a deterministic pure function per point, so the
-    files are byte-identical for any worker count.
+    ``out_path`` (and ``family_path``) is opened before the first point,
+    and each line is written as its point finishes, through one ``map``
+    (the builtin, or the pool's for ``workers`` > 1); only a family keeps
+    the converged records.  Each record is a pure function of its point,
+    so the files are byte-identical for any worker count.
     """
     require_int(workers, "workers", 1)
     if family_path is not None and eps_axis is not None:
@@ -228,33 +228,31 @@ def run_sweep(*, omega_re, omega_im, eps, f, modes=64, tol=1e-12,
     eps = require_finite(eps, "eps")
     res = _axis_points(omega_re, "omega_re")
     ims = _axis_points(omega_im, "omega_im")
-    if eps_axis is not None:
-        eps_vals = [complex(e) for e in _axis_points(eps_axis, "eps_axis")]
-    else:
-        eps_vals = [eps]
-    tasks = []
-    idx = 0
-    for a in res:
-        for b in ims:
-            from_omega(complex(a, b))  # refuse past the cap before any solve
-            for e in eps_vals:
-                tasks.append((idx, complex(a, b), e, f, cfg, method))
-                idx += 1
+    eps_vals = [eps] if eps_axis is None else [
+        complex(e) for e in _axis_points(eps_axis, "eps_axis")]
+    grid = [complex(a, b) for a in res for b in ims]
+    for om in grid:
+        from_omega(om)  # refuse past the cap before any solve
+    tasks = [(i, om, e, f, cfg, method) for i, (om, e) in
+             enumerate(itertools.product(grid, eps_vals))]
     workers = min(workers, len(tasks))
-    if workers <= 1:
-        records = [_sweep_point(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            records = list(ex.map(_sweep_point, tasks, chunksize=1))
-    with open(out_path, "w") as fh:
-        for rec in records:
-            fh.write(jsonio.dumps(rec) + "\n")
-    if family_path is not None:
-        fam = _family_from_records(records)
-        jsonio.dump_path(fam.to_json_dict(), family_path)
-    n_conv = sum(r["status"] == "converged" for r in records)
-    return {"total": len(records), "converged": n_conv,
-            "failed": len(records) - n_conv, "out": out_path,
+    converged, n_conv = [], 0
+    with (open(out_path, "w") as out,
+          nullcontext() if family_path is None else open(family_path, "w")
+          as fam,
+          nullcontext() if workers == 1 else ProcessPoolExecutor(workers)
+          as pool):
+        for rec in (pool.map if pool else map)(_sweep_point, tasks):
+            out.write(jsonio.dumps(rec) + "\n")
+            if rec["status"] == "converged":
+                n_conv += 1
+                if fam:
+                    converged.append(rec)
+        if fam:
+            family = _family_from_records(converged).to_json_dict()
+            fam.write(jsonio.dumps(family, indent=2) + "\n")
+    return {"total": len(tasks), "converged": n_conv,
+            "failed": len(tasks) - n_conv, "out": out_path,
             "family": family_path, "workers": workers}
 
 

@@ -154,6 +154,7 @@ class FourierSeries:
 
     @classmethod
     def zero(cls, N: int = 0) -> "FourierSeries":
+        N = require_int(N, "N", 0)
         return cls(np.zeros(2 * N + 1, dtype=np.complex128))
 
     @classmethod
@@ -163,7 +164,7 @@ class FourierSeries:
     @classmethod
     def basis(cls, k: int, amplitude: complex = 1.0) -> "FourierSeries":
         """The pure mode e_k(theta) = amplitude * exp(2 pi i k theta)."""
-        N = abs(k)
+        N = abs(require_int(k, "k"))
         c = np.zeros(2 * N + 1, dtype=np.complex128)
         c[k + N] = amplitude
         return cls(c)
@@ -283,12 +284,16 @@ def evaluate(phi: FourierSeries, theta):
 
     Raises
     ------
+    ValueError
+        If an angle is NaN or infinite, naming the first such value.
     OverflowRiskError
         If 2 pi N |Im theta| exceeds the exponent cap for some point.
     """
     th = np.asarray(theta, dtype=np.complex128)
     scalar = th.ndim == 0
     th = th.ravel()
+    if not np.isfinite(th).all():
+        require_finite(th[~np.isfinite(th)][0], "theta")
     N = phi.N
     check_exponent(_TWO_PI * N * float(np.abs(th.imag).max(initial=0.0)),
                    "evaluation")
@@ -305,9 +310,10 @@ def grid_values(phi: FourierSeries, G: int) -> np.ndarray:
     """Exact samples phi(j/G), j = 0..G-1, via the inverse FFT.
 
     Modes k and k + G agree on the grid, so the coefficients are folded
-    mod G by whole-period slices, and the samples are exact for any G >= 1.
+    mod G by whole-period slices, and the samples are exact for any G >= 1
+    (an int; anything else is refused).
     """
-    c = phi.coeffs
+    G, c = require_int(G, "G", 1), phi.coeffs
     X = np.zeros(G, dtype=np.complex128)    # X[j] holds mode j - N mod G
     X[:min(c.size, G)] = c[:G]
     for lo in range(G, c.size, G):          # whole periods, in mode order
@@ -328,8 +334,8 @@ def mean(phi: FourierSeries) -> complex:
 
 
 def truncate(phi: FourierSeries, N: int):
-    """Drop modes beyond |k| = N.  Returns (series, sup of dropped coeffs)."""
-    if N >= phi.N:
+    """Drop modes beyond |k| = N (an int >= 0): (series, sup of the dropped)."""
+    if require_int(N, "N", 0) >= phi.N:
         return phi, 0.0
     lo, c = phi.N - N, phi.coeffs
     tail = float(np.max(np.abs(np.concatenate([c[:lo], c[c.size - lo:]]))))

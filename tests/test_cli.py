@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -81,7 +82,12 @@ def test_unwritable_out_or_unreadable_f_exits_2_without_traceback(tmp_path):
              missing / "s.json"),
             (["geometry", "--M", "6", "--mmax", "50",
               "--out", str(missing / "g.json")], missing / "g.json"),
-            (["solve", "--omega", repr(GOLDEN), "--f", str(tmp_path)], tmp_path)):
+            (["solve", "--omega", repr(GOLDEN), "--f", str(tmp_path)], tmp_path),
+            # a sweep opens its files before the first point is solved
+            ([*SWEEP_BOX, "--out", str(missing / "s.jsonl")],
+             missing / "s.jsonl"),
+            ([*SWEEP_BOX, "--out", "s.jsonl", "--family",
+              str(missing / "f.json")], missing / "f.json")):
         r = run_cli(args, tmp_path)
         assert r.returncode == 2, r.stderr
         assert r.stderr.startswith("error: ") and str(path) in r.stderr
@@ -402,6 +408,47 @@ def test_sweep_refuses_a_bad_solver_knob_by_name_before_any_task(
                          "workers": workers, "out_path": str(out), **kwargs})
     assert str(e.value) == message
     assert (solved, _RecordingPool.started, out.exists()) == ([], [], False)
+
+
+def _bulky_point(task):
+    """A stand-in for ``cli._sweep_point`` whose record is about 100 kB."""
+    return {"index": task[0], "status": "converged",
+            "pad": str(task[0]).ljust(100_000, "x")}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_without_a_family_keeps_no_record(tmp_path, monkeypatch,
+                                                workers):
+    # 50 records of 100 kB: holding them all would peak past 5 MB
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(cli, "_sweep_point", _bulky_point)
+    out = tmp_path / "s.jsonl"
+    tracemalloc.start()
+    try:
+        summary = cli.run_sweep(
+            omega_re=(0.6, 0.62, 10), omega_im=(0.03, 0.05, 5), eps=0.05,
+            f=FourierSeries.cos(), workers=workers, out_path=str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+    assert summary["converged"] == 50 and summary["workers"] == workers
+    lines = out.read_text().splitlines()
+    assert [json.loads(line)["index"] for line in lines] == list(range(50))
+
+
+@pytest.mark.parametrize("missing", ["out_path", "family_path"])
+def test_sweep_refuses_an_unwritable_path_before_any_point(
+        tmp_path, monkeypatch, missing):
+    solved = []
+    monkeypatch.setattr(cli, "_sweep_point", solved.append)
+    paths = {"out_path": str(tmp_path / "s.jsonl"),
+             "family_path": str(tmp_path / "f.json"),
+             missing: str(tmp_path / "missing" / "x.json")}
+    with pytest.raises(OSError):
+        cli.run_sweep(omega_re=(0.6, 0.62, 2), omega_im=(0.03, 0.03, 1),
+                      eps=0.05, f=FourierSeries.cos(), **paths)
+    assert solved == []
 
 
 def test_sweep_keeps_failed_points_inline(tmp_path):

@@ -2,7 +2,9 @@
 
 import math
 import pickle
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -373,6 +375,45 @@ def test_scalar_factor_must_be_finite(bad):
         FourierSeries.cos() * bad
     with pytest.raises(ValueError, match="scalar factor must be finite"):
         bad * FourierSeries.cos()
+
+
+@pytest.mark.parametrize("theta,shown", [
+    (math.nan, "(nan+0j)"),
+    (math.inf, "(inf+0j)"),
+    (np.array([0.1, math.nan]), "(nan+0j)"),
+    (np.array([0.1, complex(0.2, -math.inf), math.nan]), "(0.2-infj)"),
+    (complex(0.3, math.inf), "(0.3+infj)"),
+])
+def test_evaluate_refuses_a_non_finite_angle_by_name(theta, shown):
+    # refused before the exponent guard could read inf as an overflow, and
+    # before numpy could warn
+    message = f"^theta must be finite, got {re.escape(shown)}$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            evaluate(FourierSeries.cos(), theta)
+        with pytest.raises(ValueError, match=message):
+            FourierSeries.cos()(theta)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: truncate(FourierSeries.cos(), -1), "N must be an int >= 0, got -1"),
+    (lambda: truncate(FourierSeries.cos(), True),
+     "N must be an int >= 0, got True"),
+    (lambda: grid_values(FourierSeries.cos(), 0), "G must be an int >= 1, got 0"),
+    (lambda: grid_values(FourierSeries.cos(), -2),
+     "G must be an int >= 1, got -2"),
+    (lambda: grid_values(FourierSeries.cos(), 2.0),
+     "G must be an int >= 1, got 2.0"),
+    (lambda: FourierSeries.zero(True), "N must be an int >= 0, got True"),
+    (lambda: FourierSeries.zero(-1), "N must be an int >= 0, got -1"),
+    (lambda: FourierSeries.basis(True), "k must be an int, got True"),
+    (lambda: FourierSeries.basis(2.0), "k must be an int, got 2.0"),
+], ids=["truncate-neg", "truncate-bool", "grid-0", "grid-neg", "grid-float",
+        "zero-bool", "zero-neg", "basis-bool", "basis-float"])
+def test_a_series_count_argument_passes_the_count_rule(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def jet_orders(f, us, dtype):
