@@ -557,15 +557,14 @@ class SetGeometry:
         return self.m_max + 1
 
     def to_json_dict(self) -> dict:
-        lo = np.maximum(self.gap_lo, 0.0)
-        hi = np.minimum(self.gap_hi, 1.0)
+        gaps = np.stack((self.gap_lo, self.gap_hi), axis=-1)
         return jsonio.encode({
             "M": self.M,
             "tau": self.tau,
             "m_max": self.m_max,
             "first_untested_denominator": self.first_untested_denominator,
             "total_gap_measure": self.total_gap_measure,
-            "gaps": np.stack((lo, hi), axis=-1),
+            "gaps": np.clip(gaps, 0.0, 1.0, out=gaps),
             "boundary_samples": self.boundary_samples,
         })
 

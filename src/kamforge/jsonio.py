@@ -90,9 +90,10 @@ def dumps(obj, indent: int | None = None) -> str:
 
 
 def dump_path(obj, path) -> None:
-    text = dumps(obj, indent=2)
+    """Stream ``dumps(obj, indent=2)`` and a newline into *path*.  A payload
+    the encoder refuses leaves a partial file; no kamforge payload is one."""
     with open(path, "w") as fh:
-        fh.write(text)
+        json.dump(obj, fh, indent=2, separators=(",", ": "), default=_encode_leaf)
         fh.write("\n")
 
 

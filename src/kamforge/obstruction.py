@@ -159,9 +159,9 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
     not see it.  Other forcings run in complex128.
     ``exactness="extended"`` runs the complex arithmetic in long-double
     precision (a real long-double jet has no BLAS and measured no
-    faster).  Raises ``OverflowRiskError`` naming the order when g_n, or
-    the oracle's gamma_n (computed first, so the engine stops at the first
-    such order), stops being finite; at a tie the engine's error wins.
+    faster).  Each engine order pulls one oracle order, so the oracle stops
+    where the engine stops; ``OverflowRiskError`` names the first order
+    whose g_n, or then whose oracle gamma_n, is not finite.
 
     The witness lives on modes -n K..n K at the final order n (n_star, or
     ``max_order``); a ``ValueError`` naming n, K and n K refuses a run whose
@@ -196,29 +196,19 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
     jet = composition_jet(f_lat if real is None else real[0],
                           step=d, center=(lo + K) / 2)
     g = next(jet)                 # g_1 = f
-    tops: list = []               # mode n K of each order, as the jet gives it
+    oracle = _oracle_orders(K, rf, max_order, A, extended)
+    rows: list = []      # (mode n K of g_n as the jet gives it, beta_n, gamma_n)
     scale = 0.0
     n_star = None
     # an overflowing order surfaces as a typed error, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        # the oracle is prefix-stable: one call to max_order, sliced below;
-        # an order it cannot reach ends the engine there (gamma_1 = A is finite)
-        overflow = None
-        try:
-            oracle = beta_gamma_oracle(K, rf, max_order, A, extended)
-        except OverflowRiskError as exc:
-            overflow = exc
-            oracle = beta_gamma_oracle(K, rf, exc.diagnostics["order"] - 1,
-                                       A, extended)
         for n in range(1, max_order + 1):
             if n > 1:
                 g = jet.send(u)       # g_n = [f(id+u)]_{n-1}
             if not np.isfinite(g).all():
                 raise OverflowRiskError(f"obstruction order {n} overflowed",
                                         {"order": n})
-            if overflow is not None and n == overflow.diagnostics["order"]:
-                raise overflow
-            tops.append(g[-1])
+            rows.append((g[-1], *next(oracle)))   # the engine's error wins a tie
             scale = max(scale, float(np.max(np.abs(g))))
             thr = 1e-10 * scale
             ks = n * lo + d * np.arange(g.size)    # g_n lives on n lo + d Z
@@ -228,7 +218,7 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
                 n_star = n
                 break
             u = g * lam[ks % rf.m]
-    betas, gammas_oracle = (x[:len(tops)] for x in oracle)
+    tops, betas, gammas_oracle = map(list, zip(*rows))
     gres = g[res]
     if real is not None:     # g_n = c (i c)^(n-1) times the jet's order, c = i^e
         e = real[1]
@@ -305,12 +295,22 @@ def beta_gamma_oracle(K: int, rf: RationalFreq, up_to: int,
     is one dot product per order, with no cancellation (b_j >= 0), in place
     of the O(n^2) convolutions the powers B^r take.  The gammas attach
     the forcing data: gamma_n = (-2 pi i K)^(n-1) A^n beta_n.  Returns
-    ``(betas, gammas)``.  With ``extended=True`` the recursion and the
-    gamma products run in long double on the long-double tables, matching
-    the engine's ``exactness="extended"``; the values are rounded to Python
-    floats and complexes either way.  A non-finite A raises ``ValueError``,
-    and the first order whose gamma is not finite ``OverflowRiskError``.
+    ``(betas, gammas)``, collected from the orders that
+    ``obstruction_order`` meets one at a time.  With ``extended=True`` the
+    recursion and the gamma products run in long double on the long-double
+    tables, matching the engine's ``exactness="extended"``; the values are
+    rounded to Python floats and complexes either way.  A K that is no
+    nonzero int or a non-finite A raises ``ValueError``, and the first
+    order whose gamma is not finite ``OverflowRiskError``.
     """
+    betas, gammas = zip(*_oracle_orders(K, rf, up_to, A, extended))
+    return list(betas), list(gammas)
+
+
+def _oracle_orders(K, rf, up_to, A, extended):
+    """(beta_n, gamma_n) for n = 1..up_to, one order at a time."""
+    if require_int(K, "K") == 0:
+        raise ValueError("the oracle is undefined at K = 0")
     cplx = np.clongdouble if extended else complex   # float: Python's powers
     a = cplx(require_finite(A, "A"))
     require_int(up_to, "up_to", 1)
@@ -319,17 +319,16 @@ def beta_gamma_oracle(K: int, rf: RationalFreq, up_to: int,
     beta = np.zeros(up_to, dtype=lam.dtype)     # beta[i] = beta_{i+1} = E_i
     jb = np.zeros(up_to, dtype=lam.dtype)       # j b_j
     beta[0] = 1.0
-    for i in range(1, up_to):
-        jb[i] = i * -lam[(i * K) % rf.m] * beta[i - 1]
-        beta[i] = np.dot(jb[1:i + 1], beta[i - 1::-1]) / i
     base = cplx(-2j) * pi * K
-    gammas = []
     for n in range(1, up_to + 1):
+        i = n - 1
+        if i:
+            jb[i] = i * -lam[(i * K) % rf.m] * beta[i - 1]
+            beta[i] = np.dot(jb[1:i + 1], beta[i - 1::-1]) / i
         try:
-            g = complex((base ** (n - 1)) * (a ** n) * beta[n - 1])
+            g = complex((base ** i) * (a ** n) * beta[i])
         except OverflowError:  # Python's complex power raises, numpy's gives inf
             g = complex(math.inf)
         if not cmath.isfinite(g):
             raise OverflowRiskError(f"oracle order {n} overflowed", {"order": n})
-        gammas.append(g)
-    return [float(x) for x in beta], gammas
+        yield float(beta[i]), g
