@@ -59,6 +59,7 @@ class QTaylorData:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "QTaylorData":
+        jsonio.require_keys(d, "Taylor data", ("eps", "f_ref", "orders"))
         return cls(
             orders=[FourierSeries.from_json_dict(o) for o in d["orders"]],
             eps=require_finite(jsonio.to_complex([d["eps"]])[0], "eps"),
@@ -237,14 +238,17 @@ def crosscheck(f: FourierSeries, freq: Frequency, eps,
     name outside ``CROSSCHECK_METHODS``, a repeated name, or ``taylor0``
     with an ``n_taylor`` that is not an int in [1, ``TAYLOR_ORDER_CAP``]
     raises ``ValueError`` before any solve.  Every method returns a
-    zero-mean u, so the ok solutions are compared as they are.  Returns a
-    report dict with per-method status and pairwise sup-norm differences.
+    zero-mean u, so the ok solutions are compared as they are.  ``methods``
+    may be any iterable of names.  taylor0 reuses ``taylor_data`` only if it
+    holds f, eps and ``n_taylor`` orders.  Returns a report dict with
+    per-method status and pairwise sup-norm differences.
     """
     config = config or SolverConfig()
     eps = require_finite(eps, "eps")
     if isinstance(methods, str):
         raise ValueError(f"methods must be a sequence of names, got the "
                          f"string {methods!r}; write ({methods!r},)")
+    methods = tuple(methods)
     unknown = [m for m in methods if m not in CROSSCHECK_METHODS]
     if unknown or not methods:
         what = f"unknown methods {unknown}" if unknown else "no methods given"
@@ -282,7 +286,8 @@ def crosscheck(f: FourierSeries, freq: Frequency, eps,
                 if abs(freq.q) >= 1.0:
                     raise ValueError("taylor0 needs |q| < 1")
                 data = taylor_data
-                if data is None or data.f_ref is not f or data.eps != eps:
+                if (data is None or data.f_ref is not f or data.eps != eps
+                        or len(data.orders) != n_taylor):
                     data = taylor0_recursion(f, eps, N_q=n_taylor)
                 u, info = taylor0_eval(data, freq.q)
                 if not info["decaying"]:

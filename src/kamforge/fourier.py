@@ -181,9 +181,7 @@ class FourierSeries:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FourierSeries":
-        for key in ("N", "coeffs"):
-            if key not in d:
-                raise ValueError(f"series JSON has no {key!r} key")
+        jsonio.require_keys(d, "series", ("N", "coeffs"))
         N = require_int(d["N"], "series JSON 'N'", 0)
         coeffs = jsonio.to_complex(d["coeffs"])
         if coeffs.size != 2 * N + 1:

@@ -212,7 +212,10 @@ class DiophantineClass:
 
     def __post_init__(self):
         for name in ("M", "tau"):
-            require_finite(getattr(self, name), name, float)
+            value = require_finite(getattr(self, name), name, float)
+            # a number is kept as given, and so is its JSON; "7" becomes 7.0
+            if not isinstance(getattr(self, name), (int, float)):
+                object.__setattr__(self, name, value)
         if self.tau <= 0:
             raise ValueError("tau must be positive")
         require_int(self.m_max, "m_max", 2)
@@ -623,17 +626,20 @@ class SampledFamily:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SampledFamily":
+        jsonio.require_keys(d, "sampled family", ("points", "values", "derivs"))
+        points = [jsonio.require_keys(p, "sampled family point", ("omega",),
+                                      None) for p in d["points"]]
         values = [jsonio.to_complex(v) for v in d["values"]]
         derivs = [None if v is None else jsonio.to_complex(v)
                   for v in d["derivs"]]
-        counts = (len(d["points"]), len(values), len(derivs))
+        counts = (len(points), len(values), len(derivs))
         lengths = sorted({v.size for v in values + derivs if v is not None})
         if len(set(counts)) > 1 or len(lengths) > 1:
             raise ValueError(
                 "a sampled family needs one value and one deriv per point, "
                 f"all of one length: got (points, values, derivs) = {counts} "
                 f"of lengths {lengths}")
-        omegas = jsonio.to_complex([p["omega"] for p in d["points"]])
+        omegas = jsonio.to_complex([p["omega"] for p in points])
         return cls(points=[from_omega(om) for om in omegas],
                    values=values, derivs=derivs)
 

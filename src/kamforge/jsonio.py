@@ -74,6 +74,22 @@ def to_complex(entries) -> np.ndarray:
     return arr.view(np.complex128).reshape(-1)
 
 
+def require_keys(d, artifact: str, keys, optional=()) -> dict:
+    """*d* if it is a dict with every key in *keys* and no key outside
+    *keys* and *optional* (with ``optional=None``, any other key passes),
+    else ValueError naming *artifact* and the key: the one key check of
+    every artifact reader."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{artifact} JSON must be an object, got {d!r}")
+    for key in keys:
+        if key not in d:
+            raise ValueError(f"{artifact} JSON has no {key!r} key")
+    for key in () if optional is None else d:
+        if key not in keys and key not in optional:
+            raise ValueError(f"{artifact} JSON has an unknown {key!r} key")
+    return d
+
+
 def _encode_leaf(obj):
     """``default`` hook of the stdlib encoder: complex and numpy leaves."""
     out = encode(obj)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -157,9 +157,14 @@ class InvariantCurve:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "InvariantCurve":
-        report = dict(d["report"])
+        jsonio.require_keys(d, "curve", ("frequency", "eps", "u", "v", "f",
+                                         "report"), ("dynamical_residual",))
+        report = dict(jsonio.require_keys(
+            d["report"], "curve report", [f.name for f in fields(SolveReport)]))
         report["beta"] = complex(jsonio.to_complex([report["beta"]])[0])
-        omega, eps = jsonio.to_complex([d["frequency"]["omega"], d["eps"]])
+        frequency = jsonio.require_keys(d["frequency"], "curve frequency",
+                                        ("omega",), None)
+        omega, eps = jsonio.to_complex([frequency["omega"], d["eps"]])
         return cls(
             u=FourierSeries.from_json_dict(d["u"]),
             v=FourierSeries.from_json_dict(d["v"]),

@@ -94,7 +94,7 @@ def e_star(phi: FourierSeries, rf: RationalFreq) -> FourierSeries:
 
 def projector(phi: FourierSeries, rf: RationalFreq, j: int = 0) -> FourierSeries:
     """Keep only the modes k with k = j (mod m)."""
-    mask = np.mod(_modes(phi), rf.m) == (j % rf.m)
+    mask = np.mod(_modes(phi), rf.m) == (require_int(j, "j") % rf.m)
     return FourierSeries(np.where(mask, phi.coeffs, 0.0))
 
 

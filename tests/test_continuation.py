@@ -281,8 +281,29 @@ def test_crosscheck_reuses_supplied_taylor_data():
     f = FourierSeries.cos()
     data = taylor0_recursion(f, 0.05, N_q=25)
     report = crosscheck(f, from_q(0.3), 0.05, methods=("taylor0",),
-                        taylor_data=data)
+                        n_taylor=25, taylor_data=data)
     assert report["methods"]["taylor0"]["orders"] == 25
+
+
+def test_crosscheck_reuses_taylor_data_only_at_its_order_count():
+    # 40 supplied orders were reported for n_taylor = 10 (last term 5.9e-17)
+    f, freq = FourierSeries.cos(), from_q(0.3)
+    fresh = crosscheck(f, freq, 0.05, methods=("taylor0",), n_taylor=10)
+    report = crosscheck(f, freq, 0.05, methods=("taylor0",), n_taylor=10,
+                        taylor_data=taylor0_recursion(f, 0.05, N_q=40))
+    assert report == fresh
+    assert report["methods"]["taylor0"]["orders"] == 10
+
+
+@pytest.mark.parametrize("methods", [
+    (m for m in ["newton", "picard"]),    # the name check consumed it
+    {"newton": 1, "picard": 2}.keys(),    # not subscriptable
+], ids=["generator", "dict-keys"])
+def test_crosscheck_runs_any_iterable_of_methods(methods):
+    report = crosscheck(FourierSeries.cos(), from_q(0.3), 0.05,
+                        methods=methods)
+    assert list(report["methods"]) == ["newton", "picard"]
+    assert list(report["pairs"]) == ["newton_vs_picard"]
 
 
 def test_crosscheck_skips_methods_off_their_domain():

@@ -861,6 +861,18 @@ def test_sampled_family_decode_refuses_mismatched_counts(d, message):
         SampledFamily.from_json_dict(d)
 
 
+@pytest.mark.parametrize("kwargs,name,value", [
+    ({"M": "7"}, "M", 7.0),        # kept the string, then M > bound raised
+    ({"tau": "0.5"}, "tau", 0.5),  # kept the string, then tau <= 0 raised
+])
+def test_a_diophantine_class_stores_a_parameter_string_as_its_float(
+        kwargs, name, value):
+    cls = DiophantineClass(**kwargs)
+    assert type(getattr(cls, name)) is float and getattr(cls, name) == value
+    assert type(DiophantineClass(M=7).M) is int   # a number is kept as given
+
+
+
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _entry = st.builds(complex, _finite, _finite) | st.sampled_from(
     [complex(-0.0, -0.0), complex(-0.0, 0.5), complex(0.25, -0.0)])

@@ -145,6 +145,25 @@ def test_divisor_operator_kernel_and_partial_inverse():
     assert sup_norm(total - phi) == 0.0
 
 
+@pytest.mark.parametrize("K,message", [
+    (2.5, "K must be an int, got 2.5"),      # numpy's bare IndexError
+    (True, "K must be an int, got True"),    # ran as K = 1
+    ("1", "K must be an int, got '1'"),      # a string-formatting TypeError
+    (0, "the oracle is undefined at K = 0"),  # returned betas 1, 0, 0
+])
+def test_the_oracle_refuses_a_K_that_is_no_nonzero_int(K, message):
+    with pytest.raises(ValueError) as info:
+        beta_gamma_oracle(K, RationalFreq(1, 3), 3)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("j", [1.5, True])
+def test_the_projector_refuses_a_class_that_is_no_int(j):
+    # j = 1.5 kept no mode (no k is 1.5 mod 3), and True acted as 1
+    with pytest.raises(ValueError, match=f"^j must be an int, got {j!r}$"):
+        projector(FourierSeries.cos(), RationalFreq(1, 3), j)
+
+
 def test_beta_gamma_hand_values():
     # K = 1, m = 3, A = 1/2 (a cosine forcing):
     # betas 1, 1/3, 1/6; gamma_2 = -i pi/6, gamma_3 = -pi^2/12
@@ -614,8 +633,9 @@ def test_oracle_overflow_is_typed():
 
 def test_an_oracle_overflow_stops_the_engine_at_its_order(monkeypatch):
     # 2^300 cos: A = 2^299, so A^4 in gamma_4 passes the largest double while
-    # the long-double jet runs on; the oracle runs first, so the engine stops
-    # at order 4 (3 sends) instead of running all 34 orders (33 sends)
+    # the long-double jet runs on; the oracle runs beside the engine, so the
+    # engine stops at order 4 (3 sends) instead of running all 34 orders
+    # (33 sends)
     sends = []
 
     def counting(f_lat, **kw):
@@ -632,6 +652,41 @@ def test_an_oracle_overflow_stops_the_engine_at_its_order(monkeypatch):
         obstruction_order(f, RationalFreq(13, 34), exactness="extended")
     assert info.value.diagnostics == {"order": 4}
     assert len(sends) == 3
+
+
+def test_an_oracle_overflow_builds_the_divisor_tables_once_a_side(monkeypatch):
+    # the oracle ran to max_order before the first engine order and, after
+    # an overflow, once more to the order before it: three table builds
+    built = []
+    tables = RationalFreq.tables
+
+    def counting(self, extended=False):
+        built.append(extended)
+        return tables(self, extended)
+
+    monkeypatch.setattr(RationalFreq, "tables", counting)
+    f = FourierSeries(FourierSeries.cos().coeffs * 2.0 ** 300)
+    with pytest.raises(OverflowRiskError,
+                       match="oracle order 4 overflowed") as info:
+        obstruction_order(f, RationalFreq(13, 34), exactness="extended")
+    assert info.value.diagnostics == {"order": 4}
+    assert built == [True, True]
+
+
+def test_the_oracle_stops_where_the_engine_stops(monkeypatch):
+    # the oracle ran all 89 orders and the report kept the first 32
+    pulled = []
+    orders = obstruction._oracle_orders
+
+    def counting(*args):
+        for pair in orders(*args):
+            pulled.append(pair)
+            yield pair
+
+    monkeypatch.setattr(obstruction, "_oracle_orders", counting)
+    report = obstruction_order(degree3_forcing(7), RationalFreq(34, 89))
+    assert report.orders_computed == len(pulled) == 32
+    assert pulled == list(zip(report.betas, report.gammas_oracle))
 
 
 def test_report_json_dict():
