@@ -197,7 +197,7 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
                           step=d, center=(lo + K) / 2)
     g = next(jet)                 # g_1 = f
     oracle = _oracle_orders(K, rf, max_order, A, extended)
-    rows: list = []      # (mode n K of g_n as the jet gives it, beta_n, gamma_n)
+    rows: list = []   # per order: mode n K of g_n as the jet gives it, beta_n, gamma_n
     scale = 0.0
     n_star = None
     # an overflowing order surfaces as a typed error, not as warnings
@@ -208,7 +208,7 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
             if not np.isfinite(g).all():
                 raise OverflowRiskError(f"obstruction order {n} overflowed",
                                         {"order": n})
-            rows.append((g[-1], *next(oracle)))   # the engine's error wins a tie
+            rows += (g[-1], *next(oracle))    # the engine's error wins a tie
             scale = max(scale, float(np.max(np.abs(g))))
             thr = 1e-10 * scale
             ks = n * lo + d * np.arange(g.size)    # g_n lives on n lo + d Z
@@ -218,7 +218,7 @@ def obstruction_order(f: FourierSeries, rf: RationalFreq,
                 n_star = n
                 break
             u = g * lam[ks % rf.m]
-    tops, betas, gammas_oracle = map(list, zip(*rows))
+    tops, betas, gammas_oracle = rows[::3], rows[1::3], rows[2::3]
     gres = g[res]
     if real is not None:     # g_n = c (i c)^(n-1) times the jet's order, c = i^e
         e = real[1]
