@@ -872,7 +872,6 @@ def test_a_diophantine_class_stores_a_parameter_string_as_its_float(
     assert type(DiophantineClass(M=7).M) is int   # a number is kept as given
 
 
-
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _entry = st.builds(complex, _finite, _finite) | st.sampled_from(
     [complex(-0.0, -0.0), complex(-0.0, 0.5), complex(0.25, -0.0)])
