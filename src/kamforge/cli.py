@@ -423,6 +423,11 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _add_f_arg(sp) -> None:
+    sp.add_argument("--f", default="cos",
+                    help="forcing: 'cos', inline JSON array, or JSON file")
+
+
 def _add_eps_args(sp, eps=0.05, eps_im=0.0) -> None:
     sp.add_argument("--eps", type=_finite_float, default=eps,
                     help="perturbation strength (real part, default 0.05)")
@@ -452,8 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("solve", help="solve one invariant curve")
     _add_freq_args(sp)
     _add_eps_args(sp)
-    sp.add_argument("--f", default="cos",
-                    help="forcing: 'cos', inline JSON array, or JSON file")
+    _add_f_arg(sp)
     sp.add_argument("--method", choices=("newton", "picard"),
                     default="newton")
     _add_solver_args(sp)
@@ -482,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps-max", type=_finite_float, default=None)
     sp.add_argument("--eps-n", type=_positive_int, default=None,
                     help="sweep eps too, over (--eps-min, --eps-max)")
-    sp.add_argument("--f", default="cos")
+    _add_f_arg(sp)
     sp.add_argument("--method", choices=("newton", "picard"),
                     default="newton")
     _add_solver_args(sp, modes=64)
@@ -507,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="formal obstruction at a rational frequency")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--f", default="cos")
+    _add_f_arg(sp)
     sp.add_argument("--max-order", type=int, default=None)
     sp.add_argument("--exactness", choices=("float", "extended"),
                     default="float")
@@ -515,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_obstruction)
 
     sp = sub.add_parser("taylor0", help="Taylor-in-q data at q = 0")
-    sp.add_argument("--f", default="cos")
+    _add_f_arg(sp)
     _add_eps_args(sp)
     sp.add_argument("--orders", type=int, default=40)
     sp.add_argument("--q-re", type=float, default=None,
@@ -528,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="pairwise method agreement at one point")
     _add_freq_args(sp)
     _add_eps_args(sp)
-    sp.add_argument("--f", default="cos")
+    _add_f_arg(sp)
     sp.add_argument("--methods", default="newton,picard,taylor0")
     sp.add_argument("--orders", type=int, default=None,
                     help="taylor0's order count (with taylor0; default 40)")

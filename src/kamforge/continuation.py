@@ -60,6 +60,7 @@ class QTaylorData:
     @classmethod
     def from_json_dict(cls, d: dict) -> "QTaylorData":
         jsonio.require_keys(d, "Taylor data", ("eps", "f_ref", "orders"))
+        jsonio.require_kinds(d, "Taylor data", {"orders": "a list"})
         return cls(
             orders=[FourierSeries.from_json_dict(o) for o in d["orders"]],
             eps=require_finite(jsonio.to_complex([d["eps"]])[0], "eps"),

@@ -626,12 +626,18 @@ class SampledFamily:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SampledFamily":
-        jsonio.require_keys(d, "sampled family", ("points", "values", "derivs"))
+        keys = ("points", "values", "derivs")
+        jsonio.require_keys(d, "sampled family", keys)
+        jsonio.require_kinds(d, "sampled family", dict.fromkeys(keys, "a list"))
         points = [jsonio.require_keys(p, "sampled family point", ("omega",),
                                       None) for p in d["points"]]
         values = [jsonio.to_complex(v) for v in d["values"]]
         derivs = [None if v is None else jsonio.to_complex(v)
                   for v in d["derivs"]]
+        for key, vecs in (("values", values), ("derivs", derivs)):
+            if not all(np.isfinite(v).all() for v in vecs if v is not None):
+                raise ValueError(f"sampled family JSON {key!r} must hold "
+                                 "finite entries only")
         counts = (len(points), len(values), len(derivs))
         lengths = sorted({v.size for v in values + derivs if v is not None})
         if len(set(counts)) > 1 or len(lengths) > 1:

@@ -70,7 +70,11 @@ def to_complex(entries) -> np.ndarray:
             pairs.append(e)
         else:
             raise ValueError("series entries must be numbers or [re, im] pairs")
-    arr = np.array(pairs, dtype=np.float64).reshape(-1, 2)
+    try:
+        arr = np.array(pairs, dtype=np.float64).reshape(-1, 2)
+    except OverflowError:  # an int past the largest double
+        raise ValueError("series entries must be numbers within the range "
+                         "of a double") from None
     return arr.view(np.complex128).reshape(-1)
 
 
@@ -88,6 +92,27 @@ def require_keys(d, artifact: str, keys, optional=()) -> dict:
         if key not in keys and key not in optional:
             raise ValueError(f"{artifact} JSON has an unknown {key!r} key")
     return d
+
+
+_KINDS = {
+    "a list": lambda v: isinstance(v, list),
+    "an object": lambda v: isinstance(v, dict),
+    "a string": lambda v: isinstance(v, str),
+    "a bool": lambda v: isinstance(v, bool),
+    "an int >= 0": lambda v: type(v) is int and v >= 0,
+    "a number": _is_number,
+    "a list of numbers": lambda v: isinstance(v, list) and all(map(_is_number, v)),
+}
+
+
+def require_kinds(d: dict, artifact: str, kinds: dict) -> None:
+    """ValueError naming *artifact*, the key, the kind and the value unless
+    the value of each key of *kinds* in *d* is of the JSON kind named there
+    (a key of ``_KINDS``; a number may be NaN)."""
+    for key, kind in kinds.items():
+        if not _KINDS[kind](d[key]):
+            raise ValueError(f"{artifact} JSON {key!r} must be {kind}, "
+                             f"got {d[key]!r}")
 
 
 def _encode_leaf(obj):

@@ -126,6 +126,14 @@ class SolveReport:
     diagnostics: dict = field(default_factory=dict)
 
 
+# the JSON kind of each report field but beta, which reads as a complex
+_REPORT_KINDS = {"method": "a string", "converged": "a bool",
+                 "iterations": "an int >= 0",
+                 "residual_history": "a list of numbers",
+                 "quadratic_fit_slope": "a number", "aliasing_tail": "a number",
+                 "diagnostics": "an object"}
+
+
 @dataclass
 class InvariantCurve:
     """A solved curve gamma(theta) = (theta + u(theta), omega + v(theta)).
@@ -161,6 +169,7 @@ class InvariantCurve:
                                          "report"), ("dynamical_residual",))
         report = dict(jsonio.require_keys(
             d["report"], "curve report", [f.name for f in fields(SolveReport)]))
+        jsonio.require_kinds(report, "curve report", _REPORT_KINDS)
         report["beta"] = complex(jsonio.to_complex([report["beta"]])[0])
         frequency = jsonio.require_keys(d["frequency"], "curve frequency",
                                         ("omega",), None)

@@ -20,9 +20,8 @@ import numpy as np
 from . import jsonio
 from .continuation import (
     conjugate_reflection_check,
+    crosscheck,
     inverse_scattering,
-    picard_solve,
-    taylor0_eval,
     taylor0_recursion,
 )
 from .errors import BoundViolationError
@@ -39,6 +38,7 @@ from .frequency import (
     check_exp_dist_bound,
     dioph_real_margin,
     dist_to_AMR,
+    export_set_geometry,
     from_omega,
     from_q,
     lambda_k,
@@ -129,25 +129,26 @@ def check_quadratic_slope():
     return 1.8 <= s <= 2.2, f"log-log residual slope={s:.3f} (need in [1.8, 2.2])"
 
 
+def _crosscheck_gaps(freq, *pairs, **kwargs):
+    """``crosscheck``'s sup gaps *pairs* for cos at eps = 0.05 (NaN, failing any
+    bound, where a method gave no curve), then each such method's status and note."""
+    rep = crosscheck(FourierSeries.cos(), freq, 0.05, **kwargs)
+    return [rep["pairs"].get(p, math.nan) for p in pairs] + ["".join(
+        f", {name} {m['status']} ({m['note']})"
+        for name, m in rep["methods"].items() if m["status"] != "ok")]
+
+
 def check_three_method_agreement():
-    f = FourierSeries.cos()
     t0 = time.perf_counter()
-    freq = from_q(0.3)
-    u_p, _ = picard_solve(f, freq, 0.05)
-    data = taylor0_recursion(f, 0.05, N_q=40)
-    u_t, _ = taylor0_eval(data, 0.3)
-    curve = solve_curve(f, freq, 0.05)
-    d_pt = sup_norm(u_p - u_t)
-    d_pn = sup_norm(u_p - curve.u)
-    freq2 = from_omega(0.5 + 0.5j)
-    u_p2, _ = picard_solve(f, freq2, 0.05)
-    curve2 = solve_curve(f, freq2, 0.05)
-    d_np2 = sup_norm(u_p2 - curve2.u)
+    d_pt, d_pn, notes = _crosscheck_gaps(from_q(0.3), "picard_vs_taylor0",
+                                         "newton_vs_picard")
+    d_np2, far_notes = _crosscheck_gaps(
+        from_omega(0.5 + 0.5j), "newton_vs_picard", methods=("newton", "picard"))
     secs = time.perf_counter() - t0
     ok = d_pt < 1e-8 and d_pn < 1e-10 and d_np2 < 1e-10 and secs < 10.0
     return ok, (f"q=0.3: |picard-taylor0|={d_pt:.2e} (<1e-8), "
-                f"|picard-newton|={d_pn:.2e} (<1e-10); "
-                f"omega=1/2+i/2: |newton-picard|={d_np2:.2e} (<1e-10); "
+                f"|picard-newton|={d_pn:.2e} (<1e-10){notes}; omega=1/2+i/2: "
+                f"|newton-picard|={d_np2:.2e} (<1e-10){far_notes}; "
                 f"time={secs:.2f}s (<10s)")
 
 
@@ -325,19 +326,15 @@ def check_obstruction_cases():
 
 def check_set_geometry():
     results = []
-    measures = []
     for M in (6.0, 12.0):
         cls = DiophantineClass(M, 0.5, 10_000)
-        measure = cls._gaps()[2]
-        bound = cls.measure_bound()
-        measures.append(measure)
-        results.append((M, measure, bound, measure <= bound))
-        del cls
-    mono = measures[1] <= measures[0]
-    ok = all(r[3] for r in results) and mono
+        results.append((M, export_set_geometry(cls).total_gap_measure,
+                        cls.measure_bound()))
+    mono = results[1][1] <= results[0][1]
+    ok = all(m <= b for _, m, b in results) and mono
     detail = "; ".join(
-        f"M={int(M)}: measure={m:.6f} <= bound={b:.6f} ({'ok' if good else 'X'})"
-        for M, m, b, good in results)
+        f"M={int(M)}: measure={m:.6f} <= bound={b:.6f} ({'ok' if m <= b else 'X'})"
+        for M, m, b in results)
     return ok, detail + f"; monotone in M: {mono}"
 
 
@@ -486,12 +483,9 @@ def check_resonant_forcing():
 
 
 def check_taylor_vs_picard():
-    f = FourierSeries.cos()
-    data = taylor0_recursion(f, 0.05, N_q=40)
-    u_t, _ = taylor0_eval(data, 0.2)
-    u_p, _ = picard_solve(f, from_q(0.2), 0.05)
-    d = sup_norm(u_t - u_p)
-    return d < 1e-8, f"taylor0(40) vs picard at q=0.2: {d:.2e} (<1e-8)"
+    d, notes = _crosscheck_gaps(from_q(0.2), "taylor0_vs_picard",
+                                methods=("taylor0", "picard"))
+    return d < 1e-8, f"taylor0(40) vs picard at q=0.2: {d:.2e} (<1e-8){notes}"
 
 
 def check_history_positivity():

@@ -208,13 +208,25 @@ def test_inline_coefficient_forcing(tmp_path):
 
 
 @pytest.mark.parametrize("forcing", ["[[1, 2, 3]]", "[1, 2]", "[true, 0, true]",
-                                     "[[1, false], 0, 1]"])
+                                     "[[1, false], 0, 1]",
+                                     pytest.param(f"[1, 0, {10**400}]",
+                                                  id="int-past-a-double")])
 def test_malformed_inline_forcing_exits_2(tmp_path, forcing):
     r = run_cli(["solve", "--omega", str(GOLDEN), "--f", forcing,
                  "--out", "bad.json"], tmp_path)
     assert r.returncode == 2, r.stderr
     assert r.stderr.startswith(f"error: --f {forcing!r}: ")
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "obstruction",
+                                     "taylor0", "crosscheck"])
+def test_every_forcing_option_says_what_it_takes(command, capsys):
+    # four of the five printed a bare "--f F"
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--f F forcing: 'cos', inline JSON array, or JSON file" in text
 
 
 def test_sweep_single_point_matches_solve(tmp_path):

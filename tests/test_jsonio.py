@@ -1,5 +1,6 @@
 """The JSON codec: complex values as [re, im], JSON-native artifacts."""
 
+import functools
 import json
 import math
 import tracemalloc
@@ -7,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kamforge import jsonio
 from kamforge.continuation import QTaylorData, taylor0_recursion
@@ -155,9 +158,11 @@ def test_to_complex_round_trips_bit_for_bit():
     assert jsonio.to_complex([]).shape == (0,)
 
 
+# an int past a double's range ended in numpy's OverflowError
 @pytest.mark.parametrize("bad", [[[1, 2, 3]], [[1]], ["1"], [[1, "a"]],
                                  [None], 5, {"N": 0}, [True], [0.5, False],
-                                 [[1.0, True]], [[False, 0.5]]])
+                                 [[1.0, True]], [[False, 0.5]], [10**400],
+                                 [[0.5, -10**400]]])
 def test_to_complex_rejects_malformed_entries(bad):
     with pytest.raises(ValueError):
         jsonio.to_complex(bad)
@@ -282,3 +287,126 @@ def test_artifact_readers_refuse_a_missing_or_unknown_key_by_name(case):
     with pytest.raises(ValueError) as info:
         cls.from_json_dict(d())
     assert str(info.value) == message
+
+
+@functools.cache
+def _text(name):
+    return jsonio.dumps(_artifacts()[name])
+
+
+def _fresh(name):
+    """A decoded copy of artifact *name*, as its file reads back."""
+    return jsonio.loads(_text(name))
+
+
+# a number, null, {} or a bool ended in TypeError, a string in a message
+# that named no key, and {} read as no entries at all
+@pytest.mark.parametrize("value", [5, 0.5, None, True, "x", {}])
+@pytest.mark.parametrize("cls,artifact,key", [
+    (QTaylorData, "Taylor data", "orders"),
+    (SampledFamily, "sampled family", "points"),
+    (SampledFamily, "sampled family", "values"),
+    (SampledFamily, "sampled family", "derivs"),
+])
+def test_a_list_valued_key_must_hold_a_list(cls, artifact, key, value):
+    d = _fresh(cls.__name__)
+    d[key] = value
+    with pytest.raises(ValueError) as info:
+        cls.from_json_dict(d)
+    assert str(info.value) == (
+        f"{artifact} JSON {key!r} must be a list, got {value!r}")
+
+
+# each of these read back, and to_json_dict wrote it out again
+@pytest.mark.parametrize("key,value,kind", [
+    ("method", 1, "a string"),
+    ("method", None, "a string"),
+    ("converged", "yes", "a bool"),
+    ("converged", 1, "a bool"),
+    ("iterations", "x", "an int >= 0"),
+    ("iterations", -1, "an int >= 0"),
+    ("iterations", 4.0, "an int >= 0"),
+    ("iterations", True, "an int >= 0"),
+    ("residual_history", 3, "a list of numbers"),
+    ("residual_history", [0.5, "x"], "a list of numbers"),
+    ("residual_history", [0.5, False], "a list of numbers"),
+    ("quadratic_fit_slope", None, "a number"),
+    ("quadratic_fit_slope", "2.0", "a number"),
+    ("aliasing_tail", [0.0], "a number"),
+    ("aliasing_tail", True, "a number"),
+    ("diagnostics", [], "an object"),
+    ("diagnostics", "x", "an object"),
+])
+def test_a_curve_report_field_must_be_of_its_written_kind(key, value, kind):
+    d = _fresh("InvariantCurve")
+    d["report"][key] = value
+    with pytest.raises(ValueError) as info:
+        InvariantCurve.from_json_dict(d)
+    assert str(info.value) == (
+        f"curve report JSON {key!r} must be {kind}, got {value!r}")
+
+
+def test_a_curve_report_reads_nan_numbers_and_writes_them_back():
+    d = _fresh("InvariantCurve")
+    d["report"].update(quadratic_fit_slope=math.nan, aliasing_tail=math.nan,
+                       residual_history=[math.nan, 0.5])
+    text = jsonio.dumps(d)
+    assert jsonio.dumps(InvariantCurve.from_json_dict(jsonio.loads(text))) == text
+
+
+# c1hol_norm_estimate returned (nan, inf, 0.0) for the first of these
+@pytest.mark.parametrize("key,entry", [("values", [math.nan, 0.0]),
+                                       ("values", math.inf),
+                                       ("derivs", [0.0, -math.inf])])
+def test_a_family_refuses_a_non_finite_entry_by_key(key, entry):
+    d = _fresh("SampledFamily")
+    d[key][0][1] = entry
+    with pytest.raises(ValueError) as info:
+        SampledFamily.from_json_dict(d)
+    assert str(info.value) == (
+        f"sampled family JSON {key!r} must hold finite entries only")
+
+
+def _paths(node, path=()):
+    """The path of *node* and of every value under it, depth first."""
+    yield path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+READERS = {"FourierSeries": FourierSeries, "InvariantCurve": InvariantCurve,
+           "QTaylorData": QTaylorData, "SampledFamily": SampledFamily}
+
+# one value of each JSON kind the stdlib reads, ints past a double's range too
+JSON_VALUES = st.one_of(st.none(), st.booleans(),
+                        st.integers(-2**1100, 2**1100),
+                        st.floats(allow_nan=False), st.just(math.nan),
+                        st.text(max_size=3), st.just([]), st.just({}))
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(data=st.data())
+def test_a_reader_meets_any_replaced_value_with_value_error(data):
+    # a depth first, then a path at that depth: the few top-level keys are
+    # not drowned among the many coefficient entries
+    name = data.draw(st.sampled_from(sorted(READERS)))
+    d = _fresh(name)
+    by_depth = {}
+    for path in _paths(d):
+        by_depth.setdefault(len(path), []).append(path)
+    depth = data.draw(st.sampled_from(sorted(by_depth)))
+    path = data.draw(st.sampled_from(by_depth[depth]))
+    value = data.draw(JSON_VALUES)
+    if path:
+        parent = d
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        d = value
+    try:
+        READERS[name].from_json_dict(d)
+    except ValueError:
+        pass
