@@ -64,7 +64,7 @@ def parse_series(text: str) -> FourierSeries:
         obj = jsonio.load_path(text) if is_path else jsonio.loads(text)
         if isinstance(obj, dict):
             return FourierSeries.from_json_dict(obj)
-        return FourierSeries(jsonio.to_complex(obj))
+        return FourierSeries(jsonio.to_complex(obj, "series", "coeffs"))
     except ValueError as exc:
         raise ValueError(f"--f {text!r}: {exc}") from None
 

@@ -61,9 +61,10 @@ class QTaylorData:
     def from_json_dict(cls, d: dict) -> "QTaylorData":
         jsonio.require_keys(d, "Taylor data", ("eps", "f_ref", "orders"))
         jsonio.require_kinds(d, "Taylor data", {"orders": "a list"})
+        eps = jsonio.to_complex([d["eps"]], "Taylor data", "eps")[0]
         return cls(
             orders=[FourierSeries.from_json_dict(o) for o in d["orders"]],
-            eps=require_finite(jsonio.to_complex([d["eps"]])[0], "eps"),
+            eps=require_finite(eps, "eps"),
             f_ref=FourierSeries.from_json_dict(d["f_ref"]),
         )
 

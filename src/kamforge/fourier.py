@@ -183,7 +183,7 @@ class FourierSeries:
     def from_json_dict(cls, d: dict) -> "FourierSeries":
         jsonio.require_keys(d, "series", ("N", "coeffs"))
         N = require_int(d["N"], "series JSON 'N'", 0)
-        coeffs = jsonio.to_complex(d["coeffs"])
+        coeffs = jsonio.to_complex(d["coeffs"], "series", "coeffs")
         if coeffs.size != 2 * N + 1:
             raise ValueError("coeff count does not match N")
         return cls(coeffs)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,7 +30,9 @@ from .fourier import EXP_CAP, require_finite, require_int
 
 _TWO_PI = 2.0 * math.pi
 RESONANCE_ULPS = 4.0  # |q^k - 1| < RESONANCE_ULPS 2 pi |k| 2^-52 counts as zero
-GAP_UNION_MAX_M = 10_000  # largest m_max whose gap union is built (~258 MB peak)
+GAP_UNION_MAX_M = 10_000  # largest m_max whose gap union is built (~258 MB peak);
+                          # below 2^_KEY_BITS, since a gap's sort key holds its m
+_KEY_BITS = 14
 
 
 # ---------------------------------------------------------------------------
@@ -302,21 +303,27 @@ def _merged_gap_union(M: float, tau: float, m_max: int):
     period, with the wrap-around component split at 0 and 1.  Every
     endpoint is float64(n) / m -/+ r_m.
 
-    A gap that lies inside a *container*, a gap of denominator m' <= M0,
-    is never stored (at M = 6, tau = 1/2, m_max = 10^4 that is about half
-    of the 30.4M gaps).  Row m keeps the numerators first..m-first, where
-    n < first puts (n/m - r_m, n/m + r_m) inside the m = 1 gap (-r_1, r_1)
-    and n > m - first inside (1 - r_1, 1 + r_1); of those it strikes the
-    integer range of n with
+    *Small and large denominators.*  Distinct fractions n/m and n'/m'
+    satisfy |n m' - n' m| >= 1 (Farey), so for m <= m' <= m_max their gaps
+    lie at least 1/(m m_max) - 2 r_m apart.  ``_disjoint_threshold`` gives
+    the least T >= 3 with 1/(m m_max) - 2 r_m >= 2^-30 for T <= m <= m_max
+    (T = 224 at M = 6, tau = 1/2, m_max = 10^4): no two gaps with m >= T
+    meet, not even as floats, whose endpoints lie within 2^-51 of the exact
+    ones.  T >= 3 keeps 0/1, 1/1 and 1/2 small.  The small gaps, all of
+    them (about 15k), are sorted and merged as below into S components
+    (S = 7649 there).
+
+    *Pruning.*  A large gap that lies inside a *container*, a gap of
+    denominator m' <= M0, is never stored.  Row m keeps the numerators
+    from first on, where n < first puts (n/m - r_m, n/m + r_m) inside the
+    m = 1 gap (-r_1, r_1); of those it strikes the integer range of n with
 
         |n/m - p/m'| <= r_m' - r_m - MARGIN
 
-    for each container p/m' with 2 <= m' <= M0 (one vectorized pass over
-    all rows gives every range).  A range is struck only if it holds at
-    least ``PAYOFF`` numerators: a shorter one costs the row loop more than
-    its gaps cost the sort.  Ranges may overlap; the mask does not care.
-
-    Why the output is bit-identical to the union of all gaps: an endpoint
+    for each container p/m' with 2 <= m' <= M0 and 2p <= m' (one
+    vectorized pass over all rows gives every range).  A range is struck
+    only if it holds at least ``PAYOFF`` numerators: a shorter one costs
+    the row loop more than its gaps cost the sort.  An endpoint
     float64(n)/m -/+ r_m is two roundings of numbers below 2 away from
     n/m -/+ r_m, so within 2^-51 of it, and so is a container's endpoint;
     the bounds first, ceil(m (p/m' - t)) and floor(m (p/m' + t)) with
@@ -324,44 +331,69 @@ def _merged_gap_union(M: float, tau: float, m_max: int):
     exact ones.  MARGIN = 2^-30 exceeds that 2^-50 (and the 2 * 2^-51 the
     endpoints may move toward each other) by a factor 2^19, so every
     dropped gap lies inside its container *as floats*: its left end is >=
-    the container's and its right end <=.  A dropped gap with m <= M0 lies
-    inside an m = 1 gap, which is always kept, and inclusion is transitive.
-    Dropping an interval that lies inside a kept one changes neither the
-    union nor which intervals touch, so each component keeps its smallest
-    left end and its largest right end, bit for bit.
+    the container's and its right end <=.  A range is empty unless
+    m' < m, so a dropped gap lies inside one of smaller denominator, kept
+    or dropped in turn; the chain ends at a small gap, and every small gap
+    is kept.  Dropping an interval that lies inside a kept one changes
+    neither the union nor which intervals touch, so each component keeps
+    its smallest left end and its largest right end, bit for bit.
 
-    What is allocated, stage by stage (tracemalloc at M = 6, tau = 1/2,
-    m_max = 10^4, where 15.8M of 30.4M gaps are kept).  One sieve gives
-    every m its distinct prime factors and phi(m); they and the
-    containers' numerator ranges are per-row Python lists, about 10 MB.
-    The centers n/m go into ``lo``, allocated at the upper bound
-    2 + sum phi(m) (243 MB).  The lists are released and ``lo`` is shrunk
-    to the kept count before ``hi`` exists, so memory and page faults
-    scale with the kept gaps.  A pass over the rows fills ``hi`` with the
-    right ends first; then one worker thread sorts ``hi`` while the calling
-    thread shifts ``lo`` to the left ends and sorts it.  numpy sorts without
-    the GIL, so on two cores the sorts overlap; on one they share it, and
-    the result is the same, sorting being deterministic.  The worker is
-    joined, re-raising its exception, before anything resizes either
-    array.  From then on nothing full-size is allocated beside ``lo`` and
-    ``hi`` (254 MB, the peak): both sort in place,
-    ``_merge_in_place`` compacts the components into them chunk by chunk,
-    and ``_difference_sum`` sums ``ends - starts`` chunk by chunk.  The
-    measure is still that of ``np.sum(ends - starts)`` bit for bit, 108 MB
-    difference aside: numpy sums pairwise, splitting a block of n > 128
-    at n // 2 rounded down to a multiple of 8, and ``_difference_sum``
-    splits at the same points down to leaves that it hands to ``np.sum``,
-    so every addition has the same operands.
+    *The mirror.*  n -> m - n maps the gaps of row m onto themselves and
+    a gap inside a container onto one inside the mirrored container, at
+    the same exact distances, so the argument above holds for the mirror
+    image of the kept set.  The rows m >= T therefore run only over the
+    numerators n < m/2 (for m >= 3 no coprime n equals m/2), and each kept
+    n/m also stands for (m - n)/m.  Its endpoints are computed from
+    float64(m - n) / m, as for any gap, not from 1 - n/m.
 
-    Sorting ``lo`` and ``hi`` independently is legitimate for a union.  A
-    component starts at lo[i] iff no interval is still open there,
-    #(hi < lo[i]) == i, and ends at hi[i] iff #(lo <= hi[i]) == i + 1.
-    With both arrays sorted each count is one adjacent compare: every
-    interval has lo_j < hi_j, so #(hi < lo[i]) <= #(lo < lo[i]) <= i, with
-    equality iff hi[i-1] < lo[i]; and #(lo <= hi[i]) >= #(hi <= hi[i])
+    *Keys.*  A kept large gap is stored as the int64 bits of
+    c = float64(n) / m with the low ``_KEY_BITS`` bits replaced by m
+    (``_key``), which ``GAP_UNION_MAX_M`` < 2^14 makes room for.  For
+    0 < c < 1/2 an ulp is at most 2^-54 and the bits of a positive double
+    order as its value, so clearing the low 14 bits moves c down by less
+    than 2^-40, while two centers differ by at least 1/m_max^2 >= 10^-8:
+    the keys sort in center order.  ``_unkey`` takes m from the low bits
+    and n = rint(c' m), where c' is the cleared center: |c' - n/m| <
+    2^-40 + 2^-55, so c' m is within 2^-25 of n and (n, m) come back
+    exactly, and with them every endpoint's bits.
+
+    *Build.*  The large keys are written into ``lo`` and sorted there as
+    int64.  One chunked pass decodes them: the mirrored upper half goes,
+    reversed, past the keys, and the lower half then overwrites the keys it
+    has read.  Disjoint intervals sorted by center are sorted by left and
+    by right end alike, and every lower center is below 1/2 and every
+    upper one above, so ``lo`` and ``hi`` come out sorted.  The S small
+    components are then inserted into both (``_insert_sorted``).  A small
+    component is the union of the small gaps that make it up, so in place
+    of them it changes neither the union nor the smallest left end and the
+    largest right end of any component.
+
+    *Merge.*  Sorting ``lo`` and ``hi`` independently is legitimate for a
+    union.  A component starts at lo[i] iff no interval is still open
+    there, #(hi < lo[i]) == i, and ends at hi[i] iff #(lo <= hi[i]) ==
+    i + 1.  With both arrays sorted each count is one adjacent compare:
+    every interval has lo_j < hi_j, so #(hi < lo[i]) <= #(lo < lo[i]) <= i,
+    with equality iff hi[i-1] < lo[i]; and #(lo <= hi[i]) >= #(hi <= hi[i])
     >= i + 1, with equality iff lo[i+1] > hi[i].  Hence breaks between
     components sit exactly where hi[i] < lo[i+1], which is the same event
     sweep as counting open intervals, with no approximation.
+
+    What is allocated, stage by stage (tracemalloc at M = 6, tau = 1/2,
+    m_max = 10^4, where 7.9M keys stand for 15.8M of the 30.4M gaps).  One
+    sieve gives every m its distinct prime factors and phi(m); they and
+    the containers' numerator ranges are per-row Python lists, about
+    10 MB.  ``lo`` is allocated at its upper bound 2 sum_{m >= T} phi(m)/2
+    + S (243 MB), of which only the keys are written.  The lists are
+    released and ``lo`` is shrunk to 2 K + S for the K keys before ``hi``
+    exists.  From then on nothing full-size is allocated beside ``lo`` and
+    ``hi`` (254 MB, the peak): the keys sort in place, the decode and
+    ``_merge_in_place`` work chunk by chunk, the insertion moves blocks
+    from the back, and ``_difference_sum`` sums ``ends - starts`` chunk by
+    chunk.  The measure is still that of ``np.sum(ends - starts)`` bit for
+    bit, 108 MB difference aside: numpy sums pairwise, splitting a block
+    of n > 128 at n // 2 rounded down to a multiple of 8, and
+    ``_difference_sum`` splits at the same points down to leaves that it
+    hands to ``np.sum``, so every addition has the same operands.
 
     Returns ``(starts, ends, measure)`` with the measure already clipped to
     the circle.
@@ -369,57 +401,110 @@ def _merged_gap_union(M: float, tau: float, m_max: int):
     M0 = 6               # containers: the gaps with denominators m' <= M0
     MARGIN = 2.0 ** -30  # slack of the containment test, far above rounding
     PAYOFF = 16          # shortest numerator range worth a strike
+    CHUNK = 1 << 15      # keys decoded at a time
     factors, phi = _prime_factor_sieve(m_max)
     # r[m] = r_m for m >= 1
     r = [0.0] + [1.0 / (M * float(m) ** (2.0 + tau)) for m in range(1, m_max + 1)]
+    T = _disjoint_threshold(r, m_max, MARGIN)
 
-    ms = np.arange(2, m_max + 1)
-    rs = np.array(r[2:])
+    small_lo, small_hi = [], []
+    for m in range(1, min(T, m_max + 1)):
+        n = np.arange(max(m, 2))                 # m = 1: 0/1 and 1/1
+        c = n[np.gcd(n, m) == 1].astype(np.float64) / m
+        small_lo.append(c - r[m])
+        small_hi.append(c + r[m])
+    small_lo, small_hi = _merge_in_place(np.sort(np.concatenate(small_lo)),
+                                         np.sort(np.concatenate(small_hi)))
+
+    ms = np.arange(T, m_max + 1)
+    rs = np.array(r[T:])
     first = 1 + np.maximum(np.floor(ms * (r[1] - rs - MARGIN)), 0).astype(np.int64)
     lows, highs = [], []   # containers' numerator ranges, offsets from first
     for mc in range(2, min(M0, m_max) + 1):
         t = r[mc] - rs - MARGIN
-        for p in range(1, mc):
+        for p in range(1, mc // 2 + 1):
             if math.gcd(p, mc) == 1:
                 lows.append(np.maximum(np.ceil(ms * (p / mc - t)), first))
-                highs.append(np.minimum(np.floor(ms * (p / mc + t)), ms - first) + 1)
+                highs.append(np.minimum(np.floor(ms * (p / mc + t)) + 1,
+                                        (ms + 1) // 2))
     lows = (np.array(lows) - first).astype(np.int64).T.tolist()
     highs = (np.array(highs) - first).astype(np.int64).T.tolist()
 
-    lo = np.empty(2 + sum(phi[2:]), dtype=np.float64)
-    lo[:2] = (0.0, 1.0)                          # m = 1: gaps at 0 and 1
-    segments = [(0, 2, r[1])]
+    lo = np.empty(sum(phi[T:]) + small_lo.size, dtype=np.float64)
     nums = np.arange(m_max, dtype=np.float64)
-    pos = 2
-    for m, f, row_lows, row_highs in zip(range(2, m_max + 1), first.tolist(),
+    K = 0
+    for m, f, row_lows, row_highs in zip(range(T, m_max + 1), first.tolist(),
                                          lows, highs):
-        keep = np.ones(m + 1 - 2 * f, dtype=bool)  # numerators f..m-f
+        top = (m + 1) // 2                      # numerators f..top-1, below m/2
+        keep = np.ones(top - f, dtype=bool)
         for p in factors[m]:
             keep[-f % p::p] = False
         for a, b in zip(row_lows, row_highs):
             if b - a >= PAYOFF:
                 keep[a:b] = False
-        centers = nums[f:m - f + 1][keep]
+        centers = nums[f:top][keep]
         # no named views of lo: its resize below needs none alive
-        np.divide(centers, m, out=lo[pos:pos + centers.size])
-        segments.append((pos, pos + centers.size, r[m]))
-        pos += centers.size
-    del factors, lows, highs, keep, centers   # else they add to lo + hi
-    lo.resize(pos, refcheck=False)
-    hi = np.empty(pos, dtype=np.float64)
-    for a, b, rm in segments:
-        np.add(lo[a:b], rm, out=hi[a:b])
-    with ThreadPoolExecutor(max_workers=1) as worker:   # numpy sorts without the GIL
-        hi_sorted = worker.submit(hi.sort)
-        for a, b, rm in segments:
-            np.subtract(lo[a:b], rm, out=lo[a:b])
-        lo.sort()
-        hi_sorted.result()       # re-raises the worker's exception
+        np.divide(centers, m, out=lo[K:K + centers.size])
+        _key(lo[K:K + centers.size], m)
+        K += centers.size
+    del factors, lows, highs   # else they add to lo + hi
+    lo.resize(2 * K + small_lo.size, refcheck=False)
+    lo[:K].view(np.int64).sort()
+    hi = np.empty(lo.size, dtype=np.float64)
+    rt = np.array(r)
+    for i in range(0, K, CHUNK):
+        n, m = _unkey(lo[i:min(i + CHUNK, K)].view(np.int64))
+        rm = rt[m]
+        c = (m - n)[::-1] / m[::-1]              # the mirror, reversed
+        j = 2 * K - i                            # >= K + its size: past the keys
+        np.subtract(c, rm[::-1], out=lo[j - c.size:j])
+        np.add(c, rm[::-1], out=hi[j - c.size:j])
+        c = n / m
+        np.subtract(c, rm, out=lo[i:i + c.size])
+        np.add(c, rm, out=hi[i:i + c.size])
+    _insert_sorted(lo, 2 * K, small_lo)
+    _insert_sorted(hi, 2 * K, small_hi)
     starts, ends = _merge_in_place(lo, hi)
     if starts.size < 2 or starts[0] >= 0 or ends[-1] <= 1:
         raise AssertionError("gap union lost its wrap components (bug)")
     measure = float(_difference_sum(ends, starts) + starts[0] - ends[-1] + 1.0)
     return starts, ends, measure
+
+
+def _disjoint_threshold(r: list, m_max: int, margin: float) -> int:
+    """The least T >= 3 with 1/(m m_max) - 2 r[m] >= margin for every
+    T <= m <= m_max (m_max + 1 if m_max itself fails)."""
+    ms = np.arange(1, m_max + 1)
+    bad = np.flatnonzero(1.0 / (ms * float(m_max)) - 2.0 * np.array(r[1:]) < margin)
+    return max(3, int(bad[-1]) + 2 if bad.size else 1)
+
+
+def _key(centers: np.ndarray, m: int) -> None:
+    """Turn centers n/m in (0, 1/2), in place, into their int64 gap keys:
+    the center's bits with the low ``_KEY_BITS`` bits replaced by m."""
+    k = centers.view(np.int64)
+    np.bitwise_and(k, -1 << _KEY_BITS, out=k)
+    np.bitwise_or(k, m, out=k)
+
+
+def _unkey(keys: np.ndarray):
+    """``(n, m)`` of gap keys: n as an exact float64, m as int64."""
+    m = keys & ((1 << _KEY_BITS) - 1)
+    n = np.rint((keys & (-1 << _KEY_BITS)).view(np.float64) * m)
+    return n, m
+
+
+def _insert_sorted(a: np.ndarray, n: int, values: np.ndarray) -> None:
+    """Insert the sorted *values* into the sorted a[:n], in place; *a* holds
+    n + values.size elements.  From the back, each block of a[:n] between
+    two insertion points moves right by the number of values still to
+    insert in front of it, onto slots already read or free."""
+    pos = a[:n].searchsorted(values).tolist()
+    end = n
+    for j in range(values.size - 1, -1, -1):
+        a[pos[j] + j + 1:end + j + 1] = a[pos[j]:end]
+        a[pos[j] + j] = values[j]
+        end = pos[j]
 
 
 def _merge_in_place(lo: np.ndarray, hi: np.ndarray):
@@ -631,9 +716,11 @@ class SampledFamily:
         jsonio.require_kinds(d, "sampled family", dict.fromkeys(keys, "a list"))
         points = [jsonio.require_keys(p, "sampled family point", ("omega",),
                                       None) for p in d["points"]]
-        values = [jsonio.to_complex(v) for v in d["values"]]
-        derivs = [None if v is None else jsonio.to_complex(v)
-                  for v in d["derivs"]]
+        values = [jsonio.to_complex(v, "sampled family", f"values[{i}]")
+                  for i, v in enumerate(d["values"])]
+        derivs = [None if v is None else
+                  jsonio.to_complex(v, "sampled family", f"derivs[{i}]")
+                  for i, v in enumerate(d["derivs"])]
         for key, vecs in (("values", values), ("derivs", derivs)):
             if not all(np.isfinite(v).all() for v in vecs if v is not None):
                 raise ValueError(f"sampled family JSON {key!r} must hold "
@@ -645,7 +732,8 @@ class SampledFamily:
                 "a sampled family needs one value and one deriv per point, "
                 f"all of one length: got (points, values, derivs) = {counts} "
                 f"of lengths {lengths}")
-        omegas = jsonio.to_complex([p["omega"] for p in points])
+        omegas = jsonio.to_complex([p["omega"] for p in points],
+                                    "sampled family point", "omega")
         return cls(points=[from_omega(om) for om in omegas],
                    values=values, derivs=derivs)
 

@@ -58,10 +58,13 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def to_complex(entries) -> np.ndarray:
-    """complex128 array from a list of numbers and [re, im] pairs, bit-exact."""
+def to_complex(entries, artifact: str, key: str) -> np.ndarray:
+    """complex128 array from a list of numbers and [re, im] pairs, bit-exact;
+    ValueError naming *artifact* and *key* if *entries* is anything else."""
+    where = f"{artifact} JSON {key!r}"
     if not isinstance(entries, list):
-        raise ValueError("expected a list of numbers or [re, im] pairs")
+        raise ValueError(f"{where} must be a list of numbers or [re, im] "
+                         f"pairs, got {entries!r}")
     pairs = []
     for e in entries:
         if _is_number(e):
@@ -69,11 +72,12 @@ def to_complex(entries) -> np.ndarray:
         elif isinstance(e, list) and len(e) == 2 and all(map(_is_number, e)):
             pairs.append(e)
         else:
-            raise ValueError("series entries must be numbers or [re, im] pairs")
+            raise ValueError(f"{where} entries must be numbers or [re, im] "
+                             f"pairs, got {e!r}")
     try:
         arr = np.array(pairs, dtype=np.float64).reshape(-1, 2)
     except OverflowError:  # an int past the largest double
-        raise ValueError("series entries must be numbers within the range "
+        raise ValueError(f"{where} entries must be numbers within the range "
                          "of a double") from None
     return arr.view(np.complex128).reshape(-1)
 

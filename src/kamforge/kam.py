@@ -170,10 +170,15 @@ class InvariantCurve:
         report = dict(jsonio.require_keys(
             d["report"], "curve report", [f.name for f in fields(SolveReport)]))
         jsonio.require_kinds(report, "curve report", _REPORT_KINDS)
-        report["beta"] = complex(jsonio.to_complex([report["beta"]])[0])
+        if "dynamical_residual" in d:
+            jsonio.require_kinds(d, "curve", {"dynamical_residual": "a number"})
+        report["beta"] = require_finite(
+            jsonio.to_complex([report["beta"]], "curve report", "beta")[0], "beta")
         frequency = jsonio.require_keys(d["frequency"], "curve frequency",
                                         ("omega",), None)
-        omega, eps = jsonio.to_complex([frequency["omega"], d["eps"]])
+        omega = jsonio.to_complex([frequency["omega"]], "curve frequency",
+                                  "omega")[0]
+        eps = jsonio.to_complex([d["eps"]], "curve", "eps")[0]
         return cls(
             u=FourierSeries.from_json_dict(d["u"]),
             v=FourierSeries.from_json_dict(d["v"]),

@@ -536,7 +536,7 @@ def test_obstruction_artifact_keeps_the_sign_of_zero(tmp_path):
                  "--exactness", "extended", "--out", "obs.json"], tmp_path)
     assert r.returncode == 0, r.stderr
     d = json.loads((tmp_path / "obs.json").read_text())
-    written = jsonio.to_complex(d["gammas_oracle"])
+    written = jsonio.to_complex(d["gammas_oracle"], "obstruction", "gammas_oracle")
     rep = obstruction_order(FourierSeries.cos(), RationalFreq(13, 34),
                             exactness="extended")
     expect = np.asarray(rep.gammas_oracle, dtype=np.complex128)

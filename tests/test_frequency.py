@@ -8,7 +8,6 @@ import math
 import re
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -475,29 +474,81 @@ def test_gap_union_refuses_m_max_past_its_cap(monkeypatch):
     assert dioph_real_margin(GOLDEN, DiophantineClass(6.0, 0.5, 10**9))[0] > 1
 
 
-def test_gap_union_sort_worker_reraises_and_is_joined(monkeypatch):
-    # hi sorts on a worker thread: its exception reaches the caller, and the
-    # thread is gone when _gaps() returns, normally or by raising
-    boom = RuntimeError("sort failed")
-    ran_on = []
-
-    class FailingSort(ThreadPoolExecutor):
-        def submit(self, fn):
-            def sort_then_fail():
-                fn()
-                ran_on.append(threading.current_thread())
-                raise boom
-            return super().submit(sort_then_fail)
-
+def test_gap_union_starts_no_thread(monkeypatch):
+    # hi sorted on a worker thread, which shortened nothing: CPU time was
+    # wall time; the build now sorts one key array on the calling thread
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t))
     before = threading.active_count()
     assert DiophantineClass(6.0, 0.5, 200)._gaps()[0].size == 6191
-    assert threading.active_count() == before
-    monkeypatch.setattr(frequency, "ThreadPoolExecutor", FailingSort)
-    with pytest.raises(RuntimeError) as info:
-        DiophantineClass(6.0, 0.5, 200)._gaps()
-    assert info.value is boom
-    assert ran_on and ran_on[0] is not threading.current_thread()
-    assert threading.active_count() == before
+    assert started == [] and threading.active_count() == before
+
+
+def radii(M, tau, m_max):
+    """r[m] = r_m as the build computes it, r[0] = 0."""
+    return [0.0] + [1.0 / (M * float(m) ** (2.0 + tau))
+                    for m in range(1, m_max + 1)]
+
+
+# T(m_max) <= m_max except at m_max = 2, where T = 3 keeps 0/1, 1/1 and 1/2
+# small: every gap is then small and no key is built
+@pytest.mark.parametrize("M, tau, m_max, T", [
+    (6.0, 0.5, 2, 3), (6.0, 0.5, 3, 3), (6.0, 0.5, 4, 3),
+    (6.0, 0.5, 223, 18), (6.0, 0.5, 224, 18), (6.0, 0.5, 225, 18),
+    (25.0, 0.1, 2, 3), (3.0, 2.0, 2, 3),
+])
+def test_gap_union_around_the_disjointness_threshold(M, tau, m_max, T):
+    assert frequency._disjoint_threshold(radii(M, tau, m_max), m_max,
+                                         2.0 ** -30) == T
+    starts, ends, measure = DiophantineClass(M, tau, m_max)._gaps()
+    ref_starts, ref_ends, ref_measure = unpruned_gap_union(M, tau, m_max)
+    assert starts.tobytes() == ref_starts.tobytes()
+    assert ends.tobytes() == ref_ends.tobytes()
+    assert measure.hex() == ref_measure.hex()
+
+
+def test_disjointness_threshold_at_the_cap():
+    m_max = frequency.GAP_UNION_MAX_M
+    r = radii(6.0, 0.5, m_max)
+    T = frequency._disjoint_threshold(r, m_max, 2.0 ** -30)
+    assert T == 224
+    # the least such T: the gaps of 1/223 and 1/224 lie under 2^-30 apart
+    assert 1.0 / (223 * m_max) - 2.0 * r[223] < 2.0 ** -30
+
+
+def farey_neighbours(m, count):
+    """(a/b, n/m) pairs with n b - a m = 1 and b, m near m, n/m < 1/2."""
+    pairs = []
+    for n in range(1, m // 2):
+        if math.gcd(n, m) == 1:
+            b = pow(n, -1, m)           # n b = 1 mod m, so a/b < n/m
+            if b > m - 200:
+                pairs.append(((n * b - 1) // m, b, n, m))
+                if len(pairs) == count:
+                    break
+    return pairs
+
+
+def test_gap_keys_decode_exactly_and_sort_in_center_order():
+    # Farey neighbours of order GAP_UNION_MAX_M are the closest centers,
+    # 1/(b m) ~ 10^-8 apart; their keys must keep them apart and in order
+    top = frequency.GAP_UNION_MAX_M
+    assert top < 2 ** frequency._KEY_BITS
+    fracs = []
+    for m in (top, top - 1, top - 7):
+        for a, b, n, mm in farey_neighbours(m, 30):
+            assert n * b - a * mm == 1 and min(b, mm) > top - 210
+            fracs += [(a, b), (n, mm)]
+    keys = np.empty(len(fracs), dtype=np.int64)
+    for i, (n, m) in enumerate(fracs):
+        c = np.array([float(n) / m])
+        frequency._key(c, m)
+        keys[i] = c.view(np.int64)[0]
+    n, m = frequency._unkey(keys)
+    assert [(int(a), int(b)) for a, b in zip(n, m)] == fracs
+    assert n.dtype == np.float64 and m.dtype == np.int64
+    by_key = [fracs[i] for i in np.argsort(keys, kind="stable")]
+    assert by_key == sorted(set(fracs), key=lambda f: Fraction(*f))
 
 
 @pytest.mark.parametrize("n", [
@@ -543,6 +594,7 @@ def test_gap_union_overlap_heavy_against_reference():
 @pytest.mark.parametrize("m_max, components, measure_hex", [
     (200, 6191, "0x1.20204883fef5bp-1"),
     (2000, 556231, "0x1.24d61d5386181p-1"),
+    (10_000, 13_447_899, "0x1.25fa58b4a8167p-1"),   # the cap, T = 224
 ])
 def test_gap_union_pinned(m_max, components, measure_hex):
     starts, ends, measure = DiophantineClass(6.0, 0.5, m_max)._gaps()

@@ -150,12 +150,13 @@ def test_to_complex_round_trips_bit_for_bit():
     expect = np.array([0.0, 0.0, 3.0, 0.0, tiny, 0.0, 0.5]).astype(np.complex128)
     expect.real[[0, 1, 3, 5]] = [-0.0, -0.0, 1.0, -tiny]
     expect.imag[[1, 3, 5]] = [tiny, -0.0, -0.0]
-    got = jsonio.to_complex(entries)
+    got = jsonio.to_complex(entries, "series", "coeffs")
     assert got.dtype == np.complex128
     assert got.tobytes() == expect.tobytes()
     # encode then decode returns the same bits
-    assert jsonio.to_complex(jsonio.encode(expect)).tobytes() == expect.tobytes()
-    assert jsonio.to_complex([]).shape == (0,)
+    back = jsonio.to_complex(jsonio.encode(expect), "series", "coeffs")
+    assert back.tobytes() == expect.tobytes()
+    assert jsonio.to_complex([], "series", "coeffs").shape == (0,)
 
 
 # an int past a double's range ended in numpy's OverflowError
@@ -164,8 +165,28 @@ def test_to_complex_round_trips_bit_for_bit():
                                  [[1.0, True]], [[False, 0.5]], [10**400],
                                  [[0.5, -10**400]]])
 def test_to_complex_rejects_malformed_entries(bad):
-    with pytest.raises(ValueError):
-        jsonio.to_complex(bad)
+    with pytest.raises(ValueError, match="^Taylor data JSON 'eps' "):
+        jsonio.to_complex(bad, "Taylor data", "eps")
+
+
+# both were refused as "expected a list of numbers or [re, im] pairs",
+# naming neither the artifact nor the key
+@pytest.mark.parametrize("name,change,message", [
+    ("FourierSeries", lambda d: d.update(coeffs=5),
+     "series JSON 'coeffs' must be a list of numbers or [re, im] pairs, got 5"),
+    ("SampledFamily", lambda d: d["values"].__setitem__(0, "x"),
+     "sampled family JSON 'values[0]' must be a list of numbers or [re, im] "
+     "pairs, got 'x'"),
+    ("SampledFamily", lambda d: d["derivs"][0].__setitem__(1, [1.0]),
+     "sampled family JSON 'derivs[0]' entries must be numbers or [re, im] "
+     "pairs, got [1.0]"),
+])
+def test_to_complex_names_the_artifact_and_the_key(name, change, message):
+    d = _fresh(name)
+    change(d)
+    with pytest.raises(ValueError) as info:
+        READERS[name].from_json_dict(d)
+    assert str(info.value) == message
 
 
 def test_error_diagnostics_are_json_native():
@@ -182,7 +203,7 @@ def test_dumps_keeps_the_sign_of_zero(indent):
                   complex(0.5, -0.0), 0j])
     text = jsonio.dumps({"z": z, "x": -0.0}, indent=indent)
     back = jsonio.loads(text)
-    assert jsonio.to_complex(back["z"]).tobytes() == z.tobytes()
+    assert jsonio.to_complex(back["z"], "test", "z").tobytes() == z.tobytes()
     assert math.copysign(1.0, back["x"]) == -1.0
 
 
@@ -344,6 +365,29 @@ def test_a_curve_report_field_must_be_of_its_written_kind(key, value, kind):
         InvariantCurve.from_json_dict(d)
     assert str(info.value) == (
         f"curve report JSON {key!r} must be {kind}, got {value!r}")
+
+
+# each of these read back, and to_json_dict wrote "beta":[NaN,...] out again
+@pytest.mark.parametrize("beta", [[math.nan, 0.0], [0.5, math.inf],
+                                  -math.inf])
+def test_a_curve_refuses_a_non_finite_beta_by_name(beta):
+    d = _fresh("InvariantCurve")
+    d["report"]["beta"] = beta
+    with pytest.raises(ValueError, match="^beta must be finite, got "):
+        InvariantCurve.from_json_dict(d)
+
+
+# the reader never looked at this key, so "x" read back without a word
+@pytest.mark.parametrize("value", ["x", None, [0.5], True, {}])
+def test_a_curve_dynamical_residual_must_be_a_number(value):
+    d = _fresh("InvariantCurve")
+    d["dynamical_residual"] = value
+    with pytest.raises(ValueError) as info:
+        InvariantCurve.from_json_dict(d)
+    assert str(info.value) == (
+        f"curve JSON 'dynamical_residual' must be a number, got {value!r}")
+    d["dynamical_residual"] = 1.5e-15
+    InvariantCurve.from_json_dict(d)
 
 
 def test_a_curve_report_reads_nan_numbers_and_writes_them_back():
