@@ -96,6 +96,24 @@ def _frequency_from_args(args) -> Frequency:
     return from_q(q) if omega is None else from_omega(omega)
 
 
+def _max_iters(args, newton: bool, where: str) -> int:
+    """--max-iters (default ``SolverConfig.max_iters``) where Newton runs;
+    refused, saying ``where``, where it does not."""
+    if args.max_iters is not None and not newton:
+        raise ValueError(f"--max-iters given {where}: it is Newton's budget")
+    return SolverConfig.max_iters if args.max_iters is None else args.max_iters
+
+
+def _refuse_unwritable(*paths: str) -> None:
+    """Raise the ``OSError`` that writing any of ``paths`` would raise,
+    leaving each path as it was: no file made, none truncated."""
+    for path in paths:
+        existed = os.path.lexists(path)
+        open(path, "a").close()
+        if not existed:
+            os.remove(path)
+
+
 def _error_payload(exc: Exception) -> dict:
     err = {"type": type(exc).__name__, "message": str(exc)}
     diag = getattr(exc, "diagnostics", None)
@@ -125,7 +143,10 @@ def cmd_solve(args) -> int:
     elif given:
         raise ValueError(f"{' and '.join(given)} given without --M")
     cfg = SolverConfig(cutoff=require_int(args.modes, "modes", 1, HARD_CAP),
-                       tol=args.tol, max_iters=args.max_iters)
+                       tol=args.tol, max_iters=_max_iters(
+                           args, args.method == "newton", "with --method picard"))
+    csv_path = args.csv or os.path.splitext(args.out)[0] + ".csv"
+    _refuse_unwritable(args.out, csv_path)
     solve = _picard_curve if args.method == "picard" else solve_curve
     t0 = time.perf_counter()
     curve = solve(f, freq, complex(args.eps, args.eps_im), cfg, dioph)
@@ -139,7 +160,6 @@ def cmd_solve(args) -> int:
     print(f"beta = {rep.beta.real!r} + {rep.beta.imag!r}i")
     print(f"dynamical residual (1024-point grid) = {dyn:.6e}")
     jsonio.dump_path(curve.to_json_dict(dynamical=dyn), args.out)
-    csv_path = args.csv or os.path.splitext(args.out)[0] + ".csv"
     _write_csv(csv_path, curve, args.grid_n)
     print(f"wrote {args.out} and {csv_path}")
     return 0
@@ -277,7 +297,8 @@ def cmd_sweep(args) -> int:
         eps=complex(0.05 if args.eps is None else args.eps,
                     0.0 if args.eps_im is None else args.eps_im),
         eps_axis=_eps_axis(args), f=f,
-        modes=args.modes, tol=args.tol, max_iters=args.max_iters,
+        modes=args.modes, tol=args.tol, max_iters=_max_iters(
+            args, args.method == "newton", "with --method picard"),
         workers=args.workers, out_path=args.out, family_path=args.family,
         method=args.method)
     print(f"sweep: {summary['converged']}/{summary['total']} points "
@@ -359,9 +380,10 @@ def cmd_taylor0(args) -> int:
 def cmd_crosscheck(args) -> int:
     f = parse_series(args.f)
     freq = _frequency_from_args(args)
-    cfg = SolverConfig(cutoff=require_int(args.modes, "modes", 1, HARD_CAP),
-                       tol=args.tol, max_iters=args.max_iters)
     methods = tuple(s.strip() for s in args.methods.split(",") if s.strip())
+    cfg = SolverConfig(cutoff=require_int(args.modes, "modes", 1, HARD_CAP),
+                       tol=args.tol, max_iters=_max_iters(
+                           args, "newton" in methods, "without newton in --methods"))
     if args.orders is not None and "taylor0" not in methods:
         raise ValueError("--orders given without taylor0 in --methods")
     result = run_crosscheck(f, freq, complex(args.eps, args.eps_im),
@@ -439,11 +461,13 @@ def _add_solver_args(sp, modes=256) -> None:
     sp.add_argument("--modes", type=int, default=modes,
                     help="Fourier mode cutoff")
     sp.add_argument("--tol", type=float, default=1e-12)
-    sp.add_argument("--max-iters", type=int, default=30,
-                    help="Newton iteration budget; --method picard always "
-                         f"takes up to {PICARD_MAX_ITERS} steps, stopping "
-                         "early when the residual grows more than "
-                         f"{DIVERGENCE_FACTOR:g}x in one step")
+    sp.add_argument("--max-iters", type=int, default=None,
+                    help="Newton iteration budget (default "
+                         f"{SolverConfig.max_iters}), refused where Newton "
+                         "does not run; picard always takes up to "
+                         f"{PICARD_MAX_ITERS} steps, stopping early when the "
+                         f"residual grows more than {DIVERGENCE_FACTOR:g}x in "
+                         "one step")
 
 
 def build_parser() -> argparse.ArgumentParser:

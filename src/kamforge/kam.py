@@ -79,9 +79,6 @@ from .operators import (
     max_divisor_magnitude,
 )
 
-_TWO_PI = 2.0 * math.pi
-
-
 DIVERGENCE_FACTOR = 10.0  # largest tolerated one-iteration residual growth
 
 

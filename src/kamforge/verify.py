@@ -36,12 +36,12 @@ from .fourier import (
 from .frequency import (
     DiophantineClass,
     check_exp_dist_bound,
+    check_small_divisor_bound,
     dioph_real_margin,
-    dist_to_AMR,
     export_set_geometry,
     from_omega,
     from_q,
-    lambda_k,
+    in_AMC,
 )
 from .kam import (
     InvariantCurve,
@@ -238,25 +238,20 @@ def check_divisor_bounds():
         xs = rng.random(4 * n_samples)
         ys = rng.uniform(-0.35, 0.35, 4 * n_samples)
         ys[: n_samples // 10] = 0.0  # force a real-axis contingent
-        d = np.array([dist_to_AMR(x, cls) for x in xs.tolist()])
-        good = d <= np.abs(ys)
-        accepted.extend(zip(xs[good], ys[good]))
-    accepted = accepted[:n_samples]
+        accepted.extend(z for z in map(complex, xs.tolist(), ys.tolist())
+                        if in_AMC(z, cls))
 
     lam_violations = 0
     worst_ratio = 0.0
-    for x, y in accepted:
-        freq = from_omega(complex(x, y))
-        k = int(rng.integers(1, 101)) * (1 if rng.random() < 0.5 else -1)
-        lam = lambda_k(freq, k)
-        bound = math.sqrt(2.0) * cls.M * abs(k) ** (1.0 + cls.tau)
-        ratio = abs(lam) / bound
-        worst_ratio = max(worst_ratio, ratio)
-        if ratio > 1.0:
+    for z in accepted[:n_samples]:
+        try:
+            report = check_small_divisor_bound(from_omega(z), cls, 100)
+        except BoundViolationError as exc:
             lam_violations += 1
+            report = exc.diagnostics
+        worst_ratio = max(worst_ratio, report["max_ratio"])
 
     exp_violations = 0
-    worst_gap = 0.0
     zs = (rng.uniform(-2.0, 2.0, n_samples)
           + 1j * rng.uniform(-0.5, 0.5, n_samples))
     for z in zs:
@@ -313,11 +308,9 @@ def check_obstruction_cases():
     for p, m in ((1, 2), (1, 3), (2, 5), (1, 7)):
         rep = obstruction_order(f, RationalFreq(p, m))
         pos = all(b > 0 for b in rep.betas[:rep.n_star or 0])
-        gap = (abs(rep.gamma_engine - rep.gamma_oracle)
-               / max(abs(rep.gamma_oracle), 1e-300))
-        case_ok = (rep.n_star == m) and pos and gap < 1e-12
+        case_ok = (rep.n_star == m) and pos and rep.relative_gap < 1e-12
         ok = ok and case_ok
-        details.append(f"({p},{m}): n*={rep.n_star}, gap={gap:.1e}")
+        details.append(f"({p},{m}): n*={rep.n_star}, gap={rep.relative_gap:.1e}")
     secs = time.perf_counter() - t0
     ok = ok and secs < 5.0
     return ok, ("; ".join(details)

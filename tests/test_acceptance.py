@@ -11,8 +11,11 @@ import pytest
 
 from kamforge import verify
 from kamforge.continuation import CROSSCHECK_METHODS, crosscheck
+from kamforge.errors import BoundViolationError
 from kamforge.fourier import FourierSeries
-from kamforge.frequency import export_set_geometry, from_omega
+from kamforge.frequency import (DiophantineClass, check_small_divisor_bound,
+                                export_set_geometry, from_omega, in_AMC)
+from kamforge.obstruction import obstruction_order
 from kamforge.verify import ACCEPTANCE, INVARIANTS, run_check
 
 
@@ -118,3 +121,65 @@ def test_a08_reads_the_measure_of_export_set_geometry(monkeypatch):
     for got, gaps in measures:
         assert np.float64(got).tobytes() == np.float64(gaps).tobytes()
         assert f"measure={got:.6f}" in detail
+
+
+def _spy_divisor_bound(monkeypatch, change=None):
+    """Record each call of ``verify.check_small_divisor_bound`` with its
+    arguments and the report it returned, or raised through *change*."""
+    calls = []
+
+    def spy(freq, cls, k_max=100):
+        report = check_small_divisor_bound(freq, cls, k_max)
+        calls.append((freq, cls, k_max, report))
+        if change:
+            change(len(calls), report)
+        return report
+
+    monkeypatch.setattr(verify, "check_small_divisor_bound", spy)
+    return calls
+
+
+def test_a05_certifies_each_accepted_point_through_the_shipped_bound(
+        monkeypatch):
+    calls = _spy_divisor_bound(monkeypatch)
+    ok, detail = verify.check_divisor_bounds()
+    assert ok, detail
+    assert len(calls) == 10_000
+    cls = DiophantineClass(6.0, 0.5, 2000)
+    for freq, got_cls, k_max, _ in calls:
+        assert got_cls == cls and k_max == 100
+        assert in_AMC(freq.omega, cls)
+    worst = max(report["max_ratio"] for *_, report in calls)
+    assert f"worst |lam|/bound={worst:.3f};" in detail
+
+
+def test_a05_counts_a_violation_and_checks_every_other_point(monkeypatch):
+    def violate_first(n, report):
+        if n == 1:
+            raise BoundViolationError("raised by the test",
+                                      {**report, "max_ratio": 3.5})
+
+    calls = _spy_divisor_bound(monkeypatch, violate_first)
+    ok, detail = verify.check_divisor_bounds()
+    assert not ok
+    assert len(calls) == 10_000
+    assert detail.startswith("lambda bound: 1 violations in 10000 ")
+    assert "worst |lam|/bound=3.500;" in detail
+
+
+def test_a07_prints_the_relative_gap_of_each_report(monkeypatch):
+    reports = []
+
+    def spy(*args, **kwargs):
+        report = obstruction_order(*args, **kwargs)
+        report.relative_gap = 2e-13 * (len(reports) + 1)  # a value to find
+        reports.append(report)
+        return report
+
+    monkeypatch.setattr(verify, "obstruction_order", spy)
+    ok, detail = verify.check_obstruction_cases()
+    assert ok, detail
+    assert len(reports) == 4
+    for report in reports:
+        assert (f"({report.p},{report.m}): n*={report.n_star}, "
+                f"gap={report.relative_gap:.1e}") in detail

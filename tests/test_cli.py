@@ -172,12 +172,32 @@ AXIS = ["--eps-min", "0.01", "--eps-max", "0.03", "--eps-n", "2"]
     # a family is sampled in omega: an eps axis would read as omega steps
     ([*SWEEP_BOX, *AXIS, "--family", "fam.json"],
      "family_path and eps_axis given"),
+    # the iteration budget is Newton's: picard ran its own 200 steps
+    (["solve", "--omega", "0.5", "--omega-im", "0.5", "--method", "picard",
+      "--max-iters", "1"], "--max-iters given with --method picard"),
+    ([*SWEEP_BOX, "--method", "picard", "--max-iters", "1"],
+     "--max-iters given with --method picard"),
+    (["crosscheck", "--q-re", "0.3", "--methods", "picard,taylor0",
+      "--max-iters", "1"], "--max-iters given without newton in --methods"),
 ], ids=["axis-ends", "axis-end", "eps-im-and-axis", "eps-and-axis",
-        "tau-and-mmax", "tau", "orders-without-taylor0", "family-and-eps-axis"])
+        "tau-and-mmax", "tau", "orders-without-taylor0", "family-and-eps-axis",
+        "max-iters-with-picard-solve", "max-iters-with-picard-sweep",
+        "max-iters-without-newton"])
 def test_an_ignored_option_is_refused_by_name(tmp_path, args, message):
     r = run_cli([*args, "--out", "x.json"], tmp_path)
     assert r.returncode == 2, r.stderr
     assert r.stderr.startswith("error: ") and message in r.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("paths", [["--out", "missing/ok.json"],
+                                   ["--out", "ok.json", "--csv", "missing/x.csv"]],
+                         ids=["out", "csv"])
+def test_solve_refuses_an_unwritable_path_before_solving(tmp_path, paths):
+    r = run_cli(["solve", "--omega", repr(GOLDEN), *paths], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ") and f"'{paths[-1]}'" in r.stderr
+    assert not any(line.startswith("iter") for line in r.stdout.splitlines())
     assert list(tmp_path.iterdir()) == []
 
 
@@ -871,10 +891,11 @@ def test_crosscheck_on_the_unit_circle_prints_the_skip_notes(tmp_path):
 
 
 def test_an_unwritable_error_json_still_reaches_stdout(tmp_path):
-    r = run_cli(["solve", "--omega", "0.5",
+    # solve refuses an unwritable --out before it solves; taylor0 writes last
+    r = run_cli(["taylor0", "--eps", "1e300", "--orders", "5",
                  "--out", str(tmp_path / "missing" / "x.json")], tmp_path)
     assert r.returncode == 1, r.stderr
-    assert json.loads(r.stdout)["error"]["type"] == "ResonanceError"
+    assert json.loads(r.stdout)["error"]["type"] == "OverflowRiskError"
     assert r.stderr.splitlines()[-1].startswith("error: [Errno 2] ")
     assert list(tmp_path.iterdir()) == []
 
