@@ -317,6 +317,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_geometry(args) -> int:
     cls = DiophantineClass(args.M, args.tau, args.mmax)
+    _refuse_unwritable(args.out)
     geo = export_set_geometry(cls, boundary_n=args.boundary_n)
     jsonio.dump_path(geo.to_json_dict(), args.out)
     bound = cls.measure_bound()
@@ -333,6 +334,7 @@ def cmd_geometry(args) -> int:
 def cmd_obstruction(args) -> int:
     f = parse_series(args.f)
     rf = RationalFreq(args.p, args.m)
+    _refuse_unwritable(args.out)
     rep = obstruction_order(f, rf, max_order=args.max_order,
                             exactness=args.exactness)
     jsonio.dump_path(jsonio.encode(rep), args.out)
@@ -353,6 +355,7 @@ def cmd_taylor0(args) -> int:
     f = parse_series(args.f)
     q = _complex_option(args, "q_re", "q_im")
     eps = complex(args.eps, args.eps_im)
+    _refuse_unwritable(args.out)
     data = taylor0_recursion(f, eps, N_q=args.orders)
     payload = {"data": jsonio.encode(data)}
     if q is None:
@@ -386,6 +389,7 @@ def cmd_crosscheck(args) -> int:
                            args, "newton" in methods, "without newton in --methods"))
     if args.orders is not None and "taylor0" not in methods:
         raise ValueError("--orders given without taylor0 in --methods")
+    _refuse_unwritable(args.out)
     result = run_crosscheck(f, freq, complex(args.eps, args.eps_im),
                             methods=methods, config=cfg,
                             n_taylor=40 if args.orders is None else args.orders)

@@ -30,7 +30,7 @@ from .fourier import EXP_CAP, require_finite, require_int
 
 _TWO_PI = 2.0 * math.pi
 RESONANCE_ULPS = 4.0  # |q^k - 1| < RESONANCE_ULPS 2 pi |k| 2^-52 counts as zero
-GAP_UNION_MAX_M = 10_000  # largest m_max whose gap union is built (~258 MB peak);
+GAP_UNION_MAX_M = 10_000  # largest m_max whose gap union is built (~223 MB peak);
                           # below 2^_KEY_BITS, since a gap's sort key holds its m
 _KEY_BITS = 14
 
@@ -357,17 +357,6 @@ def _merged_gap_union(M: float, tau: float, m_max: int):
     2^-40 + 2^-55, so c' m is within 2^-25 of n and (n, m) come back
     exactly, and with them every endpoint's bits.
 
-    *Build.*  The large keys are written into ``lo`` and sorted there as
-    int64.  One chunked pass decodes them: the mirrored upper half goes,
-    reversed, past the keys, and the lower half then overwrites the keys it
-    has read.  Disjoint intervals sorted by center are sorted by left and
-    by right end alike, and every lower center is below 1/2 and every
-    upper one above, so ``lo`` and ``hi`` come out sorted.  The S small
-    components are then inserted into both (``_insert_sorted``).  A small
-    component is the union of the small gaps that make it up, so in place
-    of them it changes neither the union nor the smallest left end and the
-    largest right end of any component.
-
     *Merge.*  Sorting ``lo`` and ``hi`` independently is legitimate for a
     union.  A component starts at lo[i] iff no interval is still open
     there, #(hi < lo[i]) == i, and ends at hi[i] iff #(lo <= hi[i]) ==
@@ -377,21 +366,77 @@ def _merged_gap_union(M: float, tau: float, m_max: int):
     >= i + 1, with equality iff lo[i+1] > hi[i].  Hence breaks between
     components sit exactly where hi[i] < lo[i+1], which is the same event
     sweep as counting open intervals, with no approximation.
+    ``_merge_in_place`` merges the small gaps this way, and below the near
+    gaps with the small components.
+
+    *Near keys.*  The large keys are written into ``lo`` and sorted there
+    as int64.  A large gap can touch a small component (a, b) only if its
+    center lies within p = r_T + MARGIN of it, since r_m <= r_T for m >= T.
+    For key n/m with center c that is c in [a - p, b + p] for the lower gap
+    and, for the mirrored gap, whose center float64(m - n)/m lies within
+    2^-52 of 1 - c, c in [1 - b - p, 1 - a + p].  Each of these 2 S ranges,
+    computed in floats within 2^-50 of its exact ends and clipped to
+    [0, 1/2], is looked up among the sorted keys with its lower end's low
+    ``_KEY_BITS`` bits cleared and its upper end's set.  Clearing and
+    setting the low bits keep the order of the bits of positive doubles,
+    and a key lies between its center's bits cleared and set, so every key
+    whose center lies in a range falls in its key range; a key range may
+    hold a few more, which only costs them the merge below.  These *near*
+    keys (1.25M of 7.9M at M = 6, tau = 1/2, m_max = 10^4) are decoded, both
+    gaps of each, and merged with the S small components into C components
+    (|C| = 112,429 there).  The lower gaps ascend with their keys below
+    1/2, the mirrored ones with the keys reversed above it, and no two
+    large gaps meet, so the decoded ends need no sort: the small components
+    are inserted at their ``searchsorted`` points.
+
+    *Far keys touch nothing.*  A far key's lower gap has its center more
+    than p - 2^-50 from every small component, and its mirrored gap more
+    than p - 2^-49, so both ends of each, within 2^-52 of the center
+    -/+ r_m with r_m <= r_T, lie more than MARGIN - 2^-48 > 0 outside every
+    small component; and every large gap lies at least 2^-30 from every
+    other.  Each far gap is therefore a component of its own, apart from
+    every component of C: its ends are final, and the union has
+    F = 2 K' + |C| components for the K' far keys.
+
+    *Decode in place.*  The far keys are compacted to the front of ``lo``,
+    chunk by chunk with the writes trailing the reads; ``lo`` is resized to
+    F and the keys move up to lo[|C|:|C| + K'] (numpy copies an overlapping
+    one-dimensional range forward without a temporary).  Everything is
+    apart, so sorted by start is sorted by end, and the order is known: the
+    lower far gaps ascend with their keys, below 1/2; the mirrored ones
+    descend with them, above 1/2; of the components of C, the L that start
+    below 1/2 lie below every mirrored far gap, whose ends pass 1/2, and
+    the U = |C| - L others above every lower one, whose starts are below
+    1/2.  One chunked pass decodes keys i..e-1 and writes, into ``lo`` and
+    ``hi`` alike, their lower gaps together with the components of C that
+    start below the chunk's last lower gap and are not yet written, k1 in
+    all, k of them written before: the block starts at i + k, and each
+    component goes to its ``searchsorted`` slot (``_interleave``).  Their
+    mirrored gaps go likewise with the h1 components above the chunk's
+    lowest mirrored gap, h of them written before, in a block ending at
+    F - i - h.  The components left lie between the two halves and go to
+    K' + k.  A lower block ends at e + k1 <= e + L <= |C| + e, where the
+    unread keys start.  A mirrored block starts at
+    F - e - h1 >= 2 K' + L - e, so it can reach key j, at |C| + j, only if
+    j >= 2 K' - e - U >= K' - U: those last min(U, K') <= |C| keys are
+    copied aside before the pass and read from there (56k keys, 0.45 MB, of
+    K' = 6.67M at m_max = 10^4).  Every end is still float64(n)/m -/+ r_m,
+    bit for bit.
 
     What is allocated, stage by stage (tracemalloc at M = 6, tau = 1/2,
     m_max = 10^4, where 7.9M keys stand for 15.8M of the 30.4M gaps).  One
-    sieve gives every m its distinct prime factors and phi(m); they and
-    the containers' numerator ranges are per-row Python lists, about
-    10 MB.  ``lo`` is allocated at its upper bound 2 sum_{m >= T} phi(m)/2
-    + S (243 MB), of which only the keys are written.  The lists are
-    released and ``lo`` is shrunk to 2 K + S for the K keys before ``hi``
-    exists.  From then on nothing full-size is allocated beside ``lo`` and
-    ``hi`` (254 MB, the peak): the keys sort in place, the decode and
-    ``_merge_in_place`` work chunk by chunk, the insertion moves blocks
-    from the back, and ``_difference_sum`` sums ``ends - starts`` chunk by
-    chunk.  The measure is still that of ``np.sum(ends - starts)`` bit for
-    bit, 108 MB difference aside: numpy sums pairwise, splitting a block
-    of n > 128 at n // 2 rounded down to a multiple of 8, and
+    sieve gives every m its distinct prime factors and phi(m); they and the
+    containers' numerator ranges are per-row Python lists, about 10 MB.
+    ``lo`` is allocated at sum_{m >= T} phi(m)/2 (122 MB), the count of
+    coprime n < m/2, and the lists are released before the plan.  The plan
+    adds the near mask (K bytes), the near keys and their decoded ends,
+    204 MB in all at its peak.  ``lo`` then shrinks to F before ``hi``
+    exists, and from then on nothing beside ``lo`` and ``hi`` (215 MB) is
+    larger than C, the stash and a chunk (223 MB, the peak): the decode
+    writes chunk by chunk and ``_difference_sum`` sums ``ends - starts``
+    chunk by chunk.  The measure is still that of ``np.sum(ends - starts)``
+    bit for bit, 108 MB difference aside: numpy sums pairwise, splitting a
+    block of n > 128 at n // 2 rounded down to a multiple of 8, and
     ``_difference_sum`` splits at the same points down to leaves that it
     hands to ``np.sum``, so every addition has the same operands.
 
@@ -430,7 +475,7 @@ def _merged_gap_union(M: float, tau: float, m_max: int):
     lows = (np.array(lows) - first).astype(np.int64).T.tolist()
     highs = (np.array(highs) - first).astype(np.int64).T.tolist()
 
-    lo = np.empty(sum(phi[T:]) + small_lo.size, dtype=np.float64)
+    lo = np.empty(sum(phi[T:]) // 2, dtype=np.float64)   # coprime n < m/2
     nums = np.arange(m_max, dtype=np.float64)
     K = 0
     for m, f, row_lows, row_highs in zip(range(T, m_max + 1), first.tolist(),
@@ -447,28 +492,63 @@ def _merged_gap_union(M: float, tau: float, m_max: int):
         np.divide(centers, m, out=lo[K:K + centers.size])
         _key(lo[K:K + centers.size], m)
         K += centers.size
-    del factors, lows, highs   # else they add to lo + hi
-    lo.resize(2 * K + small_lo.size, refcheck=False)
-    lo[:K].view(np.int64).sort()
-    hi = np.empty(lo.size, dtype=np.float64)
+    del factors, lows, highs   # else they add to the plan
+    keys = lo[:K].view(np.int64)
+    keys.sort()
     rt = np.array(r)
+
+    pad = (r[T] if T <= m_max else 0.0) + MARGIN
+    near = np.zeros(K, dtype=bool)
+    # the centers within pad of a small component, lower gap or mirrored
+    below = np.concatenate((small_lo - pad, 1.0 - small_hi - pad)).clip(0.0, 0.5)
+    above = np.concatenate((small_hi + pad, 1.0 - small_lo + pad)).clip(0.0, 0.5)
+    below = keys.searchsorted(below.view(np.int64) & (-1 << _KEY_BITS))
+    above = keys.searchsorted(above.view(np.int64) | ((1 << _KEY_BITS) - 1),
+                              side="right")
+    for a, b in zip(below.tolist(), above.tolist()):
+        near[a:b] = True
+    near_keys = keys[near]
+    n2 = 2 * near_keys.size
+    c_lo, c_hi = np.empty(n2), np.empty(n2)
+    for i in range(0, n2 // 2, CHUNK):
+        e = min(i + CHUNK, n2 // 2)
+        (c_lo[i:e], c_hi[i:e]), (c_lo[n2 - e:n2 - i], c_hi[n2 - e:n2 - i]) = \
+            _decode(near_keys[i:e], rt)
+    c_lo = np.insert(c_lo, c_lo.searchsorted(small_lo), small_lo)
+    c_hi = np.insert(c_hi, c_hi.searchsorted(small_hi), small_hi)
+    c_lo, c_hi = _merge_in_place(c_lo, c_hi)
+
+    Kf = 0                                      # far keys, compacted in front
     for i in range(0, K, CHUNK):
-        n, m = _unkey(lo[i:min(i + CHUNK, K)].view(np.int64))
-        rm = rt[m]
-        c = (m - n)[::-1] / m[::-1]              # the mirror, reversed
-        j = 2 * K - i                            # >= K + its size: past the keys
-        np.subtract(c, rm[::-1], out=lo[j - c.size:j])
-        np.add(c, rm[::-1], out=hi[j - c.size:j])
-        c = n / m
-        np.subtract(c, rm, out=lo[i:i + c.size])
-        np.add(c, rm, out=hi[i:i + c.size])
-    _insert_sorted(lo, 2 * K, small_lo)
-    _insert_sorted(hi, 2 * K, small_hi)
-    starts, ends = _merge_in_place(lo, hi)
-    if starts.size < 2 or starts[0] >= 0 or ends[-1] <= 1:
+        far = keys[i:i + CHUNK][~near[i:i + CHUNK]]
+        keys[Kf:Kf + far.size] = far
+        Kf += far.size
+    del keys, near, near_keys
+    C = c_lo.size
+    F = 2 * Kf + C
+    lo.resize(F, refcheck=False)
+    lo[C:C + Kf] = lo[:Kf]
+    hi = np.empty(F, dtype=np.float64)
+    cut = max(Kf - (C - int(c_lo.searchsorted(0.5))), 0)  # keys cut.. are stashed
+    stash = lo[C + cut:C + Kf].copy()
+    k = h = 0          # components of C written below / above the streams
+    for i in (*range(0, cut, CHUNK), *range(cut, Kf, CHUNK)):
+        e = min(i + CHUNK, cut if i < cut else Kf)
+        low, up = _decode((lo[C + i:C + e] if i < cut else stash[i - cut:e - cut])
+                          .view(np.int64), rt)
+        k1 = int(c_lo.searchsorted(low[0][-1]))
+        _interleave(lo[i + k:e + k1], hi[i + k:e + k1], low,
+                    (c_lo[k:k1], c_hi[k:k1]))
+        h1 = C - int(c_lo.searchsorted(up[0][0]))
+        _interleave(lo[F - e - h1:F - i - h], hi[F - e - h1:F - i - h], up,
+                    (c_lo[C - h1:C - h], c_hi[C - h1:C - h]))
+        k, h = k1, h1
+    lo[Kf + k:Kf + C - h] = c_lo[k:C - h]
+    hi[Kf + k:Kf + C - h] = c_hi[k:C - h]
+    if lo.size < 2 or lo[0] >= 0 or hi[-1] <= 1:
         raise AssertionError("gap union lost its wrap components (bug)")
-    measure = float(_difference_sum(ends, starts) + starts[0] - ends[-1] + 1.0)
-    return starts, ends, measure
+    measure = float(_difference_sum(hi, lo) + lo[0] - hi[-1] + 1.0)
+    return lo, hi, measure
 
 
 def _disjoint_threshold(r: list, m_max: int, margin: float) -> int:
@@ -494,17 +574,27 @@ def _unkey(keys: np.ndarray):
     return n, m
 
 
-def _insert_sorted(a: np.ndarray, n: int, values: np.ndarray) -> None:
-    """Insert the sorted *values* into the sorted a[:n], in place; *a* holds
-    n + values.size elements.  From the back, each block of a[:n] between
-    two insertion points moves right by the number of values still to
-    insert in front of it, onto slots already read or free."""
-    pos = a[:n].searchsorted(values).tolist()
-    end = n
-    for j in range(values.size - 1, -1, -1):
-        a[pos[j] + j + 1:end + j + 1] = a[pos[j]:end]
-        a[pos[j] + j] = values[j]
-        end = pos[j]
+def _decode(keys: np.ndarray, r: np.ndarray):
+    """The ends ``(lo, hi)`` of the gaps of sorted gap *keys*: those of the
+    lower gaps n/m, ascending, and those of the mirrored gaps (m - n)/m,
+    also ascending (the keys reversed); *r* holds r_m at index m."""
+    n, m = _unkey(keys)
+    rm = r[m]
+    c = n / m
+    up = (m - n)[::-1] / m[::-1]
+    rup = rm[::-1]
+    return (c - rm, c + rm), (up - rup, up + rup)
+
+
+def _interleave(lo: np.ndarray, hi: np.ndarray, gaps, comps) -> None:
+    """Write two sorted runs of pairwise apart intervals, *gaps* and *comps*
+    (each a ``(lo, hi)`` pair), merged in order into the slices *lo* and
+    *hi*: the components go to their ``searchsorted`` slots."""
+    slots = gaps[0].searchsorted(comps[0]) + np.arange(comps[0].size)
+    free = np.ones(lo.size, dtype=bool)
+    free[slots] = False
+    lo[free], lo[slots] = gaps[0], comps[0]
+    hi[free], hi[slots] = gaps[1], comps[1]
 
 
 def _merge_in_place(lo: np.ndarray, hi: np.ndarray):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import kamforge
-from kamforge import cli, continuation, jsonio, verify
+from kamforge import cli, continuation, frequency, jsonio, verify
 from kamforge.errors import NearSingularError, NoConvergenceError
 from kamforge.fourier import FourierSeries
 from kamforge.frequency import (SampledFamily, c1hol_norm_estimate,
@@ -890,13 +890,45 @@ def test_crosscheck_on_the_unit_circle_prints_the_skip_notes(tmp_path):
     assert lines[2] == "taylor0: skipped (taylor0 needs |q| < 1)"
 
 
-def test_an_unwritable_error_json_still_reaches_stdout(tmp_path):
-    # solve refuses an unwritable --out before it solves; taylor0 writes last
-    r = run_cli(["taylor0", "--eps", "1e300", "--orders", "5",
-                 "--out", str(tmp_path / "missing" / "x.json")], tmp_path)
-    assert r.returncode == 1, r.stderr
-    assert json.loads(r.stdout)["error"]["type"] == "OverflowRiskError"
-    assert r.stderr.splitlines()[-1].startswith("error: [Errno 2] ")
+def test_an_unwritable_error_json_still_reaches_stdout(tmp_path, monkeypatch,
+                                                      capsys):
+    # every command checks --out before it computes, so only a path that
+    # goes away while it runs leaves the error JSON unwritten
+    out = tmp_path / "gone" / "x.json"
+    out.parent.mkdir()
+    recursion = cli.taylor0_recursion
+
+    def remove_the_directory_first(*args, **kwargs):
+        out.parent.rmdir()
+        return recursion(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "taylor0_recursion", remove_the_directory_first)
+    code = cli.main(["taylor0", "--eps", "1e300", "--orders", "5",
+                     "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["error"]["type"] == "OverflowRiskError"
+    assert captured.err.splitlines()[-1].startswith("error: [Errno 2] ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args, module, compute", [
+    (["geometry", "--M", "6", "--mmax", "10000"], frequency, "_merged_gap_union"),
+    (["obstruction", "--p", "1", "--m", "7"], cli, "obstruction_order"),
+    (["taylor0", "--q-re", "0.2"], cli, "taylor0_recursion"),
+    (["crosscheck", "--q-re", "0.3"], cli, "run_crosscheck"),
+], ids=["geometry", "obstruction", "taylor0", "crosscheck"])
+def test_an_unwritable_out_is_refused_before_computing(
+        tmp_path, monkeypatch, capsys, args, module, compute):
+    def never(*args, **kwargs):
+        raise AssertionError(f"{compute} ran")
+
+    monkeypatch.setattr(module, compute, never)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*args, "--out", "missing/x.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "'missing/x.json'" in captured.err
     assert list(tmp_path.iterdir()) == []
 
 

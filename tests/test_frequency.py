@@ -444,9 +444,10 @@ def test_gap_union_peak_memory():
     # the unpruned build peaked at 25 MB at m_max = 2000: both endpoint
     # arrays of all 1.2M gaps, then fresh copies of the starts and ends;
     # the pruned one with a full-size break mask and ``ends - starts``
-    # peaked at 87 MB at m_max = 5000, where lo + hi of the kept gaps
-    # take 64 MB
-    for m_max, bound in ((2000, 21e6), (5000, 75e6)):
+    # peaked at 87 MB at m_max = 5000, and 68 MB with lo + hi of all the
+    # kept gaps; decoded into its components in place it peaks at 60 MB
+    # there and at 223 MB at the cap, where the two arrays take 215 MB
+    for m_max, bound in ((2000, 21e6), (5000, 64e6), (10_000, 232e6)):
         cls = DiophantineClass(6.0, 0.5, m_max)
         tracemalloc.start()
         try:
@@ -455,6 +456,34 @@ def test_gap_union_peak_memory():
         finally:
             tracemalloc.stop()
         assert peak < bound, (m_max, peak)
+
+
+def test_gap_union_merges_large_gaps_across_small_component_edges():
+    # gaps with m >= T that straddle an edge of a small component are near
+    # keys: merged with it, they move its start or end
+    M, tau, m_max = 6.0, 0.5, 2000
+    r = radii(M, tau, m_max)
+    T = frequency._disjoint_threshold(r, m_max, 2.0 ** -30)
+    small_starts, small_ends = reference_gap_union(M, tau, T - 1)
+    n, m = np.array([(n, m) for m in range(T, m_max + 1) for n in range(1, m)
+                     if math.gcd(n, m) == 1]).T
+    rm = np.array(r)[m]
+    lo, hi = n / m - rm, n / m + rm
+    last = small_starts.size - 1
+    j = np.minimum(small_starts.searchsorted(lo, side="right"), last)
+    left = (lo < small_starts[j]) & (small_starts[j] <= hi)
+    k = np.minimum(small_ends.searchsorted(lo), last)
+    right = (lo <= small_ends[k]) & (small_ends[k] < hi)
+    assert left.sum() > 0 and right.sum() > 0
+    starts, ends, measure = DiophantineClass(M, tau, m_max)._gaps()
+    for edge, straddles in ((small_starts[j], left), (small_ends[k], right)):
+        i = starts.searchsorted(lo[straddles], side="right") - 1
+        assert np.all(starts[i] <= np.minimum(lo[straddles], edge[straddles]))
+        assert np.all(ends[i] >= np.maximum(hi[straddles], edge[straddles]))
+    ref_starts, ref_ends, ref_measure = unpruned_gap_union(M, tau, m_max)
+    assert starts.tobytes() == ref_starts.tobytes()
+    assert ends.tobytes() == ref_ends.tobytes()
+    assert measure.hex() == ref_measure.hex()
 
 
 def test_gap_union_refuses_m_max_past_its_cap(monkeypatch):
